@@ -33,9 +33,9 @@ Running things:
 * :func:`run` — one (workload, mechanism-or-policy) simulation through
   the default session.
 * :func:`simulate_batch` — many runs at once: specs sharing a workload
-  mix are executed on one batch kernel (shared zero-copy trace, lane
-  deduplication, lockstep grouped-LLC sweeps), bit-identical to running
-  each on its own machine.
+  mix are executed on one batch kernel (shared zero-copy trace, masked
+  lockstep over grouped cores and a grouped LLC), bit-identical to
+  running each on its own machine.
 * :meth:`ExperimentSession.evaluate` / :meth:`ExperimentSession.sweep`
   — baseline-normalized metrics for one or many workloads.
 * Sessions **own their caches** (dependency injection) and pick their

@@ -200,13 +200,17 @@ class FigureSpec:
     takes_store: bool
     tidy: Callable[[dict, int | None], TidyTable]
     vega: Callable[[TidyTable, "FigureSpec"], dict]
+    #: whether the driver runs profiles through a session (figs 1-3)
+    takes_session: bool = False
 
-    def build(self, sc: ScaleConfig | None = None, store=None) -> dict:
+    def build(self, sc: ScaleConfig | None = None, store=None, session=None) -> dict:
         """Produce the figure dict via the registered experiments driver."""
         from repro.experiments import figures as _figures
 
         fn = getattr(_figures, self.builder)
-        return fn(sc, store) if self.takes_store else fn(sc)
+        if self.takes_store:
+            return fn(sc, store)
+        return fn(sc, session) if self.takes_session else fn(sc)
 
     def table(self, figure: dict, *, seed: int | None = None) -> TidyTable:
         return self.tidy(figure, seed)
@@ -215,8 +219,10 @@ class FigureSpec:
         return self.vega(table, self)
 
 
-def _spec(fig_id, title, builder, tidy, vega_fn, *, takes_store=False) -> FigureSpec:
-    return FigureSpec(fig_id, title, builder, takes_store, tidy, vega_fn)
+def _spec(
+    fig_id, title, builder, tidy, vega_fn, *, takes_store=False, takes_session=False
+) -> FigureSpec:
+    return FigureSpec(fig_id, title, builder, takes_store, tidy, vega_fn, takes_session)
 
 
 FIGURE_SPECS: dict[str, FigureSpec] = {
@@ -225,11 +231,11 @@ FIGURE_SPECS: dict[str, FigureSpec] = {
         _spec("table1", "Table I: prefetch metrics per core (one Mix workload)",
               "table1_metrics", _tidy_table1, _vega_table1),
         _spec("fig01", "Fig. 1: memory bandwidth per benchmark",
-              "fig01_bandwidth", _tidy_benchmark_rows, _vega_grouped_bw),
+              "fig01_bandwidth", _tidy_benchmark_rows, _vega_grouped_bw, takes_session=True),
         _spec("fig02", "Fig. 2: IPC speedup from prefetching",
-              "fig02_prefetch_speedup", _tidy_benchmark_rows, _vega_speedup),
+              "fig02_prefetch_speedup", _tidy_benchmark_rows, _vega_speedup, takes_session=True),
         _spec("fig03", "Fig. 3: IPC vs. allocated LLC ways",
-              "fig03_way_sensitivity", _tidy_fig03, _vega_ways),
+              "fig03_way_sensitivity", _tidy_fig03, _vega_ways, takes_session=True),
         _spec("fig05", "Fig. 5: detected Agg sets per workload",
               "fig05_detection", _tidy_fig05, _vega_detection),
         _spec("fig07", "Fig. 7: PT normalized HS / WS",
@@ -312,7 +318,7 @@ def build_artifacts(
         store = EvalStore(sc, session=session)
     out = []
     for spec in specs:
-        figure = spec.build(sc, store) if spec.takes_store else spec.build(sc)
+        figure = spec.build(sc, store, session)
         table = spec.table(figure, seed=sc.seed)
         out.append(BuiltFigure(spec.fig_id, figure, table, spec.spec(table)))
     return out

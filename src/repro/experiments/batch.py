@@ -5,17 +5,22 @@ This is the experiment-layer face of the sim-layer batch kernel
 (:mod:`repro.sim.batch`).  A *batch* is a set of runs over the **same
 workload mix** — the natural shape of the paper's sweeps (one mix under
 PT / Dunn / CMM / partition-size ablations).  All runs share one
-:class:`~repro.sim.batch.BatchKernel`: a single zero-copy materialized
-trace per core plus the lane trees that deduplicate the private-core
-simulation across runs.  Groups of 2+ mechanism runs go further and
-execute in **masked lockstep** (:func:`_lockstep_mechanisms`): one
-:class:`~repro.sim.batch.GroupedCore` per core and one grouped LLC
-advance every run's controller loop together, per-run prefetch-mask
-and CAT-allow tensors applied per quantum, so runs stay batched even
-after their policies diverge.  Results are bit-identical to running
-each configuration on its own scalar fast machine; a
-:class:`~repro.sim.batch.LockstepError` degrades the group to per-run
-lane-tree machines (counted in ``RunStats.batch_degradations``).
+:class:`~repro.sim.batch.BatchKernel` (a single zero-copy materialized
+trace per core) and advance on one run-axis plane: a
+:class:`~repro.sim.batch.GroupedCore` per core and one grouped LLC.
+Static specs sharing a prefetch-mask vector and access count go
+through :func:`~repro.sim.batch.run_static_sweep`; groups of 2+
+mechanism runs execute in **masked lockstep**
+(:func:`_lockstep_mechanisms`), every run's controller loop advancing
+together with per-run prefetch-mask and CAT-allow tensors applied per
+quantum, so runs stay batched even after their policies diverge.
+
+The fallback ladder has two rungs.  Whatever the plane does not take —
+a singleton, a group whose traces it cannot serve, a sweep or lockstep
+group that failed — runs per run on a plain scalar ``fast``
+:class:`~repro.sim.machine.Machine`.  Results are bit-identical on
+either rung; a group that *fell* to the second one is counted
+(``batch.degradation_count()``, ``RunStats.batch_degradations``).
 
 Two entry points:
 
@@ -221,7 +226,10 @@ def simulate_batch(
         if any(specs[i].mechanism is not None for i in indices):
             lens.append(_mechanism_trace_length(sc))
         length = max(lens)
-        kernel = build_batch_kernel(mix, sc, trace_store, length=length)
+        # A singleton has nothing to share: straight to its own machine.
+        kernel = (
+            build_batch_kernel(mix, sc, trace_store, length=length) if len(indices) >= 2 else None
+        )
         done: set[int] = set()
         degraded: set[int] = set()
         if kernel is not None:
@@ -249,7 +257,7 @@ def simulate_batch(
             if i in done:
                 continue
             spec = specs[i]
-            machine = kernel.machine() if kernel is not None else _scalar_machine(mix, sc, trace_store)
+            machine = _scalar_machine(mix, sc, trace_store)
             if i in degraded:
                 machine._batch_degradations = 1
             if spec.mechanism is not None:
@@ -266,9 +274,9 @@ def _run_lockstep_sweeps(kernel: BatchKernel, specs, indices):
     identical core phases and merged request streams, so they advance
     through :func:`repro.sim.batch.run_static_sweep`'s grouped SoA LLC
     in a single pass — the sweep shape where the batch engine's ~Nx
-    throughput comes from.  Sub-groups of one and mechanism specs stay
-    on the per-run path; a sweep that fails lands its indices in the
-    ``degraded`` set (per-run fallback, bit-identical, counted).
+    throughput comes from.  Sub-groups of one are left to the caller's
+    per-run path, as are the indices of a sweep that fails, which land
+    in the ``degraded`` set (bit-identical, counted).
     """
     results: dict[int, RunStats] = {}
     degraded: set[int] = set()
@@ -288,7 +296,6 @@ def _run_lockstep_sweeps(kernel: BatchKernel, specs, indices):
             note_degradation()
             degraded.update(idxs)
             continue  # per-run fallback handles these indices
-        fallbacks = kernel.trace_fallbacks()
         for i, row in zip(idxs, rows):
             results[i] = RunStats(
                 n_cores=params.n_cores,
@@ -296,7 +303,7 @@ def _run_lockstep_sweeps(kernel: BatchKernel, specs, indices):
                 totals=row.pmu_counts,
                 wall_cycles=row.wall_cycles,
                 epochs=[],
-                trace_fallbacks=fallbacks,
+                trace_fallbacks=row.trace_fallbacks,
             )
     return results, degraded
 
@@ -304,7 +311,7 @@ def _run_lockstep_sweeps(kernel: BatchKernel, specs, indices):
 def _payload(stats: RunStats) -> dict:
     """The session's mechanism result payload (cache/wire format).
 
-    Byte-identical across the scalar, lane-tree and lockstep paths —
+    Byte-identical across the scalar and lockstep paths —
     the result cache cannot tell which one produced an entry.
     """
     from repro.core.trace import traces_to_dicts
@@ -319,7 +326,7 @@ def _payload(stats: RunStats) -> dict:
     }
 
 
-def compute_mechanism_group(runs, trace_store, *, lockstep: bool = True) -> list[tuple[dict, float]]:
+def compute_mechanism_group(runs, trace_store) -> list[tuple[dict, float]]:
     """Batch-execute a mix-affine group of planned mechanism runs.
 
     ``runs`` are :class:`~repro.experiments.engine.PlannedRun` rows of
@@ -329,11 +336,10 @@ def compute_mechanism_group(runs, trace_store, *, lockstep: bool = True) -> list
     when the group can't be batched; the session then falls back to the
     per-run scalar path.
 
-    With ``lockstep`` (the session passes the ``batch`` engine's
-    ``dynamic`` capability) a group of 2+ runs executes in masked
-    lockstep — one grouped SoA pass even though the mechanisms diverge.
-    A :class:`~repro.sim.batch.LockstepError` degrades the group to the
-    per-run lane-tree path, counted as a degradation per run.
+    A group of 2+ runs executes in masked lockstep — one grouped SoA
+    pass even though the mechanisms diverge.  A
+    :class:`~repro.sim.batch.LockstepError` degrades the group to
+    per-run scalar machines, counted as a degradation per run.
     """
     r0 = runs[0]
     sc = r0.sc
@@ -341,7 +347,7 @@ def compute_mechanism_group(runs, trace_store, *, lockstep: bool = True) -> list
     if kernel is None:
         raise BatchUnavailable(f"trace plane cannot serve mix {r0.mix.name}")
     degraded = False
-    if lockstep and len(runs) >= 2:
+    if len(runs) >= 2:
         t0 = time.perf_counter()
         try:
             all_stats = _lockstep_mechanisms(kernel, [r.mechanism for r in runs], sc)
@@ -354,7 +360,7 @@ def compute_mechanism_group(runs, trace_store, *, lockstep: bool = True) -> list
     out: list[tuple[dict, float]] = []
     for r in runs:
         t0 = time.perf_counter()
-        machine = kernel.machine()
+        machine = _scalar_machine(r.mix, sc, trace_store)
         if degraded:
             machine._batch_degradations = 1
         stats = _run_mechanism(machine, r.mechanism, sc)

@@ -1051,7 +1051,6 @@ class ExperimentSession:
         from repro.experiments.batch import compute_mechanism_group
         from repro.sim.batch import note_degradation
 
-        lockstep = "dynamic" in spec.capabilities
         groups: dict[tuple, list[tuple[str, PlannedRun]]] = {}
         for key, r in misses:
             g = (
@@ -1066,9 +1065,7 @@ class ExperimentSession:
                 remaining.extend(grp)
                 continue
             try:
-                rows = compute_mechanism_group(
-                    [r for _, r in grp], self.trace_store, lockstep=lockstep
-                )
+                rows = compute_mechanism_group([r for _, r in grp], self.trace_store)
             except Exception:
                 note_degradation()
                 remaining.extend(grp)

@@ -111,10 +111,12 @@ def _profiles(
     return _PROFILES[cache_key]
 
 
-def fig01_bandwidth(sc: ScaleConfig | None = None) -> dict:
+def fig01_bandwidth(
+    sc: ScaleConfig | None = None, session: ExperimentSession | None = None
+) -> dict:
     """Memory bandwidth per benchmark, demand vs. prefetch increase."""
     sc = sc or get_scale()
-    profiles = _profiles(sc)
+    profiles = _profiles(sc, session=session)
     rows = []
     for name, p in profiles.items():
         rows.append(
@@ -129,10 +131,12 @@ def fig01_bandwidth(sc: ScaleConfig | None = None) -> dict:
     return {"figure": "fig01", "rows": rows}
 
 
-def fig02_prefetch_speedup(sc: ScaleConfig | None = None) -> dict:
+def fig02_prefetch_speedup(
+    sc: ScaleConfig | None = None, session: ExperimentSession | None = None
+) -> dict:
     """IPC speedup from prefetching per benchmark."""
     sc = sc or get_scale()
-    profiles = _profiles(sc)
+    profiles = _profiles(sc, session=session)
     rows = [
         {"benchmark": name, "ipc_on": p.ipc_on, "ipc_off": p.ipc_off,
          "speedup_pct": 100.0 * p.prefetch_speedup}
@@ -142,10 +146,12 @@ def fig02_prefetch_speedup(sc: ScaleConfig | None = None) -> dict:
     return {"figure": "fig02", "rows": rows}
 
 
-def fig03_way_sensitivity(sc: ScaleConfig | None = None) -> dict:
+def fig03_way_sensitivity(
+    sc: ScaleConfig | None = None, session: ExperimentSession | None = None
+) -> dict:
     """IPC vs. number of LLC ways (prefetchers on)."""
     sc = sc or get_scale()
-    profiles = _profiles(sc, ways=True)
+    profiles = _profiles(sc, ways=True, session=session)
     rows = []
     for name, p in profiles.items():
         rows.append(

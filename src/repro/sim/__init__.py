@@ -19,7 +19,6 @@ from repro.sim.engines import (
     ENGINE_FAST,
     ENGINE_NATIVE,
     ENGINE_REFERENCE,
-    ENGINES,
     EngineSelectionError,
     EngineSpec,
     available_engines,
@@ -44,7 +43,6 @@ __all__ = [
     "ENGINE_FAST",
     "ENGINE_NATIVE",
     "ENGINE_REFERENCE",
-    "ENGINES",
     "EngineSelectionError",
     "EngineSpec",
     "available_engines",

@@ -1,4 +1,4 @@
-"""Multi-run batch kernel: lane-deduplicated core phase over one trace.
+"""Multi-run batch kernel: one run-axis plane over one shared trace.
 
 The ``batch`` engine advances N independent runs of the *same workload
 mix* while sharing the expensive half of the simulator between them.
@@ -7,91 +7,80 @@ Machine`'s quantum (DESIGN.md section 5): the **core phase** — trace
 chunk through private L1/L2 with prefetcher triggering — depends only
 on the core's trace, its prefetcher-mask history and the quantum
 partition.  It never observes the LLC, CAT partitioning, DRAM or any
-other core.  Runs that differ only in CAT masks (the paper's
-partition-size sweeps) share *every* core phase; runs that diverge in
-prefetcher masks share the common history prefix (e.g. the warmup all
-mechanisms execute under the baseline configuration).
+other core.  So all R runs of a mix advance through the shared
+zero-copy trace *together*, one quantum at a time, SIMT-style, and the
+run axis is explicit on both sides of the LLC boundary.
 
-Instead of a structure-of-arrays with an explicit run axis, per-core
-state is deduplicated behind **lanes**: a per-core tree whose edges are
-keyed by ``(quantum_len, pf_mask)`` and store the core phase's entire
-observable output for that quantum —
+Core side: :class:`GroupedCore`
+-------------------------------
+
+One per core.  Private-core state lives in **lanes** — a lane is a
+*state-equality class across runs at the same trace position*.  Each
+step partitions a lane's runs by their per-run prefetch mask (the only
+divergence axis), clones the live image per partition, advances each
+image once with the unmodified scalar kernel
+(:func:`repro.sim.fastengine.run_core_chunk`, or its compiled
+transcription when :func:`repro.sim.nativekernels.kernels_enabled`),
+and re-merges lanes whose images become bitwise equal again
+(order-sensitive dict comparison: CPython preserves insertion order,
+which *is* the LRU/FIFO order the kernels evict by).  A lane's advance
+yields a :class:`_LaneEdge`, the core phase's entire observable output
+for that quantum —
 
 * the sign-encoded LLC request list (``line`` demand / ``~line``
-  prefetch, exactly what :func:`repro.sim.fastengine.run_core_chunk`
-  emits),
+  prefetch, exactly what ``run_core_chunk`` emits),
 * the ``QuantumCounts`` fields the core phase sets (``n_access``,
   ``n_l2_hit_d``),
 * the per-core PMU row delta (seven integral core events, exact in
   float64),
 * the L1/L2 :class:`~repro.sim.cache.CacheStats` deltas, and
-* the trace's ``inst_per_mem`` / ``mlp`` for the quantum.
+* the trace's ``inst_per_mem`` / ``mlp`` for the quantum
 
-The first run to take a ``(q, mask)`` step computes it with the
-unmodified scalar fast kernel against live lane state (FastCache L1/L2,
-prefetcher bank, a zero-copy fork of the shared
-:class:`~repro.sim.tracestore.MaterializedTrace`); every later run
-replays the recorded edge in O(1).  A :class:`LaneMachine` — a
-:class:`Machine` whose ``_core_phase`` consumes lanes — then runs its
-*own* LLC phase (private ``FastPartitionedCache`` + CAT) and timing
-phase on those outputs.  Because the downstream phases are byte-for-
-byte the scalar implementation fed byte-for-byte the scalar inputs
-(integer deltas are exact in float64 and the merge order is replayed
-verbatim), batch results are **bit-identical** to the scalar fast
-engine, which is itself pinned bit-identical to ``reference``.
+— shared by every run in the lane.  Runs that never diverge in
+prefetch masks (the paper's partition-size sweeps) stay in one lane
+forever: one scalar-kernel call per quantum covers the whole group and
+nothing is ever cloned.
 
-Lane state is snapshotted every :data:`SNAP_EVERY` trunk quanta (and at
-divergence points), so a run forking off a shared prefix replays at
-most ``SNAP_EVERY - 1`` quanta of kernel work to rebuild state.  Trace
-snapshots record only the cursor position and are taken only while the
-materialized replay is still zero-copy; if a trace ever goes live
-(alignment fallback), that lane stops snapshotting and rebuilds replay
-the recorded quantum partition faithfully — bit-identical either way,
-with every fallback counted (see ``BatchKernel.trace_fallbacks``).
+LLC side: :class:`GroupedLLC`
+-----------------------------
 
-The round-robin LLC merge depends only on the request lists, not on
-LLC/CAT state, so merges are also cached per unique lane-edge
-combination (:func:`repro.sim.fastengine.merge_llc_requests`) and
-shared across runs; the serve loop always executes against the
-consuming machine's own LLC.
+R way-partitioned LLC images as ``(runs, sets, ways)`` tensors with a
+per-run CAT allow tensor and a ``runs=`` subgroup axis; one pass over a
+merged request stream serves every run that produced it.  The
+round-robin merge depends only on the request lists, not on LLC/CAT
+state (:meth:`BatchKernel.merged` / :meth:`BatchKernel.grouped_stream`).
+The timing phase stays the scalar ``Machine._timing_phase`` arithmetic
+fed per-run grouped-serve counters, so every per-run operation sequence
+matches a scalar fast machine op for op and results are
+**bit-identical** to the scalar fast engine, which is itself pinned
+bit-identical to ``reference``.
 
-Masked lockstep (dynamic batching)
-----------------------------------
+Two drivers share that plane:
 
-Lane trees pay off while runs share history; once per-quantum policy
-decisions diverge (PT throttling one run's prefetchers, CMM resizing
-another's partition), every ``(q, mask)`` edge is unique and the tree
-degrades to per-run scalar work.  :class:`GroupedCore` +
-:class:`LockstepGroup` remove that cliff: all R runs of a mix advance
-through the shared zero-copy trace *together*, one quantum at a time,
-SIMT-style.  Private-core state lives in **lanes** again — but now a
-lane is a *state-equality class across runs at the same trace
-position*, not a shared history prefix.  Each step partitions a lane's
-runs by their per-run prefetch mask (the divergence axis), clones the
-live image per partition, advances each image once with the unmodified
-scalar kernel, and re-merges lanes whose images become bitwise equal
-again (order-sensitive dict comparison: CPython preserves insertion
-order, which *is* the LRU/FIFO order the kernels evict by).  The LLC
-side reuses :class:`GroupedLLC` with a per-run CAT allow tensor and a
-``runs=`` subgroup axis, and the timing phase is the inherited scalar
-``Machine._timing_phase`` fed per-run grouped-serve counters — the same
-op-for-op replication :func:`run_static_sweep` pins.
+* :func:`run_static_sweep` — R static CAT configurations under one
+  prefetch-mask vector: a lockstep group that never diverges, stepped
+  in a plain loop with no controller and no threads.
+* :class:`LockstepGroup` — R unmodified per-run controller loops (each
+  on its own :class:`LockstepMachine`, a ``Machine`` that parks at
+  every quantum boundary) driven from one scheduler thread, stepping
+  the group at the minimum ``(trace_pos, quantum)`` so ragged sampling
+  schedules stay correct.  Exactly one thread is ever runnable, so
+  execution is deterministic.  Any failure inside the plane raises
+  :class:`LockstepError`.
 
-:class:`LockstepGroup` drives R unmodified per-run controller loops
-(each on its own :class:`LockstepMachine`, a ``Machine`` that parks at
-every quantum boundary) from one scheduler thread, stepping the group
-at the minimum ``(trace_pos, quantum)`` so ragged sampling schedules
-stay correct.  Exactly one thread is ever runnable, so execution is
-deterministic and bit-identical to running each controller on its own
-scalar fast machine.  Any failure inside the lockstep plane raises
-:class:`LockstepError`; callers fall back to per-run execution and
-count a degradation (:func:`note_degradation`, surfaced as
-``RunStats.batch_degradations``).
+There is no third path: a caller that cannot batch, or whose group
+fails, runs each member on its own scalar ``Machine`` and counts a
+degradation (:func:`note_degradation`, surfaced as
+``RunStats.batch_degradations``).  A trace that leaves the zero-copy
+path (alignment fallback) keeps replaying faithfully inside its lane —
+bit-identical, counted in ``trace_fallbacks`` — but that lane can no
+longer be cloned, so a group that needs to split it degrades.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import deque
 
 import numpy as np
@@ -109,11 +98,9 @@ from repro.sim.pmu import N_EVENTS, Event
 from repro.sim.prefetcher import PrefetcherBank
 
 __all__ = [
-    "SNAP_EVERY",
     "BatchKernel",
     "GroupedCore",
     "GroupedLLC",
-    "LaneMachine",
     "LockstepError",
     "LockstepGroup",
     "LockstepMachine",
@@ -122,11 +109,6 @@ __all__ = [
     "note_degradation",
     "run_static_sweep",
 ]
-
-#: Trunk-snapshot period, in quanta.  Smaller = cheaper forks, more
-#: copying on first-run trunks; 16 keeps snapshot overhead ~1/16 of a
-#: dict-copy per quantum while bounding fork replay to 15 quanta.
-SNAP_EVERY = 16
 
 # Process-wide degradation tally, mirroring the trace plane's
 # fallback counter idiom: every fork-to-scalar or unbatchable-group
@@ -188,7 +170,6 @@ class _LaneEdge:
     """One quantum's recorded core-phase output along a lane."""
 
     __slots__ = (
-        "child",
         "llc_req",
         "n_access",
         "n_l2_hit_d",
@@ -233,8 +214,8 @@ def _clone_image(params: MachineParams, st, trace):
 def _advance_image(st: _LaneState, q: int, mask: int, scratch):
     """Advance a lane image one quantum under ``mask``; return the outputs.
 
-    The single scalar-kernel entry point shared by the lane trees and
-    :class:`GroupedCore`: applies the mask exactly like the scalar
+    :class:`GroupedCore`'s single scalar-kernel entry point: applies
+    the mask exactly like the scalar
     machine's ``_sync_prefetchers`` (latched, decode on change only),
     zeroes the per-quantum stats windows and runs the unmodified
     :func:`repro.sim.fastengine.run_core_chunk`.
@@ -266,7 +247,6 @@ def _advance_image(st: _LaneState, q: int, mask: int, scratch):
 def _fill_edge(st: _LaneState, qc, llc_req, pmu_row, ipm, mlp) -> "_LaneEdge":
     """Package one quantum's core-phase outputs as a lane edge."""
     edge = _LaneEdge()
-    edge.child = None
     edge.llc_req = llc_req
     edge.n_access = qc.n_access
     edge.n_l2_hit_d = qc.n_l2_hit_d
@@ -318,114 +298,6 @@ def _images_equal(a, b) -> bool:
     if t1 != t2 or list(t1) != list(t2):
         return False
     return a.l1.state_equal(b.l1) and a.l2.state_equal(b.l2)
-
-
-class _LaneNode:
-    """A point in a core's (quantum, mask) history tree."""
-
-    __slots__ = ("parent", "key", "edges", "snapshot", "depth")
-
-    def __init__(self, parent=None, key=None) -> None:
-        self.parent = parent
-        self.key = key  # (q, mask) edge taken from parent to reach here
-        self.edges: dict[tuple[int, int], _LaneEdge] = {}
-        self.snapshot: _LaneState | None = None
-        self.depth = 0 if parent is None else parent.depth + 1
-
-
-class _LaneTree:
-    """All recorded histories of one core across the batch's runs."""
-
-    def __init__(self, params: MachineParams, base_trace) -> None:
-        self.params = params
-        self.base_trace = base_trace
-        self.root = _LaneNode()
-        # Strong refs to every trace fork so fallbacks stay countable
-        # even after a hot state is dropped (forks are tiny views).
-        self.forks: list = []
-        self._scratch = np.zeros((1, N_EVENTS), dtype=np.float64)
-
-    # -- state management --------------------------------------------
-
-    def _fork_trace(self, pos: int):
-        t = self.base_trace.fork(pos)
-        self.forks.append(t)
-        return t
-
-    def _fresh_state(self) -> _LaneState:
-        p = self.params
-        if nativekernels.kernels_enabled():
-            return nativekernels.fresh_lane_state(p, self._fork_trace(0))
-        return _LaneState(FastCache(p.l1), FastCache(p.l2), _fresh_bank(p), self._fork_trace(0))
-
-    def _clone_state(self, st: _LaneState) -> _LaneState:
-        return _clone_image(self.params, st, self._fork_trace(st.trace.pos))
-
-    def _state_at(self, node: _LaneNode) -> _LaneState:
-        """Rebuild live state for ``node``: nearest snapshot + replay."""
-        path: list[tuple[int, int]] = []
-        anchor = node
-        while anchor.parent is not None and anchor.snapshot is None:
-            path.append(anchor.key)
-            anchor = anchor.parent
-        st = self._clone_state(anchor.snapshot) if anchor.snapshot else self._fresh_state()
-        for q, mask in reversed(path):
-            self._run_kernel(st, q, mask)
-        return st
-
-    # -- kernel -------------------------------------------------------
-
-    def _run_kernel(self, st: _LaneState, q: int, mask: int):
-        """Advance ``st`` by one quantum under ``mask``; return outputs."""
-        return _advance_image(st, q, mask, self._scratch)
-
-    def step(self, cursor: "_LaneCursor", q: int, mask: int) -> _LaneEdge:
-        """Advance a run's cursor one quantum, computing the edge once."""
-        node = cursor.node
-        key = (q, mask)
-        edge = node.edges.get(key)
-        if edge is not None:
-            # Replay: the cursor's hot state (if any) is now stale.
-            if cursor.state is not None:
-                cursor.state = None
-            cursor.node = edge.child
-            return edge
-        st = cursor.state
-        if st is None:
-            st = self._state_at(node)
-        if node.edges and node.snapshot is None and st.trace._live is None:
-            # Second+ divergence from this node: pin a snapshot so the
-            # remaining siblings fork from here instead of replaying.
-            node.snapshot = self._clone_state(st)
-        qc, llc_req, pmu_row, ipm, mlp = self._run_kernel(st, q, mask)
-        edge = _fill_edge(st, qc, llc_req, pmu_row, ipm, mlp)
-        child = _LaneNode(node, key)
-        edge.child = child
-        node.edges[key] = edge
-        if child.depth % SNAP_EVERY == 0 and st.trace._live is None:
-            child.snapshot = self._clone_state(st)
-        cursor.node = child
-        cursor.state = st
-        return edge
-
-    def occupancy(self, cursor: "_LaneCursor") -> tuple[int, int]:
-        """(L1, L2) line occupancy of the cursor's current lane state."""
-        st = cursor.state if cursor.state is not None else self._state_at(cursor.node)
-        return st.l1.occupancy(), st.l2.occupancy()
-
-    def trace_fallbacks(self) -> int:
-        return sum(t.fallbacks for t in self.forks)
-
-
-class _LaneCursor:
-    """One run's position in one core's lane tree."""
-
-    __slots__ = ("tree", "node", "state")
-
-    def __init__(self, tree: _LaneTree) -> None:
-        self.tree = tree
-        self.node = tree.root
-        self.state: _LaneState | None = None
 
 
 #: Larger than any LRU stamp; masks disallowed/empty ways out of the
@@ -948,21 +820,21 @@ class GroupedLLC:
 
 
 class BatchKernel:
-    """Shared lane trees + merge cache for one batch of mix-affine runs.
+    """The shared inputs of one batch of mix-affine runs.
 
-    Build one kernel per (params, quantum, per-core traces) group, then
-    :meth:`machine` a fresh :class:`LaneMachine` per run.  Runs may
-    execute sequentially or interleaved; lanes are computed on first
-    use and replayed ever after.
+    Holds what every run of a (params, quantum, mix) group has in
+    common — the per-core forkable base traces — plus the merge step
+    that turns one quantum's per-core request lists into a stream the
+    grouped LLC can serve.  All mutable simulation state lives in the
+    :class:`GroupedCore`/:class:`GroupedLLC` objects that
+    :func:`run_static_sweep` and :class:`LockstepGroup` build on top,
+    so one kernel serves any number of sweeps and groups.
     """
 
     def __init__(self, params: MachineParams, *, quantum: int) -> None:
         self.params = params
         self.quantum = int(quantum)
-        self._trees: dict[int, _LaneTree] = {}
-        self._merge_cache: dict[tuple, tuple] = {}
-        self._stream_cache: dict[int, _PreparedStream] = {}
-        self.runs_built = 0
+        self.base_traces: dict[int, object] = {}
 
     def add_core(self, cpu: int, base_trace) -> None:
         """Register a core's shared materialized trace (forkable)."""
@@ -972,134 +844,33 @@ class BatchKernel:
                 f"(got {type(base_trace).__name__} for core {cpu}); "
                 "enable the trace plane or fall back to the scalar engine"
             )
-        self._trees[cpu] = _LaneTree(self.params, base_trace)
+        self.base_traces[cpu] = base_trace
 
     @property
     def lane_cores(self) -> tuple[int, ...]:
-        return tuple(sorted(self._trees))
-
-    def machine(self) -> "LaneMachine":
-        """A fresh run member consuming this kernel's lanes."""
-        self.runs_built += 1
-        return LaneMachine(self)
+        return tuple(sorted(self.base_traces))
 
     def merged(self, llc_reqs: list[list]) -> tuple:
-        """Cached round-robin merge for one combination of lane edges.
-
-        Keyed by the identity of the (immutable, kernel-owned) request
-        lists — identical edge combinations across runs resolve to the
-        same key, so the merge interleave is computed once per unique
-        quantum shape instead of once per run.
-        """
-        key = tuple(id(r) if r else 0 for r in llc_reqs)
-        hit = self._merge_cache.get(key)
-        if hit is None:
-            hit = fastengine.merge_llc_requests(llc_reqs)
-            self._merge_cache[key] = hit
-        return hit
+        """Round-robin merge of one quantum's per-core request lists."""
+        return fastengine.merge_llc_requests(llc_reqs)
 
     def grouped_stream(self, llc_reqs: list[list]) -> _PreparedStream:
-        """Cached decoded + conflict-segmented merge for the grouped serve.
-
-        Layered on :meth:`merged`: the cached merge tuple's identity is
-        stable per unique lane combination, so the NumPy decode and the
-        set-conflict segmentation are also computed once per unique
-        quantum shape and shared by every run in a lockstep sweep.
-        """
+        """:meth:`merged`, decoded into NumPy columns for the grouped serve."""
         pre = self.merged(llc_reqs)
-        key = id(pre)
-        hit = self._stream_cache.get(key)
-        if hit is None:
-            hit = _PreparedStream(pre[1], pre[2], self.params.llc.sets - 1)
-            self._stream_cache[key] = hit
-        return hit
-
-    def trace_fallbacks(self) -> int:
-        """Total zero-copy go-live fallbacks across every lane fork."""
-        return sum(t.trace_fallbacks() for t in self._trees.values())
-
-
-class LaneMachine(Machine):
-    """A ``Machine`` whose core phase replays a :class:`BatchKernel`.
-
-    Everything downstream of the core phase — LLC + CAT, DRAM, PMU,
-    timing — is this machine's own scalar-fast state, so per-run
-    control (MSR masks, CAT masks) behaves exactly as on a scalar
-    machine and results are bit-identical to one.
-    """
-
-    def __init__(self, kernel: BatchKernel) -> None:
-        super().__init__(kernel.params, quantum=kernel.quantum, engine=ENGINE_BATCH)
-        self._kernel = kernel
-        self._cursors: dict[int, _LaneCursor] = {}
-        for cpu in kernel.lane_cores:
-            self._cursors[cpu] = _LaneCursor(kernel._trees[cpu])
-            self.cores[cpu].active = True
-
-    def attach_trace(self, core: int, trace) -> None:  # pragma: no cover
-        raise TypeError(
-            "LaneMachine cores are driven by the batch kernel's lanes; "
-            "register traces via BatchKernel.add_core before building runs"
-        )
-
-    def _core_phase(self, q, counts, ipm, mlp, active, llc_reqs) -> None:
-        pmu_counts = self.pmu.counts
-        get_mask = self.prefetch_msr.get_mask
-        for cpu, cursor in self._cursors.items():
-            active[cpu] = True
-            e = cursor.tree.step(cursor, q, get_mask(cpu))
-            qc = counts[cpu]
-            qc.n_access = e.n_access
-            qc.n_l2_hit_d = e.n_l2_hit_d
-            llc_reqs[cpu] = e.llc_req
-            ipm[cpu] = e.ipm
-            mlp[cpu] = e.mlp
-            # Row add: untouched events gain +0.0, which is exact for
-            # the non-negative counters the PMU holds; the seven core
-            # events add the same float64 integers the scalar path does.
-            pmu_counts[cpu] += e.pmu_row
-            cs = self.cores[cpu]
-            s1, d1 = cs.l1.stats, e.l1_stats
-            s1.accesses += d1[0]
-            s1.hits += d1[1]
-            s1.pref_fills += d1[2]
-            s1.pref_used += d1[3]
-            s1.pref_evicted_unused += d1[4]
-            s2, d2 = cs.l2.stats, e.l2_stats
-            s2.accesses += d2[0]
-            s2.hits += d2[1]
-            s2.pref_fills += d2[2]
-            s2.pref_used += d2[3]
-            s2.pref_evicted_unused += d2[4]
-
-    def _llc_phase(self, counts, llc_reqs) -> None:
-        fastengine.run_llc_phase(
-            self, counts, llc_reqs, self.pmu.counts, self._kernel.merged(llc_reqs)
-        )
-
-    def private_occupancy(self, cpu: int) -> tuple[int, int]:
-        """(L1, L2) occupancy of this run's lane state for ``cpu``.
-
-        The member's own ``cores[cpu].l1/l2`` only accumulate stats
-        deltas; the actual cache contents live in the lane state.
-        """
-        cursor = self._cursors[cpu]
-        return cursor.tree.occupancy(cursor)
-
-    def trace_fallbacks(self) -> int:
-        return self._kernel.trace_fallbacks()
+        return _PreparedStream(pre[1], pre[2], self.params.llc.sets - 1)
 
 
 class StaticSweepRun:
     """One run's outputs from :func:`run_static_sweep`."""
 
-    __slots__ = ("pmu_counts", "wall_cycles", "llc_stats", "llc_occupancy")
+    __slots__ = ("pmu_counts", "wall_cycles", "llc_stats", "llc_occupancy", "trace_fallbacks")
 
-    def __init__(self, pmu_counts, wall_cycles, llc_stats, llc_occupancy) -> None:
+    def __init__(self, pmu_counts, wall_cycles, llc_stats, llc_occupancy, trace_fallbacks) -> None:
         self.pmu_counts = pmu_counts  # (n_cores, N_EVENTS) float64
         self.wall_cycles = wall_cycles
         self.llc_stats = llc_stats  # (accesses, hits, fills, used, evicted)
         self.llc_occupancy = llc_occupancy
+        self.trace_fallbacks = trace_fallbacks  # the sweep's shared traces going live
 
 
 def run_static_sweep(
@@ -1113,12 +884,13 @@ def run_static_sweep(
     ``configs`` is one ``(clos_cbms, core_clos)`` CAT configuration per
     run; ``masks`` are the per-core prefetcher masks *shared by every
     run* — that is what makes the core phase, and therefore the merged
-    LLC request stream, identical across the sweep, so a single lane
-    walk feeds a :class:`GroupedLLC` that serves all runs per quantum.
-    Timing stays a per-run scalar fixed point fed the grouped serve's
-    per-run counters, and every per-run arithmetic sequence matches a
-    scalar fast machine op for op: results are bit-identical to running
-    each configuration on its own machine.
+    LLC request stream, identical across the sweep: each core's
+    :class:`GroupedCore` keeps all R runs in its one initial lane, and
+    that lane's edge feeds a :class:`GroupedLLC` that serves all runs
+    per quantum.  Timing stays a per-run scalar fixed point fed the
+    grouped serve's per-run counters, and every per-run arithmetic
+    sequence matches a scalar fast machine op for op: results are
+    bit-identical to running each configuration on its own machine.
     """
     params = kernel.params
     n = params.n_cores
@@ -1142,7 +914,9 @@ def run_static_sweep(
                 allowed[r, cpu, w] = True
 
     glc = GroupedLLC(params.llc, R)
-    cursors = {cpu: _LaneCursor(kernel._trees[cpu]) for cpu in kernel.lane_cores}
+    runs = range(R)
+    cores = {cpu: GroupedCore(params, kernel.base_traces[cpu], R) for cpu in kernel.lane_cores}
+    mask_of = {cpu: dict.fromkeys(runs, eff_mask[cpu]) for cpu in cores}
     pmu = [np.zeros((n, N_EVENTS), dtype=np.float64) for _ in range(R)]
     wall = [0.0] * R
     drams = [DramModel(params) for _ in range(R)]
@@ -1156,8 +930,8 @@ def run_static_sweep(
         q = min(kernel.quantum, remaining)
         llc_reqs: list[list] = [[] for _ in range(n)]
         edges = {}
-        for cpu, cursor in cursors.items():
-            e = cursor.tree.step(cursor, q, eff_mask[cpu])
+        for cpu, core in cores.items():
+            e = core.step(runs, q, mask_of[cpu])[0]
             edges[cpu] = e
             llc_reqs[cpu] = e.llc_req
         stream = kernel.grouped_stream(llc_reqs)
@@ -1211,8 +985,10 @@ def run_static_sweep(
             profiling.add("timing", profiling.clock() - t0)
         remaining -= q
 
+    fallbacks = sum(core.trace_fallbacks() for core in cores.values())
     return [
-        StaticSweepRun(pmu[r], wall[r], glc.stats_for(r), glc.occupancy(r)) for r in range(R)
+        StaticSweepRun(pmu[r], wall[r], glc.stats_for(r), glc.occupancy(r), fallbacks)
+        for r in runs
     ]
 
 
@@ -1449,7 +1225,10 @@ class LockstepMachine(Machine):
     def __init__(self, group: "LockstepGroup", run_id: int) -> None:
         kernel = group.kernel
         super().__init__(kernel.params, quantum=kernel.quantum, engine=ENGINE_BATCH)
-        self._group = group
+        # Weak: the group owns its members.  A strong back-reference
+        # would make every finished group (grouped LLC tensors, stream
+        # cache) cyclic garbage that lives until the next gen-2 GC.
+        self._group = weakref.proxy(group)
         self._run_id = run_id
         self._pos = 0
         self._q = -1
@@ -1574,9 +1353,7 @@ class LockstepGroup:
     scalar fast machine op for op.
 
     The kernel is never mutated by lockstep execution (grouped cores
-    fork the shared base traces directly), so a caller catching
-    :class:`LockstepError` can reuse the same kernel for the per-run
-    fallback path.
+    fork the shared base traces), so it outlives a failed group.
     """
 
     def __init__(self, kernel: BatchKernel, n_runs: int, *, timeout: float = 120.0) -> None:
@@ -1587,7 +1364,7 @@ class LockstepGroup:
         self.timeout = timeout
         p = kernel.params
         self.cores = {
-            cpu: GroupedCore(p, kernel._trees[cpu].base_trace, n_runs)
+            cpu: GroupedCore(p, kernel.base_traces[cpu], n_runs)
             for cpu in kernel.lane_cores
         }
         self.llc = GroupedLLC(p.llc, n_runs)
@@ -1725,7 +1502,7 @@ class LockstepGroup:
     def _step_subgroup(self, sub, q: int, k: int = 1) -> None:
         """Advance one cohort ``k`` quanta of length ``q`` at once.
 
-        Lanes still advance quantum by quantum (edges are keyed per
+        Lanes still advance quantum by quantum (one edge per lane per
         quantum), but the LLC serves the whole span as one concatenated
         multi-segment stream: per-set replay order and absolute stamps
         are identical to ``k`` back-to-back serves, and the segment
@@ -1734,8 +1511,7 @@ class LockstepGroup:
         """
         by_run = {m._run_id: m for m in sub}
         runs = sorted(by_run)
-        p = self.kernel.params
-        n = p.n_cores
+        n = self.kernel.params.n_cores
         edges_seq: list[dict[int, dict]] = [{r: {} for r in runs} for _ in range(k)]
         for cpu, core in self.cores.items():
             mask_of = {r: by_run[r]._masks[cpu] for r in runs}
@@ -1765,28 +1541,17 @@ class LockstepGroup:
             for j in range(k):
                 ed0 = edges_seq[j][grp[0]]
                 # Merged streams repeat across quanta in steady state;
-                # replayed lane edges reuse the very same request-list
-                # objects, so an identity key finds them for free, with
-                # a content key as fallback for equal streams produced
-                # by distinct edges.  Edges stay alive in the lane
-                # trees, so ids cannot be recycled.
-                ikey = tuple(
-                    id(ed0[cpu].llc_req) if cpu in ed0 else 0 for cpu in range(n)
+                # the content key finds equal streams produced by
+                # distinct edges.
+                llc_reqs: list[list] = [
+                    ed0[cpu].llc_req if cpu in ed0 else [] for cpu in range(n)
+                ]
+                ckey = tuple(
+                    np.asarray(lst, dtype=np.int64).tobytes() for lst in llc_reqs
                 )
-                stream = self._stream_cache.get(ikey)
+                stream = self._stream_cache.get(ckey)
                 if stream is None:
-                    llc_reqs: list[list] = [
-                        ed0[cpu].llc_req if cpu in ed0 else [] for cpu in range(n)
-                    ]
-                    ckey = tuple(
-                        np.asarray(lst, dtype=np.int64).tobytes() for lst in llc_reqs
-                    )
-                    stream = self._stream_cache.get(ckey)
-                    if stream is None:
-                        pre = fastengine.merge_llc_requests(llc_reqs)
-                        stream = _PreparedStream(pre[1], pre[2], p.llc.sets - 1)
-                        self._stream_cache[ckey] = stream
-                    self._stream_cache[ikey] = stream
+                    stream = self._stream_cache[ckey] = self.kernel.grouped_stream(llc_reqs)
                 quanta.append(stream)
             hits_d = np.zeros((len(grp), k, n), dtype=np.int64)
             mem_d = np.zeros((len(grp), k, n), dtype=np.int64)

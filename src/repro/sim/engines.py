@@ -10,12 +10,16 @@ Engines implement the machine's hot path.  Each is described by an
   / :mod:`repro.sim.fastengine`): run-length-collapsed chunk pipeline,
   fused cache/prefetcher loops, vectorised LLC merge.  Differential
   tests assert it is bit-identical to ``reference``.
-* ``batch`` — the multi-run batch kernel (:mod:`repro.sim.batch`): the
-  fast kernel's core phase deduplicated across N runs of the same mix
-  that share one zero-copy materialized trace.  Bit-identical to
-  ``fast`` (and therefore to ``reference``); a ``Machine`` built with
-  ``engine="batch"`` outside a batch group degrades to the scalar fast
-  kernel (batch width 1 ≡ fast).
+* ``batch`` — the multi-run batch kernel (:mod:`repro.sim.batch`): N
+  runs of the same mix advance together over one zero-copy
+  materialized trace, the fast kernel's core phase run once per
+  state-equality class of runs (``GroupedCore``) and the LLC as a
+  ``(runs, sets, ways)`` tensor (``GroupedLLC``) — static CAT sweeps
+  and controller-driven runs with divergent per-quantum policies
+  alike.  Bit-identical to ``fast`` (and therefore to ``reference``);
+  whatever cannot be batched runs on a scalar fast ``Machine``, which
+  is also what ``engine="batch"`` builds outside a batch group (batch
+  width 1 ≡ fast).
 * ``native`` — the compiled kernel tier (:mod:`repro.sim.nativekernels`):
   Numba ``@njit(cache=True)`` fusions of the grouped LLC serve, the
   lockstep core advance, and the scalar set-lookup loop over an
@@ -173,12 +177,12 @@ register_engine(
         name=ENGINE_BATCH,
         kernel=ENGINE_FAST,
         batch_width=64,
-        capabilities=frozenset({"multi-run", "dynamic"}),
+        capabilities=frozenset({"multi-run"}),
         description=(
-            "multi-run lane-deduplicated kernel over a shared materialized "
-            "trace, bit-identical to fast; 'dynamic' adds masked-lockstep "
-            "batching of runs with divergent per-quantum policies; scalar "
-            "fallback is the fast kernel"
+            "multi-run masked-lockstep kernel over a shared materialized "
+            "trace (static sweeps and runs with divergent per-quantum "
+            "policies), bit-identical to fast; scalar fallback is the "
+            "fast kernel"
         ),
     )
 )
@@ -187,7 +191,7 @@ register_engine(
         name=ENGINE_NATIVE,
         kernel=ENGINE_NATIVE,
         batch_width=64,
-        capabilities=frozenset({"multi-run", "dynamic", "native"}),
+        capabilities=frozenset({"multi-run", "native"}),
         description=(
             "compiled (Numba) fused serve/advance kernels over flat SoA "
             "state, bit-identical to batch/fast; selected by 'auto' when "
@@ -196,7 +200,3 @@ register_engine(
         ),
     )
 )
-
-# Legacy snapshot of the built-in engines (the live view is
-# available_engines()); kept for importers of the pre-registry API.
-ENGINES = available_engines()

@@ -45,7 +45,7 @@ tag/stamp/pref-bit arrays the numba kernels index directly —
 ``NativeCache``/``NativeLLC`` reproduce :meth:`tags_array` /
 :meth:`pref_array` / ``recency_array`` in this module's canonical
 LRU→MRU order, so everything downstream that inspects cache state
-(``cache_tensors``, lane snapshots, the differential suites) is
+(``cache_tensors``, lane clones, the differential suites) is
 layout-blind.  When that tier is unavailable these dict paths are the
 fallback, bit-identical by the same stamp-order argument as above.
 """

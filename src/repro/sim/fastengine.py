@@ -451,7 +451,7 @@ def merge_llc_requests(llc_reqs) -> tuple[list, list, list]:
     column-major interleaved request stream and the core each request
     came from, as plain lists.  The merge depends only on the request
     lists (not on CAT or LLC state), so the batch kernel computes it
-    once per unique lane combination and replays it across runs.
+    once for every run whose cores produced the same lists.
     """
     t0 = profiling.clock() if profiling.ON else 0.0
     busy = [cpu for cpu, reqs in enumerate(llc_reqs) if reqs]
@@ -477,17 +477,9 @@ def merge_llc_requests(llc_reqs) -> tuple[list, list, list]:
     return busy, merged, mcpus
 
 
-def run_llc_phase(machine, counts, llc_reqs, pmu_counts, premerged=None) -> None:
-    """Serve all cores' LLC requests, merged round-robin (fused loop).
-
-    ``premerged`` short-circuits the merge with a cached
-    :func:`merge_llc_requests` result (the batch kernel's merge cache);
-    the serve loop itself always runs against this machine's LLC/CAT.
-    """
-    if premerged is None:
-        busy = [cpu for cpu, reqs in enumerate(llc_reqs) if reqs]
-    else:
-        busy = premerged[0]
+def run_llc_phase(machine, counts, llc_reqs, pmu_counts) -> None:
+    """Serve all cores' LLC requests, merged round-robin (fused loop)."""
+    busy = [cpu for cpu, reqs in enumerate(llc_reqs) if reqs]
     if not busy:
         return
     t0 = profiling.clock() if profiling.ON else 0.0
@@ -506,9 +498,7 @@ def run_llc_phase(machine, counts, llc_reqs, pmu_counts, premerged=None) -> None
         abits_l[cpu] = llc._allowed_bits(machine.cat.allowed_ways(cpu))
 
     # --- round-robin merge (vectorised column-major interleave) -----
-    if premerged is not None:
-        pairs = zip(premerged[1], premerged[2])
-    elif len(busy) == 1:
+    if len(busy) == 1:
         cpu0 = busy[0]
         pairs = zip(llc_reqs[cpu0], _repeat(cpu0))
     else:

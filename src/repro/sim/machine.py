@@ -174,8 +174,8 @@ class Machine:
         """One quantum = core phase -> LLC phase -> timing phase.
 
         Each phase is an overridable method so engine variants (the
-        batch kernel's lane-backed machine in :mod:`repro.sim.batch`)
-        can substitute one phase while inheriting the rest unchanged —
+        batch kernel's ``LockstepMachine`` in :mod:`repro.sim.batch`)
+        can substitute phases while inheriting the rest unchanged —
         bit-identity follows from feeding the untouched downstream
         phases the exact same inputs.
         """

@@ -15,8 +15,6 @@ Enable with ``$REPRO_KERNEL_PROFILE=1`` (read at import) or
   ``RunStats.kernel_profile`` (plus a ``controller`` phase — run wall
   time not spent in any simulation kernel).
 * ``repro trace`` prints a profile footer after the decision timeline.
-* ``benchmarks/emit_bench_json.py --engine`` embeds a profiled sweep's
-  phase split in ``BENCH_engine.json``.
 
 Timers live at the *leaf* kernels only (``run_core_chunk``,
 ``GroupedLLC.serve``, ...) so nested call paths never double-count a

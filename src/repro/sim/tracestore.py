@@ -204,9 +204,9 @@ class MaterializedTrace:
 
         The batch kernel's lane forks: each lane replays the same
         zero-copy arrays through its own cursor.  ``pos`` must be a
-        position a zero-copy replay actually reached (lane snapshots
-        only record positions while ``_live is None``), so the clone's
-        state is fully described by the cursor.
+        position a zero-copy replay actually reached (lanes are only
+        cloned while ``_live is None``), so the clone's state is fully
+        described by the cursor.
         """
         t = MaterializedTrace(
             self._ctx,

@@ -76,6 +76,42 @@ class TestLockstepFailureFallback:
             assert a.wall_cycles == b.wall_cycles
 
 
+class TestPerRunRung:
+    def test_singleton_and_sabotaged_sweep_land_on_a_plain_machine(self, store, mix, monkeypatch):
+        """The second rung is a scalar Machine, not a Machine subclass; a
+        singleton taking it is not a degradation, a failed sweep is one."""
+        from repro.sim.batch import degradation_count
+        from repro.sim.machine import Machine
+
+        built = []
+        real = B._scalar_machine
+        monkeypatch.setattr(B, "_scalar_machine", lambda *a: built.append(real(*a)) or built[-1])
+        specs = _static_specs(mix)
+        healthy = simulate_batch(specs, SC, trace_store=store)
+        assert built == []
+
+        before = degradation_count()
+        (single,) = simulate_batch(specs[:1], SC, trace_store=store)
+        assert [type(m) for m in built] == [Machine]
+        assert single.batch_degradations == 0
+        assert degradation_count() == before
+        assert np.array_equal(single.totals, healthy[0].totals)
+        assert single.wall_cycles == healthy[0].wall_cycles
+
+        def bomb(*a, **kw):
+            raise RuntimeError("injected lockstep failure")
+
+        del built[:]
+        monkeypatch.setattr(B, "run_static_sweep", bomb)
+        degraded = simulate_batch(specs, SC, trace_store=store)
+        assert [type(m) for m in built] == [Machine] * len(specs)
+        assert degradation_count() == before + 1
+        for h, d in zip(healthy, degraded):
+            assert np.array_equal(h.totals, d.totals)
+            assert h.wall_cycles == d.wall_cycles
+            assert d.batch_degradations == 1
+
+
 class TestGroupedCoreMidQuantumCrash:
     def test_core_crash_degrades_per_run_bit_identically(self, store, mix, monkeypatch):
         """A GroupedCore that raises mid-quantum kills the lockstep group;

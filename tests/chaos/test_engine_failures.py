@@ -22,15 +22,7 @@ SC = dataclasses.replace(TINY, name="unit")
 FORK = multiprocessing.get_context("fork")
 
 
-@pytest.fixture(autouse=True)
-def plenty_of_cpus(monkeypatch):
-    """Defeat the worker clamp on small CI boxes.
-
-    These tests need the *pool* path (a crashing hook run in-process
-    would take pytest down with it); on a 1-CPU container the clamp
-    would silently force every session serial.
-    """
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
+pytestmark = pytest.mark.usefixtures("plenty_of_cpus")
 
 
 def hook(name):

@@ -46,13 +46,8 @@ class TestScenarioRunner:
         }
 
 
+@pytest.mark.usefixtures("plenty_of_cpus")
 class TestWorkerCrash:
-    @pytest.fixture(autouse=True)
-    def plenty_of_cpus(self, monkeypatch):
-        # Force the pool path even on 1-CPU CI boxes: a crashing hook
-        # in-process would take pytest down with it.
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-
     def test_crashing_worker_yields_structured_errors_not_hangs(self, tmp_path):
         session = ExperimentSession(
             cache_dir=tmp_path / "cache", max_workers=2, mp_context=FORK)

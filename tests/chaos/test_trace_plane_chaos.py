@@ -34,14 +34,10 @@ SC = dataclasses.replace(
 )
 FORK = multiprocessing.get_context("fork")
 
-pytestmark = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="no POSIX shared-memory filesystem"
-)
-
-
-@pytest.fixture(autouse=True)
-def plenty_of_cpus(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
+pytestmark = [
+    pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no POSIX shared-memory filesystem"),
+    pytest.mark.usefixtures("plenty_of_cpus"),
+]
 
 
 def hook(name):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -12,19 +10,40 @@ from repro.sim.params import CacheGeometry, MachineParams
 from repro.sim.trace import RandomStream, SequentialStream, TraceGenerator
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _isolated_result_cache(tmp_path_factory):
-    """Point the experiment engine's on-disk cache at a throwaway dir.
+@pytest.fixture(scope="session")
+def _result_cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("repro-cache")
+
+
+@pytest.fixture(autouse=True)
+def _isolated_default_session(_result_cache_dir, monkeypatch):
+    """Give every test a fresh default session over a throwaway cache dir.
 
     Keeps test runs from reading (or polluting) the user's real
-    ``~/.cache/repro`` store while still exercising the disk tier.
+    ``~/.cache/repro`` store while still exercising the disk tier, and
+    closes whatever default session the test created:
+    ``set_default_session(None)`` only drops the reference, and a
+    dropped session's pool workers and published ``/dev/shm`` segments
+    would otherwise outlive the test that made them.
     """
     from repro.experiments import engine
 
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
-    engine.set_default_session(None)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(_result_cache_dir))
     yield
+    if engine._DEFAULT_SESSION is not None:
+        engine._DEFAULT_SESSION.close()
     engine.set_default_session(None)
+
+
+@pytest.fixture
+def plenty_of_cpus(monkeypatch):
+    """Defeat the worker clamp on small CI boxes.
+
+    Tests that need the *pool* path (a crashing hook run in-process
+    would take pytest down with it) request this; on a 1-CPU container
+    the clamp would silently force every session serial.
+    """
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
 
 
 @pytest.fixture

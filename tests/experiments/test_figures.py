@@ -48,6 +48,20 @@ class TestAloneFigures:
         assert row["min_ways_90pct"] <= 2  # paper's key observation
         assert set(row["ipc_by_ways"]) <= {1, 2, 4, 6, 8, 12, 16, 20}
 
+    def test_profiles_run_on_the_injected_session(self, tmp_path):
+        """build_artifacts(session=...) must not reach for the default
+        session (pool workers, SHM, ~/.cache/repro from a library call)."""
+        from repro.analysis import build_artifacts
+        from repro.experiments import engine
+
+        # own scale name: figures._PROFILES memoises per scale name
+        sc = dataclasses.replace(SC, name="figunit-injected")
+        with engine.ExperimentSession(cache_dir=tmp_path, max_workers=1) as session:
+            (built,) = build_artifacts(["fig01"], sc, session=session)
+            assert len(session.records) == len(BENCHMARKS)
+        assert {r["benchmark"] for r in built.figure["rows"]} == set(BENCHMARKS)
+        assert engine._DEFAULT_SESSION is None
+
 
 class TestDetectionFigure:
     def test_fig05_shapes(self):

@@ -12,10 +12,8 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
-import os
 
 import numpy as np
-import pytest
 
 from repro.core.controller import CMMController
 from repro.core.epoch import EpochConfig
@@ -51,11 +49,6 @@ PRE_HARDENING_KEYS = {
 }
 
 FORK = multiprocessing.get_context("fork")
-
-
-@pytest.fixture
-def plenty_of_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
 
 def the_mix():
@@ -111,11 +104,19 @@ class TestPayloadIdentity:
 
     def test_pool_manifest_path_matches(self, tmp_path, plenty_of_cpus):
         off = execute(tmp_path, "off", max_workers=1, trace_cache="off")
-        pooled = execute(
-            tmp_path, "pool", max_workers=3, mp_context=FORK, trace_cache="memory"
+        before = set(shm_residue())
+        session = ExperimentSession(
+            scale=SC, cache_dir=tmp_path / "pool", run_timeout=120,
+            max_workers=3, mp_context=FORK, trace_cache="memory",
         )
+        try:
+            pooled = session.execute(the_plan())
+            published = set(shm_residue()) - before
+        finally:
+            session.close()
         assert canonical(pooled) == canonical(off)
-        assert shm_residue() == []
+        assert published, "the pool path published no segment"
+        assert not published & set(shm_residue())
 
 
 class TestFingerprints:

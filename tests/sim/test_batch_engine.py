@@ -1,8 +1,9 @@
 """Differential tests: the ``batch`` engine is bit-identical to ``fast``.
 
 The batch kernel shares one zero-copy materialized trace across N runs
-of a mix, deduplicates core phases in lane trees, and serves static
-mask/CAT sweeps through a lockstep grouped LLC.  None of that sharing
+of a mix, runs each core phase once per state-equality class of runs,
+and serves static mask/CAT sweeps and controller-driven groups alike
+through a lockstep grouped LLC.  None of that sharing
 may be observable: PMU totals, wall cycles, LLC stats and occupancy
 must match the scalar fast engine bit for bit across mixes, prefetcher
 mask sets, shared vs. CAT-partitioned LLCs, batch widths (including a
@@ -194,27 +195,29 @@ class TestLockstepSweep:
             assert rows[i].llc_stats == ref["llc"], f"run {i}: llc stats"
             assert np.array_equal(rows[i].llc_occupancy, ref["occ"]), f"run {i}: occupancy"
 
+    def test_kernel_reused_across_sweeps(self, store):
+        """One kernel serves any number of sweeps: a second sweep with the
+        same masks and a different access count starts from fresh cores,
+        not from where the first one stopped."""
+        mix = _mix("pref_unfri")
+        w = SC.params().llc.ways
+        configs = [_cat_split(3 + i, w, mix.n_cores) for i in range(3)]
+        masks = MASKS["pf_on"]
+        kernel = build_batch_kernel(mix, SC, store, length=N_ACCESSES)
+        for n_acc in (N_ACCESSES, N_ACCESSES // 2 + 100):
+            rows = run_static_sweep(kernel, configs, masks, n_acc)
+            for row, (clos_cbms, core_clos) in zip(rows, configs):
+                spec = BatchRunSpec(
+                    mix=mix, n_accesses=n_acc, masks=masks,
+                    clos_cbms=clos_cbms, core_clos=core_clos,
+                )
+                ref = _scalar_stats(spec, store)
+                assert np.array_equal(row.pmu_counts, ref["totals"]), f"n={n_acc}: pmu"
+                assert row.wall_cycles == ref["wall"], f"n={n_acc}: wall"
+                assert row.llc_stats == ref["llc"], f"n={n_acc}: llc stats"
+
 
 class TestMidRunControlFlips:
-    def test_lane_machine_tracks_flips(self, store):
-        """A LaneMachine from the kernel picks up mask and CAT flips
-        between quanta exactly like a scalar fast machine."""
-        mix = _mix("pref_agg")
-        kernel = build_batch_kernel(mix, SC, store, length=N_ACCESSES)
-        machines = [kernel.machine(), build_machine(mix, SC, trace_store=store)]
-        for m in machines:
-            m.run_accesses(3000)
-            m.prefetch_msr.set_mask(0, PF_ALL_OFF)
-            m.prefetch_msr.set_mask(2, 0x9)
-            w = m.params.llc.ways
-            m.cat.set_cbm(0, (1 << (w // 4)) - 1)
-            for cpu in range(mix.n_cores):
-                m.cat.assign_core(cpu, 0)
-            m.run_accesses(3000)
-        a, b = machines
-        assert np.array_equal(a.pmu.counts, b.pmu.counts)
-        assert a.pmu.wall_cycles == b.pmu.wall_cycles
-
     def test_mechanism_specs_match_scalar(self, store):
         """Controller-driven runs flip masks/CAT every epoch; batched
         execution must reproduce them exactly."""

@@ -227,7 +227,7 @@ class TestPublishAndManifest:
             assert trace.fallbacks == 0
         finally:
             store.close()
-        assert shm_residue() == []
+        assert item["shm"] not in shm_residue()
 
     def test_manifest_misses_return_none(self):
         view = ManifestView({})
@@ -257,7 +257,7 @@ class TestPublishAndManifest:
             assert store.stats().shm_segments == 1
         finally:
             store.close()
-        assert shm_residue() == []
+        assert a["shm"] not in shm_residue()
 
     def test_longer_publish_supersedes(self):
         store = TraceStore(None, mode="memory")
@@ -270,14 +270,14 @@ class TestPublishAndManifest:
             assert store.stats().shm_segments == 1  # old segment unlinked
         finally:
             store.close()
-        assert shm_residue() == []
+        assert not {a["shm"], b["shm"]} & set(shm_residue())
 
     def test_close_is_idempotent(self):
         store = TraceStore(None, mode="memory")
-        store.publish(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
+        item = store.publish(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
         store.close()
         store.close()
-        assert shm_residue() == []
+        assert item is None or item["shm"] not in shm_residue()
 
     def test_finalizer_releases_on_gc(self):
         store = TraceStore(None, mode="memory")
@@ -285,4 +285,4 @@ class TestPublishAndManifest:
         if item is None:
             pytest.skip("shared memory unavailable on this platform")
         del store  # never closed — the weakref.finalize backstop fires
-        assert shm_residue() == []
+        assert item["shm"] not in shm_residue()
