@@ -86,7 +86,7 @@ from collections import deque
 import numpy as np
 
 from repro.sim import fastengine, nativekernels, profiling
-from repro.sim.cat import CatController
+from repro.sim.cat import CatController, full_mask
 from repro.sim.core_model import QuantumCounts, solve_quantum
 from repro.sim.engines import ENGINE_BATCH
 from repro.sim.fastcache import FastCache
@@ -300,9 +300,9 @@ def _images_equal(a, b) -> bool:
     return a.l1.state_equal(b.l1) and a.l2.state_equal(b.l2)
 
 
-#: Larger than any LRU stamp; masks disallowed/empty ways out of the
-#: vectorised victim argmin.
-_TS_INF = np.int64(np.iinfo(np.int64).max)
+#: OR-ed onto the stamps of CAT-disallowed ways: larger than any LRU
+#: stamp, so the victim argmin never leaves the allowed ways.
+_CAT_PENALTY = np.int64(1 << 62)
 
 
 class _PreparedStream:
@@ -440,14 +440,15 @@ class GroupedLLC:
     * dict order is last-touch order (hits pop + reinsert), so "first
       entry" == minimum LRU stamp; ``stamps`` hold each way's last
       touch as its global stream position.
-    * the free-way bitmask tracks never-filled ways, so ``tags == -1``
-      is exactly "free"; the scalar picks the lowest set bit of
-      ``free & abits`` and ``argmax`` over a boolean way axis picks the
-      same lowest allowed free way.
-    * the victim when no allowed way is free is the min-stamp valid way
-      among the allowed ways — which is also ``next(iter(set))`` when
-      the partition spans every way, because a set with no free way has
-      all ways valid.
+    * **stamp-0 invariant:** a never-filled way (``tags == -1``) keeps
+      stamp 0 and every touched way carries a stream position >= 1.
+      The minimum stamp over a request's allowed ways is therefore the
+      lowest-indexed allowed free way while one exists (``argmin``
+      returns the first minimum — the scalar's lowest set bit of
+      ``free & abits``) and the LRU allowed way once none does (then
+      every allowed way is valid and stamps are distinct).  One
+      ``argmin`` is the whole victim rule; there is no free-way search
+      and no count of free lines.
 
     Every request touches exactly one way per run (hits refresh the hit
     way, misses fill the chosen way), so each segment needs a single
@@ -462,16 +463,7 @@ class GroupedLLC:
         self.stamps = np.zeros(shape, dtype=np.int64)
         self.pref = np.zeros(shape, dtype=np.uint8)
         self._seq = 1
-        # Free (never-filled) lines left per run; fills only consume
-        # free ways, so zero here means the free-way search is dead.
-        self.free_lines = np.full(n_runs, geometry.sets * geometry.ways, dtype=np.int64)
-        # Per-run count of free lines currently *allowed* (union over
-        # cores), keyed by the allow matrix it was computed against —
-        # CAT flips invalidate the entry.  A CAT-partitioned run never
-        # fills its disallowed ways, so ``free_lines`` stays positive
-        # forever; this refinement still lets the serve skip the
-        # free-way search once nothing free is reachable.
-        self._af: dict[int, list] = {}
+        assert self._seq > 0 and not self.stamps.any(), "stamp-0 invariant"
         # CacheStats mirror, all per run (lockstep subgroups may serve
         # different runs different stream lengths).
         self.accesses = np.zeros(n_runs, dtype=np.int64)
@@ -492,24 +484,6 @@ class GroupedLLC:
 
     def occupancy(self, run: int) -> int:
         return int((self.tags[run] != -1).sum())
-
-    def _allowed_free(self, run: int, allowed) -> int:
-        """Count free lines reachable under ``run``'s current allow row.
-
-        Cached against the row's bytes: CAT flips invalidate the entry,
-        free fills decrement it in :meth:`serve`, so the recompute (a
-        full-image scan) only happens after a partition change.
-        """
-        b = allowed[run].tobytes()
-        ent = self._af.get(run)
-        if ent is None or ent[0] != b:
-            if self.free_lines[run]:
-                cnt = int(((self.tags[run] == -1) & allowed[run].any(axis=0)).sum())
-            else:
-                cnt = 0
-            ent = [b, cnt]
-            self._af[run] = ent
-        return ent[1]
 
     def _dedup_classes(self, run_idx, allowed):
         """Partition subgroup runs into bitwise-identical serve classes.
@@ -564,8 +538,7 @@ class GroupedLLC:
         S = self.geometry.sets
         W = self.geometry.ways
         n = stream.n
-        full = runs is None
-        if full:
+        if runs is None:
             run_idx = np.arange(self.n_runs, dtype=np.int64)
             stat_idx = run_idx
             class_idx = None
@@ -575,19 +548,9 @@ class GroupedLLC:
             reps, class_idx, dups = self._dedup_classes(stat_idx, allowed)
             run_idx = stat_idx[reps]
         R = len(run_idx)
-        # Fills only ever consume free ways, never create them, so once
-        # a run's LLC is full the free-way search can be skipped: every
-        # miss takes the LRU victim among the allowed ways.  A run with
-        # CAT keeps its disallowed ways unfilled forever, so the gate
-        # counts free lines *reachable* under the current allow rows —
-        # invalid entries only shrink and ``allowed`` is fixed for the
-        # whole serve, so the condition holds for every round.  The
-        # loop deliberately touches every rep so each has a fresh
-        # ``_af`` entry for the decrement and duplicate copies below.
-        all_full = True
-        for r in run_idx:
-            if self._allowed_free(int(r), allowed):
-                all_full = False
+        allow_r = allowed[run_idx]  # (R, cpus, W)
+        if not allow_r.any(axis=2).all():
+            raise ValueError("allowed_ways must contain at least one way")
         if n and nativekernels.kernels_enabled():
             # Compiled tier: one fused kernel pass, no round structures.
             # A kernel failure mid-serve cannot fall through (state may
@@ -606,86 +569,52 @@ class GroupedLLC:
                 raise
         stream.prepare()
         t0 = profiling.clock() if profiling.ON else 0.0
-        tags_f = tags.reshape(self.n_runs * S * W)
-        stamps_f = stamps.reshape(self.n_runs * S * W)
-        pref_f = pref.reshape(self.n_runs * S * W)
-        run_off = (run_idx * S * W)[:, None]
-        rsel = run_idx[:, None]
+        tags_f = tags.reshape(-1)
+        stamps_f = stamps.reshape(-1)
+        pref_f = pref.reshape(-1)
+        # (run, set) rows of the images: one gather shape serves the
+        # full group and any subgroup alike.
+        tag_rows = tags.reshape(-1, W)
+        stamp_rows = stamps.reshape(-1, W)
+        row_off = (run_idx * S)[:, None]
         seqs = np.arange(self._seq, self._seq + n, dtype=np.int64)
+        cpu_col = stream.cpu_col
         # Per-request outcome columns, reduced to stats once per quantum.
         H = np.empty((R, n), dtype=bool)  # hit?
         OP = np.empty((R, n), dtype=bool)  # touched way's pref bit was set?
-        OV = np.empty((R, n), dtype=bool)  # touched way held a valid line?
-        # One (runs, requests, ways) CAT gather per quantum, deferred
-        # to the first round that actually misses; rounds index into it
-        # instead of re-gathering.
-        allow_q = None
-        free_dec = None
-        # When every served run allows every way (non-CAT mechanisms),
-        # the allow mask is the identity and its gathers/wheres vanish.
-        allow_trivial = bool(allowed[run_idx].all())
+        # CAT as a stamp penalty; when every served run allows every way
+        # (non-CAT mechanisms) there is nothing to penalise.
+        pen = None if allow_r.all() else np.where(allow_r, 0, _CAT_PENALTY)
         for ids, si, line, ispf_r in stream.rounds:
-            sub_t = tags[:, si, :] if full else tags[rsel, si]  # (R, k, W)
-            hit = sub_t == line[None, :, None]
-            way = hit.argmax(axis=2)
-            # The argmax way is a hit way iff any way hit — one small
-            # gather instead of a second full reduction over ways.
-            hit_any = np.take_along_axis(hit, way[:, :, None], axis=2)[:, :, 0]
-            if hit_any.all():
-                # A touched way on a hit always holds a valid line.
-                OV[:, ids] = True
+            rows = row_off + si  # (R, k)
+            sub_t = tag_rows.take(rows, axis=0)  # (R, k, W)
+            # Sparse hits: flat (run, request, way) positions.  A line
+            # sits in at most one way of its set, so an all-hit round
+            # has exactly one position per (run, request), in order.
+            hpos = np.flatnonzero(sub_t == line[None, :, None])
+            if hpos.size == rows.size:
+                way = (hpos % W).reshape(rows.shape)
             else:
-                if allow_trivial:
-                    allow = None
-                else:
-                    if allow_q is None:
-                        if full:
-                            allow_q = allowed[:, stream.cpu_col, :]
-                        else:
-                            allow_q = allowed[rsel, stream.cpu_col]
-                    allow = allow_q[:, ids, :]  # (R, k, W)
-                if all_full:
-                    sub_s = stamps[:, si, :] if full else stamps[rsel, si]
-                    if allow is None:
-                        vic = sub_s.argmin(axis=2)
-                    else:
-                        vic = np.where(allow, sub_s, _TS_INF).argmin(axis=2)
-                    way = np.where(hit_any, way, vic)
-                    # Hits touch a valid line, victims evict one.
-                    OV[:, ids] = True
-                else:
-                    invalid = sub_t == -1
-                    freem = invalid if allow is None else invalid & allow
-                    have_free = freem.any(axis=2)
-                    wmiss = freem.argmax(axis=2)
-                    need_vic = ~(hit_any | have_free)
-                    if need_vic.any():
-                        sub_s = stamps[:, si, :] if full else stamps[rsel, si]
-                        valid_ok = ~freem if allow is None else allow ^ freem
-                        vic = np.where(valid_ok, sub_s, _TS_INF).argmin(axis=2)
-                        wmiss = np.where(have_free, wmiss, vic)
-                    way = np.where(hit_any, way, wmiss)
-                    # Valid unless the miss filled a free (invalid) way:
-                    # hits touch a valid line, victims evict one.
-                    OV[:, ids] = hit_any | ~have_free
-                    if free_dec is None:
-                        free_dec = np.zeros(R, dtype=np.int64)
-                    free_dec += (~hit_any & have_free).sum(axis=1)
-            flat = run_off + (si * W + way)  # (R, k)
+                # One victim rule (stamp-0 invariant): min allowed stamp.
+                sub_s = stamp_rows.take(rows, axis=0)
+                if pen is not None:
+                    sub_s |= pen.take(cpu_col[ids], axis=1)
+                way = sub_s.argmin(axis=2)
+                hreq, hway = np.divmod(hpos, W)  # flat (run, request), way
+                way.reshape(-1)[hreq] = hway
+            flat = rows * W + way
+            # The chosen way held the requested line iff the request hit.
+            hit = tags_f[flat] == line[None, :]
             old_p = pref_f[flat]
-            is_pref_r = ispf_r[None, :]
-            H[:, ids] = hit_any
+            H[:, ids] = hit
             OP[:, ids] = old_p
             # Hits keep the bit on prefetch touches and clear it on
             # demand; fills set it iff the fill is a prefetch.
-            new_p = np.where(hit_any, old_p & is_pref_r, is_pref_r)
+            is_pref_r = ispf_r[None, :]
+            new_p = np.where(hit, old_p & is_pref_r, is_pref_r)
             tags_f[flat] = line[None, :]
             stamps_f[flat] = seqs[ids][None, :]
             pref_f[flat] = new_p
-        if free_dec is not None:
-            self.free_lines[run_idx] -= free_dec
-            for pos, r in enumerate(run_idx):
-                self._af[int(r)][1] -= int(free_dec[pos])
         if dups:
             # Duplicates evolve identically to their representative for
             # this stream; only the touched sets changed.
@@ -694,16 +623,15 @@ class GroupedLLC:
                 tags[dup, usets] = tags[rep, usets]
                 stamps[dup, usets] = stamps[rep, usets]
                 pref[dup, usets] = pref[rep, usets]
-                self.free_lines[dup] = self.free_lines[rep]
-                ent = self._af[rep]
-                self._af[dup] = [ent[0], ent[1]]
         dem = stream.demand[None, :]
         ispf = stream.is_pref[None, :]
         M = ~H
         fillm = M & ispf
         hit_v = H.sum(axis=1)
         used_v = (H & dem & OP).sum(axis=1)
-        evic_v = (M & OV & OP).sum(axis=1)
+        # Only a prefetch fill sets the bit, so a set bit implies a valid
+        # line: misses onto never-filled ways cannot count as evictions.
+        evic_v = (M & OP).sum(axis=1)
         fill_v = fillm.sum(axis=1)
         if class_idx is not None:
             hit_v = hit_v[class_idx]
@@ -753,9 +681,9 @@ class GroupedLLC:
         stat_blocks` — the sort-heavy round/permutation structures are
         never built.  The kernel reduces stats and dense per-block
         demand-hit/fill counters in place of the NumPy path's
-        ``reduceat``; everything downstream (free-line bookkeeping,
-        duplicate copies, class expansion, accumulator writes) matches
-        the NumPy path op-for-op so results stay bit-identical.
+        ``reduceat``; everything downstream (duplicate copies, class
+        expansion, accumulator writes) matches the NumPy path op-for-op
+        so results stay bit-identical.
         """
         n = stream.n
         S = self.geometry.sets
@@ -779,11 +707,6 @@ class GroupedLLC:
             self._seq,
             n_blocks,
         )
-        free_dec = stats_out[:, 4]
-        if free_dec.any():
-            self.free_lines[run_idx] -= free_dec
-            for pos, r in enumerate(run_idx):
-                self._af[int(r)][1] -= int(free_dec[pos])
         if dups:
             tags, stamps, pref = self.tags, self.stamps, self.pref
             usets = np.unique(stream.si)
@@ -791,9 +714,6 @@ class GroupedLLC:
                 tags[dup, usets] = tags[rep, usets]
                 stamps[dup, usets] = stamps[rep, usets]
                 pref[dup, usets] = pref[rep, usets]
-                self.free_lines[dup] = self.free_lines[rep]
-                ent = self._af[rep]
-                self._af[dup] = [ent[0], ent[1]]
         hit_v = stats_out[:, 0]
         fill_v = stats_out[:, 1]
         used_v = stats_out[:, 2]
@@ -900,18 +820,23 @@ def run_static_sweep(
     for cpu, m in enumerate(masks):
         pmsr.set_mask(cpu, m)
     eff_mask = [pmsr.get_mask(cpu) for cpu in range(n)]
-    # Per-run CAT -> (runs, cpus, ways) boolean allowed-way matrix.
+    # Per-run CAT -> (runs, cpus, ways) boolean allowed-way matrix,
+    # expanded from each core's CBM bits.  The one controller only
+    # validates (its checks do not depend on earlier writes); every run
+    # starts from the resctrl default: all cores in CLOS 0, full masks.
     W = params.llc.ways
-    allowed = np.zeros((R, n, W), dtype=bool)
+    cat = CatController(W, n)
+    cbm_bits = np.empty((R, n), dtype=np.int64)
     for r, (clos_cbms, core_clos) in enumerate(configs):
-        cat = CatController(W, n)
         for clos, cbm in clos_cbms:
             cat.set_cbm(clos, cbm)
+        clos_of = [0] * n
         for cpu, clos in enumerate(core_clos):
             cat.assign_core(cpu, clos)
-        for cpu in range(n):
-            for w in cat.allowed_ways(cpu):
-                allowed[r, cpu, w] = True
+            clos_of[cpu] = clos
+        cbm_of = dict(clos_cbms)
+        cbm_bits[r] = [cbm_of.get(clos, full_mask(W)) for clos in clos_of]
+    allowed = (cbm_bits[:, :, None] >> np.arange(W)) & 1 != 0
 
     glc = GroupedLLC(params.llc, R)
     runs = range(R)

@@ -1,11 +1,16 @@
 """Properties of the masked-lockstep grouped kernels.
 
-Two layers of differential checks:
+Differential checks, innermost layer first:
 
 * :class:`GroupedLLC` served with per-run *divergent* CAT allow
   matrices — including mid-stream flips, subgroup (ragged) serves and
   multi-quantum concatenated streams — against an independent
   CAT-aware dict-LRU oracle, on hypothesis-generated request streams.
+* The stamp-0 victim rule on its own: a fill phase confined to the low
+  ways, then a CAT flip that exposes never-filled high ways, way-exact
+  against :class:`FastPartitionedCache`; and the empty-allow-row error.
+* :func:`run_static_sweep` over 1-way partitions and overlapping CBMs
+  against one scalar fast machine per configuration.
 * The full :class:`LockstepGroup` under seeded-random scripts
   (divergent prefetch masks, mid-run CAT flips, uneven ``run_accesses``
   spans including non-quantum-aligned tails) against one scalar fast
@@ -23,7 +28,8 @@ from hypothesis import strategies as st
 from repro.experiments.batch import build_batch_kernel
 from repro.experiments.config import ScaleConfig
 from repro.experiments.runner import build_machine
-from repro.sim.batch import GroupedLLC, LockstepGroup, _PreparedStream
+from repro.sim.batch import GroupedLLC, LockstepGroup, _PreparedStream, run_static_sweep
+from repro.sim.fastcache import FastPartitionedCache
 from repro.sim.params import CacheGeometry
 from repro.sim.tracestore import TraceStore
 from repro.workloads.mixes import make_mixes
@@ -251,6 +257,130 @@ class TestGroupedLLCOracle:
         assert np.array_equal(seq_pref, cat_pref)
         for r in runs:
             assert seq_llc.stats_for(r) == cat_llc.stats_for(r)
+
+
+def _serve_all(llc: GroupedLLC, stream: _PreparedStream, allowed) -> None:
+    shape = (llc.n_runs, N_CPUS)
+    llc.serve(stream, allowed, *(np.zeros(shape, dtype=np.int64) for _ in range(3)))
+
+
+class TestStampZeroVictimRule:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10**6), low=st.integers(1, GEOM.ways - 1))
+    def test_cat_flip_exposes_free_ways_lowest_first(self, seed, low):
+        """Run 0 fills and evicts inside ways ``[0, low)`` while run 1
+        uses every way; a CAT flip then opens run 0's never-filled high
+        ways.  Its next misses must take them lowest index first, with
+        no eviction while one is left — way-exact against the scalar."""
+        rng = np.random.default_rng(seed)
+        W = GEOM.ways
+        llc = GroupedLLC(GEOM, 2)
+        refs = [FastPartitionedCache(GEOM) for _ in range(2)]
+
+        def replay(stream, allowed):
+            for i in range(stream.n):
+                for r, ref in enumerate(refs):
+                    ways = tuple(np.flatnonzero(allowed[r, stream.cpu_col[i]]).tolist())
+                    ref.access(int(stream.line[i]), ways, bool(stream.is_pref[i]))
+
+        def check(label):
+            for r, ref in enumerate(refs):
+                assert np.array_equal(llc.tags[r], ref.tags_array()), f"{label}: run {r} ways"
+                rs = ref.stats
+                assert llc.stats_for(r) == (
+                    rs.accesses, rs.hits, rs.pref_fills, rs.pref_used, rs.pref_evicted_unused,
+                ), f"{label}: run {r} stats"
+
+        confined = np.ones((2, N_CPUS, W), dtype=bool)
+        confined[0, :, low:] = False
+        # Enough distinct lines per set to fill the low ways and evict.
+        fill = _stream(rng, 8 * GEOM.sets * W)
+        _serve_all(llc, fill, confined)
+        replay(fill, confined)
+        check("confined")
+        assert (llc.tags[0, :, low:] == -1).all() and (llc.stamps[0, :, low:] == 0).all()
+        assert (llc.tags[0, :, :low] != -1).all(), "fill phase must saturate the low ways"
+
+        # Flip: one fresh line per set and newly exposed way, in turn.
+        opened = np.ones((2, N_CPUS, W), dtype=bool)
+        evicted_before = llc.stats_for(0)[4]
+        resident_before = llc.tags[0, :, :low].copy()
+        for step, way in enumerate(range(low, W)):
+            lines = 64 * (step + 1) + np.arange(GEOM.sets)  # line & 7 == its set
+            fresh = _PreparedStream(
+                lines.tolist(), rng.integers(0, N_CPUS, GEOM.sets).tolist(), GEOM.sets - 1
+            )
+            _serve_all(llc, fresh, opened)
+            replay(fresh, opened)
+            check(f"opened way {way}")
+            assert np.array_equal(llc.tags[0, :, way], lines), f"way {way} not taken in order"
+            assert (llc.tags[0, :, way + 1 :] == -1).all()
+        assert np.array_equal(llc.tags[0, :, :low], resident_before), "evicted before free ways ran out"
+        assert llc.stats_for(0)[4] == evicted_before
+
+    def test_empty_allow_row_raises_like_the_scalar(self):
+        """An all-False CAT row must not silently fill way 0."""
+        allowed = np.ones((2, N_CPUS, GEOM.ways), dtype=bool)
+        allowed[1, 0, :] = False
+        llc = GroupedLLC(GEOM, 2)
+        stream = _stream(np.random.default_rng(0), 10)
+        with pytest.raises(ValueError, match="allowed_ways must contain at least one way"):
+            _serve_all(llc, stream, allowed)
+        assert (llc.tags == -1).all(), "a rejected serve must not touch the image"
+        with pytest.raises(ValueError, match="allowed_ways must contain at least one way"):
+            FastPartitionedCache(GEOM).access(0, (), False)
+        # The offending run is not in the served subgroup: nothing to reject.
+        args = [np.zeros((1, N_CPUS), dtype=np.int64) for _ in range(3)]
+        llc.serve(stream, allowed, *args, runs=[0])
+        assert llc.stats_for(0)[0] == stream.n
+
+
+class TestStaticSweepVsScalar:
+    def test_one_way_and_overlapping_partitions(self):
+        """Every extreme of the static CAT space in one sweep — 1-way
+        partitions at either end, nested and partially overlapping CBMs,
+        a CLOS-0-only config that leaves ``core_clos`` to its default —
+        against one scalar fast machine per configuration."""
+        store = TraceStore(None, mode="memory")
+        mix = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
+        W = SC.params().llc.ways
+        full = (1 << W) - 1
+        alternating = (0, 1, 0, 1)
+        configs = [
+            (((0, 0b1), (1, full ^ 0b1)), alternating),  # 1-way low partition
+            (((0, full >> 1), (1, 1 << (W - 1))), alternating),  # 1-way high partition
+            (((0, 0b1), (1, full)), alternating),  # nested: 1 way inside all
+            (((0, (1 << 12) - 1), (1, full ^ 0xFF)), (0, 0, 1, 1)),  # ways 8-11 shared
+            (((0, 0b1110),), ()),  # every core left in a narrowed CLOS 0
+            ((), ()),  # no CAT at all
+        ]
+        masks = (0x0, 0xF, 0x5, 0x0)
+        n_acc = 3 * 512 + 256
+        kernel = build_batch_kernel(mix, SC, store, length=n_acc)
+        rows = run_static_sweep(kernel, configs, masks, n_acc)
+        for r, (clos_cbms, core_clos) in enumerate(configs):
+            ref = build_machine(mix, SC, trace_store=store)
+            for cpu, mask in enumerate(masks):
+                ref.prefetch_msr.set_mask(cpu, mask)
+            for clos, cbm in clos_cbms:
+                ref.cat.set_cbm(clos, cbm)
+            for cpu, clos in enumerate(core_clos):
+                ref.cat.assign_core(cpu, clos)
+            ref.run_accesses(n_acc)
+            assert np.array_equal(rows[r].pmu_counts, ref.pmu.counts), f"config {r}: pmu"
+            assert rows[r].wall_cycles == ref.pmu.wall_cycles, f"config {r}: wall"
+            rs = ref.llc.stats
+            assert rows[r].llc_stats == (
+                rs.accesses, rs.hits, rs.pref_fills, rs.pref_used, rs.pref_evicted_unused,
+            ), f"config {r}: llc stats"
+            assert rows[r].llc_occupancy == ref.llc.occupancy(), f"config {r}: occupancy"
+
+    def test_invalid_cbm_rejected(self):
+        store = TraceStore(None, mode="memory")
+        mix = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
+        kernel = build_batch_kernel(mix, SC, store, length=512)
+        with pytest.raises(ValueError, match="not a contiguous run"):
+            run_static_sweep(kernel, [(((0, 0b101),), (0, 0, 0, 0))], (0,) * 4, 512)
 
 
 def _make_script(rng, n_cores: int, ways: int, n_segs: int):
