@@ -10,6 +10,15 @@ The check is correct regardless of kill timing: if the daemon finished
 the batch before the signal landed, the journal is sealed, ``--resume``
 is a no-op, and the payloads are already in the cache — either way
 every key must be present and identical to the baseline.
+
+Before it is shut down, the resumed daemon is asked for the same batch
+again, warm.  Every result must come back ``cached: true`` and
+byte-identical to the baseline; once every key is in the daemon's
+memory tier a further submit must add no journal file, because there
+is nothing it could resume.  (Which keys the resume executed — and so
+already holds in memory — depends on the kill timing; keys that
+finished before the kill are on disk only, so the first warm submit
+may still queue and journal them.)
 """
 
 import json
@@ -84,6 +93,11 @@ def main() -> int:
         wait_for(sock.exists, 300, "the resumed daemon's socket")
         with ServiceClient(path=sock) as cli:
             assert cli.ping()["ok"]
+            warm = [cli.submit(runs)]
+            journals = sorted(wal.glob("*.jsonl"))
+            warm.append(cli.submit(runs))
+            assert sorted(wal.glob("*.jsonl")) == journals, \
+                "a submit answered from memory wrote a journal"
             cli.shutdown()
         proc.wait(timeout=60)
     finally:
@@ -102,7 +116,14 @@ def main() -> int:
         baseline = session.execute(runs)
     assert json.dumps(recovered, sort_keys=True) == json.dumps(baseline, sort_keys=True), \
         "resumed payloads diverged from an uninterrupted run"
-    print(f"serve resume smoke OK: {len(runs)} payloads bit-identical after SIGKILL + --resume")
+    for resp in warm:
+        assert resp["ok"] and all(r["ok"] and r["cached"] for r in resp["results"]), \
+            "warm resubmit was not served from the cache"
+        served = {r["key"]: r["payload"] for r in resp["results"]}
+        assert json.dumps(served, sort_keys=True) == json.dumps(baseline, sort_keys=True), \
+            "warm resubmit payloads diverged from an uninterrupted run"
+    print(f"serve resume smoke OK: {len(runs)} payloads bit-identical after SIGKILL + --resume, "
+          "warm resubmits cached and unjournaled")
     return 0
 
 

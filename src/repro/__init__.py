@@ -90,7 +90,6 @@ from repro.experiments.runner import RunResult, WorkloadEval
 from repro.platform.base import PlatformError
 from repro.platform.faults import FaultPlan, FaultyPlatform
 from repro.platform.simulated import SimulatedPlatform
-from repro.service import ExperimentService, ServiceClient, TieredResultCache
 from repro.sim.engines import (
     EngineSelectionError,
     EngineSpec,
@@ -103,6 +102,21 @@ from repro.sim.params import MachineParams, default_params, scaled_params
 from repro.workloads.mixes import WorkloadMix, all_mixes, make_mixes
 
 __version__ = "2.2.0"
+
+#: Exported through ``__getattr__`` (PEP 562): the service tier imports
+#: asyncio and the HTTP client, which ``import repro`` and every CLI
+#: command but ``serve`` never use.
+_SERVICE_EXPORTS = ("ExperimentService", "ServiceClient", "TieredResultCache")
+
+
+def __getattr__(name: str):
+    if name in _SERVICE_EXPORTS:
+        import repro.service
+
+        value = globals()[name] = getattr(repro.service, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BatchRunSpec",

@@ -377,7 +377,7 @@ def run_service_chaos_scenario(
         clean_payloads = clean.execute(pool[:-1], strict=True)
     for run in pool[:-1]:
         key = run.key()
-        rec = cache._mem.get(key)
+        rec = cache.resident(key)
         if rec is None:
             if not hung:
                 problems.append(f"service never cached {run.label}")

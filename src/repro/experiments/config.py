@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 from repro.sim.params import MachineParams, scaled_params
 
@@ -41,6 +42,21 @@ class ScaleConfig:
         for presentation_only in ("name", "workloads_per_category", "seed"):
             d.pop(presentation_only)
         return d
+
+
+@lru_cache(maxsize=128)
+def key_inputs(sc: ScaleConfig) -> tuple[dict, dict]:
+    """``(sc.cache_key(), machine parameters)`` as hashed into result keys.
+
+    Both are pure functions of the frozen ``sc`` and cost ~100 us to
+    rebuild, so they are built once per distinct scale (equal scales
+    rebuilt from the wire share an entry).  The dicts are shared by every
+    caller: read-only.  ``sim_engine`` is dropped because engines are
+    differential-tested bit-identical (see ``PlannedRun.key_payload``).
+    """
+    machine = asdict(sc.params())
+    machine.pop("sim_engine", None)
+    return sc.cache_key(), machine
 
 
 TINY = ScaleConfig(

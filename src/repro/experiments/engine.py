@@ -60,7 +60,8 @@ import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -76,7 +77,7 @@ from repro.core.trace import (
     traces_from_dicts,
     traces_to_dicts,
 )
-from repro.experiments.config import ScaleConfig, get_scale
+from repro.experiments.config import ScaleConfig, get_scale, key_inputs
 from repro.metrics.speedup import harmonic_speedup, weighted_speedup, worst_case_speedup
 from repro.platform.simulated import SimulatedPlatform
 from repro.sim import tracestore
@@ -228,14 +229,14 @@ class PlannedRun:
         differential-tested bit-identical (tests/sim/test_fast_engine.py,
         tests/experiments/test_trace_plane.py), so neither can change
         the outcome — excluding them keeps cached results valid across
-        engine/plane choices and default changes.
+        engine/plane choices and default changes.  ``scale`` and
+        ``machine`` are the shared dicts of :func:`key_inputs`: read-only.
         """
-        machine = asdict(self.sc.params())
-        machine.pop("sim_engine", None)
+        scale, machine = key_inputs(self.sc)
         payload = {
             "schema": SCHEMA_VERSION,
             "kind": self.kind,
-            "scale": self.sc.cache_key(),
+            "scale": scale,
             "machine": machine,
         }
         if self.kind == KIND_MECHANISM:
@@ -255,8 +256,16 @@ class PlannedRun:
             raise ValueError(f"unknown run kind {self.kind!r}")
         return payload
 
-    def key(self) -> str:
+    @cached_property
+    def _digest(self) -> str:
+        # Stored in the instance ``__dict__`` (which ``frozen`` does not
+        # guard): not a field, so equality, ``replace`` and ``asdict``
+        # never see it, and it travels with the pickle.
         return _hash_payload(self.key_payload())
+
+    def key(self) -> str:
+        """The content key: hashed once per instance, every field is frozen."""
+        return self._digest
 
 
 # ----------------------------------------------------------- computation
@@ -509,6 +518,15 @@ class ResultCache:
             return None
         self.hits += 1
         return rec
+
+    def resident(self, key: str) -> dict | None:
+        """The record for ``key`` if the memory tier holds it, else ``None``.
+
+        One dict read: never touches the disk (or, in a subclass, a
+        remote tier) and counts neither a hit nor a miss, so it is safe
+        on an event loop while another thread fills the cache.
+        """
+        return self._mem.get(key)
 
     def put(self, key: str, record: dict) -> None:
         self._mem[key] = record
@@ -940,6 +958,7 @@ class ExperimentSession:
         for r in runs:
             ordered.setdefault(r.key(), r)
         total = len(ordered)
+        journaled_finished = journal.finished_keys() if journal is not None else set()
         out: dict[str, dict] = {}
         errors: dict[str, str] = {}
         misses: list[tuple[str, PlannedRun]] = []
@@ -960,7 +979,7 @@ class ExperimentSession:
                 done += 1
                 self._note(RunRecord(key, r.kind, r.label, r.sc.name, 0.0, cached=True), done, total)
                 if journal is not None and key in journal.plan \
-                        and key not in journal.finished_keys():
+                        and key not in journaled_finished:
                     # The crash may have landed the cache write but not
                     # the journal event; reconcile on replay.
                     journal.record_finished(key)
@@ -1017,7 +1036,10 @@ class ExperimentSession:
         if journal is not None:
             if not journal.pending_keys():
                 journal.seal()
-            journal.flush()
+            if journal is resume:
+                journal.flush()
+            else:
+                journal.close()  # loaded here from a path
         if errors and strict:
             raise ExperimentError(errors)
         return out

@@ -82,6 +82,8 @@ class SweepJournal:
         #: key -> wire spec (see :func:`repro.service.protocol.run_to_wire`).
         self.plan = dict(plan)
         self._events: list[dict] = list(events or [])
+        #: Whether the sweep completed; sealed journals are never resumed.
+        self.sealed = any(e.get("event") == EVENT_SEALED for e in self._events)
         self._fh: IO[bytes] | None = None
         self._unsynced = 0
 
@@ -207,6 +209,7 @@ class SweepJournal:
         """Mark the sweep complete; sealed journals are never resumed."""
         if not self.sealed:
             self._append({"event": EVENT_SEALED})
+            self.sealed = True
         self.flush()
 
     def flush(self) -> None:
@@ -229,10 +232,6 @@ class SweepJournal:
         self.close()
 
     # ------------------------------------------------------------- state
-
-    @property
-    def sealed(self) -> bool:
-        return any(e.get("event") == EVENT_SEALED for e in self._events)
 
     def finished_keys(self) -> set[str]:
         return {e["key"] for e in self._events if e.get("event") == EVENT_FINISHED}

@@ -8,6 +8,11 @@ Many clients regenerating the same figures submit heavily overlapping
   the existing future and share its result (or its structured error).
   Combined with the content-addressed cache this gives the global
   invariant the chaos gate pins: a key executes at most once, ever.
+* **A submit pays for the work it causes** — a key whose record is
+  already in the result cache's memory tier is answered at admission,
+  on the event loop: no queue slot, no thread hop, no journal.  Only a
+  key that might need I/O or compute (a miss, a disk-only or remote
+  entry, a key that failed earlier this session) is queued.
 * **Admission control** — queues are bounded globally and per client.
   A submission that would overflow them is refused with a structured
   ``overloaded`` error *at the front door* (attaching to already
@@ -32,9 +37,13 @@ Execution itself is delegated to a synchronous
 parallelism), so every robustness property the engine already has
 (retry, pool respawn, isolation, atomic cache writes) is inherited
 rather than reimplemented.  When a :class:`SweepJournal` directory is
-configured, every submitted batch is journaled planned → started →
-finished/failed with batch-boundary fsyncs; ``repro serve --resume``
-replays unsealed journals after a crash.
+configured, the keys a submitted batch is still *owed* (queued or
+attached in flight) are journaled planned → started → finished/failed
+with one fsync per dispatch batch; ``repro serve --resume`` replays
+unsealed journals after a crash.  Keys answered from the cache are not
+journaled: there is nothing to resume, and the invariant that matters
+— every key unfinished at kill time is in an unsealed plan — holds
+without them.
 """
 
 from __future__ import annotations
@@ -43,9 +52,9 @@ import asyncio
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.experiments.engine import ExperimentSession, PlannedRun
+from repro.experiments.engine import ExperimentSession, PlannedRun, RunRecord
 from repro.service.journal import SweepJournal
 from repro.service.protocol import run_to_wire
 
@@ -88,6 +97,22 @@ def _ok(key: str, payload: dict, *, cached: bool, deduped: bool = False) -> dict
 
 def _err(key: str, kind: str, message: str) -> dict:
     return {"key": key, "ok": False, "error": {"type": kind, "message": message}}
+
+
+def _run_event(rec: RunRecord, done: int, total: int) -> dict:
+    """The subscriber event for one completed (or replayed) run."""
+    return {
+        "event": "run",
+        "key": rec.key,
+        "kind": rec.kind,
+        "label": rec.label,
+        "scale": rec.scale,
+        "seconds": rec.seconds,
+        "cached": rec.cached,
+        "error": rec.error,
+        "done": done,
+        "total": total,
+    }
 
 
 class SingleFlightScheduler:
@@ -161,7 +186,7 @@ class SingleFlightScheduler:
         """Register an event queue; returns ``(sub_id, queue)``.
 
         The queue receives one dict per completed run (see
-        :meth:`_execute_batch`) and an ``{"event": "shutdown"}`` marker
+        :func:`_run_event`) and an ``{"event": "shutdown"}`` marker
         when the scheduler stops.  Bounded and lossy: when a subscriber
         lags ``max_queue`` events behind, its oldest event is dropped —
         dispatch never blocks on a slow consumer.
@@ -191,16 +216,17 @@ class SingleFlightScheduler:
     def _queued_total(self) -> int:
         return sum(len(q) for q in self._queues.values())
 
-    def _admit(self, client: str, new_keys: Sequence[str]) -> None:
+    def _admit(self, client: str, n_new: int) -> None:
+        """Refuse a batch whose ``n_new`` queue slots would overflow a bound."""
         total = self._queued_total()
-        if total + len(new_keys) > self.config.max_pending:
+        if total + n_new > self.config.max_pending:
             self.counters["overloaded"] += 1
             raise OverloadedError(
                 f"run queue full ({total} queued, limit {self.config.max_pending}); retry later",
                 queued=total, limit=self.config.max_pending,
             )
         mine = len(self._queues.get(client, ()))
-        if mine + len(new_keys) > self.config.max_client_pending:
+        if mine + n_new > self.config.max_client_pending:
             self.counters["overloaded"] += 1
             raise OverloadedError(
                 f"client {client!r} queue full ({mine} queued, "
@@ -215,29 +241,57 @@ class SingleFlightScheduler:
     ) -> list[dict]:
         """Execute a batch; one outcome dict per *unique* key, in order.
 
-        Keys already in flight attach to the existing execution
-        (single-flight); new keys pass admission control and are queued
-        fairly.  Raises :class:`OverloadedError` when admission fails —
-        in that case *nothing* from this batch was queued.
-        ``journal=False`` skips write-ahead logging for this batch (the
-        resume path uses it: a replay is already journaled).
+        Each key costs what it makes the service do.  A key already in
+        flight attaches to the existing execution (single-flight).  A
+        key whose record is in the cache's memory tier is answered here
+        (``cached: true``, one ``run`` event) without a queue slot.
+        Every other key — a miss, a disk-only or remote entry, a key in
+        the session's failed-key memory — passes admission control and
+        is queued fairly, so the loop never blocks on I/O or compute.
+        Raises :class:`OverloadedError` when admission fails — in that
+        case *nothing* from this batch was replayed or queued.
+
+        The write-ahead journal plans the keys still owed (queued or
+        attached); ``journal=False`` skips it for this batch (the resume
+        path uses it: a replay is already journaled).
         """
         ordered: dict[str, PlannedRun] = {}
         for r in runs:
             ordered.setdefault(r.key(), r)
         self.counters["submitted"] += len(ordered)
 
-        new: dict[str, PlannedRun] = {
-            k: r for k, r in ordered.items() if k not in self._inflight
-        }
-        self.counters["deduped"] += len(ordered) - len(new)
-        self._admit(client, list(new))
+        resident, failed = self.session.cache.resident, self.session.failed
+        replays: dict[str, dict] = {}
+        new: dict[str, PlannedRun] = {}
+        for key, run in ordered.items():
+            if key in self._inflight:
+                continue
+            rec = None if key in failed else resident(key)
+            if rec is None:
+                new[key] = run
+            else:
+                replays[key] = rec
+        owed = {k: r for k, r in ordered.items() if k not in replays}
+        self.counters["deduped"] += len(owed) - len(new)
+        if new:  # before anything is answered or queued: a refusal does neither
+            self._admit(client, len(new))
 
-        if journal and self.journal_dir is not None and ordered:
+        if journal and self.journal_dir is not None and owed:
             wal = SweepJournal.create(
-                self.journal_dir, {k: run_to_wire(r) for k, r in ordered.items()}
+                self.journal_dir, {k: run_to_wire(r) for k, r in owed.items()}
             )
-            self._open_journals.append((wal, set(ordered)))
+            self._open_journals.append((wal, set(owed)))
+
+        outcomes: dict[str, dict] = {}
+        for done, (key, rec) in enumerate(replays.items(), 1):
+            self.counters["cache_replays"] += 1
+            outcomes[key] = _ok(key, rec["payload"], cached=True)
+            if self._subscribers:
+                r = ordered[key]
+                self._emit(_run_event(
+                    RunRecord(key, r.kind, r.label, r.sc.name, 0.0, cached=True),
+                    done, len(replays),
+                ))
 
         loop = asyncio.get_running_loop()
         for key, run in new.items():
@@ -246,9 +300,8 @@ class SingleFlightScheduler:
         if new:
             self._wakeup.set()
 
-        waits = {k: asyncio.shield(self._inflight[k]) for k in ordered}
-        outcomes: list[dict] = []
-        for key in ordered:
+        waits = {k: asyncio.shield(self._inflight[k]) for k in owed}
+        for key in owed:
             deduped = key not in new
             try:
                 if self.config.submit_timeout_s is not None:
@@ -267,8 +320,8 @@ class SingleFlightScheduler:
             else:
                 if deduped and outcome.get("ok"):
                     outcome = dict(outcome, deduped=True)
-            outcomes.append(outcome)
-        return outcomes
+            outcomes[key] = outcome
+        return [outcomes[k] for k in ordered]
 
     # ----------------------------------------------------------- dispatch
 
@@ -300,11 +353,13 @@ class SingleFlightScheduler:
                 results = await asyncio.to_thread(self._execute_batch, batch)
             except BaseException as e:  # the session should not raise, but never hang clients
                 results = {k: _err(k, "internal", f"dispatch failed: {e}") for k, _ in batch}
+            # Durable before any client hears of it (futures wake their
+            # waiters only once this task next yields).
+            self._resolve_journals(results)
             for key, outcome in results.items():
                 fut = self._inflight.pop(key, None)
                 if fut is not None and not fut.done():
                     fut.set_result(outcome)
-                self._resolve_journals(key, outcome)
 
     def _execute_batch(self, batch: list[tuple[str, PlannedRun]]) -> dict[str, dict]:
         """Worker-thread body: one ``execute`` call for the whole batch.
@@ -323,18 +378,7 @@ class SingleFlightScheduler:
             if prior is not None:
                 prior(rec, done, total)
             if loop is not None and not loop.is_closed() and self._subscribers:
-                loop.call_soon_threadsafe(self._emit, {
-                    "event": "run",
-                    "key": rec.key,
-                    "kind": rec.kind,
-                    "label": rec.label,
-                    "scale": rec.scale,
-                    "seconds": rec.seconds,
-                    "cached": rec.cached,
-                    "error": rec.error,
-                    "done": done,
-                    "total": total,
-                })
+                loop.call_soon_threadsafe(self._emit, _run_event(rec, done, total))
 
         session.progress = progress
         try:
@@ -365,21 +409,25 @@ class SingleFlightScheduler:
                 if key in pending:
                     journal.record_started(key)
 
-    def _resolve_journals(self, key: str, outcome: dict) -> None:
+    def _resolve_journals(self, results: dict[str, dict]) -> None:
+        """Record one dispatch batch's outcomes; one fsync per journal."""
         still_open: list[tuple[SweepJournal, set[str]]] = []
         for journal, pending in self._open_journals:
-            if key in pending:
+            resolved = [k for k in results if k in pending]
+            for key in resolved:
+                outcome = results[key]
                 if outcome.get("ok"):
                     journal.record_finished(key)
                 else:
                     journal.record_failed(key, outcome["error"]["message"])
-                pending.discard(key)
-                journal.flush()  # batch boundary: the outcome is durable
-            if pending:
-                still_open.append((journal, pending))
-            else:
-                journal.seal()
+            pending.difference_update(resolved)
+            if not pending:
+                journal.seal()  # flushes
                 journal.close()
+                continue
+            if resolved:
+                journal.flush()  # batch boundary: the outcomes are durable
+            still_open.append((journal, pending))
         self._open_journals = still_open
 
     # ------------------------------------------------------------- status

@@ -5,7 +5,9 @@ parallel-determinism test spins up a real two-process pool.
 """
 
 import dataclasses
+import hashlib
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -16,7 +18,9 @@ from repro.core.trace import TRACE_SCHEMA_VERSION, traces_to_dicts
 from repro.experiments.config import TINY
 from repro.experiments.engine import (
     KIND_ALONE,
+    KIND_HOOK,
     KIND_MECHANISM,
+    KIND_PROFILE,
     SCHEMA_VERSION,
     ExperimentSession,
     PlannedRun,
@@ -77,6 +81,35 @@ class TestKeys:
         assert payload["machine"]["n_cores"] == 8
 
 
+    def test_memoised_key_is_the_full_digest_for_every_kind(self, mix):
+        """``key()`` hashes once per instance over parts built once per
+        scale; the digest must equal one built from scratch."""
+        def full_digest(run: PlannedRun) -> str:
+            machine = dataclasses.asdict(run.sc.params())
+            machine.pop("sim_engine")
+            payload = dict(run.key_payload(), scale=run.sc.cache_key(), machine=machine)
+            blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+        runs = [
+            PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="cmm-a"),
+            PlannedRun(KIND_ALONE, SC, bench="429.mcf"),
+            PlannedRun(KIND_PROFILE, SC, bench="453.povray"),
+            PlannedRun(KIND_PROFILE, SC, bench="453.povray", way_sweep=(1, 2)),
+            PlannedRun(KIND_HOOK, SC, bench="tests.chaos.workers:ok"),
+        ]
+        assert len({r.key() for r in runs}) == len(runs)
+        for run in runs:
+            before = pickle.loads(pickle.dumps(run))  # pickled before the first key()
+            assert run.key() == run.key() == full_digest(run)
+            after = pickle.loads(pickle.dumps(run))  # carries the digest
+            assert before == after == run
+            assert before.key() == after.key() == run.key()
+            # A derived run is a new instance: it must not inherit the digest.
+            bigger = dataclasses.replace(run, sc=dataclasses.replace(SC, exec_units=4096))
+            assert bigger.key() == full_digest(bigger) != run.key()
+
+
 class TestResultCache:
     def test_roundtrip_and_counters(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -92,6 +125,15 @@ class TestResultCache:
         )
         fresh = ResultCache(tmp_path)
         assert fresh.get("cd" * 32)["payload"]["ipc"] == 2.0
+
+    def test_resident_reads_the_memory_tier_only(self, tmp_path):
+        key = "cd" * 32
+        ResultCache(tmp_path).put(key, {"schema": SCHEMA_VERSION, "kind": "alone", "payload": {}})
+        fresh = ResultCache(tmp_path)
+        assert fresh.resident(key) is None  # on disk, not in memory
+        rec = fresh.get(key)
+        assert fresh.resident(key) is rec
+        assert (fresh.hits, fresh.misses) == (1, 0)  # resident() counts neither
 
     def test_schema_mismatch_misses(self, tmp_path):
         ResultCache(tmp_path).put(

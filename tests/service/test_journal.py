@@ -1,5 +1,6 @@
 """Sweep journal: WAL discipline, crash-damage tolerance, resume identity."""
 
+import asyncio
 import dataclasses
 import json
 
@@ -9,6 +10,7 @@ from repro.experiments.config import TINY
 from repro.experiments.engine import KIND_HOOK, ExperimentSession, PlannedRun
 from repro.service.journal import JOURNAL_SCHEMA_VERSION, JournalError, SweepJournal
 from repro.service.protocol import run_to_wire
+from repro.service.scheduler import SingleFlightScheduler
 
 SC = dataclasses.replace(TINY, name="unit")
 
@@ -145,6 +147,34 @@ class TestResumeIdentity:
         sealed = SweepJournal.load(tmp_path / "wal" / "s1.jsonl")
         assert sealed.sealed
         assert sealed.pending_keys() == []
+
+    def test_owed_only_journal_resumes_bit_identical(self, tmp_path):
+        """Journal what can be resumed: a key answered from the cache is
+        in no plan, and the plan plus the cache still recover the batch."""
+        runs = [hook("ok_a"), hook("ok_b"), hook("ok_c")]
+        with ExperimentSession(cache_dir=tmp_path / "c0", max_workers=1) as s0:
+            baseline = s0.execute(runs)
+
+        cache_dir, wal = tmp_path / "c1", tmp_path / "wal"
+        with ExperimentSession(cache_dir=cache_dir, max_workers=1) as s1:
+            s1.execute([runs[0]])  # warm in this service's memory tier
+
+            async def accept_then_die():
+                sched = SingleFlightScheduler(s1, journal_dir=wal)  # never dispatches
+                task = asyncio.ensure_future(sched.submit(runs))
+                await asyncio.sleep(0)
+                task.cancel()  # SIGKILL-style: no stop(), nothing sealed or closed
+
+            asyncio.run(accept_then_die())
+        (journal,) = SweepJournal.incomplete(wal)
+        assert set(journal.plan) == {runs[1].key(), runs[2].key()}
+
+        with ExperimentSession(cache_dir=cache_dir, max_workers=1) as s2:
+            resumed = s2.execute([], resume=journal.path)
+            recovered = s2.execute(runs)
+        assert set(resumed) == set(journal.plan)
+        assert json.dumps(recovered, sort_keys=True) == json.dumps(baseline, sort_keys=True)
+        assert SweepJournal.load(journal.path).sealed
 
     def test_failed_pending_key_leaves_journal_unsealed(self, tmp_path):
         runs = [hook("ok_a"), hook("boom")]

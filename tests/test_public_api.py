@@ -1,5 +1,9 @@
 """Top-level package API."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -12,6 +16,22 @@ class TestPublicApi:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_service_names_load_on_first_use(self):
+        """``import repro`` / ``repro.cli`` leave asyncio and the service
+        tier unimported; the service names still resolve from ``repro``."""
+        code = (
+            "import sys, repro, repro.cli\n"
+            "assert 'repro.service' not in sys.modules and 'asyncio' not in sys.modules\n"
+            "from repro import ExperimentService, ServiceClient, TieredResultCache\n"
+            "import repro.service.server as server\n"
+            "assert ExperimentService is server.ExperimentService\n"
+            "assert repro.ServiceClient is server.ServiceClient\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
 
     def test_policy_names(self):
         names = repro.policy_names()
