@@ -46,8 +46,11 @@ LLC side: :class:`GroupedLLC`
 
 R way-partitioned LLC images as ``(runs, sets, ways)`` tensors with a
 per-run CAT allow tensor and a ``runs=`` subgroup axis; one pass over a
-merged request stream serves every run that produced it.  The
-round-robin merge depends only on the request lists, not on LLC/CAT
+merged request stream serves every run that produced it.  A cold serve
+of the whole group answers every run whose partitions are independent
+by LRU stack distance instead — one pass per core group serves every
+way split — and defers the per-way image until something reads it.
+The round-robin merge depends only on the request lists, not on LLC/CAT
 state (:meth:`BatchKernel.merged` / :meth:`BatchKernel.grouped_stream`).
 The timing phase stays the scalar ``Machine._timing_phase`` arithmetic
 fed per-run grouped-serve counters, so every per-run operation sequence
@@ -58,8 +61,9 @@ bit-identical to ``reference``.
 Two drivers share that plane:
 
 * :func:`run_static_sweep` — R static CAT configurations under one
-  prefetch-mask vector: a lockstep group that never diverges, stepped
-  in a plain loop with no controller and no threads.
+  prefetch-mask vector: a lockstep group that never diverges, its core
+  side stepped in a plain loop, its LLC served once for the whole run
+  (no controller, no threads).
 * :class:`LockstepGroup` — R unmodified per-run controller loops (each
   on its own :class:`LockstepMachine`, a ``Machine`` that parks at
   every quantum boundary) driven from one scheduler thread, stepping
@@ -305,6 +309,26 @@ def _images_equal(a, b) -> bool:
 _CAT_PENALTY = np.int64(1 << 62)
 
 
+def _occurrence_rounds(keys: np.ndarray):
+    """Yield request indices by occurrence rank within their key.
+
+    Round ``r`` holds every request that is the ``r``-th with its key
+    (LLC set), so no key repeats inside a round.
+    """
+    if not len(keys):
+        return
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys)
+    starts = np.cumsum(counts) - counts
+    # Keys by descending count: those with more than r requests are a
+    # prefix, and their r-th request sits r past their first.
+    by_count = np.argsort(-counts, kind="stable")
+    starts, counts = starts[by_count], counts[by_count]
+    live = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
+    for r, k in enumerate(live.tolist()):
+        yield order[starts[:k] + r]
+
+
 class _PreparedStream:
     """A merged LLC request stream decoded into NumPy columns.
 
@@ -324,7 +348,7 @@ class _PreparedStream:
     __slots__ = (
         "n", "line", "si", "is_pref", "demand", "prepared",
         "cpu_col", "cpu_perm", "cpu_starts", "cpu_ids", "seg_ids", "rounds",
-        "_blk", "_blk_cores",
+        "_blk", "_blk_cores", "_by_line",
     )
 
     def __init__(self, merged, mcpus, set_mask: int) -> None:
@@ -343,6 +367,7 @@ class _PreparedStream:
         self.prepared = False
         self._blk = None
         self._blk_cores = None
+        self._by_line = None
 
     def prepare(self) -> "_PreparedStream":
         if not self.prepared:
@@ -360,6 +385,12 @@ class _PreparedStream:
         sort-heavy round/reduction structures.
         """
         return self._blk if self._blk is not None else self.cpu_col
+
+    def line_order(self) -> np.ndarray:
+        """Stable argsort by line: each line's requests, in stream order."""
+        if self._by_line is None:
+            self._by_line = np.argsort(self.line, kind="stable")
+        return self._by_line
 
     @classmethod
     def concat(cls, streams: list["_PreparedStream"], n_cores: int) -> "_PreparedStream":
@@ -387,6 +418,7 @@ class _PreparedStream:
         self.prepared = False
         self._blk = seg * n_cores + self.cpu_col
         self._blk_cores = n_cores
+        self._by_line = None
         return self
 
     def _finish(self, blk, n_cores) -> None:
@@ -408,24 +440,145 @@ class _PreparedStream:
         else:
             self.cpu_ids = ids % n_cores
             self.seg_ids = ids // n_cores
-        if self.n:
-            order = np.argsort(self.si, kind="stable")
-            ss = self.si[order]
-            newgrp = np.empty(self.n, dtype=bool)
-            newgrp[0] = True
-            np.not_equal(ss[1:], ss[:-1], out=newgrp[1:])
-            idx = np.arange(self.n, dtype=np.int64)
-            ranks = idx - np.maximum.accumulate(np.where(newgrp, idx, 0))
-            by_rank = np.argsort(ranks, kind="stable")
-            counts = np.bincount(ranks[by_rank])
-            self.rounds = [
-                (ids_r, self.si[ids_r], self.line[ids_r], self.is_pref[ids_r])
-                for ids_r in np.split(order[by_rank], np.cumsum(counts)[:-1])
-            ]
-        else:
-            self.rounds = []
+        self.rounds = [
+            (ids_r, self.si[ids_r], self.line[ids_r], self.is_pref[ids_r])
+            for ids_r in _occurrence_rounds(self.si)
+        ]
         if profiling.ON:
             profiling.add("merge", profiling.clock() - t0)
+
+
+def _lru_distances(line, vset, ways: int, n_sets: int):
+    """Capped LRU stack distance of every request within its set.
+
+    ``d[i]`` counts the distinct lines of set ``vset[i]`` touched since
+    the previous request to ``line[i]``, capped at ``ways`` (a first
+    touch is ``ways``).  One LRU stack of depth ``ways`` per set,
+    advanced a whole occurrence round at a time; returns ``(d, stack)``
+    with each set's final stack, MRU first and -1 padded.
+    """
+    stack = np.full((n_sets, ways), -1, dtype=np.int64)
+    d = np.empty(len(line), dtype=np.int64)
+    below = np.arange(1, ways)
+    for ids in _occurrence_rounds(vset):
+        s = vset[ids]
+        lv = line[ids]
+        rows = stack[s]
+        match = rows == lv[:, None]
+        depth = np.where(match.any(axis=1), match.argmax(axis=1), ways)
+        d[ids] = depth
+        # Move to the top: entries above the old depth shift down one.
+        rows[:, 1:] = np.where(below <= depth[:, None], rows[:, :-1], rows[:, 1:])
+        rows[:, 0] = lv
+        stack[s] = rows
+    return d, stack
+
+
+def _at_least(vals, ways: int) -> np.ndarray:
+    """``out[a]`` = how many ``vals`` (in ``[-1, ways]``) are >= ``a``, ``a`` in ``0..ways``."""
+    return np.bincount(vals + 1, minlength=ways + 2)[::-1].cumsum()[::-1][1:]
+
+
+class _PartitionTable:
+    """One core group's serve outcome for every partition size ``a``.
+
+    ``dem_le``/``pref_le`` are ``[block, depth]`` counts of demand /
+    prefetch requests with stack distance <= depth, so an ``a``-way
+    partition hits exactly column ``a - 1``; ``used``, ``evicted`` and
+    ``occupancy`` are indexed by ``a``.
+    """
+
+    __slots__ = ("dem_le", "pref_le", "used", "evicted", "occupancy")
+
+
+def _stack_tables(stream: "_PreparedStream", groups, ways: int, sets: int, n_blocks: int):
+    """One capped stack-distance pass answers every ``a`` for each group.
+
+    Each group's requests form their own LRU partition (the caller has
+    checked that), so with ``d`` a request's distance in its group: hit
+    iff ``d < a``.  All groups share one :func:`_lru_distances` pass
+    (group ``g`` owns sets ``g*S .. g*S+S-1``); :func:`_partition_table`
+    then reads each group's counters off its distances.
+    """
+    cpu = stream.cpu_col
+    member = np.zeros((len(groups), int(cpu.max()) + 1), dtype=bool)
+    for g, cores in enumerate(groups):
+        member[g, list(cores)] = True
+    in_group = member[:, cpu]
+    counts = in_group.sum(axis=1)
+    pos = np.flatnonzero(in_group) % len(cpu)
+    line = stream.line[pos]
+    vset = stream.si[pos]
+    del pos
+    vset += np.repeat(np.arange(len(groups)) * sets, counts)
+    d, final = _lru_distances(line, vset, ways, len(groups) * sets)
+    del line, vset
+    ends = np.cumsum(counts)
+    return [
+        _partition_table(
+            stream, in_group[g], d[ends[g] - counts[g] : ends[g]],
+            final[g * sets : (g + 1) * sets], n_blocks,
+        )
+        for g in range(len(groups))
+    ]
+
+
+def _partition_table(stream: "_PreparedStream", mine, d, stack, n_blocks: int) -> "_PartitionTable":
+    """Every partition size's outcome for the requests ``mine`` selects.
+
+    ``d`` are their stack distances in stream order and ``stack`` their
+    sets' final LRU stacks.  A line's prefetched-unused bit is set by a
+    prefetch fill and cleared by any demand touch; prefetch hits pass
+    it through.  Walking each line's requests in order therefore gives,
+    for every associativity ``a`` at once:
+
+    * *used* — a demand hit whose preceding run of prefetch requests
+      holds a fill (some ``d >= a``): ``d < a <= mp``;
+    * *evicted unused* — a prefetch request whose run so far holds a
+      fill (``mq >= a``) and whose line is evicted before its next
+      request or the end of the stream (forward distance ``>= a``);
+    * *occupancy* — per set, ``min(a, distinct lines)``.
+    """
+    W = stack.shape[1]
+    t = _PartitionTable()
+    p = np.flatnonzero(mine)
+    key = stream.stat_blocks()[p] * (W + 1) + d
+    is_pf = stream.is_pref[p]
+    size = n_blocks * (W + 1)
+    t.dem_le = np.bincount(key[~is_pf], minlength=size).reshape(n_blocks, W + 1).cumsum(axis=1)
+    t.pref_le = np.bincount(key[is_pf], minlength=size).reshape(n_blocks, W + 1).cumsum(axis=1)
+    t.occupancy = np.minimum((stack != -1).sum(axis=1)[:, None], np.arange(W + 1)).sum(axis=0)
+    del key, is_pf
+    # The requests in (line, stream) order.
+    by_line = stream.line_order()
+    by_line = by_line[mine[by_line]]
+    ls = stream.line[by_line]
+    dl = d[np.searchsorted(p, by_line)]
+    pf = stream.is_pref[by_line]
+    del p, by_line
+    same = ls[1:] == ls[:-1]  # request k+1 continues k's line
+    # Forward distance: the next request's, else the line's depth in
+    # the final stack (W when it fell out).
+    fd = np.empty_like(dl)
+    fd[:-1] = dl[1:]
+    fd[np.append(~same, True)] = W
+    resident = stack.reshape(-1) != -1
+    depth = np.tile(np.arange(W), len(stack))[resident]
+    fd[np.searchsorted(ls, stack.reshape(-1)[resident], side="right") - 1] = depth
+    # mq: max distance over the run of prefetches ending at each
+    # request (segmented cummax; a demand or a new line starts one).
+    dem = ~pf
+    start = np.append(True, ~same) | dem
+    start[1:] |= dem[:-1]
+    base = np.cumsum(start) * (W + 1)
+    mq = np.maximum.accumulate(base + dl) - base
+    # mp: a demand request's preceding prefetch run's mq, else -1.
+    mp = np.full_like(dl, -1)
+    after_pf = same & pf[:-1]
+    mp[1:][after_pf] = mq[:-1][after_pf]
+    t.used = _at_least(mp[dem], W) - _at_least(np.minimum(dl, mp)[dem], W)
+    t.evicted = _at_least(np.minimum(fd, mq)[pf], W)
+    return t
 
 
 class GroupedLLC:
@@ -453,17 +606,37 @@ class GroupedLLC:
     Every request touches exactly one way per run (hits refresh the hit
     way, misses fill the chosen way), so each segment needs a single
     scatter per state array.
+
+    **Stack-distance serve.**  A cold image served for the whole group
+    (``runs=None``: :func:`run_static_sweep`) takes a second strategy
+    for every run whose requesting cores' CBMs are pairwise identical
+    or disjoint and whose partitions share no line (cores own private
+    address regions, so they never do).  Such a run's partitions are
+    independent LRU caches: a line is only ever filled into, hit in and
+    evicted from its own core group's ways.  Every request, hit or
+    prefetch, moves its line to MRU and a miss always allocates, so LRU
+    is a stack algorithm (Mattson et al., 1970): a request hits in an
+    ``a``-way partition iff fewer than ``a`` distinct lines of its set
+    were touched since its line's previous request.  One capped
+    distance pass per distinct core group (:func:`_stack_tables`)
+    therefore answers every partition size of every run at once; the
+    prefetched-unused bit follows each line's chain of "prefetch fill
+    sets, demand touch clears" events.  Other runs of the same call
+    take the round loop.  The per-way image of stack-solved runs is
+    deferred: ``tags``/``stamps``/``pref`` are built way-exactly (by
+    replaying the recorded stream through the round loop) only when
+    first read or served again, so a static sweep never allocates it.
     """
 
     def __init__(self, geometry, n_runs: int) -> None:
         self.geometry = geometry
         self.n_runs = n_runs
-        shape = (n_runs, geometry.sets, geometry.ways)
-        self.tags = np.full(shape, -1, dtype=np.int64)
-        self.stamps = np.zeros(shape, dtype=np.int64)
-        self.pref = np.zeros(shape, dtype=np.uint8)
+        self._tags = self._stamps = self._pref = None  # see _image
+        # (stream, runs, allow rows, first stamp) of a stack-solved
+        # serve not yet in the image, and those runs' occupancies.
+        self._deferred = None
+        self._occ: dict[int, int] = {}
         self._seq = 1
-        assert self._seq > 0 and not self.stamps.any(), "stamp-0 invariant"
         # CacheStats mirror, all per run (lockstep subgroups may serve
         # different runs different stream lengths).
         self.accesses = np.zeros(n_runs, dtype=np.int64)
@@ -471,6 +644,32 @@ class GroupedLLC:
         self.pref_fills = np.zeros(n_runs, dtype=np.int64)
         self.pref_used = np.zeros(n_runs, dtype=np.int64)
         self.pref_evicted_unused = np.zeros(n_runs, dtype=np.int64)
+
+    def _image(self):
+        """``(tags, stamps, pref)``, allocated and caught up on first use."""
+        if self._tags is None:
+            shape = (self.n_runs, self.geometry.sets, self.geometry.ways)
+            self._tags = np.full(shape, -1, dtype=np.int64)
+            self._stamps = np.zeros(shape, dtype=np.int64)
+            self._pref = np.zeros(shape, dtype=np.uint8)
+        if self._deferred is not None:
+            stream, run_idx, allow_r, seq0 = self._deferred
+            self._deferred = None
+            self._occ = {}
+            self._round_loop(stream, run_idx, allow_r, seq0)
+        return self._tags, self._stamps, self._pref
+
+    @property
+    def tags(self) -> np.ndarray:
+        return self._image()[0]
+
+    @property
+    def stamps(self) -> np.ndarray:
+        return self._image()[1]
+
+    @property
+    def pref(self) -> np.ndarray:
+        return self._image()[2]
 
     def stats_for(self, run: int) -> tuple[int, int, int, int, int]:
         """One run's ``CacheStats`` tuple (accesses, hits, fills, used, evicted)."""
@@ -483,7 +682,11 @@ class GroupedLLC:
         )
 
     def occupancy(self, run: int) -> int:
-        return int((self.tags[run] != -1).sum())
+        occ = self._occ.get(run)
+        if occ is None:
+            # Not deferred: the run's image rows are current (or unborn).
+            occ = 0 if self._tags is None else int((self._tags[run] != -1).sum())
+        return occ
 
     def _dedup_classes(self, run_idx, allowed):
         """Partition subgroup runs into bitwise-identical serve classes.
@@ -517,41 +720,116 @@ class GroupedLLC:
         return np.asarray(reps, dtype=np.int64), class_idx, dups
 
     def serve(self, stream: _PreparedStream, allowed, hits_d, mem_d, pref_m, runs=None) -> None:
-        """Serve one quantum's merged stream for every run at once.
+        """Serve one merged stream for every run at once.
 
         ``allowed`` is the ``(n_runs, cpus, ways)`` boolean CAT matrix;
         ``hits_d``/``mem_d``/``pref_m`` are ``(R, cpus)`` int64
         accumulators for demand hits, demand fills and prefetch fills —
-        the per-core counters the scalar serve loop tracks.  ``runs``
-        restricts the serve to a subgroup of run indices (the lockstep
-        scheduler serves each unique stream shape to exactly the runs
-        that produced it); accumulator rows align with ``runs`` order.
-        Defaults to all runs.
+        the per-core counters the scalar serve loop tracks (``(R,
+        segments, cpus)`` for a :meth:`_PreparedStream.concat` stream).
+        ``runs`` restricts the serve to a subgroup of run indices (the
+        lockstep scheduler serves each unique stream shape to exactly
+        the runs that produced it); accumulator rows align with ``runs``
+        order.  Defaults to all runs.
 
-        The subgroup path dedups the run axis too: runs whose LLC
-        image (tags/stamps/pref) and CAT allow row are bitwise equal
-        see identical outcomes for an identical stream, so only one
-        representative per equality class is served; duplicates get
-        the representative's stats and a copy of the touched sets.
+        A cold image served for all runs takes the stack-distance
+        strategy for every run it can (see the class docstring); the
+        rest, and every other serve, take the round loop.  The subgroup
+        path dedups the run axis too: runs whose LLC image
+        (tags/stamps/pref) and CAT allow row are bitwise equal see
+        identical outcomes for an identical stream, so only one
+        representative per equality class is served; duplicates get the
+        representative's stats and a copy of the touched sets.
         """
-        tags, stamps, pref = self.tags, self.stamps, self.pref
-        S = self.geometry.sets
-        W = self.geometry.ways
-        n = stream.n
         if runs is None:
-            run_idx = np.arange(self.n_runs, dtype=np.int64)
-            stat_idx = run_idx
-            class_idx = None
-            dups: list[tuple[int, int]] = []
+            stat_idx = np.arange(self.n_runs, dtype=np.int64)
         else:
             stat_idx = np.asarray(runs, dtype=np.int64)
+        if not allowed[stat_idx].any(axis=2).all():
+            raise ValueError("allowed_ways must contain at least one way")
+        n = stream.n
+        if not n:
+            return
+        plans: dict[int, list] = {}
+        if runs is None and self._seq == 1 and self._tags is None:
+            plans, left = self._stack_plans(stream, allowed)
+        if plans:
+            self._serve_stack(stream, plans, hits_d, mem_d, pref_m)
+            if left:
+                acc = [np.zeros((len(left),) + a.shape[1:], dtype=np.int64) for a in (hits_d, mem_d, pref_m)]
+                self._serve_runs(stream, allowed, *acc, np.asarray(left, dtype=np.int64), dedup=False)
+                for a, part in zip((hits_d, mem_d, pref_m), acc):
+                    a[left] += part
+            # Recorded last, so the round loop above cannot replay it.
+            solved = np.fromiter(plans, dtype=np.int64, count=len(plans))
+            self._deferred = (stream, solved, allowed[solved], self._seq)
+        else:
+            self._serve_runs(stream, allowed, hits_d, mem_d, pref_m, stat_idx, dedup=runs is not None)
+        self._seq += n
+        self.accesses[stat_idx] += n
+
+    def _stack_plans(self, stream: _PreparedStream, allowed):
+        """Split the runs of a cold whole-group serve by strategy.
+
+        A run is stack-solvable when its requesting cores' CBMs are
+        pairwise identical or disjoint and no line is requested by two
+        of its partitions.  Returns ``(plans, left)``: each solvable
+        run's ``(core group, ways)`` partitions, and the other runs.
+        """
+        cpu = stream.cpu_col
+        busy = np.flatnonzero(np.bincount(cpu)).tolist()
+        order = stream.line_order()
+        sl, sc = stream.line[order], cpu[order]
+        shared = (sl[1:] == sl[:-1]) & (sc[1:] != sc[:-1])
+        pairs = set(zip(sc[:-1][shared].tolist(), sc[1:][shared].tolist()))
+        plans: dict[int, list] = {}
+        left: list[int] = []
+        for r in range(self.n_runs):
+            parts: dict[bytes, list[int]] = {}
+            for c in busy:
+                parts.setdefault(allowed[r, c].tobytes(), []).append(c)
+            masks = np.frombuffer(b"".join(parts), dtype=bool).reshape(len(parts), -1)
+            part_of = {c: i for i, cores in enumerate(parts.values()) for c in cores}
+            if masks.sum(axis=0).max() > 1 or any(part_of[a] != part_of[b] for a, b in pairs):
+                left.append(r)
+            else:
+                plans[r] = [(tuple(cores), int(m.sum())) for m, cores in zip(masks, parts.values())]
+        return plans, left
+
+    def _serve_stack(self, stream: _PreparedStream, plans, hits_d, mem_d, pref_m) -> None:
+        """Stack-distance serve of the runs in ``plans`` (whole-group rows)."""
+        t0 = profiling.clock() if profiling.ON else 0.0
+        W = self.geometry.ways
+        groups = sorted({grp for parts in plans.values() for grp, _ in parts})
+        gi = {grp: g for g, grp in enumerate(groups)}
+        tables = _stack_tables(stream, groups, W, self.geometry.sets, hits_d[0].size)
+        for r, parts in plans.items():
+            shape = hits_d[r].shape
+            occ = 0
+            for grp, a in parts:
+                t = tables[gi[grp]]
+                dh = t.dem_le[:, a - 1]
+                pm = t.pref_le[:, W] - t.pref_le[:, a - 1]
+                hits_d[r] += dh.reshape(shape)
+                mem_d[r] += (t.dem_le[:, W] - dh).reshape(shape)
+                pref_m[r] += pm.reshape(shape)
+                self.hits[r] += dh.sum() + t.pref_le[:, a - 1].sum()
+                self.pref_fills[r] += pm.sum()
+                self.pref_used[r] += t.used[a]
+                self.pref_evicted_unused[r] += t.evicted[a]
+                occ += int(t.occupancy[a])
+            self._occ[r] = occ
+        if profiling.ON:
+            profiling.add("llc_serve", profiling.clock() - t0)
+
+    def _serve_runs(self, stream, allowed, hits_d, mem_d, pref_m, stat_idx, dedup: bool) -> None:
+        """Round-loop serve (or the compiled tier) of runs ``stat_idx``."""
+        if dedup:
             reps, class_idx, dups = self._dedup_classes(stat_idx, allowed)
             run_idx = stat_idx[reps]
-        R = len(run_idx)
-        allow_r = allowed[run_idx]  # (R, cpus, W)
-        if not allow_r.any(axis=2).all():
-            raise ValueError("allowed_ways must contain at least one way")
-        if n and nativekernels.kernels_enabled():
+        else:
+            run_idx, class_idx, dups = stat_idx, None, []
+        if nativekernels.kernels_enabled():
             # Compiled tier: one fused kernel pass, no round structures.
             # A kernel failure mid-serve cannot fall through (state may
             # be partially mutated), so it sticky-disables the tier and
@@ -569,6 +847,74 @@ class GroupedLLC:
                 raise
         stream.prepare()
         t0 = profiling.clock() if profiling.ON else 0.0
+        H, OP = self._round_loop(stream, run_idx, allowed[run_idx], self._seq)
+        if dups:
+            # Duplicates evolve identically to their representative for
+            # this stream; only the touched sets changed.
+            tags, stamps, pref = self._image()
+            usets = np.unique(stream.si)
+            for dup, rep in dups:
+                tags[dup, usets] = tags[rep, usets]
+                stamps[dup, usets] = stamps[rep, usets]
+                pref[dup, usets] = pref[rep, usets]
+        dem = stream.demand[None, :]
+        ispf = stream.is_pref[None, :]
+        M = ~H
+        fillm = M & ispf
+        hit_v = H.sum(axis=1)
+        used_v = (H & dem & OP).sum(axis=1)
+        # Only a prefetch fill sets the bit, so a set bit implies a valid
+        # line: misses onto never-filled ways cannot count as evictions.
+        evic_v = (M & OP).sum(axis=1)
+        fill_v = fillm.sum(axis=1)
+        if class_idx is not None:
+            hit_v = hit_v[class_idx]
+            used_v = used_v[class_idx]
+            evic_v = evic_v[class_idx]
+            fill_v = fill_v[class_idx]
+        self.hits[stat_idx] += hit_v
+        self.pref_used[stat_idx] += used_v
+        self.pref_evicted_unused[stat_idx] += evic_v
+        self.pref_fills[stat_idx] += fill_v
+        # Per-(run, core) reductions in one pass: permute request
+        # columns into contiguous per-core blocks, then segment-sum.
+        dh = H & dem
+        dm = M & dem
+        P = stream.cpu_perm
+        st = stream.cpu_starts
+        hv = np.add.reduceat(dh[:, P].astype(np.int32), st, axis=1)
+        mv = np.add.reduceat(dm[:, P].astype(np.int32), st, axis=1)
+        fv = np.add.reduceat(fillm[:, P].astype(np.int32), st, axis=1)
+        if class_idx is not None:
+            hv = hv[class_idx]
+            mv = mv[class_idx]
+            fv = fv[class_idx]
+        if stream.seg_ids is None:
+            hits_d[:, stream.cpu_ids] += hv
+            mem_d[:, stream.cpu_ids] += mv
+            pref_m[:, stream.cpu_ids] += fv
+        else:
+            # Multi-quantum stream: accumulators carry a segment
+            # axis so each quantum's counters come back separately.
+            hits_d[:, stream.seg_ids, stream.cpu_ids] += hv
+            mem_d[:, stream.seg_ids, stream.cpu_ids] += mv
+            pref_m[:, stream.seg_ids, stream.cpu_ids] += fv
+        if profiling.ON:
+            profiling.add("llc_serve", profiling.clock() - t0)
+
+    def _round_loop(self, stream: _PreparedStream, run_idx, allow_r, seq0: int):
+        """Advance the image rows of ``run_idx`` over ``stream``, round by round.
+
+        ``allow_r`` are those runs' ``(cpus, ways)`` CAT rows and
+        ``seq0`` the stream's first stamp.  Returns per-request ``(hit,
+        touched way's prefetch bit was set)`` columns, one row per run.
+        """
+        stream.prepare()
+        tags, stamps, pref = self._image()
+        S = self.geometry.sets
+        W = self.geometry.ways
+        n = stream.n
+        R = len(run_idx)
         tags_f = tags.reshape(-1)
         stamps_f = stamps.reshape(-1)
         pref_f = pref.reshape(-1)
@@ -577,9 +923,8 @@ class GroupedLLC:
         tag_rows = tags.reshape(-1, W)
         stamp_rows = stamps.reshape(-1, W)
         row_off = (run_idx * S)[:, None]
-        seqs = np.arange(self._seq, self._seq + n, dtype=np.int64)
+        seqs = np.arange(seq0, seq0 + n, dtype=np.int64)
         cpu_col = stream.cpu_col
-        # Per-request outcome columns, reduced to stats once per quantum.
         H = np.empty((R, n), dtype=bool)  # hit?
         OP = np.empty((R, n), dtype=bool)  # touched way's pref bit was set?
         # CAT as a stamp penalty; when every served run allows every way
@@ -615,61 +960,7 @@ class GroupedLLC:
             tags_f[flat] = line[None, :]
             stamps_f[flat] = seqs[ids][None, :]
             pref_f[flat] = new_p
-        if dups:
-            # Duplicates evolve identically to their representative for
-            # this stream; only the touched sets changed.
-            usets = np.unique(stream.si)
-            for dup, rep in dups:
-                tags[dup, usets] = tags[rep, usets]
-                stamps[dup, usets] = stamps[rep, usets]
-                pref[dup, usets] = pref[rep, usets]
-        dem = stream.demand[None, :]
-        ispf = stream.is_pref[None, :]
-        M = ~H
-        fillm = M & ispf
-        hit_v = H.sum(axis=1)
-        used_v = (H & dem & OP).sum(axis=1)
-        # Only a prefetch fill sets the bit, so a set bit implies a valid
-        # line: misses onto never-filled ways cannot count as evictions.
-        evic_v = (M & OP).sum(axis=1)
-        fill_v = fillm.sum(axis=1)
-        if class_idx is not None:
-            hit_v = hit_v[class_idx]
-            used_v = used_v[class_idx]
-            evic_v = evic_v[class_idx]
-            fill_v = fill_v[class_idx]
-        self.hits[stat_idx] += hit_v
-        self.pref_used[stat_idx] += used_v
-        self.pref_evicted_unused[stat_idx] += evic_v
-        self.pref_fills[stat_idx] += fill_v
-        # Per-(run, core) reductions in one pass: permute request
-        # columns into contiguous per-core blocks, then segment-sum.
-        if n:
-            dh = H & dem
-            dm = M & dem
-            P = stream.cpu_perm
-            st = stream.cpu_starts
-            hv = np.add.reduceat(dh[:, P].astype(np.int32), st, axis=1)
-            mv = np.add.reduceat(dm[:, P].astype(np.int32), st, axis=1)
-            fv = np.add.reduceat(fillm[:, P].astype(np.int32), st, axis=1)
-            if class_idx is not None:
-                hv = hv[class_idx]
-                mv = mv[class_idx]
-                fv = fv[class_idx]
-            if stream.seg_ids is None:
-                hits_d[:, stream.cpu_ids] += hv
-                mem_d[:, stream.cpu_ids] += mv
-                pref_m[:, stream.cpu_ids] += fv
-            else:
-                # Multi-quantum stream: accumulators carry a segment
-                # axis so each quantum's counters come back separately.
-                hits_d[:, stream.seg_ids, stream.cpu_ids] += hv
-                mem_d[:, stream.seg_ids, stream.cpu_ids] += mv
-                pref_m[:, stream.seg_ids, stream.cpu_ids] += fv
-        self._seq += n
-        self.accesses[stat_idx] += n
-        if profiling.ON:
-            profiling.add("llc_serve", profiling.clock() - t0)
+        return H, OP
 
     def _serve_native(
         self, stream, allowed, hits_d, mem_d, pref_m, run_idx, stat_idx, class_idx, dups
@@ -685,7 +976,6 @@ class GroupedLLC:
         expansion, accumulator writes) matches the NumPy path op-for-op
         so results stay bit-identical.
         """
-        n = stream.n
         S = self.geometry.sets
         W = self.geometry.ways
         C = allowed.shape[1]
@@ -735,8 +1025,6 @@ class GroupedLLC:
         hits_d += dh.reshape(hits_d.shape)
         mem_d += dm.reshape(mem_d.shape)
         pref_m += dp.reshape(pref_m.shape)
-        self._seq += n
-        self.accesses[stat_idx] += n
 
 
 class BatchKernel:
@@ -805,12 +1093,19 @@ def run_static_sweep(
     run; ``masks`` are the per-core prefetcher masks *shared by every
     run* — that is what makes the core phase, and therefore the merged
     LLC request stream, identical across the sweep: each core's
-    :class:`GroupedCore` keeps all R runs in its one initial lane, and
-    that lane's edge feeds a :class:`GroupedLLC` that serves all runs
-    per quantum.  Timing stays a per-run scalar fixed point fed the
-    grouped serve's per-run counters, and every per-run arithmetic
-    sequence matches a scalar fast machine op for op: results are
-    bit-identical to running each configuration on its own machine.
+    :class:`GroupedCore` keeps all R runs in its one initial lane.
+
+    Three phases.  The core side never reads LLC state, so every
+    quantum's lane edges and merged stream come first.  The quanta are
+    then concatenated (:meth:`_PreparedStream.concat`) and served in one
+    cold whole-group :meth:`GroupedLLC.serve` into ``(R, quanta,
+    cpus)`` counters: runs whose CLOS partitions are disjoint take the
+    stack-distance strategy, any others (overlapping CBMs) the round
+    loop, and the per-way image is never built.  Last, timing runs per
+    run and quantum as a scalar fixed point fed those counters; every
+    per-run arithmetic sequence matches a scalar fast machine op for
+    op, so results are bit-identical to running each configuration on
+    its own machine.
     """
     params = kernel.params
     n = params.n_cores
@@ -846,10 +1141,10 @@ def run_static_sweep(
     wall = [0.0] * R
     drams = [DramModel(params) for _ in range(R)]
     line_bytes = float(params.line_bytes)
-    hits_d = np.zeros((R, n), dtype=np.int64)
-    mem_d = np.zeros((R, n), dtype=np.int64)
-    pref_m = np.zeros((R, n), dtype=np.int64)
 
+    # 1. The core side of every quantum: it never reads LLC state.
+    quanta: list[dict] = []
+    streams: list[_PreparedStream] = []
     remaining = int(n_accesses)
     while remaining > 0:
         q = min(kernel.quantum, remaining)
@@ -859,12 +1154,24 @@ def run_static_sweep(
             e = core.step(runs, q, mask_of[cpu])[0]
             edges[cpu] = e
             llc_reqs[cpu] = e.llc_req
-        stream = kernel.grouped_stream(llc_reqs)
-        hits_d[:] = 0
-        mem_d[:] = 0
-        pref_m[:] = 0
-        if stream.n:
-            glc.serve(stream, allowed, hits_d, mem_d, pref_m)
+            e.llc_req = None  # merged below; the timing phase never reads it
+        streams.append(kernel.grouped_stream(llc_reqs))
+        quanta.append(edges)
+        remaining -= q
+
+    # 2. One whole-run serve; the segment axis returns each quantum's counters.
+    K = len(quanta)
+    hits_d = np.zeros((R, K, n), dtype=np.int64)
+    mem_d = np.zeros((R, K, n), dtype=np.int64)
+    pref_m = np.zeros((R, K, n), dtype=np.int64)
+    stream = _PreparedStream.concat(streams, n)
+    del streams
+    if stream.n:
+        glc.serve(stream, allowed, hits_d, mem_d, pref_m)
+    hits_l, mem_l, pref_l = hits_d.tolist(), mem_d.tolist(), pref_m.tolist()
+
+    # 3. Per-run timing, quantum by quantum, in the scalar machine's order.
+    for j, edges in enumerate(quanta):
         active = [False] * n
         ipm = [0.0] * n
         mlp = [1.0] * n
@@ -876,18 +1183,13 @@ def run_static_sweep(
         for r in range(R):
             counts = [QuantumCounts() for _ in range(n)]
             prow = pmu[r]
+            h_r, m_r, p_r = hits_l[r][j], mem_l[r][j], pref_l[r][j]
             for cpu, e in edges.items():
                 qc = counts[cpu]
                 qc.n_access = e.n_access
                 qc.n_l2_hit_d = e.n_l2_hit_d
                 fastengine.apply_llc_tail(
-                    qc,
-                    prow,
-                    cpu,
-                    int(hits_d[r, cpu]),
-                    int(mem_d[r, cpu]),
-                    int(pref_m[r, cpu]),
-                    line_bytes,
+                    qc, prow, cpu, h_r[cpu], m_r[cpu], p_r[cpu], line_bytes
                 )
                 prow[cpu] += e.pmu_row
             timing = solve_quantum(params, drams[r], counts, ipm, mlp, active)
@@ -908,7 +1210,6 @@ def run_static_sweep(
             wall[r] += timing.machine_cycles
         if profiling.ON:
             profiling.add("timing", profiling.clock() - t0)
-        remaining -= q
 
     fallbacks = sum(core.trace_fallbacks() for core in cores.values())
     return [

@@ -5,12 +5,16 @@ Differential checks, innermost layer first:
 * :class:`GroupedLLC` served with per-run *divergent* CAT allow
   matrices — including mid-stream flips, subgroup (ragged) serves and
   multi-quantum concatenated streams — against an independent
-  CAT-aware dict-LRU oracle, on hypothesis-generated request streams.
-* The stamp-0 victim rule on its own: a fill phase confined to the low
-  ways, then a CAT flip that exposes never-filled high ways, way-exact
-  against :class:`FastPartitionedCache`; and the empty-allow-row error.
-* :func:`run_static_sweep` over 1-way partitions and overlapping CBMs
-  against one scalar fast machine per configuration.
+  CAT-aware dict-LRU oracle, on hypothesis-generated request streams;
+  and its cold whole-group serve, where the stack-distance strategy
+  takes every run with independent partitions and defers the image.
+* The stamp-0 victim rule on its own: a stack-solved fill phase
+  confined to the low ways, then a CAT flip that exposes never-filled
+  high ways, way-exact against :class:`FastPartitionedCache`; the
+  empty-allow-row error; a static sweep that never builds the image.
+* :func:`run_static_sweep` over 1-way partitions, overlapping CBMs and
+  hypothesis-drawn disjoint CLOS layouts (idle core, ragged access
+  counts) against one scalar fast machine per configuration.
 * The full :class:`LockstepGroup` under seeded-random scripts
   (divergent prefetch masks, mid-run CAT flips, uneven ``run_accesses``
   spans including non-quantum-aligned tails) against one scalar fast
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.batch import build_batch_kernel
@@ -138,11 +142,32 @@ def _rand_allow(rng, n_runs: int) -> np.ndarray:
     return allow
 
 
-def _stream(rng, n: int) -> _PreparedStream:
-    lines = rng.integers(0, 64, size=n)
+def _partition_allow(rng, n_runs: int) -> np.ndarray:
+    """Per-run CAT rows of the stack-solvable shape: both cpus in one
+    contiguous CBM, or each cpu in its own, disjoint from the other's."""
+    W = GEOM.ways
+    allow = np.zeros((n_runs, N_CPUS, W), dtype=bool)
+    for r in range(n_runs):
+        cut = int(rng.integers(1, W))
+        if rng.random() < 0.3:
+            allow[r, :, rng.integers(0, cut) : cut] = True
+        else:
+            first, second = rng.permutation(N_CPUS)
+            allow[r, first, rng.integers(0, cut) : cut] = True
+            allow[r, second, cut : rng.integers(cut, W) + 1] = True
+    return allow
+
+
+def _stream(rng, n: int, private: bool = False) -> _PreparedStream:
+    """Random requests over 64 lines; ``private`` gives each cpu its own
+    32, as cores' private address regions do."""
+    cpus = rng.integers(0, N_CPUS, size=n)
+    if private:
+        lines = rng.integers(0, 32, size=n) + 32 * cpus
+    else:
+        lines = rng.integers(0, 64, size=n)
     is_pref = rng.random(n) < 0.4
     enc = np.where(is_pref, ~lines, lines)
-    cpus = rng.integers(0, N_CPUS, size=n)
     return _PreparedStream(enc.tolist(), cpus.tolist(), GEOM.sets - 1)
 
 
@@ -258,6 +283,53 @@ class TestGroupedLLCOracle:
         for r in runs:
             assert seq_llc.stats_for(r) == cat_llc.stats_for(r)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), private=st.booleans())
+    def test_cold_whole_group_serve_matches_oracle(self, seed, private):
+        """A cold all-runs serve of a multi-segment stream — the static
+        sweep's shape — stack-solves every run whose partitions are
+        independent and round-loops the rest (a random, usually
+        overlapping, run; partitions sharing lines).  Per-quantum
+        counters, stats and occupancy match the oracle before the image
+        exists; the deferred image and a following serve match after."""
+        rng = np.random.default_rng(seed)
+        width = 4
+        allowed = _partition_allow(rng, width)
+        allowed[width - 1] = _rand_allow(rng, 1)[0]
+        k = int(rng.integers(1, 4))
+        quanta = [_stream(rng, int(rng.integers(1, 80)), private) for _ in range(k)]
+        llc = GroupedLLC(GEOM, width)
+        acc = [np.zeros((width, k, N_CPUS), dtype=np.int64) for _ in range(3)]
+        llc.serve(_PreparedStream.concat(quanta, N_CPUS), allowed, *acc)
+        # The same serve as a subgroup always takes the round loop.
+        looped = GroupedLLC(GEOM, width)
+        looped_acc = [np.zeros((width, k, N_CPUS), dtype=np.int64) for _ in range(3)]
+        looped.serve(_PreparedStream.concat(quanta, N_CPUS), allowed, *looped_acc, runs=range(width))
+        if private:
+            stacked = set(llc._deferred[1].tolist())
+            assert set(range(width - 1)) <= stacked, "independent partitions not stack-solved"
+
+        oracles = [CatLruOracle(GEOM) for _ in range(width)]
+        for j, s in enumerate(quanta):
+            before = [(o.hits_d[:], o.mem_d[:], o.pref_m[:]) for o in oracles]
+            _oracle_replay(oracles, s, allowed, range(width))
+            for r, o in enumerate(oracles):
+                for got, now, was in zip(acc, (o.hits_d, o.mem_d, o.pref_m), before[r]):
+                    assert got[r, j].tolist() == [a - b for a, b in zip(now, was)], f"run {r} q{j}"
+        for r, o in enumerate(oracles):
+            assert llc.occupancy(r) == int((o.tags() != -1).sum()), f"run {r}: occupancy"
+            _assert_run_matches(llc, o, r, f"run {r}")
+        for a, b in zip(acc, looped_acc):
+            assert np.array_equal(a, b)
+        assert np.array_equal(llc.stamps, looped.stamps), "deferred image: stamps"
+
+        allowed = _rand_allow(rng, width)
+        stream = _stream(rng, int(rng.integers(1, 80)), private)
+        _serve_all(llc, stream, allowed)
+        _oracle_replay(oracles, stream, allowed, range(width))
+        for r, o in enumerate(oracles):
+            _assert_run_matches(llc, o, r, f"run {r} after a warm serve")
+
 
 def _serve_all(llc: GroupedLLC, stream: _PreparedStream, allowed) -> None:
     shape = (llc.n_runs, N_CPUS)
@@ -266,14 +338,20 @@ def _serve_all(llc: GroupedLLC, stream: _PreparedStream, allowed) -> None:
 
 class TestStampZeroVictimRule:
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10**6), low=st.integers(1, GEOM.ways - 1))
+    @given(seed=st.integers(0, 10**6), low=st.integers(2, GEOM.ways - 1))
     def test_cat_flip_exposes_free_ways_lowest_first(self, seed, low):
         """Run 0 fills and evicts inside ways ``[0, low)`` while run 1
         uses every way; a CAT flip then opens run 0's never-filled high
         ways.  Its next misses must take them lowest index first, with
-        no eviction while one is left — way-exact against the scalar."""
+        no eviction while one is left — way-exact against the scalar.
+
+        The fill is a cold all-runs serve with disjoint per-cpu rows
+        over private lines, so it is stack-solved and its image
+        deferred: reading it, the flip and the next serves must still
+        be way-exact."""
         rng = np.random.default_rng(seed)
         W = GEOM.ways
+        split = int(rng.integers(1, low))
         llc = GroupedLLC(GEOM, 2)
         refs = [FastPartitionedCache(GEOM) for _ in range(2)]
 
@@ -291,11 +369,16 @@ class TestStampZeroVictimRule:
                     rs.accesses, rs.hits, rs.pref_fills, rs.pref_used, rs.pref_evicted_unused,
                 ), f"{label}: run {r} stats"
 
-        confined = np.ones((2, N_CPUS, W), dtype=bool)
-        confined[0, :, low:] = False
+        # cpu 0 owns ways [0, split); cpu 1 owns [split, low) in run 0
+        # and [split, W) in run 1.
+        confined = np.zeros((2, N_CPUS, W), dtype=bool)
+        confined[:, 0, :split] = True
+        confined[0, 1, split:low] = True
+        confined[1, 1, split:] = True
         # Enough distinct lines per set to fill the low ways and evict.
-        fill = _stream(rng, 8 * GEOM.sets * W)
+        fill = _stream(rng, 8 * GEOM.sets * W, private=True)
         _serve_all(llc, fill, confined)
+        assert llc._tags is None, "the cold fill was not stack-solved"
         replay(fill, confined)
         check("confined")
         assert (llc.tags[0, :, low:] == -1).all() and (llc.stamps[0, :, low:] == 0).all()
@@ -318,6 +401,25 @@ class TestStampZeroVictimRule:
         assert np.array_equal(llc.tags[0, :, :low], resident_before), "evicted before free ways ran out"
         assert llc.stats_for(0)[4] == evicted_before
 
+    def test_static_sweep_never_builds_the_image(self, monkeypatch):
+        """Disjoint way splits are all stack-solved: the sweep answers
+        stats and occupancy without ever allocating the per-way image."""
+
+        def _forbidden(self):
+            raise AssertionError("run_static_sweep materialised the LLC image")
+
+        monkeypatch.setattr(GroupedLLC, "_image", _forbidden)
+        store = TraceStore(None, mode="memory")
+        mix = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
+        W = SC.params().llc.ways
+        configs = [
+            (((0, (1 << k) - 1), (1, ((1 << W) - 1) ^ ((1 << k) - 1))), (0, 1, 0, 1))
+            for k in (1, 9, 19)
+        ]
+        kernel = build_batch_kernel(mix, SC, store, length=1024)
+        rows = run_static_sweep(kernel, configs, (0x0,) * 4, 1024)
+        assert all(row.llc_occupancy > 0 and row.llc_stats[0] > 0 for row in rows)
+
     def test_empty_allow_row_raises_like_the_scalar(self):
         """An all-False CAT row must not silently fill way 0."""
         allowed = np.ones((2, N_CPUS, GEOM.ways), dtype=bool)
@@ -335,16 +437,70 @@ class TestStampZeroVictimRule:
         assert llc.stats_for(0)[0] == stream.n
 
 
+_SWEEP_WAYS = SC.params().llc.ways
+_FULL = (1 << _SWEEP_WAYS) - 1
+#: CLOS 0 and 1 share ways 8-11 under the alternating layout.
+_OVERLAPPING = (((0, (1 << 12) - 1), (1, _FULL ^ 0xFF)), (0, 1, 0, 1))
+
+
+@st.composite
+def _disjoint_config(draw):
+    """One run's CAT: the four cores in 1-3 CLOS whose CBMs are
+    pairwise disjoint, each a contiguous run inside its own slice."""
+    n_clos = draw(st.integers(1, 3))
+    cuts = draw(st.lists(
+        st.integers(1, _SWEEP_WAYS - 1), min_size=n_clos - 1, max_size=n_clos - 1, unique=True
+    ))
+    bounds = [0, *sorted(cuts), _SWEEP_WAYS]
+    cbms = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        start = draw(st.integers(lo, hi - 1))
+        width = draw(st.integers(1, hi - start))
+        cbms.append(((1 << width) - 1) << start)
+    core_clos = tuple(draw(st.lists(st.integers(0, n_clos - 1), min_size=4, max_size=4)))
+    return tuple(enumerate(cbms)), core_clos
+
+
+def _assert_sweep_matches_scalar(mix, configs, masks, n_acc, store) -> None:
+    """Every row of one sweep equals its own scalar fast machine."""
+    kernel = build_batch_kernel(mix, SC, store, length=n_acc)
+    rows = run_static_sweep(kernel, configs, masks, n_acc)
+    for r, (clos_cbms, core_clos) in enumerate(configs):
+        ref = build_machine(mix, SC, trace_store=store)
+        for cpu, mask in enumerate(masks):
+            ref.prefetch_msr.set_mask(cpu, mask)
+        for clos, cbm in clos_cbms:
+            ref.cat.set_cbm(clos, cbm)
+        for cpu, clos in enumerate(core_clos):
+            ref.cat.assign_core(cpu, clos)
+        ref.run_accesses(n_acc)
+        assert np.array_equal(rows[r].pmu_counts, ref.pmu.counts), f"config {r}: pmu"
+        assert rows[r].wall_cycles == ref.pmu.wall_cycles, f"config {r}: wall"
+        rs = ref.llc.stats
+        assert rows[r].llc_stats == (
+            rs.accesses, rs.hits, rs.pref_fills, rs.pref_used, rs.pref_evicted_unused,
+        ), f"config {r}: llc stats"
+        assert rows[r].llc_occupancy == ref.llc.occupancy(), f"config {r}: occupancy"
+
+
+_MIX = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
+#: Three cores on the four-core machine: core 3 is idle.
+_IDLE_MIX = make_mixes("pref_no_agg", 1, n_cores=3, seed=2019)[0]
+
+
+@pytest.fixture(scope="module")
+def store():
+    return TraceStore(None, mode="memory")
+
+
 class TestStaticSweepVsScalar:
-    def test_one_way_and_overlapping_partitions(self):
+    def test_one_way_and_overlapping_partitions(self, store):
         """Every extreme of the static CAT space in one sweep — 1-way
         partitions at either end, nested and partially overlapping CBMs,
         a CLOS-0-only config that leaves ``core_clos`` to its default —
         against one scalar fast machine per configuration."""
-        store = TraceStore(None, mode="memory")
-        mix = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
-        W = SC.params().llc.ways
-        full = (1 << W) - 1
+        W = _SWEEP_WAYS
+        full = _FULL
         alternating = (0, 1, 0, 1)
         configs = [
             (((0, 0b1), (1, full ^ 0b1)), alternating),  # 1-way low partition
@@ -354,26 +510,28 @@ class TestStaticSweepVsScalar:
             (((0, 0b1110),), ()),  # every core left in a narrowed CLOS 0
             ((), ()),  # no CAT at all
         ]
-        masks = (0x0, 0xF, 0x5, 0x0)
-        n_acc = 3 * 512 + 256
-        kernel = build_batch_kernel(mix, SC, store, length=n_acc)
-        rows = run_static_sweep(kernel, configs, masks, n_acc)
-        for r, (clos_cbms, core_clos) in enumerate(configs):
-            ref = build_machine(mix, SC, trace_store=store)
-            for cpu, mask in enumerate(masks):
-                ref.prefetch_msr.set_mask(cpu, mask)
-            for clos, cbm in clos_cbms:
-                ref.cat.set_cbm(clos, cbm)
-            for cpu, clos in enumerate(core_clos):
-                ref.cat.assign_core(cpu, clos)
-            ref.run_accesses(n_acc)
-            assert np.array_equal(rows[r].pmu_counts, ref.pmu.counts), f"config {r}: pmu"
-            assert rows[r].wall_cycles == ref.pmu.wall_cycles, f"config {r}: wall"
-            rs = ref.llc.stats
-            assert rows[r].llc_stats == (
-                rs.accesses, rs.hits, rs.pref_fills, rs.pref_used, rs.pref_evicted_unused,
-            ), f"config {r}: llc stats"
-            assert rows[r].llc_occupancy == ref.llc.occupancy(), f"config {r}: occupancy"
+        _assert_sweep_matches_scalar(_MIX, configs, (0x0, 0xF, 0x5, 0x0), 3 * 512 + 256, store)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        configs=st.lists(_disjoint_config(), min_size=1, max_size=4),
+        idle=st.booleans(),
+        masks=st.sampled_from([(0x0,) * 4, (0xF,) * 4, (0x0, 0xF, 0x5, 0x0)]),
+        n_acc=st.sampled_from([300, 512 + 300, 3 * 512 + 256]),
+    )
+    @example(  # shared CLOS, 1-way partitions, the idle core 3 alone, < 1 quantum
+        configs=[
+            (((0, 0b1), (1, 0b10), (2, 1 << (_SWEEP_WAYS - 1))), (0, 0, 1, 2)),
+            (((0, _FULL),), (0, 0, 0, 0)),
+        ],
+        idle=True, masks=(0x0,) * 4, n_acc=300,
+    )
+    def test_drawn_disjoint_partitions_match_scalar(self, store, configs, idle, masks, n_acc):
+        """Drawn disjoint-CBM configs — the stack-solved shape — plus
+        one overlapping-CBM run in the same sweep (round loop), ragged
+        access counts included, each against its scalar fast machine."""
+        mix = _IDLE_MIX if idle else _MIX
+        _assert_sweep_matches_scalar(mix, [*configs, _OVERLAPPING], masks, n_acc, store)
 
     def test_invalid_cbm_rejected(self):
         store = TraceStore(None, mode="memory")

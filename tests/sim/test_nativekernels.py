@@ -328,6 +328,11 @@ class TestForcedFallback:
         reruns the affected runs on fresh pure-path machines and the
         results still match the native-off lane exactly."""
         specs = _specs(_mix("pref_agg"), MASKS["pf_mixed"], "cat", 3)
+        # Ways 8-11 shared by both CLOS: the stack-distance serve cannot
+        # take this row, so the compiled serve (and its failure) runs.
+        w = SC.params().llc.ways
+        overlap = ((0, (1 << 12) - 1), (1, ((1 << w) - 1) ^ 0xFF))
+        specs[1] = dataclasses.replace(specs[1], clos_cbms=overlap)
 
         monkeypatch.setenv(NATIVE_ENV, "off")
         nativekernels._reset_for_tests()
