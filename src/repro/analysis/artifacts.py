@@ -62,9 +62,7 @@ def _tidy_fig03(figure: dict, seed: int | None) -> TidyTable:
     b = TableBuilder(figure["figure"], extra_columns=("benchmark", "ways"))
     for row in figure["rows"]:
         bench = row["benchmark"]
-        # Sort numerically: the dict's order depends on whether the sweep
-        # came from memory or a JSON round-trip (which sorts "12" < "2").
-        for w, ipc in sorted(row["ipc_by_ways"].items(), key=lambda kv: int(kv[0])):
+        for w, ipc in row["ipc_by_ways"].items():
             b.add(metric="ipc", value=ipc, seed=seed, benchmark=bench, ways=int(w))
         b.add(metric="min_ways_90pct", value=row["min_ways_90pct"], seed=seed, benchmark=bench)
         b.add(metric="min_ways_80pct", value=row["min_ways_80pct"], seed=seed, benchmark=bench)

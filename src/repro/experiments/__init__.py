@@ -30,7 +30,6 @@ from repro.experiments.engine import (
     set_default_session,
 )
 from repro.experiments.runner import (
-    AloneCache,
     RunResult,
     WorkloadEval,
     build_machine,
@@ -40,7 +39,6 @@ __all__ = [
     "ScaleConfig",
     "get_scale",
     "SCALES",
-    "AloneCache",
     "BatchRunSpec",
     "BatchUnavailable",
     "ExperimentSession",

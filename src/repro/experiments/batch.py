@@ -326,6 +326,84 @@ def _payload(stats: RunStats) -> dict:
     }
 
 
+def compute_single_core_group(runs, trace_store) -> list[tuple[dict, float, list]]:
+    """Profile and alone runs of one scale on the single-core plane.
+
+    ``runs`` are :class:`~repro.experiments.engine.PlannedRun` rows of
+    kind ``profile`` or ``alone`` sharing one scale.  All their
+    simulations go through one :func:`repro.sim.singlecore.
+    run_single_core` call: a profile is an on row, an off row and one
+    row per way-sweep point, an alone run one row on the same trace
+    (its window is a prefix of the profile's on-pass).  Returns
+    ``(payload, seconds, answered)`` per run, payloads byte-identical to
+    the scalar ``_compute_profile`` / ``_compute_alone`` ones;
+    ``answered`` holds the ``(alone run, payload)`` of each profiled
+    benchmark with no alone run in ``runs``, for the session to store.
+    Raises :class:`BatchUnavailable` when the trace plane cannot serve a
+    benchmark.
+    """
+    from repro.experiments.engine import KIND_ALONE, KIND_PROFILE, PlannedRun, _profile_payload
+    from repro.sim.singlecore import ALL_OFF, SingleCoreRow, run_single_core
+    from repro.workloads.classify import PROFILE_QUANTUM, profile_from_samples, swept_ways
+
+    t0 = time.perf_counter()
+    sc = runs[0].sc
+    params = sc.params()
+    planned_alone = dict.fromkeys(r.bench for r in runs if r.kind == KIND_ALONE)
+    extra = {
+        r.bench: PlannedRun(KIND_ALONE, sc, bench=r.bench)
+        for r in runs if r.kind == KIND_PROFILE and r.bench not in planned_alone
+    }
+    rows: dict[SingleCoreRow, int] = {}
+
+    def row(bench: str, quantum: int, window: int, mask: int = 0x0, ways: int | None = None) -> int:
+        """A warm-up lap of ``window`` accesses, then a measured one."""
+        key = SingleCoreRow(bench, mask, ways, quantum, window, window)
+        return rows.setdefault(key, len(rows))
+
+    n = sc.profile_accesses
+    alone_row = {
+        bench: row(bench, sc.quantum, sc.alone_accesses) for bench in (*planned_alone, *extra)
+    }
+    profile_rows = {}
+    for r in runs:
+        if r.kind == KIND_PROFILE:
+            profile_rows[r] = (
+                row(r.bench, PROFILE_QUANTUM, n),
+                row(r.bench, PROFILE_QUANTUM, n, ALL_OFF),
+                {w: row(r.bench, PROFILE_QUANTUM, n, ways=w) for w in swept_ways(r.way_sweep, params)},
+            )
+    traces = {}
+    for bench in dict.fromkeys(key.trace for key in rows):
+        length = max(key.end for key in rows if key.trace == bench)
+        trace = trace_store.trace_for(
+            bench, llc_lines=params.llc.lines, base_line=0, seed=0, length=length
+        )
+        if trace is None or not hasattr(trace, "fork"):
+            raise BatchUnavailable(f"trace plane cannot serve {bench}")
+        traces[bench] = trace
+    samples = run_single_core(params, list(rows), traces)
+
+    def alone_payload(bench: str) -> dict:
+        return {"ipc": samples[alone_row[bench]].ipc(0)}
+
+    out = []
+    for r in runs:
+        if r.kind == KIND_ALONE:
+            payload, answered = alone_payload(r.bench), []
+        else:
+            on, off, ways = profile_rows[r]
+            payload = _profile_payload(profile_from_samples(
+                r.bench, params, samples[on], samples[off],
+                {w: samples[i] for w, i in ways.items()},
+            ))
+            x = extra.get(r.bench)
+            answered = [(x, alone_payload(r.bench))] if x is not None else []
+        out.append((payload, answered))
+    per_run = (time.perf_counter() - t0) / len(runs)
+    return [(payload, per_run, answered) for payload, answered in out]
+
+
 def compute_mechanism_group(runs, trace_store) -> list[tuple[dict, float]]:
     """Batch-execute a mix-affine group of planned mechanism runs.
 

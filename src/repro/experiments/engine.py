@@ -82,10 +82,10 @@ from repro.metrics.speedup import harmonic_speedup, weighted_speedup, worst_case
 from repro.platform.simulated import SimulatedPlatform
 from repro.sim import tracestore
 from repro.sim.engines import ENGINE_AUTO, ENGINE_BATCH, ENV_VAR, EngineSpec, get_engine
-from repro.sim.machine import CORE_ADDRESS_STRIDE_LINES, Machine
-from repro.workloads.classify import AloneProfile, profile_benchmark
+from repro.sim.machine import CORE_ADDRESS_STRIDE_LINES
+from repro.workloads.classify import AloneProfile, profile_benchmark, run_alone
 from repro.workloads.mixes import CATEGORIES, WorkloadMix, make_mixes
-from repro.workloads.speclike import BENCHMARKS, build_trace
+from repro.workloads.speclike import BENCHMARKS
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -294,36 +294,22 @@ def _compute_mechanism(run: PlannedRun) -> dict:
 
 def _compute_alone(run: PlannedRun) -> dict:
     sc = run.sc
-    params = sc.params()
-    m = Machine(params, quantum=sc.quantum)
-    view = tracestore.active_view()
-    trace = None
-    if view is not None:
-        trace = view.trace_for(
-            run.bench,
-            llc_lines=params.llc.lines,
-            base_line=m.core_base_line(0),
-            seed=0,
-            length=2 * sc.alone_accesses,
-        )
-    if trace is None:
-        trace = build_trace(
-            run.bench, llc_lines=params.llc.lines, base_line=m.core_base_line(0), seed=0
-        )
-    m.attach_trace(0, trace)
-    m.run_accesses(sc.alone_accesses)  # warm-up lap
-    snap = m.pmu.snapshot()
-    m.run_accesses(sc.alone_accesses)
-    sample = m.pmu.delta_since(snap)
-    return {"ipc": sample.ipc(0)}
+    m, snap = run_alone(
+        run.bench, sc.params(), sc.alone_accesses, quantum=sc.quantum,
+        warmup=sc.alone_accesses, trace_store=tracestore.active_view(),
+    )
+    return {"ipc": m.pmu.delta_since(snap).ipc(0)}
 
 
 def _compute_profile(run: PlannedRun) -> dict:
     sc = run.sc
-    prof = profile_benchmark(
+    return _profile_payload(profile_benchmark(
         run.bench, sc.params(), sc.profile_accesses, way_sweep=run.way_sweep,
         trace_store=tracestore.active_view(),
-    )
+    ))
+
+
+def _profile_payload(prof: AloneProfile) -> dict:
     return {
         "name": prof.name,
         "ipc_on": prof.ipc_on,
@@ -423,7 +409,23 @@ def _rehydrate_stats(payload: dict, traces: list[EpochTrace] | None = None) -> R
     )
 
 
+def _cache_record(r: PlannedRun, payload: dict, secs: float) -> dict:
+    """The :class:`ResultCache` entry for one computed run."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": r.kind,
+        "label": r.label,
+        "scale": r.sc.name,
+        "inputs": r.key_payload(),
+        "seconds": secs,
+        "payload": payload,
+    }
+
+
 def _rehydrate_profile(payload: dict) -> AloneProfile:
+    # Ways in numeric order: a payload replayed from disk has its keys in
+    # JSON's sorted string order ("12" < "2"), a fresh one in sweep order.
+    ways = sorted((int(w), ipc) for w, ipc in payload["ipc_by_ways"].items())
     return AloneProfile(
         name=payload["name"],
         ipc_on=payload["ipc_on"],
@@ -431,7 +433,7 @@ def _rehydrate_profile(payload: dict) -> AloneProfile:
         demand_bw_off_mbs=payload["demand_bw_off_mbs"],
         total_bw_on_mbs=payload["total_bw_on_mbs"],
         demand_bw_on_mbs=payload["demand_bw_on_mbs"],
-        ipc_by_ways={int(w): ipc for w, ipc in payload["ipc_by_ways"].items()},
+        ipc_by_ways=dict(ways),
     )
 
 
@@ -993,7 +995,11 @@ class ExperimentSession:
                     journal.record_started(key)
             journal.flush()
 
-        def finish(key: str, r: PlannedRun, payload: dict, secs: float) -> None:
+        def finish(key: str, r: PlannedRun, payload: dict, secs: float, answered=()) -> None:
+            """Persist and report one run.  ``answered`` are ``(run,
+            payload)`` pairs the same computation also produced (a
+            profile's on-pass answers its benchmark's alone run); each
+            is stored under its own key unless already cached."""
             nonlocal done
             # Decision traces are persisted beside the entry, never in
             # it: the stored payload stays byte-identical to pre-trace
@@ -1001,15 +1007,11 @@ class ExperimentSession:
             traces = payload.pop("traces", None)
             if traces is not None:
                 self.cache.put_traces(key, traces)
-            self.cache.put(key, {
-                "schema": SCHEMA_VERSION,
-                "kind": r.kind,
-                "label": r.label,
-                "scale": r.sc.name,
-                "inputs": r.key_payload(),
-                "seconds": secs,
-                "payload": payload,
-            })
+            self.cache.put(key, _cache_record(r, payload, secs))
+            for extra, extra_payload in answered:
+                extra_key = extra.key()
+                if extra_key not in self.cache:
+                    self.cache.put(extra_key, _cache_record(extra, extra_payload, 0.0))
             out[key] = payload
             done += 1
             self._note(RunRecord(key, r.kind, r.label, r.sc.name, secs, cached=False), done, total)
@@ -1058,42 +1060,54 @@ class ExperimentSession:
         return get_engine(name)
 
     def _execute_batched(self, misses, finish):
-        """Dispatch batchable mix-affine groups; return leftover misses.
+        """Dispatch batchable groups; return leftover misses.
 
-        A group of >= 2 mechanism misses sharing an affinity group and
-        scale executes through one shared batch kernel
-        (:func:`repro.experiments.batch.compute_mechanism_group`);
-        payloads are byte-identical to the per-run path.  Any failure
-        returns the whole group to the scalar loop, which retains the
-        retry semantics.
+        Two group shapes, payloads byte-identical to the per-run path:
+
+        * >= 2 mechanism misses sharing an affinity group and scale run
+          through one shared batch kernel
+          (:func:`repro.experiments.batch.compute_mechanism_group`);
+        * every profile miss of one scale, plus the alone misses beside
+          it, runs on the single-core plane
+          (:func:`repro.experiments.batch.compute_single_core_group`),
+          which also answers each profiled benchmark's alone run.
+          Alone misses with no profile beside them stay per-run.
+
+        Any failure returns the whole group to the scalar loop, which
+        retains the retry semantics, and counts a degradation.
         """
         spec = self._engine_spec()
         if not spec.batched or self.trace_store is None:
             return misses
-        from repro.experiments.batch import compute_mechanism_group
+        from repro.experiments.batch import compute_mechanism_group, compute_single_core_group
         from repro.sim.batch import note_degradation
 
         groups: dict[tuple, list[tuple[str, PlannedRun]]] = {}
         for key, r in misses:
-            g = (
-                (r.affinity_group, r.sc.name)
-                if r.kind == KIND_MECHANISM
-                else ("#single", key)
-            )
+            if r.kind == KIND_MECHANISM:
+                g = ("mix", r.affinity_group, r.sc.name)
+            elif r.kind in (KIND_PROFILE, KIND_ALONE):
+                g = ("single-core", r.sc)
+            else:
+                g = ("#single", key)
             groups.setdefault(g, []).append((key, r))
         remaining: list[tuple[str, PlannedRun]] = []
-        for grp in groups.values():
-            if len(grp) < 2:
-                remaining.extend(grp)
-                continue
+        for (shape, *_), grp in groups.items():
+            runs = [r for _, r in grp]
             try:
-                rows = compute_mechanism_group([r for _, r in grp], self.trace_store)
+                if shape == "mix" and len(grp) >= 2:
+                    rows = [(p, s, ()) for p, s in compute_mechanism_group(runs, self.trace_store)]
+                elif shape == "single-core" and any(r.kind == KIND_PROFILE for r in runs):
+                    rows = compute_single_core_group(runs, self.trace_store)
+                else:
+                    remaining.extend(grp)
+                    continue
             except Exception:
                 note_degradation()
                 remaining.extend(grp)
                 continue
-            for (key, r), (payload, secs) in zip(grp, rows):
-                finish(key, r, payload, secs)
+            for (key, r), (payload, secs, answered) in zip(grp, rows):
+                finish(key, r, payload, secs, answered)
         return remaining
 
     def _execute_serial(self, misses, finish, fail) -> None:
@@ -1341,33 +1355,18 @@ class ExperimentSession:
         mix: WorkloadMix,
         mechanisms: tuple[str, ...],
         sc: ScaleConfig | None = None,
-        *,
-        alone_cache=None,
     ):
-        """Baseline + mechanisms + alone runs -> a :class:`WorkloadEval`.
-
-        ``alone_cache`` injects a legacy :class:`AloneCache` for the
-        alone-IPC numbers; by default they come from this session's
-        store like every other run kind.
-        """
+        """Baseline + mechanisms + alone runs -> a :class:`WorkloadEval`."""
         sc = self._resolve(sc)
         mechs = tuple(m for m in dict.fromkeys(mechanisms) if m != "baseline")
-        plan: list[PlannedRun] = []
-        if alone_cache is None:
-            plan += [PlannedRun(KIND_ALONE, sc, bench=b) for b in dict.fromkeys(mix.benchmarks)]
+        alone_runs = {b: PlannedRun(KIND_ALONE, sc, bench=b) for b in dict.fromkeys(mix.benchmarks)}
         base_run = PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism="baseline")
         mech_runs = {m: PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism=m) for m in mechs}
-        plan.append(base_run)
-        plan.extend(mech_runs.values())
-        payloads = self.execute(plan)
+        payloads = self.execute([*alone_runs.values(), base_run, *mech_runs.values()])
 
         from repro.experiments.runner import RunResult
 
-        if alone_cache is not None:
-            alone = alone_cache.ipcs_for(mix, sc)
-        else:
-            keys = {b: PlannedRun(KIND_ALONE, sc, bench=b).key() for b in dict.fromkeys(mix.benchmarks)}
-            alone = np.array([payloads[keys[b]]["ipc"] for b in mix.benchmarks])
+        alone = np.array([payloads[alone_runs[b].key()]["ipc"] for b in mix.benchmarks])
         base = RunResult(mix, "baseline", _rehydrate_stats(payloads[base_run.key()]))
         runs = {
             m: RunResult(mix, m, _rehydrate_stats(payloads[pr.key()]))

@@ -9,10 +9,10 @@ Execution and caching live in :mod:`repro.experiments.engine`:
 an :class:`~repro.experiments.engine.ExperimentSession` deduplicates,
 parallelises and persists runs, and batch execution lives in
 :func:`repro.simulate_batch`.  This module keeps the result types
-(:class:`RunResult`, :class:`WorkloadEval`), the machine factory, and
-the injectable :class:`AloneCache`.  The pre-engine shims
-(``run_mechanism``, ``run_policy_object``, ``evaluate_workload``,
-``ALONE_CACHE``) were removed in 2.0 — see CHANGELOG.md.
+(:class:`RunResult`, :class:`WorkloadEval`) and the machine factory.
+The pre-engine shims (``run_mechanism``, ``run_policy_object``,
+``evaluate_workload``, ``ALONE_CACHE``) were removed in 2.0 and
+``AloneCache`` after 2.3.0 — see CHANGELOG.md.
 """
 
 from __future__ import annotations
@@ -133,39 +133,6 @@ class RunResult:
         """
         inst = self.stats.total(Event.INSTRUCTIONS)
         return 1000.0 * self.total_stalls / inst if inst > 0 else 0.0
-
-
-class AloneCache:
-    """Per-scale in-memory cache of alone-run IPCs (prefetchers on, full LLC).
-
-    Still usable standalone (and injectable into
-    :meth:`ExperimentSession.evaluate` via ``alone_cache=``), but
-    sessions supersede it: :meth:`ExperimentSession.alone_ipc`
-    persists the same measurement in the on-disk store.
-    """
-
-    def __init__(self) -> None:
-        self._cache: dict[tuple[str, str], float] = {}
-
-    def ipc(self, bench: str, sc: ScaleConfig) -> float:
-        key = (bench, sc.name)
-        if key not in self._cache:
-            self._cache[key] = self._measure(bench, sc)
-        return self._cache[key]
-
-    def ipcs_for(self, mix: WorkloadMix, sc: ScaleConfig) -> np.ndarray:
-        return np.array([self.ipc(b, sc) for b in mix.benchmarks])
-
-    def _measure(self, bench: str, sc: ScaleConfig) -> float:
-        params = sc.params()
-        m = Machine(params, quantum=sc.quantum)
-        trace = build_trace(bench, llc_lines=params.llc.lines, base_line=m.core_base_line(0), seed=0)
-        m.attach_trace(0, trace)
-        m.run_accesses(sc.alone_accesses)  # warm-up lap
-        snap = m.pmu.snapshot()
-        m.run_accesses(sc.alone_accesses)
-        sample = m.pmu.delta_since(snap)
-        return sample.ipc(0)
 
 
 @dataclass

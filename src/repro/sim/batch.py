@@ -455,9 +455,10 @@ def _lru_distances(line, vset, ways: int, n_sets: int):
     the previous request to ``line[i]``, capped at ``ways`` (a first
     touch is ``ways``).  One LRU stack of depth ``ways`` per set,
     advanced a whole occurrence round at a time; returns ``(d, stack)``
-    with each set's final stack, MRU first and -1 padded.
+    with each set's final stack, MRU first and -1 padded (in ``line``'s
+    dtype, so narrow lines keep the per-round gathers narrow).
     """
-    stack = np.full((n_sets, ways), -1, dtype=np.int64)
+    stack = np.full((n_sets, ways), -1, dtype=line.dtype)
     d = np.empty(len(line), dtype=np.int64)
     below = np.arange(1, ways)
     for ids in _occurrence_rounds(vset):

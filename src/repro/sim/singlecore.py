@@ -1,0 +1,311 @@
+"""Single-core plane: every alone run of a batch from shared passes.
+
+The paper's benchmark characterisation (Figs. 1-3) and the alone IPC
+behind every HS/WS/ANTT number are single-core runs: one benchmark on
+core 0, a prefetch mask, optionally a CAT way count, a warm-up and a
+measured window.  Run one by one, each re-simulates its trace on its
+own :class:`~repro.sim.machine.Machine`.  :func:`run_single_core`
+answers a whole batch of such rows from shared passes instead, and is
+bit-identical to the scalar runs:
+
+* **One core pass per (trace, mask).**  Core 0's private side never
+  reads the LLC, so every row over the same trace and mask sees the
+  same L1/L2 evolution; they differ only in LLC ways, quantum, warm-up
+  and window.  The pass runs over the longest member row and is
+  chunked at the union of every member's quantum boundaries and
+  warm-up split.  Chunking is exact: the kernel's per-access semantics
+  do not depend on where a chunk ends, every core counter is an
+  integer sum, and each row's quanta are whole runs of chunks.  A
+  shorter row over the same trace (an alone run inside a profile's
+  on-pass) is a prefix of the pass.
+* **Masks with a prefetcher on** advance one
+  :func:`repro.sim.batch._advance_image` call per chunk through the
+  unmodified scalar kernel.
+* **Mask 0xF** (every prefetcher off) makes no kernel call.  Without
+  prefetchers each private level is a plain allocate-on-miss LRU cache
+  over the stream below it — L1 over the line-collapsed demand stream,
+  L2 over the L1-miss stream — so LRU's stack property (Mattson et al.,
+  1970) gives every miss from one capped stack-distance pass per level.
+  All 0xF passes of a call share each level's pass as virtual sets.
+* **The LLC of every pass** is one more batched stack pass.  One core
+  requests, so an ``a``-way CAT allocation is an ``a``-way LRU cache of
+  the core's lines: a request hits iff its distance is ``< a``, and
+  every row's demand hits, demand fills and prefetch fills per chunk
+  come from one ``bincount`` per pass.
+* **Timing per row** folds the chunks into the row's quanta and runs
+  the scalar machine's per-quantum sequence — :func:`~repro.sim.
+  fastengine.apply_llc_tail`, :func:`~repro.sim.core_model.
+  solve_quantum`, the PMU adds — accumulating every counter over the
+  whole run and reporting total minus the warm-up snapshot, exactly as
+  ``Pmu.delta_since`` does (``CYCLES`` and ``INSTRUCTIONS`` are
+  non-integer, so a re-summed window would round differently).
+
+Rows must keep every boundary on the trace's burst alignment (all
+scales do), because only aligned chunkings replay one stream
+(:mod:`repro.sim.trace`); a row that does not raises ``ValueError``.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+from typing import Hashable, Mapping, NamedTuple, Sequence
+
+import numpy as np
+
+from repro.sim.batch import _advance_image, _fresh_bank, _LaneState, _lru_distances
+from repro.sim.core_model import QuantumCounts, solve_quantum
+from repro.sim.fastcache import FastCache
+from repro.sim.fastengine import apply_llc_tail
+from repro.sim.memory import DramModel
+from repro.sim.params import CacheGeometry, MachineParams
+from repro.sim.pmu import N_EVENTS, Event, PmuSample
+
+__all__ = ["ALL_OFF", "SingleCoreRow", "run_single_core"]
+
+#: The prefetch mask with all four prefetchers disabled.
+ALL_OFF = 0xF
+
+#: The core-phase PMU events, in the order a pass's chunk table keeps them.
+_CORE_EVENTS = [
+    int(e) for e in (
+        Event.L1_DM_REQ, Event.L1_DM_MISS, Event.L1_PREF_REQ, Event.L2_DM_REQ,
+        Event.L2_DM_MISS, Event.L2_PREF_REQ, Event.L2_PREF_MISS,
+    )
+]
+
+#: Requests and virtual sets per batched stack-distance pass.
+_SLICE = 1 << 19
+_SLICE_SETS = 1 << 13
+
+
+class SingleCoreRow(NamedTuple):
+    """One alone run: ``trace`` is a key into :func:`run_single_core`'s traces."""
+
+    trace: Hashable
+    mask: int
+    ways: int | None
+    quantum: int
+    warmup: int
+    n_accesses: int
+
+    def quantum_starts(self) -> list[int]:
+        """Where ``Machine.run_accesses(warmup)`` then ``(n_accesses)`` start each quantum."""
+        w, q = self.warmup, self.quantum
+        return list(chain(range(0, w, q), range(w, w + self.n_accesses, q)))
+
+    @property
+    def end(self) -> int:
+        return self.warmup + self.n_accesses
+
+
+class _Pass:
+    """One (trace, mask) core pass, chunked for every member row."""
+
+    def __init__(self, trace, mask: int, rows: list[SingleCoreRow]) -> None:
+        self.trace = trace
+        self.mask = mask
+        bounds = sorted({b for r in rows for b in (*r.quantum_starts(), r.end)} | {0})
+        align = trace.align
+        if any(b % align for b in bounds):
+            raise ValueError(f"single-core rows must chunk on the trace's {align}-access bursts")
+        self.bounds = np.asarray(bounds, dtype=np.int64)
+        self.sizes = np.diff(self.bounds)
+        # Per chunk: n_access, n_l2_hit_d, then the _CORE_EVENTS counts.
+        self.core = np.zeros((len(self.sizes), 2 + len(_CORE_EVENTS)), dtype=np.int64)
+        self.core[:, 0] = self.sizes
+        # The LLC request stream: line, prefetch flag, chunk.
+        self.llc_line = self.llc_pref = self.llc_chunk = None
+        # (chunks, ways + 1) counts of demand / prefetch requests with
+        # LLC stack distance <= column.
+        self.dem_le = self.pref_le = None
+
+    def chunk_of(self, pos: np.ndarray) -> np.ndarray:
+        return (np.searchsorted(self.bounds, pos, side="right") - 1).astype(np.int32)
+
+    def run_kernel(self, params: MachineParams) -> None:
+        """Advance the scalar kernel chunk by chunk on a fresh core image."""
+        st = _LaneState(
+            FastCache(params.l1), FastCache(params.l2), _fresh_bank(params), self.trace.fork(0)
+        )
+        scratch = np.zeros((1, N_EVENTS), dtype=np.float64)
+        reqs: list[np.ndarray] = []
+        for c, size in enumerate(self.sizes.tolist()):
+            qc, req, pmu_row, _ipm, _mlp = _advance_image(st, size, self.mask, scratch)
+            self.core[c, 1] = qc.n_l2_hit_d
+            self.core[c, 2:] = pmu_row[_CORE_EVENTS]
+            # As an array at once: a pass's requests as Python ints
+            # would leave the heap fragmented for the rest of the process.
+            reqs.append(np.array(req, dtype=np.int64))
+        lens = [len(r) for r in reqs]
+        enc = np.concatenate(reqs)
+        del reqs
+        self.llc_pref = enc < 0
+        self.llc_line = np.where(self.llc_pref, ~enc, enc)
+        self.llc_chunk = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
+
+
+def _distances(streams: list[np.ndarray], geom: CacheGeometry) -> list[np.ndarray]:
+    """Capped LRU stack distance of every request of every stream.
+
+    Each stream is its own cache of ``geom``'s shape: stream ``k`` of a
+    batch owns virtual sets ``k*S .. k*S+S-1``, so one
+    :func:`repro.sim.batch._lru_distances` pass (a round per occurrence
+    rank, as wide as every stream's sets together) serves them all.
+    Batches take streams in length order, so a batch's round count is
+    set by streams of like length, and are capped at :data:`_SLICE`
+    requests and :data:`_SLICE_SETS` sets so each round's columns stay
+    a few MB.
+    """
+    S, W = geom.sets, geom.ways
+    out: list[np.ndarray] = [None] * len(streams)  # type: ignore[list-item]
+    order = sorted(range(len(streams)), key=lambda k: len(streams[k]))
+    start = 0
+    while start < len(order):
+        stop, total = start + 1, len(streams[order[start]])
+        while (
+            stop < len(order)
+            and total + len(streams[order[stop]]) <= _SLICE
+            and (stop - start + 1) * S <= _SLICE_SETS
+        ):
+            total += len(streams[order[stop]])
+            stop += 1
+        batch = order[start:stop]
+        counts = [len(streams[k]) for k in batch]
+        line = np.concatenate([streams[k] for k in batch])
+        if len(line) and line.min() >= 0 and line.max() < 2**31:
+            line = line.astype(np.int32)
+        vset = (line & (S - 1)).astype(np.int32)
+        vset += np.repeat(np.arange(len(batch), dtype=np.int32) * S, counts)
+        d, _ = _lru_distances(line, vset, W, len(batch) * S)
+        del line, vset
+        d = d.astype(np.int8 if W < 127 else np.int32)
+        for k, dk in zip(batch, np.split(d, np.cumsum(counts)[:-1])):
+            out[k] = dk
+        start = stop
+    return out
+
+
+def _cascade(passes: list[_Pass], params: MachineParams) -> None:
+    """Every 0xF pass's core side as an L1 -> L2 stack-distance cascade.
+
+    A repeat of the previous access's line is an L1 hit at distance 0
+    and leaves every stack as it was, so L1 runs over the collapsed
+    stream; a level's misses (distance = ways) are the next level's
+    stream, and the L2 misses are the LLC's demand stream.
+    """
+    pos: list[np.ndarray] = []
+    lines: list[np.ndarray] = []
+    for p in passes:
+        ln = p.trace.fork(0).chunk(int(p.bounds[-1]))[1]
+        keep = np.flatnonzero(np.r_[True, ln[1:] != ln[:-1]]).astype(np.int32)
+        pos.append(keep)
+        lines.append(ln)
+    for geom, col in ((params.l1, 3), (params.l2, 6)):
+        d = _distances([ln[k] for ln, k in zip(lines, pos)], geom)
+        pos = [k[dk == geom.ways] for k, dk in zip(pos, d)]
+        del d
+        for p, k in zip(passes, pos):
+            p.core[:, col] = np.bincount(p.chunk_of(k), minlength=len(p.sizes))
+    for p, k, ln in zip(passes, pos, lines):
+        l1_miss, l2_miss = p.core[:, 3], p.core[:, 6]
+        p.core[:, 1] = l1_miss - l2_miss   # n_l2_hit_d
+        p.core[:, 2] = p.sizes             # L1_DM_REQ
+        p.core[:, 5] = l1_miss             # L2_DM_REQ
+        p.llc_line = ln[k]
+        p.llc_pref = np.zeros(len(k), dtype=bool)
+        p.llc_chunk = p.chunk_of(k)
+
+
+def _serve_llc(passes: list[_Pass], geom: CacheGeometry) -> None:
+    """Every pass's LLC in one batched stack pass: per-chunk distance tables."""
+    W = geom.ways
+    for p, d in zip(passes, _distances([p.llc_line for p in passes], geom)):
+        size = len(p.sizes) * (W + 1)
+        key = p.llc_chunk * (W + 1) + d
+        p.dem_le, p.pref_le = (
+            np.bincount(key[sel], minlength=size).reshape(-1, W + 1).cumsum(axis=1)
+            for sel in (~p.llc_pref, p.llc_pref)
+        )
+        p.llc_line = p.llc_pref = p.llc_chunk = None
+
+
+def _time_row(params: MachineParams, p: _Pass, row: SingleCoreRow) -> PmuSample:
+    """One row's PMU delta: the scalar machine's per-quantum sequence."""
+    W = params.llc.ways
+    a = W if row.ways is None else min(max(int(row.ways), 1), W)
+    starts = row.quantum_starts()
+    first = np.searchsorted(p.bounds, starts)
+    n_chunks = int(np.searchsorted(p.bounds, row.end))
+    hits = p.dem_le[:n_chunks, a - 1]
+    cols = np.column_stack((
+        p.core[:n_chunks],
+        hits,
+        p.dem_le[:n_chunks, W] - hits,
+        p.pref_le[:n_chunks, W] - p.pref_le[:n_chunks, a - 1],
+    ))
+    quanta = np.add.reduceat(cols, first, axis=0).tolist() if starts else []
+    n_warm = len(range(0, row.warmup, row.quantum))
+
+    ipm = float(p.trace.inst_per_mem)
+    mlp = float(p.trace.mlp)
+    line_bytes = float(params.line_bytes)
+    dram = DramModel(params)
+    pmu = np.zeros((1, N_EVENTS), dtype=np.float64)
+    wall = 0.0
+    snap = None
+    for j, (n_acc, l2_hit, *core, hit_d, mem_d, pref_m) in enumerate(quanta):
+        if j == n_warm:
+            snap = pmu.copy(), wall
+        qc = QuantumCounts(n_access=n_acc, n_l2_hit_d=l2_hit)
+        pmu[0, _CORE_EVENTS] += core
+        apply_llc_tail(qc, pmu, 0, hit_d, mem_d, pref_m, line_bytes)
+        # Only core 0 runs: idle cores add exact zeros to every sum of
+        # the solve, so solving core 0 alone is the machine's solve.
+        timing = solve_quantum(params, dram, [qc], [ipm], [mlp], [True])
+        pmu[0, Event.INSTRUCTIONS] += n_acc * (1.0 + ipm)
+        pmu[0, Event.CYCLES] += timing.cycles[0]
+        pmu[0, Event.STALLS_L2_PENDING] += timing.stalls_l2_pending[0]
+        pmu[0, Event.MEM_DEMAND_BYTES] += qc.demand_bytes
+        pmu[0, Event.MEM_PREF_BYTES] += qc.pref_bytes
+        dram.account(qc.demand_bytes, qc.pref_bytes)
+        wall += timing.machine_cycles
+    if snap is None:
+        snap = pmu.copy(), wall
+    deltas = np.zeros((params.n_cores, N_EVENTS), dtype=np.float64)
+    deltas[0] = pmu[0] - snap[0][0]
+    return PmuSample(deltas, wall - snap[1])
+
+
+def run_single_core(
+    params: MachineParams,
+    rows: Sequence[SingleCoreRow],
+    traces: Mapping[Hashable, object],
+) -> list[PmuSample]:
+    """Each row's PMU delta over its measured window, from shared passes.
+
+    ``traces`` maps each row's ``trace`` key to a forkable
+    :class:`~repro.sim.tracestore.MaterializedTrace` of core 0 (base
+    line 0).  Row ``i``'s result equals ``Pmu.delta_since`` of a fresh
+    scalar machine with quantum ``rows[i].quantum`` that set the mask
+    and, if ``ways`` is set, a ``ways``-way low CBM for core 0, ran
+    ``warmup`` accesses, took a snapshot and ran ``n_accesses`` more.
+    """
+    members: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        members.setdefault((row.trace, row.mask), []).append(i)
+    passes = {
+        key: _Pass(traces[key[0]], key[1], [rows[i] for i in idx])
+        for key, idx in members.items()
+    }
+    for p in passes.values():
+        if p.mask != ALL_OFF:
+            p.run_kernel(params)
+    off = [p for p in passes.values() if p.mask == ALL_OFF]
+    if off:
+        _cascade(off, params)
+    _serve_llc(list(passes.values()), params.llc)
+    out: list[PmuSample] = [None] * len(rows)  # type: ignore[list-item]
+    for key, idx in members.items():
+        for i in idx:
+            out[i] = _time_row(params, passes[key], rows[i])
+    return out

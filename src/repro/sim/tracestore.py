@@ -183,6 +183,11 @@ class MaterializedTrace:
     def pos(self) -> int:
         return self._pos
 
+    @property
+    def align(self) -> int:
+        """Chunk sizes that keep the zero-copy replay exact (the burst length)."""
+        return self._align
+
     def footprint_lines(self) -> int:
         return self._footprint
 

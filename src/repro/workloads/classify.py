@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.sim.cat import low_ways_mask
 from repro.sim.machine import Machine
 from repro.sim.params import MachineParams
-from repro.sim.pmu import Event
+from repro.sim.pmu import Event, PmuSample
 from repro.workloads.speclike import BenchmarkSpec, benchmark, build_trace
 
 #: Paper thresholds.
@@ -34,6 +34,15 @@ LLC_SENSITIVE_MIN_WAYS = 8
 LLC_SENSITIVE_PERF_FRAC = 0.80
 
 DEFAULT_WAY_SWEEP = (1, 2, 4, 6, 8, 12, 16, 20)
+
+#: The quantum every profile run uses, whatever the scale's own quantum
+#: (alone runs use the scale's: 512 at tiny).  The two never need to be
+#: realigned for one simulation to serve both: the single-core plane
+#: (:mod:`repro.sim.singlecore`) chunks a shared pass at the union of
+#: every row's quantum boundaries and warm-up split, and per-quantum
+#: counters are exact sums of their chunks', so every row keeps its own
+#: quanta and no result digest changes.
+PROFILE_QUANTUM = 1024
 
 
 @dataclass
@@ -83,7 +92,7 @@ def run_alone(
     seed: int = 0,
     prefetch_mask: int = 0x0,
     ways: int | None = None,
-    quantum: int = 1024,
+    quantum: int = PROFILE_QUANTUM,
     warmup: int = 0,
     trace_store=None,
 ) -> tuple[Machine, tuple]:
@@ -125,16 +134,42 @@ def run_alone(
     return m, snap
 
 
-def _ipc_and_bw(m: Machine, snap) -> tuple[float, float, float]:
-    sample = m.pmu.delta_since(snap)
+def _ipc_and_bw(sample: PmuSample, params: MachineParams) -> tuple[float, float, float]:
     cyc = sample.get(0, Event.CYCLES)
     if cyc <= 0:
         return 0.0, 0.0, 0.0
     ipc = sample.get(0, Event.INSTRUCTIONS) / cyc
-    secs = cyc / m.params.cycles_per_second
+    secs = cyc / params.cycles_per_second
     demand_mbs = sample.get(0, Event.MEM_DEMAND_BYTES) / secs / 1e6
     pref_mbs = sample.get(0, Event.MEM_PREF_BYTES) / secs / 1e6
     return ipc, demand_mbs, demand_mbs + pref_mbs
+
+
+def profile_from_samples(
+    name: str,
+    params: MachineParams,
+    on: PmuSample,
+    off: PmuSample,
+    by_ways: dict[int, PmuSample],
+) -> AloneProfile:
+    """An :class:`AloneProfile` from its runs' measured-window PMU deltas.
+
+    ``on``/``off`` are the prefetchers-on/off runs and ``by_ways`` the
+    way-sweep runs, however they were simulated (scalar machines in
+    :func:`profile_benchmark`, the single-core plane in the experiment
+    engine).
+    """
+    ipc_on, demand_on, total_on = _ipc_and_bw(on, params)
+    ipc_off, demand_off, _ = _ipc_and_bw(off, params)
+    return AloneProfile(
+        name=name,
+        ipc_on=ipc_on,
+        ipc_off=ipc_off,
+        demand_bw_off_mbs=demand_off,
+        total_bw_on_mbs=total_on,
+        demand_bw_on_mbs=demand_on,
+        ipc_by_ways={w: _ipc_and_bw(s, params)[0] for w, s in by_ways.items()},
+    )
 
 
 def profile_benchmark(
@@ -156,37 +191,25 @@ def profile_benchmark(
         spec = benchmark(spec)
     if warmup is None:
         warmup = n_accesses
-    m_on, s_on = run_alone(
-        spec, params, n_accesses, seed=seed, prefetch_mask=0x0, warmup=warmup,
-        trace_store=trace_store,
-    )
-    ipc_on, demand_on, total_on = _ipc_and_bw(m_on, s_on)
-    m_off, s_off = run_alone(
-        spec, params, n_accesses, seed=seed, prefetch_mask=0xF, warmup=warmup,
-        trace_store=trace_store,
-    )
-    ipc_off, demand_off, _ = _ipc_and_bw(m_off, s_off)
 
-    ipc_by_ways: dict[int, float] = {}
-    if way_sweep:
-        for w in way_sweep:
-            if w > params.llc.ways:
-                continue
-            m_w, s_w = run_alone(
-                spec, params, n_accesses, seed=seed, ways=w, warmup=warmup,
-                trace_store=trace_store,
-            )
-            ipc_by_ways[w], _, _ = _ipc_and_bw(m_w, s_w)
+    def measure(**kw) -> PmuSample:
+        m, snap = run_alone(
+            spec, params, n_accesses, seed=seed, warmup=warmup, trace_store=trace_store, **kw
+        )
+        return m.pmu.delta_since(snap)
 
-    return AloneProfile(
-        name=spec.name,
-        ipc_on=ipc_on,
-        ipc_off=ipc_off,
-        demand_bw_off_mbs=demand_off,
-        total_bw_on_mbs=total_on,
-        demand_bw_on_mbs=demand_on,
-        ipc_by_ways=ipc_by_ways,
+    return profile_from_samples(
+        spec.name,
+        params,
+        measure(prefetch_mask=0x0),
+        measure(prefetch_mask=0xF),
+        {w: measure(ways=w) for w in swept_ways(way_sweep, params)},
     )
+
+
+def swept_ways(way_sweep: tuple[int, ...] | None, params: MachineParams) -> list[int]:
+    """The way-sweep points a profile measures: those the LLC has."""
+    return [w for w in way_sweep or () if w <= params.llc.ways]
 
 
 def classify(profile: AloneProfile) -> MeasuredClass:

@@ -87,8 +87,17 @@ class TestTidyConversion:
         assert t.values("value", core=0, metric="M3_l2_ptr") == [1000.0]
 
     def test_fig03_unrolls_ways_numerically_sorted(self):
+        from repro.experiments.engine import _rehydrate_profile
+
+        # A profile replayed from disk holds its ways in JSON's string
+        # order; rehydration hands the figure numeric order.
+        prof = _rehydrate_profile({
+            "name": "b", "ipc_on": 1.0, "ipc_off": 1.0, "demand_bw_off_mbs": 0.0,
+            "total_bw_on_mbs": 0.0, "demand_bw_on_mbs": 0.0,
+            "ipc_by_ways": {"12": 1.2, "2": 0.5, "4": 0.8},
+        })
         fig = {"figure": "fig03", "rows": [
-            {"benchmark": "b", "ipc_by_ways": {"12": 1.2, "2": 0.5, "4": 0.8},
+            {"benchmark": "b", "ipc_by_ways": dict(prof.ipc_by_ways),
              "min_ways_90pct": 12, "min_ways_80pct": 4}]}
         t = figure_table(fig)
         ipc = t.filter(metric="ipc")

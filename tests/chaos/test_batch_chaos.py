@@ -15,8 +15,14 @@ import pytest
 
 from repro.experiments import batch as B
 from repro.experiments.batch import BatchRunSpec, simulate_batch
-from repro.experiments.config import TINY, ScaleConfig
-from repro.experiments.engine import KIND_MECHANISM, ExperimentSession, PlannedRun
+from repro.experiments.config import ScaleConfig
+from repro.experiments.engine import (
+    KIND_ALONE,
+    KIND_MECHANISM,
+    KIND_PROFILE,
+    ExperimentSession,
+    PlannedRun,
+)
 from repro.sim.tracestore import TraceStore
 from repro.workloads.mixes import make_mixes
 
@@ -161,6 +167,37 @@ class TestSessionGroupFailureFallback:
         degraded = ExperimentSession(
             cache_dir=None, max_workers=1, trace_cache="memory"
         ).execute(runs)
+        assert healthy.keys() == degraded.keys()
+        for key in healthy:
+            assert json.dumps(healthy[key], sort_keys=True) == json.dumps(
+                degraded[key], sort_keys=True
+            )
+
+    def test_raising_single_core_group_degrades_bit_identically(self, monkeypatch):
+        """A single-core plane that raises sends its profile and alone
+        runs to the per-run rung: same payloads, one counted degradation."""
+        from repro.sim import singlecore
+        from repro.sim.batch import degradation_count
+
+        sc = dataclasses.replace(SC, profile_accesses=2048, alone_accesses=1024)
+        runs = [
+            PlannedRun(KIND_PROFILE, sc, bench="rand_access", way_sweep=(1, 4)),
+            PlannedRun(KIND_PROFILE, sc, bench="429.mcf"),
+            PlannedRun(KIND_ALONE, sc, bench="410.bwaves"),
+        ]
+        healthy = ExperimentSession(
+            cache_dir=None, max_workers=1, trace_cache="memory"
+        ).execute(runs)
+
+        def bomb(*a, **kw):
+            raise RuntimeError("injected single-core plane failure")
+
+        monkeypatch.setattr(singlecore, "run_single_core", bomb)
+        before = degradation_count()
+        degraded = ExperimentSession(
+            cache_dir=None, max_workers=1, trace_cache="memory"
+        ).execute(runs)
+        assert degradation_count() == before + 1
         assert healthy.keys() == degraded.keys()
         for key in healthy:
             assert json.dumps(healthy[key], sort_keys=True) == json.dumps(

@@ -354,13 +354,16 @@ class TestEvaluate:
         other = ExperimentSession(cache_dir=None, max_workers=1).evaluate(mix, ("pt",), SC)
         assert ev.metrics == other.metrics
 
-    def test_injected_alone_cache_is_used(self, session, mix):
-        from repro.experiments.runner import AloneCache
+    def test_alone_ipcs_match_run_alone(self, session, mix):
+        from repro.workloads.classify import run_alone
 
-        cache = AloneCache()
-        ev = session.evaluate(mix, ("pt",), SC, alone_cache=cache)
-        assert len(cache._cache) == len(dict.fromkeys(mix.benchmarks))
-        np.testing.assert_array_equal(ev.alone_ipc, cache.ipcs_for(mix, SC))
+        ipcs = session.alone_ipcs(mix, SC)
+        for bench, ipc in zip(mix.benchmarks, ipcs):
+            m, snap = run_alone(
+                bench, SC.params(), SC.alone_accesses, quantum=SC.quantum,
+                warmup=SC.alone_accesses,
+            )
+            assert ipc == m.pmu.delta_since(snap).ipc(0)
 
     def test_fairness_columns_ride_along(self, session, mix):
         from repro.analysis.stats import fair_slowdown, unfairness
@@ -443,6 +446,18 @@ class TestProfiles:
         assert a.ipc_on == b.ipc_on > 0
         assert set(a.ipc_by_ways) == {1, 2}
         assert isinstance(next(iter(b.ipc_by_ways)), int)
+
+    def test_way_order_survives_a_disk_replay(self, tmp_path):
+        from repro.workloads.classify import DEFAULT_WAY_SWEEP
+
+        sc = dataclasses.replace(SC, profile_accesses=2048)
+        fresh = ExperimentSession(cache_dir=tmp_path / "c", max_workers=1).profile(
+            "453.povray", sc, way_sweep=DEFAULT_WAY_SWEEP
+        )
+        replay = ExperimentSession(cache_dir=tmp_path / "c", max_workers=1)
+        replayed = replay.profile("453.povray", sc, way_sweep=DEFAULT_WAY_SWEEP)
+        assert [r.cached for r in replay.records] == [True]
+        assert list(replayed.ipc_by_ways) == list(fresh.ipc_by_ways) == sorted(DEFAULT_WAY_SWEEP)
 
     def test_way_sweep_part_of_key(self, session):
         sc = dataclasses.replace(SC, profile_accesses=4096)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments.config import TINY
 from repro.experiments.engine import default_session, run
-from repro.experiments.runner import AloneCache, build_machine
+from repro.experiments.runner import build_machine
 from repro.workloads.mixes import make_mixes
 
 # A deliberately small scale for unit testing the plumbing.
@@ -24,11 +24,6 @@ def mix():
     return make_mixes("pref_agg", 1, seed=2019)[0]
 
 
-@pytest.fixture(scope="module")
-def cache():
-    return AloneCache()
-
-
 class TestBuildMachine:
     def test_one_trace_per_core(self, mix):
         m = build_machine(mix, SC)
@@ -39,20 +34,6 @@ class TestBuildMachine:
         sc = dataclasses.replace(SC, n_cores=4)
         with pytest.raises(ValueError):
             build_machine(big, sc)
-
-
-class TestAloneCache:
-    def test_positive_and_cached(self, cache):
-        a = cache.ipc("410.bwaves", SC)
-        b = cache.ipc("410.bwaves", SC)
-        assert a > 0
-        assert a == b
-        assert len(cache._cache) == 1
-
-    def test_ipcs_for_mix(self, cache, mix):
-        arr = cache.ipcs_for(mix, SC)
-        assert arr.shape == (8,)
-        assert (arr > 0).all()
 
 
 class TestRun:
@@ -74,8 +55,8 @@ class TestRun:
 
 class TestSessionEvaluate:
     @pytest.fixture(scope="class")
-    def ev(self, mix, cache):
-        return default_session().evaluate(mix, ("pt",), SC, alone_cache=cache)
+    def ev(self, mix):
+        return default_session().evaluate(mix, ("pt",), SC)
 
     def test_baseline_metrics_are_identity(self, ev):
         m = ev.metrics["baseline"]
