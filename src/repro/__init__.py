@@ -101,7 +101,7 @@ from repro.sim.machine import Machine
 from repro.sim.params import MachineParams, default_params, scaled_params
 from repro.workloads.mixes import WorkloadMix, all_mixes, make_mixes
 
-__version__ = "2.2.0"
+__version__ = "3.0.0"
 
 #: Exported through ``__getattr__`` (PEP 562): the service tier imports
 #: asyncio and the HTTP client, which ``import repro`` and every CLI

@@ -387,13 +387,6 @@ def cmd_trace(args) -> int:
     else:
         print(render_trace_timeline(
             traces, title=f"{mix.name} / {args.mechanism} @ {sc.name}"))
-        from repro.sim import profiling
-
-        if profiling.ON and profiling.snapshot():
-            print()
-            print("kernel profile (this process):")
-            for line in profiling.summary_lines():
-                print(f"  {line}")
     return 0
 
 
@@ -515,16 +508,6 @@ def cmd_cache(args) -> int:
 
     print("batch engine:")
     print(f"  degradations: {degradation_count()}")
-    from repro.sim import nativekernels
-
-    status = nativekernels.tier_status()
-    print("native kernels:")
-    print(f"  numba    : {status['numba'] or 'not installed'}")
-    print(f"  mode     : {status['mode']}")
-    print(f"  enabled  : {status['enabled']}")
-    print(f"  fallbacks: {status['fallbacks']}")
-    if status["disabled_reason"]:
-        print(f"  disabled : {status['disabled_reason']}")
     return 0
 
 

@@ -48,7 +48,6 @@ from repro.core.pipeline import RECOVERABLE, ActuateStage
 from repro.core.policy_base import Policy
 from repro.core.trace import EpochTrace, config_summary
 from repro.platform.base import Platform
-from repro.sim import profiling
 from repro.sim.msr import PF_ALL_ON
 from repro.sim.pmu import Event, PmuSample
 
@@ -149,14 +148,6 @@ class RunStats:
     #: bit-identical either way — this only records that the fast path
     #: was lost.
     batch_degradations: int = 0
-    #: Native-kernel-tier fallbacks attributed to this run (compiled
-    #: tier requested but unavailable; see repro.sim.nativekernels).
-    #: Results are bit-identical either way, like batch_degradations.
-    native_fallbacks: int = 0
-    #: Per-phase kernel timing for this run, ``{phase: {"seconds",
-    #: "calls"}}``; populated only when $REPRO_KERNEL_PROFILE is on
-    #: (see repro.sim.profiling), empty otherwise.
-    kernel_profile: dict = field(default_factory=dict)
 
     def add(self, sample: PmuSample) -> None:
         if self.totals is None:
@@ -386,9 +377,6 @@ class CMMController:
     def run(self, n_epochs: int) -> RunStats:
         if n_epochs < 1:
             raise ValueError("need at least one epoch")
-        if profiling.ON:
-            prof_start = profiling.snapshot()
-            wall_start = profiling.clock()
         stats = RunStats(self.platform.n_cores, self.platform.cycles_per_second)
         self._validator = SampleValidator(
             SampleValidationConfig(staleness_limit=self.resilience.staleness_limit)
@@ -412,17 +400,4 @@ class CMMController:
         degradations = getattr(self.platform, "batch_degradations", None)
         if callable(degradations):
             stats.batch_degradations = int(degradations())
-        native = getattr(self.platform, "native_fallbacks", None)
-        if callable(native):
-            stats.native_fallbacks = int(native())
-        if profiling.ON:
-            profile = profiling.delta_since(prof_start)
-            kernel_s = sum(d["seconds"] for d in profile.values())
-            # Run wall time not spent in any simulation kernel: the
-            # controller's own decision/bookkeeping overhead.
-            profile["controller"] = {
-                "seconds": max(0.0, profiling.clock() - wall_start - kernel_s),
-                "calls": n_epochs,
-            }
-            stats.kernel_profile = profile
         return stats

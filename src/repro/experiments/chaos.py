@@ -56,8 +56,6 @@ class ChaosReport:
     trace_fallbacks: int = 0
     #: Batch-engine lockstep degradations the run took (RunStats passthrough).
     batch_degradations: int = 0
-    #: Native-kernel-tier fallbacks the run took (RunStats passthrough).
-    native_fallbacks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -71,8 +69,7 @@ class ChaosReport:
             f"{self.scenario} seed={self.seed}: {self.epochs_completed}/"
             f"{self.epochs_requested} epochs, {faults} faults injected, "
             f"{self.failures} failures, {self.trace_fallbacks} trace fallbacks, "
-            f"{self.batch_degradations} batch degradations, "
-            f"{self.native_fallbacks} native fallbacks, {state} — {verdict}"
+            f"{self.batch_degradations} batch degradations, {state} — {verdict}"
         )
 
 
@@ -140,7 +137,6 @@ def run_chaos_scenario(
         stats=stats,
         trace_fallbacks=stats.trace_fallbacks,
         batch_degradations=stats.batch_degradations,
-        native_fallbacks=stats.native_fallbacks,
     )
 
 

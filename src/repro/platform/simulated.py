@@ -60,7 +60,3 @@ class SimulatedPlatform(Platform):
     def batch_degradations(self) -> int:
         """Batch-engine degradations attributed to this machine's run."""
         return self.machine.batch_degradations()
-
-    def native_fallbacks(self) -> int:
-        """Native-kernel-tier fallbacks attributed to this machine's run."""
-        return self.machine.native_fallbacks()

@@ -17,7 +17,6 @@ from repro.sim.cache import Cache, PartitionedCache
 from repro.sim.engines import (
     ENGINE_BATCH,
     ENGINE_FAST,
-    ENGINE_NATIVE,
     ENGINE_REFERENCE,
     EngineSelectionError,
     EngineSpec,
@@ -41,7 +40,6 @@ __all__ = [
     "FastPartitionedCache",
     "ENGINE_BATCH",
     "ENGINE_FAST",
-    "ENGINE_NATIVE",
     "ENGINE_REFERENCE",
     "EngineSelectionError",
     "EngineSpec",

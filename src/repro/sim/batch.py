@@ -19,11 +19,10 @@ One per core.  Private-core state lives in **lanes** — a lane is a
 step partitions a lane's runs by their per-run prefetch mask (the only
 divergence axis), clones the live image per partition, advances each
 image once with the unmodified scalar kernel
-(:func:`repro.sim.fastengine.run_core_chunk`, or its compiled
-transcription when :func:`repro.sim.nativekernels.kernels_enabled`),
-and re-merges lanes whose images become bitwise equal again
-(order-sensitive dict comparison: CPython preserves insertion order,
-which *is* the LRU/FIFO order the kernels evict by).  A lane's advance
+(:func:`repro.sim.fastengine.run_core_chunk`), and re-merges lanes
+whose images become bitwise equal again (order-sensitive dict
+comparison: CPython preserves insertion order, which *is* the LRU/FIFO
+order the kernels evict by).  A lane's advance
 yields a :class:`_LaneEdge`, the core phase's entire observable output
 for that quantum —
 
@@ -89,7 +88,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.sim import fastengine, nativekernels, profiling
+from repro.sim import fastengine
 from repro.sim.cat import CatController, full_mask
 from repro.sim.core_model import QuantumCounts, solve_quantum
 from repro.sim.engines import ENGINE_BATCH
@@ -197,8 +196,6 @@ def _fresh_bank(p: MachineParams) -> PrefetcherBank:
 
 def _clone_image(params: MachineParams, st, trace):
     """Deep-copy a lane image's private-core state onto a given trace fork."""
-    if isinstance(st, nativekernels.NativeLaneState):
-        return nativekernels.clone_lane_state(st, trace)
     l1 = FastCache(params.l1)
     l1._sets = [dict(s) for s in st.l1._sets]
     l2 = FastCache(params.l2)
@@ -241,10 +238,7 @@ def _advance_image(st: _LaneState, q: int, mask: int, scratch):
     scratch[:] = 0.0
     qc = QuantumCounts()
     llc_req: list[int] = []
-    if isinstance(st, nativekernels.NativeLaneState):
-        nativekernels.run_core_chunk_native(0, st, q, qc, llc_req, scratch)
-    else:
-        fastengine.run_core_chunk(0, st, q, qc, llc_req, scratch)
+    fastengine.run_core_chunk(0, st, q, qc, llc_req, scratch)
     return qc, llc_req, scratch[0].copy(), ipm, mlp
 
 
@@ -287,10 +281,6 @@ def _images_equal(a, b) -> bool:
     here on.  Live traces never compare equal: their replay is
     position-dependent in ways a merged fork cannot reproduce.
     """
-    if isinstance(a, nativekernels.NativeLaneState) or isinstance(
-        b, nativekernels.NativeLaneState
-    ):
-        return nativekernels.images_equal(a, b)
     if a.trace._live is not None or b.trace._live is not None:
         return False
     if a.trace.pos != b.trace.pos:
@@ -380,9 +370,9 @@ class _PreparedStream:
     def stat_blocks(self):
         """Each request's stat-block column (``segment*C + cpu`` or ``cpu``).
 
-        Available without :meth:`prepare` — the native serve reduces
-        into dense block counters in-kernel and never needs the
-        sort-heavy round/reduction structures.
+        Available without :meth:`prepare` — the stack-distance serve
+        (:meth:`GroupedLLC._serve_stack`) bins by it directly and never
+        needs the sort-heavy round/reduction structures.
         """
         return self._blk if self._blk is not None else self.cpu_col
 
@@ -413,8 +403,8 @@ class _PreparedStream:
             np.arange(len(streams), dtype=np.int64),
             [s.n for s in streams],
         )
-        # Deferred like __init__: the native serve consumes the block
-        # column directly and skips _finish entirely.
+        # Deferred like __init__: a stack-distance serve consumes the
+        # block column directly and skips _finish entirely.
         self.prepared = False
         self._blk = seg * n_cores + self.cpu_col
         self._blk_cores = n_cores
@@ -423,7 +413,6 @@ class _PreparedStream:
 
     def _finish(self, blk, n_cores) -> None:
         """Build stat-reduction blocks and occurrence-rank rounds."""
-        t0 = profiling.clock() if profiling.ON else 0.0
         self.prepared = True
         perm = np.argsort(blk, kind="stable")
         sb = blk[perm]
@@ -444,8 +433,6 @@ class _PreparedStream:
             (ids_r, self.si[ids_r], self.line[ids_r], self.is_pref[ids_r])
             for ids_r in _occurrence_rounds(self.si)
         ]
-        if profiling.ON:
-            profiling.add("merge", profiling.clock() - t0)
 
 
 def _lru_distances(line, vset, ways: int, n_sets: int):
@@ -799,7 +786,6 @@ class GroupedLLC:
 
     def _serve_stack(self, stream: _PreparedStream, plans, hits_d, mem_d, pref_m) -> None:
         """Stack-distance serve of the runs in ``plans`` (whole-group rows)."""
-        t0 = profiling.clock() if profiling.ON else 0.0
         W = self.geometry.ways
         groups = sorted({grp for parts in plans.values() for grp, _ in parts})
         gi = {grp: g for g, grp in enumerate(groups)}
@@ -820,34 +806,14 @@ class GroupedLLC:
                 self.pref_evicted_unused[r] += t.evicted[a]
                 occ += int(t.occupancy[a])
             self._occ[r] = occ
-        if profiling.ON:
-            profiling.add("llc_serve", profiling.clock() - t0)
 
     def _serve_runs(self, stream, allowed, hits_d, mem_d, pref_m, stat_idx, dedup: bool) -> None:
-        """Round-loop serve (or the compiled tier) of runs ``stat_idx``."""
+        """Round-loop serve of runs ``stat_idx``."""
         if dedup:
             reps, class_idx, dups = self._dedup_classes(stat_idx, allowed)
             run_idx = stat_idx[reps]
         else:
             run_idx, class_idx, dups = stat_idx, None, []
-        if nativekernels.kernels_enabled():
-            # Compiled tier: one fused kernel pass, no round structures.
-            # A kernel failure mid-serve cannot fall through (state may
-            # be partially mutated), so it sticky-disables the tier and
-            # propagates; the callers' existing degradation paths rerun
-            # the affected runs on fresh pure-path machines.
-            try:
-                self._serve_native(
-                    stream, allowed, hits_d, mem_d, pref_m,
-                    run_idx, stat_idx, class_idx, dups,
-                )
-                return
-            except Exception as e:
-                nativekernels.note_native_fallback()
-                nativekernels.disable_runtime(f"grouped LLC serve kernel failed: {e!r}")
-                raise
-        stream.prepare()
-        t0 = profiling.clock() if profiling.ON else 0.0
         H, OP = self._round_loop(stream, run_idx, allowed[run_idx], self._seq)
         if dups:
             # Duplicates evolve identically to their representative for
@@ -900,8 +866,6 @@ class GroupedLLC:
             hits_d[:, stream.seg_ids, stream.cpu_ids] += hv
             mem_d[:, stream.seg_ids, stream.cpu_ids] += mv
             pref_m[:, stream.seg_ids, stream.cpu_ids] += fv
-        if profiling.ON:
-            profiling.add("llc_serve", profiling.clock() - t0)
 
     def _round_loop(self, stream: _PreparedStream, run_idx, allow_r, seq0: int):
         """Advance the image rows of ``run_idx`` over ``stream``, round by round.
@@ -962,70 +926,6 @@ class GroupedLLC:
             stamps_f[flat] = seqs[ids][None, :]
             pref_f[flat] = new_p
         return H, OP
-
-    def _serve_native(
-        self, stream, allowed, hits_d, mem_d, pref_m, run_idx, stat_idx, class_idx, dups
-    ) -> None:
-        """Compiled-tier serve: one :data:`~repro.sim.nativekernels.
-        K_SERVE_LLC` dispatch over the flat SoA arrays.
-
-        Consumes the raw stream columns plus :meth:`_PreparedStream.
-        stat_blocks` — the sort-heavy round/permutation structures are
-        never built.  The kernel reduces stats and dense per-block
-        demand-hit/fill counters in place of the NumPy path's
-        ``reduceat``; everything downstream (duplicate copies, class
-        expansion, accumulator writes) matches the NumPy path op-for-op
-        so results stay bit-identical.
-        """
-        S = self.geometry.sets
-        W = self.geometry.ways
-        C = allowed.shape[1]
-        n_blocks = hits_d[0].size
-        stats_out, dh, dm, dp = nativekernels.serve_llc_arrays(
-            self.tags.reshape(-1),
-            self.stamps.reshape(-1),
-            self.pref.reshape(-1),
-            S,
-            W,
-            run_idx,
-            np.ascontiguousarray(allowed).view(np.uint8).reshape(-1),
-            C,
-            stream.line,
-            stream.si,
-            stream.is_pref.view(np.uint8),
-            stream.stat_blocks(),
-            stream.cpu_col,
-            self._seq,
-            n_blocks,
-        )
-        if dups:
-            tags, stamps, pref = self.tags, self.stamps, self.pref
-            usets = np.unique(stream.si)
-            for dup, rep in dups:
-                tags[dup, usets] = tags[rep, usets]
-                stamps[dup, usets] = stamps[rep, usets]
-                pref[dup, usets] = pref[rep, usets]
-        hit_v = stats_out[:, 0]
-        fill_v = stats_out[:, 1]
-        used_v = stats_out[:, 2]
-        evic_v = stats_out[:, 3]
-        if class_idx is not None:
-            hit_v = hit_v[class_idx]
-            used_v = used_v[class_idx]
-            evic_v = evic_v[class_idx]
-            fill_v = fill_v[class_idx]
-            dh = dh[class_idx]
-            dm = dm[class_idx]
-            dp = dp[class_idx]
-        self.hits[stat_idx] += hit_v
-        self.pref_used[stat_idx] += used_v
-        self.pref_evicted_unused[stat_idx] += evic_v
-        self.pref_fills[stat_idx] += fill_v
-        # += on the caller's (possibly strided) accumulator views; the
-        # reshape only reinterprets the kernel's dense block columns.
-        hits_d += dh.reshape(hits_d.shape)
-        mem_d += dm.reshape(mem_d.shape)
-        pref_m += dp.reshape(pref_m.shape)
 
 
 class BatchKernel:
@@ -1180,7 +1080,6 @@ def run_static_sweep(
             active[cpu] = True
             ipm[cpu] = e.ipm
             mlp[cpu] = e.mlp
-        t0 = profiling.clock() if profiling.ON else 0.0
         for r in range(R):
             counts = [QuantumCounts() for _ in range(n)]
             prow = pmu[r]
@@ -1209,8 +1108,6 @@ def run_static_sweep(
                 pref_b += c.pref_bytes
             drams[r].account(demand_b, pref_b)
             wall[r] += timing.machine_cycles
-        if profiling.ON:
-            profiling.add("timing", profiling.clock() - t0)
 
     fallbacks = sum(core.trace_fallbacks() for core in cores.values())
     return [
@@ -1278,12 +1175,9 @@ class GroupedCore:
         self._serial = 0
         self._step_no = 0
         self._backoff: dict[tuple[int, int], int] = {}
-        if nativekernels.kernels_enabled():
-            st = nativekernels.fresh_lane_state(params, self._fork_trace(0))
-        else:
-            st = _LaneState(
-                FastCache(params.l1), FastCache(params.l2), _fresh_bank(params), self._fork_trace(0)
-            )
+        st = _LaneState(
+            FastCache(params.l1), FastCache(params.l2), _fresh_bank(params), self._fork_trace(0)
+        )
         self.lanes: list[_CoreLane] = [_CoreLane(st, set(range(n_runs)), self._next_serial())]
 
     def _next_serial(self) -> int:
@@ -1420,13 +1314,10 @@ class GroupedCore:
         E = self.params.stride_table_entries
         out = np.full((self.n_runs, E, 4), -1, dtype=np.int64)
         for lane in self.lanes:
-            if isinstance(lane.state, nativekernels.NativeLaneState):
-                block = nativekernels.stride_rows(lane.state.tabs, E)
-            else:
-                block = np.full((E, 4), -1, dtype=np.int64)
-                for i, (ctx, row) in enumerate(lane.state.bank.ip_stride._table.items()):
-                    block[i, 0] = ctx
-                    block[i, 1:] = row
+            block = np.full((E, 4), -1, dtype=np.int64)
+            for i, (ctx, row) in enumerate(lane.state.bank.ip_stride._table.items()):
+                block[i, 0] = ctx
+                block[i, 1:] = row
             for r in lane.runs:
                 out[r] = block
         return out

@@ -20,13 +20,6 @@ Engines implement the machine's hot path.  Each is described by an
   whatever cannot be batched runs on a scalar fast ``Machine``, which
   is also what ``engine="batch"`` builds outside a batch group (batch
   width 1 ≡ fast).
-* ``native`` — the compiled kernel tier (:mod:`repro.sim.nativekernels`):
-  Numba ``@njit(cache=True)`` fusions of the grouped LLC serve, the
-  lockstep core advance, and the scalar set-lookup loop over an
-  array-backed LRU layout.  Bit-identical to ``batch``/``fast``;
-  degrades to them (with ``RunStats.native_fallbacks`` accounting) when
-  numba is unavailable, JIT compilation fails, or
-  ``$REPRO_NATIVE_KERNELS=off``.
 
 Because every engine is pinned bit-identical, results never depend on
 the engine choice and the experiment cache keys deliberately exclude it
@@ -48,7 +41,6 @@ from dataclasses import dataclass, field
 ENGINE_REFERENCE = "reference"
 ENGINE_FAST = "fast"
 ENGINE_BATCH = "batch"
-ENGINE_NATIVE = "native"
 ENGINE_AUTO = "auto"
 
 ENV_VAR = "REPRO_SIM_ENGINE"
@@ -90,10 +82,10 @@ class EngineSpec:
             raise EngineSelectionError(
                 f"engine name must be a lowercase identifier, got {self.name!r}"
             )
-        if self.kernel not in (ENGINE_REFERENCE, ENGINE_FAST, ENGINE_NATIVE):
+        if self.kernel not in (ENGINE_REFERENCE, ENGINE_FAST):
             raise EngineSelectionError(
-                f"engine kernel must be {ENGINE_REFERENCE!r}, {ENGINE_FAST!r} "
-                f"or {ENGINE_NATIVE!r}, got {self.kernel!r}"
+                f"engine kernel must be {ENGINE_REFERENCE!r} or {ENGINE_FAST!r}, "
+                f"got {self.kernel!r}"
             )
         if self.batch_width < 1:
             raise EngineSelectionError(
@@ -132,24 +124,11 @@ def get_engine(name: str) -> EngineSpec:
         ) from None
 
 
-def _auto_engine() -> str:
-    """Pick the best engine: compiled tier when usable, else the default.
-
-    Imported lazily — :mod:`repro.sim.nativekernels` pulls in the fast
-    engine, which is only safe once this registry module is loaded.
-    """
-    from repro.sim import nativekernels
-
-    if ENGINE_NATIVE in _REGISTRY and nativekernels.kernels_enabled():
-        return ENGINE_NATIVE
-    return DEFAULT_ENGINE
-
-
 def resolve_engine(name: str | None = None) -> EngineSpec:
     """Resolve an engine name (or ``auto``/None/env var) to its spec."""
     n = (name or ENGINE_AUTO).strip().lower()
     if n == ENGINE_AUTO:
-        n = os.environ.get(ENV_VAR, "").strip().lower() or _auto_engine()
+        n = os.environ.get(ENV_VAR, "").strip().lower() or DEFAULT_ENGINE
     if n not in _REGISTRY:
         raise EngineSelectionError(
             f"unknown simulation engine {name!r} (resolved {n!r}); "
@@ -183,20 +162,6 @@ register_engine(
             "trace (static sweeps and runs with divergent per-quantum "
             "policies), bit-identical to fast; scalar fallback is the "
             "fast kernel"
-        ),
-    )
-)
-register_engine(
-    EngineSpec(
-        name=ENGINE_NATIVE,
-        kernel=ENGINE_NATIVE,
-        batch_width=64,
-        capabilities=frozenset({"multi-run", "native"}),
-        description=(
-            "compiled (Numba) fused serve/advance kernels over flat SoA "
-            "state, bit-identical to batch/fast; selected by 'auto' when "
-            "numba imports and $REPRO_NATIVE_KERNELS != off, otherwise "
-            "degrades to the pure-NumPy/dict paths with fallback accounting"
         ),
     )
 )

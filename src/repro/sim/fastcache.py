@@ -38,16 +38,6 @@ for batch inspection, and the batch entry points
 (:meth:`FastCache.access_many`) amortise per-call overhead across a
 whole address array.  See docs/simulation_model.md ("The fast
 kernel").
-
-The compiled tier (:mod:`repro.sim.nativekernels`, the ``native``
-engine) replaces the dict layout wholesale with flat
-tag/stamp/pref-bit arrays the numba kernels index directly —
-``NativeCache``/``NativeLLC`` reproduce :meth:`tags_array` /
-:meth:`pref_array` / ``recency_array`` in this module's canonical
-LRU→MRU order, so everything downstream that inspects cache state
-(``cache_tensors``, lane clones, the differential suites) is
-layout-blind.  When that tier is unavailable these dict paths are the
-fallback, bit-identical by the same stamp-order argument as above.
 """
 
 from __future__ import annotations

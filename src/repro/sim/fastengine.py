@@ -33,7 +33,6 @@ from itertools import repeat as _repeat
 
 import numpy as np
 
-from repro.sim import profiling
 from repro.sim.pmu import Event
 
 __all__ = ["run_core_chunk", "run_llc_phase", "encode_prefetch", "decode_request"]
@@ -57,22 +56,7 @@ def run_core_chunk(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
     Appends sign-encoded LLC requests (``line`` demand, ``~line``
     prefetch) to ``llc_req``; bit-identical to the reference path.
     """
-    if not profiling.ON:
-        _run_core_chunk_impl(cpu, cs, q, qc, llc_req, pmu_counts)
-        return
-    t0 = profiling.clock()
-    _run_core_chunk_impl(cpu, cs, q, qc, llc_req, pmu_counts)
-    profiling.add("core_advance", profiling.clock() - t0)
-
-
-def _run_core_chunk_impl(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
-    if profiling.ON:
-        # trace_serve is a documented sub-phase of core_advance.
-        t0 = profiling.clock()
-        ctxs, lines = cs.trace.chunk(q)
-        profiling.add("trace_serve", profiling.clock() - t0)
-    else:
-        ctxs, lines = cs.trace.chunk(q)
+    ctxs, lines = cs.trace.chunk(q)
     n = len(lines)
     if n == 0:
         return
@@ -453,15 +437,12 @@ def merge_llc_requests(llc_reqs) -> tuple[list, list, list]:
     lists (not on CAT or LLC state), so the batch kernel computes it
     once for every run whose cores produced the same lists.
     """
-    t0 = profiling.clock() if profiling.ON else 0.0
     busy = [cpu for cpu, reqs in enumerate(llc_reqs) if reqs]
     if not busy:
         return busy, [], []
     if len(busy) == 1:
         cpu0 = busy[0]
         merged = list(llc_reqs[cpu0])
-        if profiling.ON:
-            profiling.add("merge", profiling.clock() - t0)
         return busy, merged, [cpu0] * len(merged)
     lens = [len(llc_reqs[c]) for c in busy]
     maxlen = max(lens)
@@ -472,8 +453,6 @@ def merge_llc_requests(llc_reqs) -> tuple[list, list, list]:
     valid = flat != _SENTINEL
     merged = flat[valid].tolist()
     mcpus = np.tile(np.asarray(busy, dtype=np.int64), maxlen)[valid].tolist()
-    if profiling.ON:
-        profiling.add("merge", profiling.clock() - t0)
     return busy, merged, mcpus
 
 
@@ -482,7 +461,6 @@ def run_llc_phase(machine, counts, llc_reqs, pmu_counts) -> None:
     busy = [cpu for cpu, reqs in enumerate(llc_reqs) if reqs]
     if not busy:
         return
-    t0 = profiling.clock() if profiling.ON else 0.0
     llc = machine.llc
     W = llc.ways
     set_mask = llc._set_mask
@@ -578,8 +556,6 @@ def run_llc_phase(machine, counts, llc_reqs, pmu_counts) -> None:
         apply_llc_tail(
             counts[cpu], pmu_counts, cpu, hits_d[cpu], mem_d[cpu], pref_m[cpu], line_bytes
         )
-    if profiling.ON:
-        profiling.add("llc_serve", profiling.clock() - t0)
 
 
 def apply_llc_tail(qc, pmu_counts, cpu, n_hit_d, n_mem_d, n_pref_fill, line_bytes) -> None:

@@ -12,11 +12,11 @@ kernel module uses.
 
 from __future__ import annotations
 
-from repro.sim import fastengine, nativekernels, profiling
+from repro.sim import fastengine
 from repro.sim.cat import CatController
 from repro.sim.cache import Cache, PartitionedCache
 from repro.sim.core_model import QuantumCounts, solve_quantum
-from repro.sim.engines import ENGINE_FAST, ENGINE_NATIVE, resolve_engine
+from repro.sim.engines import ENGINE_FAST, resolve_engine
 from repro.sim.fastcache import FastCache, FastPartitionedCache
 from repro.sim.memory import DramModel
 from repro.sim.msr import MsrFile, PrefetchMsr, enables_from_mask
@@ -33,19 +33,10 @@ CORE_ADDRESS_STRIDE_LINES = 1 << 34
 
 
 class _CoreState:
-    __slots__ = ("l1", "l2", "tabs", "bank", "trace", "active")
+    __slots__ = ("l1", "l2", "bank", "trace", "active")
 
-    def __init__(self, params: MachineParams, fast: bool, native: bool = False) -> None:
-        # ``tabs`` only exists for the native tier (array prefetcher
-        # tables); the bank stays a PrefetcherBank either way — it is
-        # the MSR-facing enable surface, and the native kernel reads
-        # just its en_* flags.
-        self.tabs = None
-        if native:
-            self.l1 = nativekernels.NativeCache(params.l1)
-            self.l2 = nativekernels.NativeCache(params.l2)
-            self.tabs = nativekernels.NativeTables(params)
-        elif fast:
+    def __init__(self, params: MachineParams, fast: bool) -> None:
+        if fast:
             self.l1: Cache | FastCache = FastCache(params.l1)
             self.l2: Cache | FastCache = FastCache(params.l2)
         else:
@@ -84,24 +75,11 @@ class Machine:
         spec = resolve_engine(engine if engine is not None else self.params.sim_engine)
         self.engine_spec = spec
         self.engine = spec.name
-        # The native kernel tier degrades bit-identically to the scalar
-        # fast kernel when unavailable (numba missing, self-check or a
-        # prior kernel failed, $REPRO_NATIVE_KERNELS=off); the
-        # degradation is counted like batch_degradations.
-        self._native = spec.kernel == ENGINE_NATIVE and nativekernels.kernels_enabled()
-        self._native_fallbacks = 0
-        if spec.kernel == ENGINE_NATIVE and not self._native:
-            self._native_fallbacks = 1
-            nativekernels.note_native_fallback()
-        self._fast = spec.kernel == ENGINE_FAST or (
-            spec.kernel == ENGINE_NATIVE and not self._native
-        )
+        self._fast = spec.kernel == ENGINE_FAST
         n = self.params.n_cores
-        self.cores = [_CoreState(self.params, self._fast, self._native) for _ in range(n)]
+        self.cores = [_CoreState(self.params, self._fast) for _ in range(n)]
         self.llc: PartitionedCache | FastPartitionedCache
-        if self._native:
-            self.llc = nativekernels.NativeLLC(self.params.llc)
-        elif self._fast:
+        if self._fast:
             self.llc = FastPartitionedCache(self.params.llc)
         else:
             self.llc = PartitionedCache(self.params.llc)
@@ -196,7 +174,6 @@ class Machine:
         """Filter each active core's chunk through its private hierarchy."""
         pmu_counts = self.pmu.counts
         fast = self._fast
-        native = self._native
         for cpu in range(self.params.n_cores):
             cs = self.cores[cpu]
             if not cs.active:
@@ -204,27 +181,20 @@ class Machine:
             active[cpu] = True
             ipm[cpu] = cs.trace.inst_per_mem
             mlp[cpu] = cs.trace.mlp
-            if native:
-                nativekernels.run_core_chunk_native(
-                    cpu, cs, q, counts[cpu], llc_reqs[cpu], pmu_counts
-                )
-            elif fast:
+            if fast:
                 fastengine.run_core_chunk(cpu, cs, q, counts[cpu], llc_reqs[cpu], pmu_counts)
             else:
                 self._run_core_chunk_reference(cpu, cs, q, counts[cpu], llc_reqs[cpu], pmu_counts)
 
     def _llc_phase(self, counts, llc_reqs) -> None:
         """Merge all cores' LLC requests round-robin and serve them."""
-        if self._native:
-            nativekernels.run_llc_phase_native(self, counts, llc_reqs, self.pmu.counts)
-        elif self._fast:
+        if self._fast:
             fastengine.run_llc_phase(self, counts, llc_reqs, self.pmu.counts)
         else:
             self._run_llc_phase_reference(counts, llc_reqs, self.pmu.counts)
 
     def _timing_phase(self, counts, ipm, mlp, active) -> None:
         """Solve the quantum's fixed-point timing and account PMU/DRAM."""
-        t0 = profiling.clock() if profiling.ON else 0.0
         pmu_counts = self.pmu.counts
         timing = solve_quantum(self.params, self.dram, counts, ipm, mlp, active)
         demand_b = 0.0
@@ -242,8 +212,6 @@ class Machine:
             pref_b += c.pref_bytes
         self.dram.account(demand_b, pref_b)
         self.pmu.wall_cycles += timing.machine_cycles
-        if profiling.ON:
-            profiling.add("timing", profiling.clock() - t0)
 
     def trace_fallbacks(self) -> int:
         """Total zero-copy go-live fallbacks across attached traces.
@@ -263,20 +231,6 @@ class Machine:
         degradation is observable, mirroring ``trace_fallbacks``).
         """
         return self._batch_degradations
-
-    def native_fallbacks(self) -> int:
-        """Native-kernel-tier fallbacks attributed to this machine.
-
-        Non-zero when the ``native`` engine was requested but the
-        compiled tier was unavailable (numba missing, self-check
-        failure, ``$REPRO_NATIVE_KERNELS=off``) and the machine degraded
-        to the scalar fast kernel — bit-identical either way; the
-        counter exists so the degradation is observable, mirroring
-        ``batch_degradations``.  Process-wide counts (including runtime
-        kernel failures) live in
-        :func:`repro.sim.nativekernels.native_fallback_count`.
-        """
-        return self._native_fallbacks
 
     def _run_core_chunk_reference(
         self,

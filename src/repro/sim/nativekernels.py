@@ -1,1305 +1,12 @@
-"""Compiled kernel tier: Numba-JIT fused serve/advance loops.
+"""Placeholder for the removed compiled kernel tier.
 
-The batch engine (PRs 6-7) moved the run axis into NumPy, but its inner
-loops still execute at interpreter speed: ``GroupedLLC.serve`` walks
-``stream.rounds`` allocating ~10 temporaries per round, and the scalar
-fast engine walks dict-LRU sets per access.  This module provides the
-same semantics as *single fused loops* in the Numba nopython subset:
-
-* :data:`K_SERVE_LLC` — kernel (a): one pass over a whole quantum's
-  merged request stream, operating directly on the flat
-  ``(runs*sets*ways)`` tags/stamps/pref arrays.  Hit scan, lowest-
-  allowed-free-way fill, min-stamp CAT victim, prefetch-bit rules and
-  the H/OP/OV stat reductions all happen in-kernel with no per-round
-  temporaries.  Shared by ``GroupedLLC.serve`` (any R) and the native
-  scalar machine's LLC phase (R=1).
-* :data:`K_CORE_CHUNK` — kernel (b)/(c): one core-quantum of the
-  reference L1/L2 + prefetcher pipeline (IP-stride, next-line,
-  streamer, adjacent) over array-backed LRU caches and linear-scan
-  FIFO prefetcher tables.  Drives both ``GroupedCore`` lane advances
-  and the native scalar ``Machine``'s core phase.
-
-**Layout equivalence.**  Dict insertion order in
-:class:`~repro.sim.fastcache.FastCache` is LRU order; here each way
-carries a strictly-increasing touch stamp, so "first dict entry" ==
-"min stamp" and behaviour is bit-identical (the private caches never
-expose way indices, so physical way placement is free).  The LLC layout
-is exactly :class:`~repro.sim.batch.GroupedLLC`'s flat SoA arrays.
-
-**Selection and fallback.**  The tier activates only when
-:func:`kernels_enabled` is true: ``$REPRO_NATIVE_KERNELS`` is not
-``off``, :mod:`numba` imports (or the mode is ``force``, which runs the
-kernels interpreted — a test hook), and a one-shot self-check — which
-also JIT-compiles both kernels off-clock (``cache=True`` persists the
-compilation across processes) — passes against the pure-Python kernel
-source.  Import failure, JIT failure, and runtime kernel errors all
-degrade *bit-identically* to the pure-NumPy/dict paths, counted by
-:func:`note_native_fallback` (mirroring
-``repro.sim.batch.note_degradation``) and surfaced via
-``RunStats.native_fallbacks`` / ``repro cache stats``.
-
-See docs/simulation_model.md ("The compiled kernel tier").
+Exists only because the benchmark harness (``benchmarks/perf/child.py``)
+still imports it to report ``numba`` and ``batch.native_fallbacks``;
+it goes with the next change to that harness.  Nothing else uses it.
 """
 
-from __future__ import annotations
-
-import os
-
-import numpy as np
-
-from repro.sim import fastengine, profiling
-from repro.sim.cache import CacheStats
-from repro.sim.params import CacheGeometry, MachineParams
-from repro.sim.pmu import Event
-
-__all__ = [
-    "ENV_VAR",
-    "NUMBA_VERSION",
-    "NativeCache",
-    "NativeLLC",
-    "NativeLaneState",
-    "NativeTables",
-    "clone_lane_state",
-    "disable_runtime",
-    "fresh_lane_state",
-    "images_equal",
-    "kernels_enabled",
-    "native_fallback_count",
-    "native_mode",
-    "note_native_fallback",
-    "numba_available",
-    "run_core_chunk_native",
-    "run_llc_phase_native",
-    "serve_llc_arrays",
-    "stride_rows",
-    "tier_status",
-]
-
-ENV_VAR = "REPRO_NATIVE_KERNELS"
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-
-    NUMBA_VERSION: str | None = _numba.__version__
-except Exception:  # pragma: no cover - the common path in minimal installs
-    _numba = None
-    NUMBA_VERSION = None
-
-_BIG = 9223372036854775807  # int64 max; sentinel for min-scans
-
-
-def _maybe_jit(fn):
-    """``numba.njit(cache=True)`` when importable, identity otherwise.
-
-    Decoration is lazy — compilation errors surface at first call and
-    are caught by the self-check before any simulation state exists.
-    """
-    if _numba is None:
-        return fn
-    try:
-        return _numba.njit(cache=True)(fn)
-    except Exception:  # pragma: no cover - njit() itself rarely fails
-        return fn
-
-
-# ------------------------------------------------------------------
-# Process-wide fallback accounting (idiom: batch.note_degradation)
-# ------------------------------------------------------------------
-
-_PROCESS_FALLBACKS = 0
-_RUNTIME_DISABLED = False
-_DISABLED_REASON: str | None = None
-_SELFCHECK: bool | None = None
-
-
-def note_native_fallback(n: int = 1) -> None:
-    """Record ``n`` native-tier fallbacks (degrade to pure-NumPy/dict)."""
-    global _PROCESS_FALLBACKS
-    _PROCESS_FALLBACKS += int(n)
+NUMBA_VERSION = None
 
 
 def native_fallback_count() -> int:
-    """Process-wide native-kernel fallbacks recorded so far."""
-    return _PROCESS_FALLBACKS
-
-
-def disable_runtime(reason: str) -> None:
-    """Sticky-disable the tier after a runtime kernel failure.
-
-    New state construction and serves re-check :func:`kernels_enabled`,
-    so everything built after this point uses the pure paths.
-    """
-    global _RUNTIME_DISABLED, _DISABLED_REASON
-    _RUNTIME_DISABLED = True
-    _DISABLED_REASON = reason
-
-
-def native_mode() -> str:
-    """``$REPRO_NATIVE_KERNELS`` normalized to off/auto/force."""
-    mode = os.environ.get(ENV_VAR, "auto").strip().lower()
-    return mode if mode in ("off", "auto", "force") else "auto"
-
-
-def numba_available() -> bool:
-    return _numba is not None
-
-
-def kernels_enabled() -> bool:
-    """Should new simulation state use the compiled tier right now?
-
-    Selection order: runtime sticky-disable beats ``off`` beats
-    ``force`` (interpreted kernels, a test hook) beats numba
-    availability; an enabled tier must additionally pass the one-shot
-    self-check (which doubles as off-clock JIT warm-up).
-    """
-    if _RUNTIME_DISABLED:
-        return False
-    mode = native_mode()
-    if mode == "off":
-        return False
-    if mode != "force" and _numba is None:
-        return False
-    return _selfcheck_ok()
-
-
-def tier_status() -> dict:
-    """Introspection block for benches and ``repro cache stats``."""
-    return {
-        "numba": NUMBA_VERSION,
-        "mode": native_mode(),
-        "enabled": kernels_enabled(),
-        "fallbacks": native_fallback_count(),
-        "disabled_reason": _DISABLED_REASON,
-    }
-
-
-def _reset_for_tests() -> None:
-    """Clear cached tier decisions (forced-fallback tests only)."""
-    global _SELFCHECK, _RUNTIME_DISABLED, _DISABLED_REASON
-    _SELFCHECK = None
-    _RUNTIME_DISABLED = False
-    _DISABLED_REASON = None
-
-
-# ------------------------------------------------------------------
-# Kernel (a): whole-quantum grouped LLC serve
-# ------------------------------------------------------------------
-
-
-def _serve_llc(
-    tags,
-    stamps,
-    pref,
-    S,
-    W,
-    run_idx,
-    allow,
-    C,
-    line,
-    si,
-    ispf,
-    blk,
-    cpu_col,
-    seq0,
-    stats_out,
-    hits_d,
-    mem_d,
-    pref_m,
-):
-    """Serve ``n`` merged requests against every run in ``run_idx``.
-
-    ``tags``/``stamps`` are flat int64 ``(n_runs*S*W)`` views,
-    ``pref``/``ispf``/``allow`` uint8; ``allow`` is the flattened
-    ``(n_runs, C, W)`` CAT matrix indexed by absolute run id.  ``blk``
-    is each request's stat-block column (``cpu``, or
-    ``segment*C + cpu`` for multi-quantum streams); ``cpu_col`` its CAT
-    row.  Request ``i`` stamps ``seq0 + i`` — the scalar serve's
-    absolute stream position.  Per-rep outputs: ``stats_out[rp] =
-    [hits, pref_fills, pref_used, pref_evicted_unused, free_fills]``
-    and dense ``(R, n_blocks)`` demand-hit/demand-fill/prefetch-fill
-    block counters.
-    """
-    n = line.shape[0]
-    for rp in range(run_idx.shape[0]):
-        r = run_idx[rp]
-        base = r * S * W
-        abase = r * C * W
-        h = 0
-        f = 0
-        u = 0
-        ev = 0
-        fd = 0
-        for i in range(n):
-            ln = line[i]
-            row = base + si[i] * W
-            hw = -1
-            for w in range(W):
-                if tags[row + w] == ln:
-                    hw = w
-                    break
-            if hw >= 0:
-                slot = row + hw
-                h += 1
-                stamps[slot] = seq0 + i
-                if ispf[i]:
-                    continue  # prefetch hit: bit untouched
-                if pref[slot]:
-                    u += 1
-                    pref[slot] = 0
-                hits_d[rp, blk[i]] += 1
-                continue
-            arow = abase + cpu_col[i] * W
-            vw = -1
-            for w in range(W):
-                if allow[arow + w] and tags[row + w] == -1:
-                    vw = w  # lowest allowed free way
-                    break
-            if vw >= 0:
-                fd += 1
-            else:
-                best = _BIG
-                for w in range(W):
-                    if allow[arow + w] and tags[row + w] != -1:
-                        sw = stamps[row + w]
-                        if sw < best:
-                            best = sw
-                            vw = w
-                if pref[row + vw]:
-                    pref[row + vw] = 0
-                    ev += 1
-            slot = row + vw
-            tags[slot] = ln
-            stamps[slot] = seq0 + i
-            if ispf[i]:
-                pref[slot] = 1
-                f += 1
-                pref_m[rp, blk[i]] += 1
-            else:
-                pref[slot] = 0
-                mem_d[rp, blk[i]] += 1
-        stats_out[rp, 0] += h
-        stats_out[rp, 1] += f
-        stats_out[rp, 2] += u
-        stats_out[rp, 3] += ev
-        stats_out[rp, 4] += fd
-
-
-_serve_llc_py = _serve_llc
-K_SERVE_LLC = _maybe_jit(_serve_llc)
-
-
-def serve_llc_arrays(
-    tags_f,
-    stamps_f,
-    pref_f,
-    S,
-    W,
-    run_idx,
-    allow_u8,
-    C,
-    line,
-    si,
-    ispf_u8,
-    blk,
-    cpu_col,
-    seq0,
-    n_blocks,
-):
-    """One :data:`K_SERVE_LLC` dispatch; returns the dense outputs.
-
-    ``(stats_out, hits_d, mem_d, pref_m)`` with ``stats_out`` shaped
-    ``(R, 5)`` and the block counters ``(R, n_blocks)``.  Raises
-    whatever the kernel raises — callers own the fallback policy.
-    """
-    R = len(run_idx)
-    stats_out = np.zeros((R, 5), dtype=np.int64)
-    hits_d = np.zeros((R, n_blocks), dtype=np.int64)
-    mem_d = np.zeros((R, n_blocks), dtype=np.int64)
-    pref_m = np.zeros((R, n_blocks), dtype=np.int64)
-    if profiling.ON:
-        t0 = profiling.clock()
-        K_SERVE_LLC(
-            tags_f, stamps_f, pref_f, S, W, run_idx, allow_u8, C,
-            line, si, ispf_u8, blk, cpu_col, seq0,
-            stats_out, hits_d, mem_d, pref_m,
-        )
-        profiling.add("llc_serve", profiling.clock() - t0)
-    else:
-        K_SERVE_LLC(
-            tags_f, stamps_f, pref_f, S, W, run_idx, allow_u8, C,
-            line, si, ispf_u8, blk, cpu_col, seq0,
-            stats_out, hits_d, mem_d, pref_m,
-        )
-    return stats_out, hits_d, mem_d, pref_m
-
-
-# ------------------------------------------------------------------
-# Kernel (b)/(c): one core-quantum over array-backed private state
-# ------------------------------------------------------------------
-
-
-def _core_chunk(
-    ctxs,
-    lines,
-    n,
-    t1,
-    p1,
-    s1,
-    m1,
-    w1,
-    t2,
-    p2,
-    s2,
-    m2,
-    w2,
-    st_ctx,
-    st_last,
-    st_stride,
-    st_conf,
-    st_ord,
-    sm_page,
-    sm_off,
-    sm_dir,
-    sm_run,
-    sm_ptr,
-    sm_ord,
-    seqs,
-    en_stride,
-    en_next,
-    en_stream,
-    en_adj,
-    stride_degree,
-    stride_thr,
-    stream_degree,
-    req,
-    counts,
-):
-    """Reference-semantics core quantum over array L1/L2 + FIFO tables.
-
-    Transcription of ``Machine._run_core_chunk_reference`` (pinned
-    bit-identical to the fast kernel by the differential suite) onto
-    the native layout: ``t*/p*/s*`` are flat tag/pref/stamp arrays with
-    set mask ``m*`` and ways ``w*``; the prefetcher tables are
-    linear-scan arrays with ``*_ord`` insertion stamps standing in for
-    dict FIFO order.  ``seqs = [l1_seq, l2_seq, st_seq, sm_seq]`` is
-    read and written in place.  Sign-encoded LLC requests land in
-    ``req``; returns their count.  ``counts`` layout: ``[l1_acc,
-    l1_hits, l1_fills, l1_used, l1_evic, l2_acc, l2_hits, l2_fills,
-    l2_used, l2_evic, n_l1_miss, n_l1_pref, n_l2_hit_d, n_l2_dm_miss,
-    n_l2_pref, n_l2_pref_miss]``.
-    """
-    nreq = 0
-    E = st_ctx.shape[0]
-    P = sm_page.shape[0]
-    for i in range(n):
-        c = ctxs[i]
-        ln = lines[i]
-        # ---------------- L1 demand access --------------------------
-        row = (ln & m1) * w1
-        counts[0] += 1
-        hw = -1
-        for w in range(w1):
-            if t1[row + w] == ln:
-                hw = w
-                break
-        if hw >= 0:
-            hit1 = True
-            counts[1] += 1
-            if p1[row + hw]:
-                counts[3] += 1
-            p1[row + hw] = 0
-            seqs[0] += 1
-            s1[row + hw] = seqs[0]
-        else:
-            hit1 = False
-            fw = -1
-            for w in range(w1):
-                if t1[row + w] == -1:
-                    fw = w
-                    break
-            if fw < 0:
-                best = _BIG
-                for w in range(w1):
-                    if s1[row + w] < best:
-                        best = s1[row + w]
-                        fw = w
-                if p1[row + fw]:
-                    counts[4] += 1
-            t1[row + fw] = ln
-            p1[row + fw] = 0
-            seqs[0] += 1
-            s1[row + fw] = seqs[0]
-        # ---------------- L1 (DCU) prefetchers ----------------------
-        if en_stride:
-            j = -1
-            for t in range(E):
-                if st_ctx[t] == c:
-                    j = t
-                    break
-            if j < 0:
-                slot = -1
-                for t in range(E):
-                    if st_ctx[t] == -1:
-                        slot = t
-                        break
-                if slot < 0:
-                    oldest = _BIG
-                    for t in range(E):
-                        if st_ord[t] < oldest:
-                            oldest = st_ord[t]
-                            slot = t
-                st_ctx[slot] = c
-                st_last[slot] = ln
-                st_stride[slot] = 0
-                st_conf[slot] = 0
-                seqs[2] += 1
-                st_ord[slot] = seqs[2]
-            else:
-                delta = ln - st_last[j]
-                st_last[j] = ln
-                if delta == st_stride[j] and delta != 0:
-                    if st_conf[j] < 3:
-                        st_conf[j] += 1
-                else:
-                    if st_conf[j] > 0:
-                        st_conf[j] -= 1
-                    if st_conf[j] == 0:
-                        st_stride[j] = delta
-                if st_conf[j] >= stride_thr and st_stride[j] != 0:
-                    stride = st_stride[j]
-                    for m in range(1, stride_degree + 1):
-                        p = ln + stride * m
-                        counts[11] += 1
-                        # DCU prefetchers fetch from L2 only; a request
-                        # missing L2 is dropped.
-                        prow = (p & m1) * w1
-                        inl1 = False
-                        for w in range(w1):
-                            if t1[prow + w] == p:
-                                inl1 = True
-                                break
-                        if not inl1:
-                            qrow = (p & m2) * w2
-                            qw = -1
-                            for w in range(w2):
-                                if t2[qrow + w] == p:
-                                    qw = w
-                                    break
-                            if qw >= 0:
-                                if p2[qrow + qw]:
-                                    counts[8] += 1
-                                p2[qrow + qw] = 0  # touch: MRU, bit consumed
-                                seqs[1] += 1
-                                s2[qrow + qw] = seqs[1]
-                                counts[0] += 1
-                                fw = -1
-                                for w in range(w1):
-                                    if t1[prow + w] == -1:
-                                        fw = w
-                                        break
-                                if fw < 0:
-                                    best = _BIG
-                                    for w in range(w1):
-                                        if s1[prow + w] < best:
-                                            best = s1[prow + w]
-                                            fw = w
-                                    if p1[prow + fw]:
-                                        counts[4] += 1
-                                t1[prow + fw] = p
-                                p1[prow + fw] = 1
-                                seqs[0] += 1
-                                s1[prow + fw] = seqs[0]
-                                counts[2] += 1
-        if en_next and not hit1:
-            p = ln + 1
-            counts[11] += 1
-            prow = (p & m1) * w1
-            inl1 = False
-            for w in range(w1):
-                if t1[prow + w] == p:
-                    inl1 = True
-                    break
-            if not inl1:
-                qrow = (p & m2) * w2
-                qw = -1
-                for w in range(w2):
-                    if t2[qrow + w] == p:
-                        qw = w
-                        break
-                if qw >= 0:
-                    if p2[qrow + qw]:
-                        counts[8] += 1
-                    p2[qrow + qw] = 0
-                    seqs[1] += 1
-                    s2[qrow + qw] = seqs[1]
-                    counts[0] += 1
-                    fw = -1
-                    for w in range(w1):
-                        if t1[prow + w] == -1:
-                            fw = w
-                            break
-                    if fw < 0:
-                        best = _BIG
-                        for w in range(w1):
-                            if s1[prow + w] < best:
-                                best = s1[prow + w]
-                                fw = w
-                        if p1[prow + fw]:
-                            counts[4] += 1
-                    t1[prow + fw] = p
-                    p1[prow + fw] = 1
-                    seqs[0] += 1
-                    s1[prow + fw] = seqs[0]
-                    counts[2] += 1
-        # ---------------- L2 demand + prefetchers -------------------
-        if not hit1:
-            counts[10] += 1
-            row2 = (ln & m2) * w2
-            counts[5] += 1
-            hw2 = -1
-            for w in range(w2):
-                if t2[row2 + w] == ln:
-                    hw2 = w
-                    break
-            if hw2 >= 0:
-                hit2 = True
-                counts[6] += 1
-                if p2[row2 + hw2]:
-                    counts[8] += 1
-                p2[row2 + hw2] = 0
-                seqs[1] += 1
-                s2[row2 + hw2] = seqs[1]
-                counts[12] += 1
-            else:
-                hit2 = False
-                fw = -1
-                for w in range(w2):
-                    if t2[row2 + w] == -1:
-                        fw = w
-                        break
-                if fw < 0:
-                    best = _BIG
-                    for w in range(w2):
-                        if s2[row2 + w] < best:
-                            best = s2[row2 + w]
-                            fw = w
-                    if p2[row2 + fw]:
-                        counts[9] += 1
-                t2[row2 + fw] = ln
-                p2[row2 + fw] = 0
-                seqs[1] += 1
-                s2[row2 + fw] = seqs[1]
-                counts[13] += 1
-                req[nreq] = ln
-                nreq += 1
-            if en_stream:
-                page = ln >> 6
-                off = ln & 63
-                j = -1
-                for t in range(P):
-                    if sm_page[t] == page:
-                        j = t
-                        break
-                if j < 0:
-                    slot = -1
-                    for t in range(P):
-                        if sm_page[t] == -1:
-                            slot = t
-                            break
-                    if slot < 0:
-                        oldest = _BIG
-                        for t in range(P):
-                            if sm_ord[t] < oldest:
-                                oldest = sm_ord[t]
-                                slot = t
-                    sm_page[slot] = page
-                    sm_off[slot] = off
-                    sm_dir[slot] = 0
-                    sm_run[slot] = 0
-                    sm_ptr[slot] = -1
-                    seqs[3] += 1
-                    sm_ord[slot] = seqs[3]
-                else:
-                    delta = off - sm_off[j]
-                    direction = 0
-                    if delta > 0:
-                        direction = 1
-                    elif delta < 0:
-                        direction = -1
-                    if direction != 0 and direction == sm_dir[j]:
-                        sm_run[j] += 1
-                    else:
-                        sm_dir[j] = direction
-                        sm_run[j] = 1 if direction != 0 else 0
-                        sm_ptr[j] = -1
-                    sm_off[j] = off
-                    if sm_run[j] >= 2 and sm_dir[j] != 0:
-                        base = page << 6
-                        ptr = sm_ptr[j]
-                        if sm_dir[j] > 0:
-                            start = off + 1 if ptr < off + 1 else ptr + 1
-                            stop = off + stream_degree
-                            if stop > 63:
-                                stop = 63
-                            if stop >= start:
-                                sm_ptr[j] = stop
-                            for noff in range(start, stop + 1):
-                                p = base + noff
-                                counts[14] += 1
-                                qrow = (p & m2) * w2
-                                inl2 = False
-                                for w in range(w2):
-                                    if t2[qrow + w] == p:
-                                        inl2 = True
-                                        break
-                                if not inl2:
-                                    counts[5] += 1
-                                    fw = -1
-                                    for w in range(w2):
-                                        if t2[qrow + w] == -1:
-                                            fw = w
-                                            break
-                                    if fw < 0:
-                                        best = _BIG
-                                        for w in range(w2):
-                                            if s2[qrow + w] < best:
-                                                best = s2[qrow + w]
-                                                fw = w
-                                        if p2[qrow + fw]:
-                                            counts[9] += 1
-                                    t2[qrow + fw] = p
-                                    p2[qrow + fw] = 1
-                                    seqs[1] += 1
-                                    s2[qrow + fw] = seqs[1]
-                                    counts[7] += 1
-                                    counts[15] += 1
-                                    req[nreq] = ~p
-                                    nreq += 1
-                        else:
-                            start = off - 1 if (ptr == -1 or ptr > off - 1) else ptr - 1
-                            stop = off - stream_degree
-                            if stop < 0:
-                                stop = 0
-                            if start >= stop:
-                                sm_ptr[j] = stop
-                            for noff in range(start, stop - 1, -1):
-                                p = base + noff
-                                counts[14] += 1
-                                qrow = (p & m2) * w2
-                                inl2 = False
-                                for w in range(w2):
-                                    if t2[qrow + w] == p:
-                                        inl2 = True
-                                        break
-                                if not inl2:
-                                    counts[5] += 1
-                                    fw = -1
-                                    for w in range(w2):
-                                        if t2[qrow + w] == -1:
-                                            fw = w
-                                            break
-                                    if fw < 0:
-                                        best = _BIG
-                                        for w in range(w2):
-                                            if s2[qrow + w] < best:
-                                                best = s2[qrow + w]
-                                                fw = w
-                                        if p2[qrow + fw]:
-                                            counts[9] += 1
-                                    t2[qrow + fw] = p
-                                    p2[qrow + fw] = 1
-                                    seqs[1] += 1
-                                    s2[qrow + fw] = seqs[1]
-                                    counts[7] += 1
-                                    counts[15] += 1
-                                    req[nreq] = ~p
-                                    nreq += 1
-            if en_adj and not hit2:
-                p = ln ^ 1
-                counts[14] += 1
-                qrow = (p & m2) * w2
-                inl2 = False
-                for w in range(w2):
-                    if t2[qrow + w] == p:
-                        inl2 = True
-                        break
-                if not inl2:
-                    counts[5] += 1
-                    fw = -1
-                    for w in range(w2):
-                        if t2[qrow + w] == -1:
-                            fw = w
-                            break
-                    if fw < 0:
-                        best = _BIG
-                        for w in range(w2):
-                            if s2[qrow + w] < best:
-                                best = s2[qrow + w]
-                                fw = w
-                        if p2[qrow + fw]:
-                            counts[9] += 1
-                    t2[qrow + fw] = p
-                    p2[qrow + fw] = 1
-                    seqs[1] += 1
-                    s2[qrow + fw] = seqs[1]
-                    counts[7] += 1
-                    counts[15] += 1
-                    req[nreq] = ~p
-                    nreq += 1
-    return nreq
-
-
-_core_chunk_py = _core_chunk
-K_CORE_CHUNK = _maybe_jit(_core_chunk)
-
-
-# ------------------------------------------------------------------
-# Native state containers
-# ------------------------------------------------------------------
-
-
-class NativeCache:
-    """Array-backed private L1/L2 image (kernel layout).
-
-    Behavioural replacement for :class:`~repro.sim.fastcache.FastCache`
-    under the core kernel: per-way tags/pref bits plus strictly
-    increasing touch stamps whose order is exactly the dict's LRU
-    order.  Only the kernel mutates it; the methods here are the
-    inspection surface the rest of the stack expects (stats, occupancy,
-    canonical LRU-ordered array views).
-    """
-
-    __slots__ = ("geometry", "n_sets", "ways", "_set_mask", "tags", "pref", "stamps", "seq", "stats")
-
-    def __init__(self, geometry: CacheGeometry) -> None:
-        self.geometry = geometry
-        self.n_sets = geometry.sets
-        self.ways = geometry.ways
-        self._set_mask = self.n_sets - 1
-        size = self.n_sets * self.ways
-        self.tags = np.full(size, -1, dtype=np.int64)
-        self.pref = np.zeros(size, dtype=np.uint8)
-        self.stamps = np.zeros(size, dtype=np.int64)
-        self.seq = 0
-        self.stats = CacheStats()
-
-    def occupancy(self) -> int:
-        return int((self.tags != -1).sum())
-
-    def probe(self, line: int) -> bool:
-        row = (line & self._set_mask) * self.ways
-        return bool((self.tags[row : row + self.ways] == line).any())
-
-    def flush(self) -> None:
-        self.tags[:] = -1
-        self.pref[:] = 0
-        self.stamps[:] = 0
-
-    def clone(self) -> "NativeCache":
-        c = NativeCache.__new__(NativeCache)
-        c.geometry = self.geometry
-        c.n_sets = self.n_sets
-        c.ways = self.ways
-        c._set_mask = self._set_mask
-        c.tags = self.tags.copy()
-        c.pref = self.pref.copy()
-        c.stamps = self.stamps.copy()
-        c.seq = self.seq
-        c.stats = CacheStats()
-        return c
-
-    def _lru_order(self) -> np.ndarray:
-        """Way permutation per set: filled ways LRU->MRU, empties trail."""
-        t = self.tags.reshape(self.n_sets, self.ways)
-        s = self.stamps.reshape(self.n_sets, self.ways)
-        key = np.where(t == -1, _BIG, s)
-        return np.argsort(key, axis=1, kind="stable")
-
-    def tags_array(self) -> np.ndarray:
-        """Resident lines, ``[sets, ways]`` int64, LRU->MRU like FastCache."""
-        t = self.tags.reshape(self.n_sets, self.ways)
-        return np.take_along_axis(t, self._lru_order(), axis=1)
-
-    def pref_array(self) -> np.ndarray:
-        """Prefetched-unused bits in the same canonical order as tags."""
-        p = self.pref.reshape(self.n_sets, self.ways)
-        return np.take_along_axis(p, self._lru_order(), axis=1)
-
-    def state_equal(self, other: "NativeCache") -> bool:
-        """Canonical behavioural equality (lines + bits in LRU order).
-
-        Physical way placement may differ between two images that
-        behave identically — private-cache behaviour depends only on
-        contents and recency order, which is what this compares.
-        """
-        return np.array_equal(self.tags_array(), other.tags_array()) and np.array_equal(
-            self.pref_array(), other.pref_array()
-        )
-
-
-class NativeTables:
-    """Array-backed IP-stride + streamer tables (linear scan, FIFO).
-
-    ``*_ord`` insertion stamps reproduce the dict tables' FIFO eviction
-    (``pop(next(iter(table)))`` == min insertion stamp); empty slots
-    carry key -1.  Also holds the static prefetcher knobs the kernel
-    needs, so one object rides along with each lane/core state.
-    """
-
-    __slots__ = (
-        "st_ctx", "st_last", "st_stride", "st_conf", "st_ord", "st_seq",
-        "sm_page", "sm_off", "sm_dir", "sm_run", "sm_ptr", "sm_ord", "sm_seq",
-        "stride_degree", "stride_thr", "stream_degree",
-    )
-
-    def __init__(self, params: MachineParams) -> None:
-        E = params.stride_table_entries
-        P = params.streamer_table_pages
-        self.st_ctx = np.full(E, -1, dtype=np.int64)
-        self.st_last = np.zeros(E, dtype=np.int64)
-        self.st_stride = np.zeros(E, dtype=np.int64)
-        self.st_conf = np.zeros(E, dtype=np.int64)
-        self.st_ord = np.zeros(E, dtype=np.int64)
-        self.st_seq = 0
-        self.sm_page = np.full(P, -1, dtype=np.int64)
-        self.sm_off = np.zeros(P, dtype=np.int64)
-        self.sm_dir = np.zeros(P, dtype=np.int64)
-        self.sm_run = np.zeros(P, dtype=np.int64)
-        self.sm_ptr = np.full(P, -1, dtype=np.int64)
-        self.sm_ord = np.zeros(P, dtype=np.int64)
-        self.sm_seq = 0
-        self.stride_degree = params.stride_degree
-        self.stride_thr = params.stride_confidence
-        self.stream_degree = params.streamer_degree
-
-    def clone(self) -> "NativeTables":
-        c = NativeTables.__new__(NativeTables)
-        for name in ("st_ctx", "st_last", "st_stride", "st_conf", "st_ord",
-                     "sm_page", "sm_off", "sm_dir", "sm_run", "sm_ptr", "sm_ord"):
-            setattr(c, name, getattr(self, name).copy())
-        c.st_seq = self.st_seq
-        c.sm_seq = self.sm_seq
-        c.stride_degree = self.stride_degree
-        c.stride_thr = self.stride_thr
-        c.stream_degree = self.stream_degree
-        return c
-
-    def _fifo_order(self, keys: np.ndarray, ords: np.ndarray) -> np.ndarray:
-        return np.argsort(np.where(keys == -1, _BIG, ords), kind="stable")
-
-    def stride_canonical(self) -> np.ndarray:
-        """Occupied stride rows ``[ctx, last, stride, conf]`` in FIFO order."""
-        o = self._fifo_order(self.st_ctx, self.st_ord)
-        rows = np.stack(
-            [self.st_ctx[o], self.st_last[o], self.st_stride[o], self.st_conf[o]], axis=1
-        )
-        return rows[self.st_ctx[o] != -1]
-
-    def streamer_canonical(self) -> np.ndarray:
-        """Occupied streamer rows ``[page, off, dir, run, ptr]`` in FIFO order."""
-        o = self._fifo_order(self.sm_page, self.sm_ord)
-        rows = np.stack(
-            [self.sm_page[o], self.sm_off[o], self.sm_dir[o], self.sm_run[o], self.sm_ptr[o]],
-            axis=1,
-        )
-        return rows[self.sm_page[o] != -1]
-
-    def tables_equal(self, other: "NativeTables") -> bool:
-        return np.array_equal(self.stride_canonical(), other.stride_canonical()) and (
-            np.array_equal(self.streamer_canonical(), other.streamer_canonical())
-        )
-
-
-def stride_rows(tabs: NativeTables, entries: int) -> np.ndarray:
-    """``(entries, 4)`` stride-table block in FIFO order, -1 padded.
-
-    Same layout as ``GroupedCore.stride_tensor`` builds from the dict
-    table, so the property suite sees identical tensors either way.
-    """
-    block = np.full((entries, 4), -1, dtype=np.int64)
-    rows = tabs.stride_canonical()
-    block[: len(rows)] = rows
-    return block
-
-
-class _Enables:
-    """Prefetcher enable flags with ``PrefetcherBank.set_enables``'s shape."""
-
-    __slots__ = ("en_stride", "en_next_line", "en_streamer", "en_adjacent")
-
-    def __init__(self) -> None:
-        self.en_stride = True
-        self.en_next_line = True
-        self.en_streamer = True
-        self.en_adjacent = True
-
-    def set_enables(self, *, stride=None, next_line=None, streamer=None, adjacent=None):
-        if stride is not None:
-            self.en_stride = bool(stride)
-        if next_line is not None:
-            self.en_next_line = bool(next_line)
-        if streamer is not None:
-            self.en_streamer = bool(streamer)
-        if adjacent is not None:
-            self.en_adjacent = bool(adjacent)
-
-
-class NativeLaneState:
-    """Native-layout lane image (duck-types ``_LaneState`` for the kernel).
-
-    Carries the same ``l1``/``l2``/``bank``/``trace``/``mask_applied``
-    surface the batch engine's lane machinery touches, plus the
-    prefetcher table arrays the core kernel needs.
-    """
-
-    __slots__ = ("l1", "l2", "tabs", "bank", "trace", "mask_applied")
-
-    def __init__(self, l1, l2, tabs, trace, mask_applied=-1) -> None:
-        self.l1 = l1
-        self.l2 = l2
-        self.tabs = tabs
-        self.bank = _Enables()
-        self.trace = trace
-        self.mask_applied = mask_applied
-
-
-def fresh_lane_state(params: MachineParams, trace) -> NativeLaneState:
-    return NativeLaneState(
-        NativeCache(params.l1), NativeCache(params.l2), NativeTables(params), trace
-    )
-
-
-def clone_lane_state(st: NativeLaneState, trace) -> NativeLaneState:
-    c = NativeLaneState(st.l1.clone(), st.l2.clone(), st.tabs.clone(), trace, st.mask_applied)
-    c.bank.set_enables(
-        stride=st.bank.en_stride,
-        next_line=st.bank.en_next_line,
-        streamer=st.bank.en_streamer,
-        adjacent=st.bank.en_adjacent,
-    )
-    return c
-
-
-def images_equal(a, b) -> bool:
-    """Behavioural equality of two native lane images (see ``_images_equal``).
-
-    Canonical comparison: private-cache behaviour depends only on
-    contents + recency order (never way indices) and table behaviour on
-    contents + FIFO order, so stamp-rank/insertion-rank equality is
-    exactly the dict paths' order-sensitive equality.  Mask/enable
-    flags are ignored for the same reason as the dict path; live traces
-    never compare equal.
-    """
-    if not (isinstance(a, NativeLaneState) and isinstance(b, NativeLaneState)):
-        return False
-    if a.trace._live is not None or b.trace._live is not None:
-        return False
-    if a.trace.pos != b.trace.pos:
-        return False
-    if not a.tabs.tables_equal(b.tabs):
-        return False
-    return a.l1.state_equal(b.l1) and a.l2.state_equal(b.l2)
-
-
-# ------------------------------------------------------------------
-# Kernel dispatch wrappers (Machine/lane entry points)
-# ------------------------------------------------------------------
-
-
-def run_core_chunk_native(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
-    """Native drop-in for :func:`repro.sim.fastengine.run_core_chunk`.
-
-    ``cs`` needs ``trace``, :class:`NativeCache` ``l1``/``l2``,
-    :class:`NativeTables` ``tabs`` and a ``bank`` with the four enable
-    flags — satisfied by both :class:`NativeLaneState` and the native
-    scalar machine's core state.  A kernel failure sticky-disables the
-    tier (new state falls back pure) and re-raises: the chunk is
-    consumed, so this call cannot be retried — callers' existing
-    degradation paths (chaos layer, lockstep fallback) own recovery.
-    """
-    prof = profiling.ON
-    if prof:
-        t0 = profiling.clock()
-        ctxs, lines = cs.trace.chunk(q)
-        profiling.add("trace_serve", profiling.clock() - t0)
-        t0 = profiling.clock()
-    else:
-        ctxs, lines = cs.trace.chunk(q)
-    n = len(lines)
-    if n == 0:
-        return
-    l1 = cs.l1
-    l2 = cs.l2
-    tabs = cs.tabs
-    bank = cs.bank
-    # Strict bound: one demand + <= streamer_degree + 1 adjacent
-    # requests per access (stride/next-line never leave the core).
-    req = np.empty(n * (tabs.stream_degree + 2), dtype=np.int64)
-    counts = np.zeros(16, dtype=np.int64)
-    seqs = np.empty(4, dtype=np.int64)
-    seqs[0] = l1.seq
-    seqs[1] = l2.seq
-    seqs[2] = tabs.st_seq
-    seqs[3] = tabs.sm_seq
-    try:
-        nreq = int(
-            K_CORE_CHUNK(
-                ctxs, lines, n,
-                l1.tags, l1.pref, l1.stamps, l1._set_mask, l1.ways,
-                l2.tags, l2.pref, l2.stamps, l2._set_mask, l2.ways,
-                tabs.st_ctx, tabs.st_last, tabs.st_stride, tabs.st_conf, tabs.st_ord,
-                tabs.sm_page, tabs.sm_off, tabs.sm_dir, tabs.sm_run, tabs.sm_ptr, tabs.sm_ord,
-                seqs,
-                bank.en_stride, bank.en_next_line, bank.en_streamer, bank.en_adjacent,
-                tabs.stride_degree, tabs.stride_thr, tabs.stream_degree,
-                req, counts,
-            )
-        )
-    except Exception as e:
-        note_native_fallback()
-        disable_runtime(f"core kernel failed: {e!r}")
-        raise
-    l1.seq = int(seqs[0])
-    l2.seq = int(seqs[1])
-    tabs.st_seq = int(seqs[2])
-    tabs.sm_seq = int(seqs[3])
-    llc_req.extend(req[:nreq].tolist())
-    st1 = l1.stats
-    st1.accesses += int(counts[0])
-    st1.hits += int(counts[1])
-    st1.pref_fills += int(counts[2])
-    st1.pref_used += int(counts[3])
-    st1.pref_evicted_unused += int(counts[4])
-    st2 = l2.stats
-    st2.accesses += int(counts[5])
-    st2.hits += int(counts[6])
-    st2.pref_fills += int(counts[7])
-    st2.pref_used += int(counts[8])
-    st2.pref_evicted_unused += int(counts[9])
-    qc.n_access = n
-    qc.n_l2_hit_d = int(counts[12])
-    pmu_counts[cpu, Event.L1_DM_REQ] += n
-    pmu_counts[cpu, Event.L1_DM_MISS] += int(counts[10])
-    pmu_counts[cpu, Event.L1_PREF_REQ] += int(counts[11])
-    pmu_counts[cpu, Event.L2_DM_REQ] += int(counts[10])
-    pmu_counts[cpu, Event.L2_DM_MISS] += int(counts[13])
-    pmu_counts[cpu, Event.L2_PREF_REQ] += int(counts[14])
-    pmu_counts[cpu, Event.L2_PREF_MISS] += int(counts[15])
-    if prof:
-        profiling.add("core_advance", profiling.clock() - t0)
-
-
-class NativeLLC:
-    """Array-backed shared LLC for the native scalar machine.
-
-    The R=1 case of the grouped SoA layout, served by the same
-    :data:`K_SERVE_LLC` kernel.  Exposes the
-    :class:`~repro.sim.fastcache.FastPartitionedCache` inspection
-    surface (stats, occupancy, way-indexed array views).
-    """
-
-    __slots__ = ("geometry", "n_sets", "ways", "_set_mask", "tags", "stamps", "pref",
-                 "_seq", "free_lines", "stats")
-
-    def __init__(self, geometry: CacheGeometry) -> None:
-        self.geometry = geometry
-        self.n_sets = geometry.sets
-        self.ways = geometry.ways
-        self._set_mask = self.n_sets - 1
-        size = self.n_sets * self.ways
-        self.tags = np.full(size, -1, dtype=np.int64)
-        self.stamps = np.zeros(size, dtype=np.int64)
-        self.pref = np.zeros(size, dtype=np.uint8)
-        self._seq = 1
-        self.free_lines = size
-        self.stats = CacheStats()
-
-    def occupancy(self) -> int:
-        return int((self.tags != -1).sum())
-
-    def occupancy_in_ways(self, ways) -> int:
-        t = self.tags.reshape(self.n_sets, self.ways)
-        return int((t[:, list(ways)] != -1).sum())
-
-    def probe(self, line: int) -> bool:
-        row = (line & self._set_mask) * self.ways
-        return bool((self.tags[row : row + self.ways] == line).any())
-
-    def resident_way(self, line: int):
-        row = (line & self._set_mask) * self.ways
-        hits = np.flatnonzero(self.tags[row : row + self.ways] == line)
-        return int(hits[0]) if len(hits) else None
-
-    def flush(self) -> None:
-        self.tags[:] = -1
-        self.stamps[:] = 0
-        self.pref[:] = 0
-        self.free_lines = self.n_sets * self.ways
-
-    def tags_array(self) -> np.ndarray:
-        """Resident lines, way-indexed ``[sets, ways]`` (-1 = empty)."""
-        return self.tags.reshape(self.n_sets, self.ways).copy()
-
-    def pref_array(self) -> np.ndarray:
-        return self.pref.reshape(self.n_sets, self.ways).copy()
-
-    def recency_array(self) -> np.ndarray:
-        """Way indices per set in LRU->MRU order, empties (lowest) first."""
-        t = self.tags.reshape(self.n_sets, self.ways)
-        s = self.stamps.reshape(self.n_sets, self.ways)
-        w = np.arange(self.ways, dtype=np.int64)[None, :]
-        key = np.where(t == -1, w - self.ways, s)  # empties sort below stamps
-        return np.argsort(key, axis=1, kind="stable").astype(np.int64)
-
-
-def run_llc_phase_native(machine, counts, llc_reqs, pmu_counts) -> None:
-    """Native drop-in for :func:`repro.sim.fastengine.run_llc_phase`.
-
-    Merges with the shared vectorised merge, then serves the whole
-    quantum with one :data:`K_SERVE_LLC` dispatch over the machine's
-    :class:`NativeLLC` (R=1).  Tail accounting goes through
-    :func:`repro.sim.fastengine.apply_llc_tail` per busy core in
-    ascending order — the scalar serve's exact accumulation sequence.
-    """
-    busy, merged, mcpus = fastengine.merge_llc_requests(llc_reqs)
-    if not busy:
-        return
-    llc = machine.llc
-    W = llc.ways
-    C = len(llc_reqs)
-    allow = np.zeros(C * W, dtype=np.uint8)
-    for cpu in busy:
-        base = cpu * W
-        for w in machine.cat.allowed_ways(cpu):
-            allow[base + w] = 1
-    enc = np.asarray(merged, dtype=np.int64)
-    ispf = enc < 0
-    line = np.where(ispf, ~enc, enc)
-    si = line & llc._set_mask
-    cpus = np.asarray(mcpus, dtype=np.int64)
-    n = len(enc)
-    try:
-        stats_out, dh, dm, dp = serve_llc_arrays(
-            llc.tags, llc.stamps, llc.pref, llc.n_sets, W,
-            np.zeros(1, dtype=np.int64), allow, C,
-            line, si, ispf.view(np.uint8), cpus, cpus, llc._seq, C,
-        )
-    except Exception as e:
-        note_native_fallback()
-        disable_runtime(f"LLC serve kernel failed: {e!r}")
-        raise
-    llc._seq += n
-    llc.free_lines -= int(stats_out[0, 4])
-    st = llc.stats
-    st.accesses += n
-    st.hits += int(stats_out[0, 0])
-    st.pref_fills += int(stats_out[0, 1])
-    st.pref_used += int(stats_out[0, 2])
-    st.pref_evicted_unused += int(stats_out[0, 3])
-    line_bytes = float(machine.params.line_bytes)
-    for cpu in busy:
-        fastengine.apply_llc_tail(
-            counts[cpu], pmu_counts, cpu,
-            int(dh[0, cpu]), int(dm[0, cpu]), int(dp[0, cpu]), line_bytes,
-        )
-
-
-# ------------------------------------------------------------------
-# Self-check: JIT warm-up + pure-vs-compiled equivalence
-# ------------------------------------------------------------------
-
-
-def _selfcheck_ok() -> bool:
-    global _SELFCHECK
-    if _SELFCHECK is None:
-        try:
-            _run_selfcheck()
-            _SELFCHECK = True
-        except Exception:
-            _SELFCHECK = False
-            note_native_fallback()
-    return _SELFCHECK
-
-
-def _selfcheck_llc_inputs():
-    S, W, C, R = 4, 2, 2, 2
-    rng = np.random.default_rng(7)
-    tags = np.full(R * S * W, -1, dtype=np.int64)
-    stamps = np.zeros(R * S * W, dtype=np.int64)
-    pref = np.zeros(R * S * W, dtype=np.uint8)
-    allow = np.ones(R * C * W, dtype=np.uint8)
-    allow[C * W + 1 :: W] = 0  # run 1: way 1 disallowed everywhere
-    n = 24
-    line = rng.integers(0, 16, size=n).astype(np.int64)
-    si = line & (S - 1)
-    ispf = (rng.integers(0, 3, size=n) == 0).astype(np.uint8)
-    cpu_col = rng.integers(0, C, size=n).astype(np.int64)
-    return (tags, stamps, pref, S, W,
-            np.arange(R, dtype=np.int64), allow, C,
-            line, si, ispf, cpu_col, cpu_col, 1)
-
-
-def _selfcheck_core_inputs():
-    class _G:
-        pass
-
-    n = 40
-    ctxs = np.repeat(np.arange(4, dtype=np.int64), 10)
-    lines = (np.arange(n, dtype=np.int64) * 3) % 64 + (ctxs << 8)
-    t1 = np.full(4 * 2, -1, dtype=np.int64)
-    p1 = np.zeros(4 * 2, dtype=np.uint8)
-    s1 = np.zeros(4 * 2, dtype=np.int64)
-    t2 = np.full(8 * 2, -1, dtype=np.int64)
-    p2 = np.zeros(8 * 2, dtype=np.uint8)
-    s2 = np.zeros(8 * 2, dtype=np.int64)
-    E, P = 4, 4
-    return (
-        ctxs, lines, n,
-        t1, p1, s1, 3, 2,
-        t2, p2, s2, 7, 2,
-        np.full(E, -1, dtype=np.int64), np.zeros(E, dtype=np.int64),
-        np.zeros(E, dtype=np.int64), np.zeros(E, dtype=np.int64),
-        np.zeros(E, dtype=np.int64),
-        np.full(P, -1, dtype=np.int64), np.zeros(P, dtype=np.int64),
-        np.zeros(P, dtype=np.int64), np.zeros(P, dtype=np.int64),
-        np.full(P, -1, dtype=np.int64), np.zeros(P, dtype=np.int64),
-        np.zeros(4, dtype=np.int64),
-        True, True, True, True,
-        2, 2, 4,
-        np.empty(n * 6, dtype=np.int64), np.zeros(16, dtype=np.int64),
-    )
-
-
-def _run_selfcheck() -> None:
-    """Run both kernels (compiling them under numba) against the pure
-    Python source on copied inputs; any exception or mismatch keeps the
-    tier off for the whole process."""
-    # Kernel (a)
-    args = _selfcheck_llc_inputs()
-    outs = []
-    for fn in (K_SERVE_LLC, _serve_llc_py):
-        tags, stamps, pref = args[0].copy(), args[1].copy(), args[2].copy()
-        stats_out = np.zeros((2, 5), dtype=np.int64)
-        dh = np.zeros((2, 2), dtype=np.int64)
-        dm = np.zeros((2, 2), dtype=np.int64)
-        dp = np.zeros((2, 2), dtype=np.int64)
-        fn(tags, stamps, pref, *args[3:], stats_out, dh, dm, dp)
-        outs.append((tags, stamps, pref, stats_out, dh, dm, dp))
-    for a, b in zip(*outs):
-        if not np.array_equal(a, b):
-            raise RuntimeError("native LLC serve kernel diverged from pure source")
-    # Kernel (b)
-    args = _selfcheck_core_inputs()
-    outs = []
-    for fn in (K_CORE_CHUNK, _core_chunk_py):
-        mut = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
-        nreq = int(fn(*mut))
-        outs.append((nreq, mut))
-    (n_a, mut_a), (n_b, mut_b) = outs
-    if n_a != n_b:
-        raise RuntimeError("native core kernel diverged from pure source")
-    for a, b in zip(mut_a, mut_b):
-        if isinstance(a, np.ndarray):
-            ok = np.array_equal(a[:n_a], b[:n_a]) if a.shape == (len(args[-2]),) else np.array_equal(a, b)
-            if not ok:
-                raise RuntimeError("native core kernel diverged from pure source")
+    return 0

@@ -8,6 +8,7 @@ an exception, never a changed payload, never a half-written entry.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from repro.experiments import batch as B
 from repro.experiments.batch import BatchRunSpec, simulate_batch
 from repro.experiments.config import ScaleConfig
+from repro.experiments.runner import build_machine
 from repro.experiments.engine import (
     KIND_ALONE,
     KIND_MECHANISM,
@@ -145,6 +147,73 @@ class TestGroupedCoreMidQuantumCrash:
             assert np.array_equal(h.totals, d.totals)
             assert h.wall_cycles == d.wall_cycles
             assert d.batch_degradations == 1
+
+
+def _digest(stats_list):
+    h = hashlib.sha256()
+    for rs in stats_list:
+        h.update(np.ascontiguousarray(rs.totals).tobytes())
+        h.update(repr(rs.wall_cycles).encode())
+    return h.hexdigest()
+
+
+def _fast_digest(specs, sc, store):
+    """Every spec on its own scalar ``fast`` machine."""
+    out = []
+    for spec in specs:
+        m = build_machine(spec.mix, sc, trace_store=store, engine="fast")
+        if spec.mechanism is not None:
+            out.append(B._run_mechanism(m, spec.mechanism, sc))
+        else:
+            out.append(B._run_static(m, spec))
+    return _digest(out)
+
+
+def _overlap_sweeps(mix):
+    """Two static sweeps (two prefetch-mask vectors), each with one row
+    whose CLOS share ways 8-11: the stack-distance serve cannot take
+    that row, so each sweep's serve runs the round loop once."""
+    w = SC.params().llc.ways
+    overlap = ((0, (1 << 12) - 1), (1, ((1 << w) - 1) ^ 0xFF))
+    specs = []
+    for mask in (0x0, 0xF):
+        sweep = [dataclasses.replace(s, masks=(mask,) * mix.n_cores) for s in _static_specs(mix)]
+        sweep[1] = dataclasses.replace(sweep[1], clos_cbms=overlap)
+        specs += sweep
+    return specs
+
+
+class TestGroupedLLCMidServeCrash:
+    @pytest.mark.parametrize("drive", ["static_sweep", "lockstep"])
+    def test_mid_serve_failure_degrades_bit_identically(self, store, mix, monkeypatch, drive):
+        """The grouped LLC's round loop finishes mutating the image on its
+        second call, then raises: the sweep or lockstep group must
+        degrade to per-run machines with the scalar fast results and one
+        counted degradation."""
+        from repro.sim.batch import GroupedLLC, degradation_count
+
+        if drive == "static_sweep":
+            specs, sc = _overlap_sweeps(mix), SC
+        else:
+            specs, sc = [BatchRunSpec(mix=mix, mechanism=m) for m in ("pt", "cmm-a")], MECH_SC
+        expected = _fast_digest(specs, sc, store)
+
+        real = GroupedLLC._round_loop
+        calls = {"n": 0}
+
+        def crash_on_second(self, *a, **kw):
+            out = real(self, *a, **kw)
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("injected mid-serve failure")
+            return out
+
+        monkeypatch.setattr(GroupedLLC, "_round_loop", crash_on_second)
+        before = degradation_count()
+        degraded = simulate_batch(specs, sc, trace_store=store)
+        assert calls["n"] >= 2, "injection never fired"
+        assert degradation_count() > before
+        assert _digest(degraded) == expected
 
 
 class TestSessionGroupFailureFallback:

@@ -5,7 +5,9 @@ Differential checks, innermost layer first:
 * :class:`GroupedLLC` served with per-run *divergent* CAT allow
   matrices — including mid-stream flips, subgroup (ragged) serves and
   multi-quantum concatenated streams — against an independent
-  CAT-aware dict-LRU oracle, on hypothesis-generated request streams;
+  CAT-aware dict-LRU oracle (and, for divergent full-group serves, the
+  library's reference :class:`~repro.sim.cache.PartitionedCache` too),
+  on hypothesis-generated request streams;
   and its cold whole-group serve, where the stack-distance strategy
   takes every run with independent partitions and defers the image.
 * The stamp-0 victim rule on its own: a stack-solved fill phase
@@ -33,6 +35,7 @@ from repro.experiments.batch import build_batch_kernel
 from repro.experiments.config import ScaleConfig
 from repro.experiments.runner import build_machine
 from repro.sim.batch import GroupedLLC, LockstepGroup, _PreparedStream, run_static_sweep
+from repro.sim.cache import PartitionedCache
 from repro.sim.fastcache import FastPartitionedCache
 from repro.sim.params import CacheGeometry
 from repro.sim.tracestore import TraceStore
@@ -193,6 +196,35 @@ def _assert_run_matches(llc: GroupedLLC, oracle: CatLruOracle, run: int, label: 
     ), f"{label}: stats"
 
 
+def _reference_replay(caches, stream: _PreparedStream, allowed, runs) -> None:
+    for i in range(stream.n):
+        line = int(stream.line[i])
+        cpu = int(stream.cpu_col[i])
+        for r in runs:
+            ways = tuple(np.flatnonzero(allowed[r, cpu]).tolist())
+            caches[r].access(line, ways, bool(stream.is_pref[i]))
+
+
+def _assert_run_matches_reference(llc: GroupedLLC, cache: PartitionedCache, run: int, label: str):
+    """The reference LLC as a second oracle: way placement through
+    ``resident_way``, its CacheStats, and per-set LRU order."""
+    tags = llc.tags[run]
+    resident = [(si, w) for si, w in zip(*np.nonzero(tags != -1))]
+    assert len(resident) == cache.occupancy(), f"{label}: reference occupancy"
+    for si, w in resident:
+        assert cache.resident_way(int(tags[si, w])) == w, f"{label}: reference placement"
+    s = cache.stats
+    assert llc.stats_for(run) == (
+        s.accesses, s.hits, s.pref_fills, s.pref_used, s.pref_evicted_unused
+    ), f"{label}: reference stats"
+    ref_ranks = np.full(tags.shape, -1, dtype=np.int64)
+    for si in range(tags.shape[0]):
+        valid = [w for w in range(tags.shape[1]) if cache._tags[si][w] != -1]
+        for rank, w in enumerate(sorted(valid, key=lambda w: cache._stamps[si][w])):
+            ref_ranks[si, w] = rank
+    assert np.array_equal(_stamp_ranks(llc, run), ref_ranks), f"{label}: reference LRU order"
+
+
 class TestGroupedLLCOracle:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), width=st.sampled_from([1, 3, 8]))
@@ -202,6 +234,7 @@ class TestGroupedLLCOracle:
         rng = np.random.default_rng(seed)
         llc = GroupedLLC(GEOM, width)
         oracles = [CatLruOracle(GEOM) for _ in range(width)]
+        caches = [PartitionedCache(GEOM) for _ in range(width)]
         for _ in range(4):
             allowed = _rand_allow(rng, width)
             stream = _stream(rng, int(rng.integers(1, 120)))
@@ -212,6 +245,7 @@ class TestGroupedLLCOracle:
             llc.serve(stream, allowed, hits_d, mem_d, pref_m, runs=runs)
             before = [(o.hits_d[:], o.mem_d[:], o.pref_m[:]) for o in oracles]
             _oracle_replay(oracles, stream, allowed, runs)
+            _reference_replay(caches, stream, allowed, runs)
             for r in runs:
                 bh, bm, bp = before[r]
                 dh = [a - b for a, b in zip(oracles[r].hits_d, bh)]
@@ -222,6 +256,7 @@ class TestGroupedLLCOracle:
                 assert pref_m[r].tolist() == dp, f"run {r}: per-cpu pref fills"
         for r in range(width):
             _assert_run_matches(llc, oracles[r], r, f"run {r}")
+            _assert_run_matches_reference(llc, caches[r], r, f"run {r}")
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6))

@@ -29,12 +29,10 @@ from repro.experiments.engine import KIND_MECHANISM, ExperimentSession, PlannedR
 from repro.experiments.runner import build_machine
 from repro.sim import PF_ALL_OFF, PF_ALL_ON
 from repro.sim.batch import run_static_sweep
-from repro.sim import nativekernels
 from repro.sim.engines import (
     ENGINE_AUTO,
     ENGINE_BATCH,
     ENGINE_FAST,
-    ENGINE_NATIVE,
     ENGINE_REFERENCE,
     ENV_VAR,
     EngineSelectionError,
@@ -324,6 +322,13 @@ class TestEngineRegistry:
         for name in available_engines() + (ENGINE_AUTO,):
             assert name in msg
 
+    def test_registry_is_reference_fast_batch(self):
+        assert available_engines() == ("reference", "fast", "batch")
+        with pytest.raises(EngineSelectionError) as exc:
+            resolve_engine("native")
+        for name in ("reference", "fast", "batch", ENGINE_AUTO):
+            assert repr(name) in str(exc.value)
+
     def test_selection_error_is_a_value_error(self):
         assert issubclass(EngineSelectionError, ValueError)
 
@@ -350,8 +355,6 @@ class TestEngineRegistry:
         assert resolve_engine(None).name == ENGINE_REFERENCE
         assert resolve_engine("auto").name == ENGINE_REFERENCE
         monkeypatch.delenv(ENV_VAR)
-        # With no env override, auto prefers the compiled tier when it
-        # is usable and otherwise falls back to the default engine.
-        expected = ENGINE_NATIVE if nativekernels.kernels_enabled() else ENGINE_FAST
-        assert resolve_engine(None).name == expected
+        assert resolve_engine(None).name == ENGINE_FAST
+        assert resolve_engine("auto").name == ENGINE_FAST
         assert resolve_engine("batch").name == ENGINE_BATCH

@@ -149,17 +149,9 @@ class TestEngineEquivalence:
 
 class TestEngineSelection:
     def test_default_is_fast(self, tiny_params, monkeypatch):
-        """Auto resolution lands on the compiled tier when it is usable
-        and on the default fast engine otherwise."""
-        from repro.sim import nativekernels
-        from repro.sim.engines import ENGINE_NATIVE
-
         monkeypatch.delenv(ENV_VAR, raising=False)
-        expected = (
-            ENGINE_NATIVE if nativekernels.kernels_enabled() else DEFAULT_ENGINE
-        )
         assert DEFAULT_ENGINE == ENGINE_FAST
-        assert Machine(tiny_params).engine == expected
+        assert Machine(tiny_params).engine == ENGINE_FAST
 
     def test_env_var_selects(self, tiny_params, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "reference")
