@@ -1,15 +1,16 @@
-"""Differential properties of the compiled LLC serve kernel.
+"""Differential properties of the grouped LLC serve.
 
-:func:`repro.sim.nativekernels._serve_llc` — the fused whole-quantum
-grouped-LLC kernel — is checked on random lockstep request streams
-against the reference dict-LRU :class:`~repro.sim.cache.
-PartitionedCache` oracle, per run, under randomly varying CAT way
-masks.  "Identical" covers per-access hit/miss outcomes (recovered
-from the dense block counters), every stats column the grouped LLC
-consumes, resident-line placement down to the way index, and the
-free-fill counter (cross-checked against the oracle's occupancy
-delta).  The kernel is driven through :func:`serve_llc_arrays`, the
-exact dispatch the batch engine uses.
+:meth:`repro.sim.batch.GroupedLLC.serve` — the whole-quantum grouped
+LLC serve the batch engine dispatches (the compiled kernel this module
+was named for is gone; the serve it shadowed remains) — is checked on
+random lockstep request streams against the reference dict-LRU
+:class:`~repro.sim.cache.PartitionedCache` oracle, per run, under
+randomly varying CAT way masks.  "Identical" covers per-core hit/miss
+outcomes (the demand-hit, demand-fill and prefetch-fill counters),
+every stats column the grouped LLC keeps, resident-line placement down
+to the way index, and occupancy.  The first serve of a cold image
+takes the stack-distance strategy where the masks allow it and every
+later one the round loop, so both are covered.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import nativekernels
+from repro.sim.batch import GroupedLLC, _PreparedStream
 from repro.sim.cache import PartitionedCache, ways_from_mask
 from repro.sim.params import CacheGeometry
 
@@ -38,44 +39,37 @@ batch = st.tuples(
 batches = st.lists(batch, min_size=1, max_size=6)
 
 
-def _fresh_flat():
-    tags = np.full(R * S * W, -1, dtype=np.int64)
-    stamps = np.zeros(R * S * W, dtype=np.int64)
-    pref = np.zeros(R * S * W, dtype=np.uint8)
-    return tags, stamps, pref
-
-
-def _allow_matrix(run_masks):
-    allow = np.zeros(R * C * W, dtype=np.uint8)
+def _allow_matrix(run_masks) -> np.ndarray:
+    allow = np.zeros((R, C, W), dtype=bool)
     for r in range(R):
         for c in range(C):
-            for w in ways_from_mask(run_masks[r][c], W):
-                allow[r * C * W + c * W + w] = 1
+            allow[r, c, list(ways_from_mask(run_masks[r][c], W))] = True
     return allow
+
+
+def _stream(ops) -> _PreparedStream:
+    enc = [~ln if pf else ln for ln, pf, _ in ops]
+    return _PreparedStream(enc, [cp for _, _, cp in ops], S - 1)
+
+
+def _serve(llc: GroupedLLC, ops, run_masks):
+    acc = [np.zeros((R, C), dtype=np.int64) for _ in range(3)]
+    llc.serve(_stream(ops), _allow_matrix(run_masks), *acc)
+    return acc
 
 
 class TestServeLlcMatchesDictLruOracle:
     @given(batches)
     @settings(max_examples=60, deadline=None)
     def test_counters_and_outcomes(self, seq):
-        tags, stamps, pref = _fresh_flat()
+        llc = GroupedLLC(GEOM, R)
         oracles = [PartitionedCache(GEOM) for _ in range(R)]
-        run_idx = np.arange(R, dtype=np.int64)
-        seq0 = 1
         for ops, run_masks in seq:
-            n = len(ops)
-            line = np.array([o[0] for o in ops], dtype=np.int64)
-            ispf = np.array([o[1] for o in ops], dtype=np.uint8)
-            cpu = np.array([o[2] for o in ops], dtype=np.int64)
-            occ_before = [o.occupancy() for o in oracles]
-            stats_out, hits_d, mem_d, pref_m = nativekernels.serve_llc_arrays(
-                tags, stamps, pref, S, W, run_idx, _allow_matrix(run_masks),
-                C, line, line & (S - 1), ispf, cpu, cpu, seq0, C,
-            )
-            seq0 += n
+            before = [llc.stats_for(r) for r in range(R)]
+            hits_d, mem_d, pref_m = _serve(llc, ops, run_masks)
             for r, o in enumerate(oracles):
-                s0 = (o.stats.hits, o.stats.pref_fills, o.stats.pref_used,
-                      o.stats.pref_evicted_unused)
+                s0 = (o.stats.accesses, o.stats.hits, o.stats.pref_fills,
+                      o.stats.pref_used, o.stats.pref_evicted_unused)
                 exp_hits = np.zeros(C, dtype=np.int64)
                 exp_mem = np.zeros(C, dtype=np.int64)
                 exp_pref = np.zeros(C, dtype=np.int64)
@@ -89,11 +83,13 @@ class TestServeLlcMatchesDictLruOracle:
                         exp_hits[cp] += 1
                     else:
                         exp_mem[cp] += 1
-                assert stats_out[r, 0] == o.stats.hits - s0[0], "hits"
-                assert stats_out[r, 1] == o.stats.pref_fills - s0[1], "pref_fills"
-                assert stats_out[r, 2] == o.stats.pref_used - s0[2], "pref_used"
-                assert stats_out[r, 3] == o.stats.pref_evicted_unused - s0[3], "evic"
-                assert stats_out[r, 4] == o.occupancy() - occ_before[r], "free_fills"
+                got = [a - b for a, b in zip(llc.stats_for(r), before[r])]
+                s1 = (o.stats.accesses, o.stats.hits, o.stats.pref_fills,
+                      o.stats.pref_used, o.stats.pref_evicted_unused)
+                exp = [a - b for a, b in zip(s1, s0)]
+                for name, g, e in zip(("accesses", "hits", "pref_fills", "pref_used", "evic"), got, exp):
+                    assert g == e, name
+                assert llc.occupancy(r) == o.occupancy(), "occupancy"
                 assert np.array_equal(hits_d[r], exp_hits), "demand-hit blocks"
                 assert np.array_equal(mem_d[r], exp_mem), "demand-fill blocks"
                 assert np.array_equal(pref_m[r], exp_pref), "prefetch-fill blocks"
@@ -103,27 +99,17 @@ class TestServeLlcMatchesDictLruOracle:
     def test_placement_and_lru_state(self, seq):
         """Resident lines sit in the same set and way as the oracle, and
         per-set stamp order reproduces the oracle's LRU order."""
-        tags, stamps, pref = _fresh_flat()
+        llc = GroupedLLC(GEOM, R)
         oracles = [PartitionedCache(GEOM) for _ in range(R)]
-        run_idx = np.arange(R, dtype=np.int64)
-        seq0 = 1
         touched = set()
         for ops, run_masks in seq:
-            n = len(ops)
-            line = np.array([o[0] for o in ops], dtype=np.int64)
-            ispf = np.array([o[1] for o in ops], dtype=np.uint8)
-            cpu = np.array([o[2] for o in ops], dtype=np.int64)
-            nativekernels.serve_llc_arrays(
-                tags, stamps, pref, S, W, run_idx, _allow_matrix(run_masks),
-                C, line, line & (S - 1), ispf, cpu, cpu, seq0, C,
-            )
-            seq0 += n
+            _serve(llc, ops, run_masks)
             for ln, pf, cp in ops:
                 touched.add(ln)
                 for r, o in enumerate(oracles):
                     o.access(ln, ways_from_mask(run_masks[r][cp], W), bool(pf))
-        t3 = tags.reshape(R, S, W)
-        s3 = stamps.reshape(R, S, W)
+        t3 = llc.tags
+        s3 = llc.stamps
         for r, o in enumerate(oracles):
             for ln in touched:
                 si = ln & (S - 1)
@@ -138,7 +124,7 @@ class TestServeLlcMatchesDictLruOracle:
                 valid = t3[r, si] != -1
                 order = np.argsort(np.where(valid, s3[r, si], np.iinfo(np.int64).max),
                                    kind="stable")[: int(valid.sum())]
-                kern_lru = t3[r, si][order].tolist()
+                grouped_lru = t3[r, si][order].tolist()
                 oracle_stamps = o._stamps[si]
                 oracle_lru = [
                     o._tags[si][w]
@@ -147,4 +133,4 @@ class TestServeLlcMatchesDictLruOracle:
                         key=lambda w: oracle_stamps[w],
                     )
                 ]
-                assert kern_lru == oracle_lru, f"run {r} set {si}: LRU order diverged"
+                assert grouped_lru == oracle_lru, f"run {r} set {si}: LRU order diverged"
