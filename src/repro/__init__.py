@@ -43,8 +43,7 @@ Running things:
   (``engine=`` argument, ``REPRO_SIM_ENGINE`` env var, or ``auto``).
 * ``repro serve`` (:mod:`repro.service`) exposes a session to many
   concurrent clients: single-flight dedup per cache key, bounded
-  queues, a crash-consistent sweep journal (``--resume``), and an
-  optional fault-tolerant remote cache tier — see
+  queues and a crash-consistent sweep journal (``--resume``) — see
   ``docs/robustness.md``.
 
 The 1.x shims ``run_mechanism`` / ``run_policy_object`` /
@@ -101,12 +100,12 @@ from repro.sim.machine import Machine
 from repro.sim.params import MachineParams, default_params, scaled_params
 from repro.workloads.mixes import WorkloadMix, all_mixes, make_mixes
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
-#: Exported through ``__getattr__`` (PEP 562): the service tier imports
-#: asyncio and the HTTP client, which ``import repro`` and every CLI
-#: command but ``serve`` never use.
-_SERVICE_EXPORTS = ("ExperimentService", "ServiceClient", "TieredResultCache")
+#: Exported through ``__getattr__`` (PEP 562): the service imports
+#: asyncio, which ``import repro`` and every CLI command but ``serve``
+#: never use.
+_SERVICE_EXPORTS = ("ExperimentService", "ServiceClient")
 
 
 def __getattr__(name: str):
@@ -153,7 +152,6 @@ __all__ = [
     "Stage",
     "StageTrace",
     "SweepScorer",
-    "TieredResultCache",
     "WorkloadEval",
     "WorkloadMix",
     "all_mixes",

@@ -181,14 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaos", help="run seeded fault-injection scenarios against the "
                                      "controller or the experiment service")
     p.add_argument("--scenario", default="all",
-                   help="controller scenario (repro.platform.faults.SCENARIOS), service "
-                        "scenario (SERVICE_SCENARIOS), 'all', or 'all-service'")
+                   help="controller scenario (repro.platform.faults.SCENARIOS), 'all' "
+                        "(every controller scenario), or 'service'")
     p.add_argument("--seed", type=int, default=0, help="fault-plan seed")
     p.add_argument("--mechanism", default="cmm-a")
     p.add_argument("--epochs", type=int, default=6)
     p.add_argument("--category", choices=CATEGORIES, default="pref_agg")
     p.add_argument("--clients", type=int, default=8,
-                   help="concurrent clients for service scenarios")
+                   help="concurrent clients for the service scenario")
     _add_scale(p)
 
     p = sub.add_parser("serve", help="run the experiment service front door")
@@ -198,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve on a unix socket instead of TCP")
     p.add_argument("--resume", action="store_true",
                    help="replay unsealed sweep journals before accepting clients")
-    p.add_argument("--remote", default=None, metavar="URL",
-                   help="HTTP remote cache tier base URL (degrades to local-only on failure)")
     p.add_argument("--journal-dir", default=None,
                    help="sweep journal directory (default: <cache-dir>/journal)")
     _add_engine(p)
@@ -392,22 +390,17 @@ def cmd_trace(args) -> int:
 
 def cmd_chaos(args) -> int:
     from repro.experiments.chaos import run_chaos_scenario, run_service_chaos_scenario
-    from repro.platform.faults import SCENARIOS, SERVICE_SCENARIOS
+    from repro.platform.faults import SCENARIOS
 
     ctrl: list[str] = []
-    svc: list[str] = []
+    service = args.scenario == "service"
     if args.scenario == "all":
         ctrl = sorted(SCENARIOS)
-    elif args.scenario == "all-service":
-        svc = sorted(SERVICE_SCENARIOS)
     elif args.scenario in SCENARIOS:
         ctrl = [args.scenario]
-    elif args.scenario in SERVICE_SCENARIOS:
-        svc = [args.scenario]
-    else:
+    elif not service:
         print(f"unknown scenario {args.scenario!r}; choose from "
-              f"{', '.join(sorted(SCENARIOS))}, "
-              f"{', '.join(sorted(SERVICE_SCENARIOS))}, 'all', or 'all-service'",
+              f"{', '.join(sorted(SCENARIOS))}, 'all', or 'service'",
               file=sys.stderr)
         return 2
     sc = get_scale(args.scale)
@@ -420,12 +413,12 @@ def cmd_chaos(args) -> int:
         print(report.summary())
         if not report.ok:
             failed += 1
-    for name in svc:
-        sreport = run_service_chaos_scenario(name, args.seed, clients=args.clients, sc=sc)
+    if service:
+        sreport = run_service_chaos_scenario(args.seed, clients=args.clients, sc=sc)
         print(sreport.summary())
         if not sreport.ok:
             failed += 1
-    total = len(ctrl) + len(svc)
+    total = len(ctrl) + int(service)
     print(f"{total - failed}/{total} scenarios ok")
     return 1 if failed else 0
 
@@ -434,8 +427,8 @@ def cmd_serve(args) -> int:
     import asyncio
     import os
 
-    from repro.experiments.engine import ExperimentSession, default_cache_dir
-    from repro.service import ExperimentService, HTTPCacheTier, TieredResultCache
+    from repro.experiments.engine import ExperimentSession, ResultCache, default_cache_dir
+    from repro.service import ExperimentService
     from repro.service.server import sanitized_run_timeout
 
     engine = args.engine
@@ -453,8 +446,7 @@ def cmd_serve(args) -> int:
         masked = os.environ.pop("REPRO_RUN_TIMEOUT", None)
     try:
         cache_root = None if args.no_cache else (args.cache_dir or default_cache_dir())
-        remote = HTTPCacheTier(args.remote) if args.remote else None
-        cache = TieredResultCache(cache_root, remote=remote)
+        cache = ResultCache(cache_root)
         session = ExperimentSession(cache=cache, max_workers=args.workers, engine=engine)
     finally:
         if masked is not None:

@@ -142,13 +142,12 @@ def run_chaos_scenario(
 
 # ------------------------------------------------------- service chaos
 #
-# The same seeded-fault discipline applied to the experiment service:
-# many concurrent clients, overlapping batches, a remote cache tier
-# under injected network/storage faults.  The gate pins the service's
-# whole contract at once — single-flight (a key executes at most once
-# across every client), no hangs (every client gets a result or a
-# structured error), degradation (remote faults are counted, never
-# fatal), and bit-identity (payloads match a fault-free local session).
+# The experiment service under contention: many concurrent clients,
+# overlapping batches, one always-failing run.  The gate pins the
+# service's whole contract at once — single-flight (a key executes at
+# most once across every client), no hangs (every client gets a result
+# or a structured error), structured errors (the failing run reports
+# ``run-failed``), and bit-identity (payloads match a clean session).
 
 
 def chaos_failing_hook(run) -> dict:
@@ -156,20 +155,10 @@ def chaos_failing_hook(run) -> dict:
     raise RuntimeError("chaos_failing_hook: injected run failure")
 
 
-#: Remote-tier counters that witness an absorbed fault: terminal
-#: errors, retried attempts, breaker short-circuits, abandoned hedged
-#: reads, and remote blobs rejected by validation.
-_DEGRADATION_COUNTERS = (
-    "get_errors", "put_errors", "retries",
-    "short_circuited", "hedge_abandoned", "remote_invalid",
-)
-
-
 @dataclass
 class ServiceChaosReport:
-    """Outcome of one seeded service chaos scenario run."""
+    """Outcome of one seeded service chaos run."""
 
-    scenario: str
     seed: int
     clients: int
     unique_keys: int
@@ -178,8 +167,6 @@ class ServiceChaosReport:
     replays: int
     deduped: int
     structured_errors: int
-    injected: dict[str, int]
-    remote: dict = field(default_factory=dict)
     problems: list[str] = field(default_factory=list)
 
     @property
@@ -187,21 +174,16 @@ class ServiceChaosReport:
         return not self.problems
 
     def summary(self) -> str:
-        faults = sum(self.injected.values())
-        degradations = sum(self.remote.get(k, 0) for k in _DEGRADATION_COUNTERS)
         verdict = "ok" if self.ok else "FAIL: " + "; ".join(self.problems)
         return (
-            f"service/{self.scenario} seed={self.seed}: {self.clients} clients, "
+            f"service seed={self.seed}: {self.clients} clients, "
             f"{self.unique_keys} keys, {self.executions} executed, "
             f"{self.replays} cache replays, {self.deduped} deduped, "
-            f"{self.structured_errors} structured errors, {faults} faults injected, "
-            f"{degradations} degradations (breaker {self.remote.get('breaker', '?')}) "
-            f"— {verdict}"
+            f"{self.structured_errors} structured errors — {verdict}"
         )
 
 
 def run_service_chaos_scenario(
-    scenario: str,
     seed: int = 0,
     *,
     clients: int = 8,
@@ -209,14 +191,13 @@ def run_service_chaos_scenario(
     sc: ScaleConfig | None = None,
     client_timeout_s: float = 120.0,
 ) -> ServiceChaosReport:
-    """Hammer an in-process service with concurrent clients under faults.
+    """Hammer an in-process service with concurrent clients.
 
     ``clients`` threads each drive their own :class:`ServiceClient`
-    against one background :class:`ExperimentService` whose cache has a
-    faulty in-memory remote tier (:data:`SERVICE_SCENARIOS`).  Batches
-    overlap heavily (every client submits a rotation of the same run
-    pool, including one always-failing hook run), so the single-flight
-    invariant is under real contention.
+    against one background :class:`ExperimentService` on an in-memory
+    :class:`ResultCache`.  Batches overlap heavily (every client submits
+    a rotation of the same run pool, including one always-failing hook
+    run), so the single-flight invariant is under real contention.
     """
     import json as _json
     import threading
@@ -228,35 +209,10 @@ def run_service_chaos_scenario(
         PlannedRun,
         ResultCache,
     )
-    from repro.platform.faults import FaultyTier, service_scenario_plan
-    from repro.service import (
-        ExperimentService,
-        InMemoryCacheTier,
-        RemoteTierConfig,
-        ResilientTier,
-        SchedulerConfig,
-        ServiceClient,
-        TieredResultCache,
-    )
+    from repro.service import ExperimentService, SchedulerConfig, ServiceClient
 
     sc = sc or get_scale()
-    plan = service_scenario_plan(scenario, seed)
-    faulty = FaultyTier(InMemoryCacheTier(), plan)
-    resilient = ResilientTier(
-        faulty,
-        # Tight, wall-clock-friendly knobs: no backoff sleeping, a hedge
-        # deadline shorter than the injected latency so slow reads are
-        # abandoned, a breaker that can open and half-open within the run.
-        RemoteTierConfig(
-            retries=1,
-            backoff_base_s=0.0,
-            jitter_seed=seed,
-            breaker_threshold=3,
-            breaker_cooldown_s=0.05,
-            hedge_timeout_s=0.02,
-        ),
-    )
-    cache = TieredResultCache(None, remote=resilient)
+    cache = ResultCache()
     session = ExperimentSession(scale=sc, cache=cache, max_workers=1)
     service = ExperimentService(
         session=session,
@@ -338,36 +294,10 @@ def run_service_chaos_scenario(
                 problems.append(f"single-flight violated: key {key[:12]}… executed {n}×")
         if set(per_key) - expect_keys:
             problems.append("executed keys outside the submitted pool")
-
-        # Cold-reader phase: a fresh local tier reading through the same
-        # faulty remote.  The service itself only touches the remote on
-        # first-miss (when it is still empty), so GET-side faults —
-        # truncated bodies, refusals against real blobs — are exercised
-        # here, along with the strict validation that keeps torn JSON
-        # out of the local tier.
-        cold = TieredResultCache(None, remote=resilient)
-        cold_payloads: dict[str, dict] = {}
-        for run in pool[:-1]:
-            rec = cold.get(run.key())
-            if rec is not None:
-                cold_payloads[run.key()] = rec["payload"]
-
-        # Degradation, never failure: every *observable* injected fault
-        # must be absorbed and counted by the resilience layer.  Dropped
-        # puts are deliberately silent at write time (acked, never
-        # stored) — they surface later as remote misses, not counters.
-        remote = cache.remote_status() or {}
-        remote["remote_invalid"] = cache.remote_invalid + cold.remote_invalid
-        degradations = sum(remote.get(k, 0) for k in _DEGRADATION_COUNTERS)
-        observable = {"refused", "server_error", "flap_refused", "latency", "truncated"}
-        if any(faulty.injected.get(k) for k in observable) and degradations == 0:
-            problems.append(
-                f"faults injected ({dict(faulty.injected)}) but no degradation counted"
-            )
     finally:
         service.close()
 
-    # Bit-identity: a fault-free local session must produce byte-equal
+    # Bit-identity: a clean local session must produce byte-equal
     # payloads for every key the service executed successfully.
     with ExperimentSession(scale=sc, cache=ResultCache(), max_workers=1) as clean:
         clean_payloads = clean.execute(pool[:-1], strict=True)
@@ -380,14 +310,10 @@ def run_service_chaos_scenario(
             continue
         b = _json.dumps(clean_payloads[key], sort_keys=True)
         if _json.dumps(rec["payload"], sort_keys=True) != b:
-            problems.append(f"payload for {run.label} differs from fault-free session")
-        cold_rec = cold_payloads.get(key)
-        if cold_rec is not None and _json.dumps(cold_rec, sort_keys=True) != b:
-            problems.append(f"cold remote read of {run.label} differs from fault-free session")
+            problems.append(f"payload for {run.label} differs from a clean session")
 
     sched = service.scheduler.counters
     return ServiceChaosReport(
-        scenario=scenario,
         seed=seed,
         clients=clients,
         unique_keys=len(expect_keys),
@@ -396,7 +322,5 @@ def run_service_chaos_scenario(
         replays=sched["cache_replays"],
         deduped=sched["deduped"],
         structured_errors=structured_errors,
-        injected=dict(faulty.injected),
-        remote=remote,
         problems=problems,
     )

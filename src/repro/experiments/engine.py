@@ -460,10 +460,11 @@ class ResultCache:
     ``os.replace`` — so neither an interrupted sweep nor two concurrent
     sessions writing the same key can leave (or observe) a torn entry.
 
-    An entry whose JSON does not parse is *quarantined*: renamed to
-    ``<key>.corrupt`` next to where it lived (so it can be inspected)
-    and counted in :attr:`corrupt` / :attr:`CacheStats.corrupt` instead
-    of being silently re-missed forever.
+    An entry that is not a UTF-8 JSON object (torn write, stray bytes,
+    a list or ``null``) is *quarantined*: renamed to ``<key>.corrupt``
+    next to where it lived (so it can be inspected) and counted in
+    :attr:`corrupt` / :attr:`CacheStats.corrupt` instead of being
+    silently re-missed forever.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
@@ -496,14 +497,17 @@ class ResultCache:
             )
 
     def _read_entry(self, path: Path) -> dict | None:
-        """Parse one on-disk entry, quarantining it if the JSON is torn."""
+        """Parse one on-disk entry, quarantining it unless it is a JSON object."""
         try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError:
-            self._quarantine(path)
-            return None
+            rec = json.loads(path.read_text())
         except OSError:
             return None
+        except ValueError:  # torn JSON or not UTF-8
+            rec = None
+        if not isinstance(rec, dict):
+            self._quarantine(path)
+            return None
+        return rec
 
     def get(self, key: str) -> dict | None:
         rec = self._mem.get(key)
@@ -524,9 +528,9 @@ class ResultCache:
     def resident(self, key: str) -> dict | None:
         """The record for ``key`` if the memory tier holds it, else ``None``.
 
-        One dict read: never touches the disk (or, in a subclass, a
-        remote tier) and counts neither a hit nor a miss, so it is safe
-        on an event loop while another thread fills the cache.
+        One dict read: never touches the disk and counts neither a hit
+        nor a miss, so it is safe on an event loop while another thread
+        fills the cache.
         """
         return self._mem.get(key)
 
@@ -573,7 +577,8 @@ class ResultCache:
         """The stored trace records for ``key``, or ``None``.
 
         ``None`` also covers records written under a different trace
-        schema — callers should recompute rather than misread them.
+        schema, and sidecars that are not a UTF-8 JSON object — callers
+        should recompute rather than misread them.
         """
         recs = self._mem_traces.get(key)
         if recs is None and self.root is not None:
@@ -581,9 +586,9 @@ class ResultCache:
             if path.is_file():
                 try:
                     stored = json.loads(path.read_text())
-                except (json.JSONDecodeError, OSError):
+                except (ValueError, OSError):
                     return None
-                if stored.get("schema") != TRACE_SCHEMA_VERSION:
+                if not isinstance(stored, dict) or stored.get("schema") != TRACE_SCHEMA_VERSION:
                     return None
                 recs = stored.get("traces")
                 if recs is not None:

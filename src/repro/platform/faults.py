@@ -40,12 +40,8 @@ __all__ = [
     "WRAP_DELTA",
     "FaultPlan",
     "FaultyPlatform",
-    "NetworkFaultPlan",
-    "FaultyTier",
     "SCENARIOS",
-    "SERVICE_SCENARIOS",
     "scenario_plan",
-    "service_scenario_plan",
     "verify_no_segment_leaks",
     "verify_safe_state",
 ]
@@ -231,143 +227,6 @@ class FaultyPlatform(Platform):
         if corrupted is None:
             return sample
         return PmuSample(corrupted, sample.wall_cycles)
-
-
-# ------------------------------------------------- network/storage faults
-
-
-@dataclass(frozen=True)
-class NetworkFaultPlan:
-    """Seeded description of remote-tier faults (network and storage).
-
-    Mirrors :class:`FaultPlan` for the experiment service's remote
-    cache tier: each rate is the per-operation probability of that
-    fault, and two identical plans inject identically for the same
-    call sequence.  ``flap_period`` models a *flapping* remote — every
-    ``flap_period`` operations the tier toggles between reachable and
-    refusing everything — which is what exercises the circuit
-    breaker's half-open probe path.
-    """
-
-    seed: int = 0
-    refuse: float = 0.0      # connection refused before the op
-    error: float = 0.0       # server-side failure (HTTP 5xx analogue)
-    latency: float = 0.0     # op slower than the hedge deadline
-    latency_s: float = 0.05  # how slow a slow op is
-    truncate: float = 0.0    # GET body cut short (torn JSON)
-    drop_put: float = 0.0    # PUT acked but the blob never lands
-    flap_period: int = 0     # 0 = no flapping
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name in ("seed", "latency_s", "flap_period"):
-                continue
-            rate = getattr(self, f.name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{f.name} must be a probability in [0, 1], got {rate}")
-        if self.flap_period < 0:
-            raise ValueError(f"flap_period must be non-negative, got {self.flap_period}")
-        if self.latency_s < 0:
-            raise ValueError(f"latency_s must be non-negative, got {self.latency_s}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkFaultPlan":
-        return cls(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, blob: str) -> "NetworkFaultPlan":
-        return cls.from_dict(json.loads(blob))
-
-
-#: Named service chaos scenarios for the remote cache tier; gated in CI
-#: via ``repro chaos --scenario <name>`` across seeds.
-SERVICE_SCENARIOS: dict[str, dict[str, float | int]] = {
-    "network-flaky": {"refuse": 0.25, "error": 0.15},
-    "network-down": {"refuse": 1.0},
-    "slow-remote": {"latency": 0.6, "latency_s": 0.05},
-    "truncated-bodies": {"truncate": 0.5},
-    "flapping-remote": {"flap_period": 4, "error": 0.1},
-    "torn-storage": {"truncate": 0.35, "drop_put": 0.3},
-}
-
-
-def service_scenario_plan(name: str, seed: int = 0) -> NetworkFaultPlan:
-    """The :class:`NetworkFaultPlan` for a named service scenario."""
-    try:
-        rates = SERVICE_SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown service chaos scenario {name!r}; one of {sorted(SERVICE_SCENARIOS)}"
-        ) from None
-    return NetworkFaultPlan(seed=seed, **rates)
-
-
-class FaultyTier:
-    """Wraps a remote cache-tier backend and injects planned faults.
-
-    Duck-typed to the :class:`~repro.service.cachetier.CacheTier`
-    protocol so this module stays free of service imports.  Faults are
-    raised as the plain ``OSError`` family the resilience wrapper
-    already absorbs; ``injected`` tallies by kind like
-    :class:`FaultyPlatform`.  The ``sleep`` hook lets tests replace the
-    latency injection with a recording stub.
-    """
-
-    def __init__(self, inner, plan: NetworkFaultPlan, *, sleep=None) -> None:
-        import time as _time
-
-        self.inner = inner
-        self.plan = plan
-        self._rng = random.Random(plan.seed)
-        self._sleep = sleep if sleep is not None else _time.sleep
-        self._ops = 0
-        self._flap_down = False
-        self.injected: dict[str, int] = {}
-
-    def _count(self, kind: str) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
-
-    def _roll(self, rate: float) -> bool:
-        # Always draw: the stream stays aligned across rate settings.
-        return self._rng.random() < rate
-
-    def _pre_op(self, op: str) -> None:
-        self._ops += 1
-        if self.plan.flap_period and self._ops % self.plan.flap_period == 0:
-            self._flap_down = not self._flap_down
-        if self._flap_down:
-            self._count("flap_refused")
-            raise ConnectionRefusedError(f"injected fault: remote flapping during {op}")
-        if self._roll(self.plan.refuse):
-            self._count("refused")
-            raise ConnectionRefusedError(f"injected fault: connection refused during {op}")
-        if self._roll(self.plan.error):
-            self._count("server_error")
-            raise OSError(f"injected fault: remote internal error during {op}")
-        if self._roll(self.plan.latency):
-            self._count("latency")
-            self._sleep(self.plan.latency_s)
-
-    def get(self, key: str):
-        self._pre_op("get")
-        blob = self.inner.get(key)
-        if blob is not None and self._roll(self.plan.truncate):
-            self._count("truncated")
-            return blob[: max(1, len(blob) // 2)]
-        return blob
-
-    def put(self, key: str, blob) -> None:
-        self._pre_op("put")
-        if self._roll(self.plan.drop_put):
-            self._count("dropped_put")
-            return  # acked, never stored — torn storage
-        self.inner.put(key, blob)
 
 
 def verify_safe_state(platform: Platform) -> list[str]:

@@ -12,29 +12,14 @@ concurrent clients share.  Robustness is the organizing principle:
   append-only JSONL write-ahead log of planned/started/finished runs so
   ``repro serve --resume`` (and ``ExperimentSession.execute(resume=)``)
   replays a killed sweep without re-running completed keys;
-* :mod:`repro.service.cachetier` — a pluggable **remote cache tier**
-  behind the on-disk layout (:class:`CacheTier` protocol, HTTP
-  reference implementation) wrapped in retry-with-jittered-backoff, a
-  half-open circuit breaker, hedged reads, and read-repair — remote
-  failures degrade the service to local-only operation, counted and
-  reported, never fatal;
 * :mod:`repro.service.server` / :mod:`repro.service.protocol` — the
   localhost TCP / unix-socket JSON-lines front door and the in-process
   :class:`ServiceClient`.
 
 See ``docs/robustness.md`` ("The experiment service") for the failure-
-mode table and ``repro chaos`` for the seeded network-fault gate.
+mode table and ``repro chaos --scenario service`` for the contract gate.
 """
 
-from repro.service.cachetier import (
-    CacheTier,
-    CircuitBreaker,
-    HTTPCacheTier,
-    InMemoryCacheTier,
-    RemoteTierConfig,
-    ResilientTier,
-    TieredResultCache,
-)
 from repro.service.journal import JournalError, SweepJournal
 from repro.service.protocol import (
     ProtocolError,
@@ -45,21 +30,14 @@ from repro.service.scheduler import OverloadedError, SchedulerConfig, SingleFlig
 from repro.service.server import ExperimentService, ServiceClient
 
 __all__ = [
-    "CacheTier",
-    "CircuitBreaker",
     "ExperimentService",
-    "HTTPCacheTier",
-    "InMemoryCacheTier",
     "JournalError",
     "OverloadedError",
     "ProtocolError",
-    "RemoteTierConfig",
-    "ResilientTier",
     "SchedulerConfig",
     "ServiceClient",
     "SingleFlightScheduler",
     "SweepJournal",
-    "TieredResultCache",
     "run_from_wire",
     "run_to_wire",
 ]

@@ -14,8 +14,8 @@ Requests
     :func:`run_to_wire`.  Answered with per-run results (or one
     structured ``overloaded`` error for the whole batch).
 ``{"op": "status"}``
-    Service counters: queue depths, single-flight hits, degradations,
-    remote-tier state, journal info.
+    Service counters: queue depths, single-flight and replay counts,
+    open journals, cache hits / misses / quarantined entries.
 ``{"op": "shutdown"}``
     Acknowledge and stop the server.
 

@@ -11,8 +11,8 @@ Many clients regenerating the same figures submit heavily overlapping
 * **A submit pays for the work it causes** — a key whose record is
   already in the result cache's memory tier is answered at admission,
   on the event loop: no queue slot, no thread hop, no journal.  Only a
-  key that might need I/O or compute (a miss, a disk-only or remote
-  entry, a key that failed earlier this session) is queued.
+  key that might need I/O or compute (a miss, a disk-only entry, a key
+  that failed earlier this session) is queued.
 * **Admission control** — queues are bounded globally and per client.
   A submission that would overflow them is refused with a structured
   ``overloaded`` error *at the front door* (attaching to already
@@ -245,8 +245,8 @@ class SingleFlightScheduler:
         flight attaches to the existing execution (single-flight).  A
         key whose record is in the cache's memory tier is answered here
         (``cached: true``, one ``run`` event) without a queue slot.
-        Every other key — a miss, a disk-only or remote entry, a key in
-        the session's failed-key memory — passes admission control and
+        Every other key — a miss, a disk-only entry, a key in the
+        session's failed-key memory — passes admission control and
         is queued fairly, so the loop never blocks on I/O or compute.
         Raises :class:`OverloadedError` when admission fails — in that
         case *nothing* from this batch was replayed or queued.

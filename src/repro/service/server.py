@@ -1,9 +1,8 @@
 """The service front door: ``repro serve`` and :class:`ServiceClient`.
 
 :class:`ExperimentService` wires the pieces together — an
-:class:`~repro.experiments.engine.ExperimentSession` (optionally backed
-by a :class:`~repro.service.cachetier.TieredResultCache` remote tier),
-the :class:`~repro.service.scheduler.SingleFlightScheduler`, and the
+:class:`~repro.experiments.engine.ExperimentSession`, the
+:class:`~repro.service.scheduler.SingleFlightScheduler`, and the
 :class:`~repro.service.journal.SweepJournal` directory — and exposes
 them three ways:
 
@@ -172,9 +171,6 @@ class ExperimentService:
                 "corrupt": self.session.cache.corrupt,
             },
         }
-        remote_status = getattr(self.session.cache, "remote_status", None)
-        if callable(remote_status):
-            out["remote_tier"] = remote_status()
         return out
 
     # ---------------------------------------------------------- dispatch
@@ -412,9 +408,6 @@ class ExperimentService:
             self._loop.close()
             self._loop = None
             self._thread = None
-        remote = getattr(self.session.cache, "remote", None)
-        if remote is not None and hasattr(remote, "close"):
-            remote.close()
         if self._owns_session:
             self.session.close()
 

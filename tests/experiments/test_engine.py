@@ -37,6 +37,15 @@ SC = dataclasses.replace(
     TINY, name="unit", quantum=256, sample_units=256, exec_units=2048, alone_accesses=4096
 )
 
+#: On-disk files that are not a UTF-8 JSON object: a torn write, stray
+#: bytes, and well-formed JSON of the wrong shape.
+CORRUPT_ENTRIES = [
+    pytest.param(b'{"schema": 1, "kind": "alo', id="torn"),
+    pytest.param(b"\xff\xfe\x00 not utf-8", id="non-utf8"),
+    pytest.param(b"[1, 2]", id="list"),
+    pytest.param(b"null", id="null"),
+]
+
 
 @pytest.fixture(scope="module")
 def mix():
@@ -180,11 +189,12 @@ class TestResultCache:
         assert fresh.get(key)["payload"]["ipc"] == 1.0
         assert [p for p in tmp_path.rglob("*.tmp")] == []
 
-    def test_corrupt_entry_is_quarantined(self, tmp_path):
+    @pytest.mark.parametrize("content", CORRUPT_ENTRIES)
+    def test_corrupt_entry_is_quarantined(self, tmp_path, content):
         key = "ab" * 32
         ResultCache(tmp_path).put(key, {"schema": SCHEMA_VERSION, "kind": "alone", "payload": {}})
         path = tmp_path / key[:2] / f"{key}.json"
-        path.write_text('{"schema": 1, "kind": "alo')  # torn write
+        path.write_bytes(content)
         cache = ResultCache(tmp_path)
         with pytest.warns(RuntimeWarning, match="quarantined corrupt cache entry"):
             assert cache.get(key) is None
@@ -501,11 +511,12 @@ class TestTracePersistence:
         sidecar.write_text(json.dumps(stale))
         assert ResultCache(tmp_path).get_traces("ab" * 32) is None
 
-    def test_corrupt_sidecar_ignored(self, tmp_path):
+    @pytest.mark.parametrize("content", CORRUPT_ENTRIES[:3])
+    def test_corrupt_sidecar_ignored(self, tmp_path, content):
         cache = ResultCache(tmp_path)
         cache.put_traces("cd" * 32, [{"anything": 1}])
         path = tmp_path / "cd" / (("cd" * 32) + ".traces.json")
-        path.write_text("{not json")
+        path.write_bytes(content)
         assert ResultCache(tmp_path).get_traces("cd" * 32) is None
 
     def test_traces_recomputed_when_sidecar_missing(self, session, mix):

@@ -17,7 +17,6 @@ from repro.experiments.engine import (
     ResultCache,
     RunRecord,
 )
-from repro.service.cachetier import InMemoryCacheTier, ResilientTier, TieredResultCache
 from repro.service.journal import SweepJournal
 from repro.service.scheduler import (
     OverloadedError,
@@ -305,28 +304,19 @@ class TestAnsweredAtAdmission:
         assert second[0]["deduped"] is True and second[0]["cached"] is False
         assert counters["deduped"] == 1 and counters["cache_replays"] == 0
 
-    def test_the_loop_thread_never_touches_disk_or_remote(self, tmp_path):
+    def test_the_loop_thread_never_touches_disk(self, tmp_path):
         loop_thread = threading.get_ident()  # run_async runs the loop on this thread
 
         def off_the_loop() -> None:
             if threading.get_ident() == loop_thread:
                 raise AssertionError("cache I/O on the event loop thread")
 
-        class OffLoopTier(ResilientTier):
-            def get(self, key, **kw):
-                off_the_loop()
-                return super().get(key, **kw)
-
-            def put(self, key, blob):
-                off_the_loop()
-                return super().put(key, blob)
-
-        class OffLoopDisk(TieredResultCache):
+        class OffLoopDisk(ResultCache):
             def _path(self, key):  # every disk access resolves its path first
                 off_the_loop()
                 return super()._path(key)
 
-        cache = OffLoopDisk(tmp_path, remote=OffLoopTier(InMemoryCacheTier()))
+        cache = OffLoopDisk(tmp_path)
         runs = [hook("ok_a"), hook("ok_b")]
         with pytest.raises(AssertionError, match="event loop"):
             cache.get(runs[0].key())  # the guard is armed
@@ -334,7 +324,7 @@ class TestAnsweredAtAdmission:
             cold, warm = submit_each(session, runs, runs)
         assert [o["cached"] for o in cold] == [False, False]
         assert [o["cached"] for o in warm] == [True, True]
-        assert cache.remote.status()["gets"] == len(runs)  # the cold misses only
+        assert (cache.hits, cache.misses) == (0, len(runs))  # the cold misses only
 
 
 class TestAdmission:

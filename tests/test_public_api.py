@@ -11,7 +11,7 @@ import repro
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "4.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -23,10 +23,11 @@ class TestPublicApi:
         code = (
             "import sys, repro, repro.cli\n"
             "assert 'repro.service' not in sys.modules and 'asyncio' not in sys.modules\n"
-            "from repro import ExperimentService, ServiceClient, TieredResultCache\n"
+            "from repro import ExperimentService, ServiceClient\n"
             "import repro.service.server as server\n"
             "assert ExperimentService is server.ExperimentService\n"
             "assert repro.ServiceClient is server.ServiceClient\n"
+            "assert not hasattr(repro, 'TieredResultCache')\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
