@@ -11,8 +11,11 @@ the batch before the signal landed, the journal is sealed, ``--resume``
 is a no-op, and the payloads are already in the cache — either way
 every key must be present and identical to the baseline.
 
-Before it is shut down, the resumed daemon is asked for the same batch
-again, warm.  Every result must come back ``cached: true`` and
+Before it is shut down, the resumed daemon is sent one malformed run (a
+list where the scale's ``quantum`` should be an int): it must answer
+with a ``protocol`` error, journal nothing, and keep the connection.
+On that same connection it is then asked for the same batch again,
+warm.  Every result must come back ``cached: true`` and
 byte-identical to the baseline; once every key is in the daemon's
 memory tier a further submit must add no journal file, because there
 is nothing it could resume.  (Which keys the resume executed — and so
@@ -45,6 +48,7 @@ def main() -> int:
     from repro.experiments.config import get_scale
     from repro.experiments.engine import KIND_ALONE, ExperimentSession, PlannedRun, ResultCache
     from repro.service import ServiceClient
+    from repro.service.protocol import run_to_wire
     from repro.service.journal import SweepJournal
     from repro.workloads.mixes import make_mixes
 
@@ -93,6 +97,14 @@ def main() -> int:
         wait_for(sock.exists, 300, "the resumed daemon's socket")
         with ServiceClient(path=sock) as cli:
             assert cli.ping()["ok"]
+            # A malformed run is refused at decode with a structured
+            # error; the connection stays up for the warm batch below.
+            journals = sorted(wal.glob("*.jsonl"))
+            bad = run_to_wire(runs[0])
+            bad["scale"]["quantum"] = [bad["scale"]["quantum"]]
+            refused = cli.submit([bad])
+            assert not refused["ok"] and refused["error"]["type"] == "protocol", refused
+            assert sorted(wal.glob("*.jsonl")) == journals, "a refused run wrote a journal"
             warm = [cli.submit(runs)]
             journals = sorted(wal.glob("*.jsonl"))
             warm.append(cli.submit(runs))
@@ -123,7 +135,7 @@ def main() -> int:
         assert json.dumps(served, sort_keys=True) == json.dumps(baseline, sort_keys=True), \
             "warm resubmit payloads diverged from an uninterrupted run"
     print(f"serve resume smoke OK: {len(runs)} payloads bit-identical after SIGKILL + --resume, "
-          "warm resubmits cached and unjournaled")
+          "malformed run refused, warm resubmits cached and unjournaled")
     return 0
 
 

@@ -97,12 +97,23 @@ SUMMARY_COLUMNS = (
 )
 
 
-def _paired_values(obs: TidyTable, mechanism: str, metric: str, category: str) -> dict[tuple, float]:
-    """(workload, seed) -> value for one (mechanism, metric) slice."""
-    rows = obs.filter(mechanism=mechanism, metric=metric)
-    if category != OVERALL:
-        rows = rows.filter(category=category)
+def _cells(rows: TidyTable) -> dict[tuple, float]:
     return {(r["workload"], r["seed"]): r["value"] for r in rows}
+
+
+def _slices(obs: TidyTable) -> dict[tuple, dict[tuple, float]]:
+    """``(metric, mechanism, category) -> {(workload, seed): value}`` for
+    every category and :data:`OVERALL`, from one grouping pass.
+
+    Each slice keeps row order, exactly as filtering the whole table
+    cell by cell would.
+    """
+    out: dict[tuple, dict[tuple, float]] = {}
+    for (metric, mech), rows in obs.group("metric", "mechanism").items():
+        for (cat,), part in rows.group("category").items():
+            out[(metric, mech, cat)] = _cells(part)
+        out[(metric, mech, OVERALL)] = _cells(rows)
+    return out
 
 
 def summarize(
@@ -125,14 +136,13 @@ def summarize(
     mechanisms = [m for m in obs.distinct("mechanism") if m is not None]
     categories = [c for c in obs.distinct("category") if c is not None]
     groups = categories + [OVERALL]
+    slices = _slices(obs)
     out = TidyTable(SUMMARY_COLUMNS)
     for metric in metrics:
-        if not obs.filter(metric=metric).rows:
-            continue
         for cat in groups:
-            ref = _paired_values(obs, vs, metric, cat) if vs in mechanisms else {}
+            ref = slices.get((metric, vs, cat), {}) if vs in mechanisms else {}
             for mech in mechanisms:
-                cells = _paired_values(obs, mech, metric, cat)
+                cells = slices.get((metric, mech, cat))
                 if not cells:
                     continue
                 values = list(cells.values())

@@ -61,7 +61,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -256,16 +256,18 @@ class PlannedRun:
             raise ValueError(f"unknown run kind {self.kind!r}")
         return payload
 
-    @cached_property
-    def _digest(self) -> str:
-        # Stored in the instance ``__dict__`` (which ``frozen`` does not
-        # guard): not a field, so equality, ``replace`` and ``asdict``
-        # never see it, and it travels with the pickle.
-        return _hash_payload(self.key_payload())
-
     def key(self) -> str:
-        """The content key: hashed once per instance, every field is frozen."""
-        return self._digest
+        """The content key: derived once per distinct run value per process."""
+        return _run_key(self)
+
+
+@lru_cache(maxsize=16384)  # far above any sweep's distinct runs
+def _run_key(run: PlannedRun) -> str:
+    """``key()``'s memo, keyed by the run's value (the ``key_inputs`` idiom
+    one level up): equal runs rebuilt independently, or decoded from the
+    wire, share one derivation.  Sound while equal fields serialise alike,
+    i.e. fields hold their declared types (``run_from_wire`` enforces it)."""
+    return _hash_payload(run.key_payload())
 
 
 # ----------------------------------------------------------- computation

@@ -84,31 +84,33 @@ class EvalStore:
         return [self.eval(mix, tuple(mechanisms)) for mix in all_mixes]
 
 
-_STORES: dict[str, EvalStore] = {}
+#: Keyed by the whole (frozen) scale: two scales sharing a name but not
+#: their parameters must not share evaluations.
+_STORES: dict[ScaleConfig, EvalStore] = {}
 
 
 def get_store(sc: ScaleConfig | None = None, session: ExperimentSession | None = None) -> EvalStore:
     sc = sc or get_scale()
-    if sc.name not in _STORES:
-        _STORES[sc.name] = EvalStore(sc, session=session)
-    return _STORES[sc.name]
+    if sc not in _STORES:
+        _STORES[sc] = EvalStore(sc, session=session)
+    return _STORES[sc]
 
 
 # ------------------------------------------------------- Figs. 1-3 (alone)
 
-_PROFILES: dict[tuple[str, str, bool], dict] = {}
+#: Keyed by ``(scale, ways)``, the whole scale as in :data:`_STORES`.
+_PROFILES: dict[tuple[ScaleConfig, bool], dict] = {}
 
 
 def _profiles(
     sc: ScaleConfig, *, ways: bool = False, session: ExperimentSession | None = None
 ) -> dict[str, object]:
-    key = sc.name
-    cache_key = (key, "profiles", ways)
-    if cache_key not in _PROFILES:
+    key = (sc, ways)
+    if key not in _PROFILES:
         sweep = (1, 2, 4, 6, 8, 12, 16, 20) if ways else None
         sess = session or default_session()
-        _PROFILES[cache_key] = sess.profile_all(tuple(BENCHMARKS), sc, way_sweep=sweep)
-    return _PROFILES[cache_key]
+        _PROFILES[key] = sess.profile_all(tuple(BENCHMARKS), sc, way_sweep=sweep)
+    return _PROFILES[key]
 
 
 def fig01_bandwidth(

@@ -34,8 +34,7 @@ rejected at the front door, not deep inside a worker.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
-from typing import Any
+from typing import Any, get_type_hints
 
 from repro.experiments.config import ScaleConfig
 from repro.experiments.engine import (
@@ -46,6 +45,7 @@ from repro.experiments.engine import (
     PlannedRun,
 )
 from repro.workloads.mixes import WorkloadMix
+from repro.workloads.speclike import BENCHMARKS
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -91,13 +91,18 @@ def error_response(kind: str, message: str, **extra: Any) -> dict:
 
 # ----------------------------------------------------------- run objects
 
+#: ``ScaleConfig``'s fields and declared types, in declaration order.
+#: Every one is a scalar, so a field-by-field copy equals ``asdict``.
+_SCALE_TYPES: dict[str, type] = get_type_hints(ScaleConfig)
+
 
 def run_to_wire(run: PlannedRun) -> dict:
     """Serialize a :class:`PlannedRun` for submission or journaling."""
+    sc = run.sc
     wire: dict[str, Any] = {
         "v": PROTOCOL_VERSION,
         "kind": run.kind,
-        "scale": asdict(run.sc),
+        "scale": {name: getattr(sc, name) for name in _SCALE_TYPES},
     }
     if run.mix is not None:
         wire["mix"] = {
@@ -115,18 +120,53 @@ def run_to_wire(run: PlannedRun) -> dict:
     return wire
 
 
-def _require(wire: dict, field: str, types: type | tuple) -> Any:
+def _require(obj: dict, field: str, typ: type, what: str = "run") -> Any:
     try:
-        value = wire[field]
+        value = obj[field]
     except KeyError:
-        raise ProtocolError(f"run object missing {field!r}") from None
-    if not isinstance(value, types):
-        raise ProtocolError(f"run field {field!r} has invalid type {type(value).__name__}")
+        raise ProtocolError(f"{what} object missing {field!r}") from None
+    if type(value) is not typ:  # exact JSON types: a ``true`` is not an ``int``
+        raise ProtocolError(f"{what} field {field!r} has invalid type {type(value).__name__}")
     return value
 
 
+def _optional(obj: dict, field: str, typ: type) -> Any:
+    """``obj[field]`` checked like :func:`_require`; absent or null is ``None``."""
+    return None if obj.get(field) is None else _require(obj, field, typ)
+
+
+def _scale_from_wire(d: dict) -> ScaleConfig:
+    for field, value in d.items():
+        typ = _SCALE_TYPES.get(field)
+        if typ is not None and type(value) is not typ:
+            raise ProtocolError(
+                f"scale field {field!r} must be {typ.__name__}, got {type(value).__name__}"
+            )
+    try:
+        return ScaleConfig(**d)
+    except TypeError as e:  # unknown or missing fields
+        raise ProtocolError(f"invalid scale config: {e}") from None
+
+
+def _mix_from_wire(m: dict) -> WorkloadMix:
+    benchmarks = tuple(_require(m, "benchmarks", list, "mix"))
+    if not all(type(b) is str and b in BENCHMARKS for b in benchmarks):
+        raise ProtocolError(f"mix names an unknown benchmark: {list(benchmarks)!r}")
+    return WorkloadMix(
+        name=_require(m, "name", str, "mix"),
+        category=_require(m, "category", str, "mix"),
+        benchmarks=benchmarks,
+        seed=_require(m, "seed", int, "mix"),
+    )
+
+
 def run_from_wire(wire: dict) -> PlannedRun:
-    """Reconstruct a :class:`PlannedRun`; :class:`ProtocolError` on bad input."""
+    """Reconstruct a :class:`PlannedRun`; :class:`ProtocolError` on bad input.
+
+    Every field is checked against its declared type (and benchmark names
+    against the registry) before the run exists, so a malformed run is
+    refused here and never reaches key derivation, the journal or a worker.
+    """
     if not isinstance(wire, dict):
         raise ProtocolError(f"run object must be a dict, got {type(wire).__name__}")
     version = wire.get("v", PROTOCOL_VERSION)
@@ -135,35 +175,30 @@ def run_from_wire(wire: dict) -> PlannedRun:
     kind = _require(wire, "kind", str)
     if kind not in (KIND_MECHANISM, KIND_ALONE, KIND_PROFILE, KIND_HOOK):
         raise ProtocolError(f"unknown run kind {kind!r}")
-    try:
-        sc = ScaleConfig(**_require(wire, "scale", dict))
-    except TypeError as e:
-        raise ProtocolError(f"invalid scale config: {e}") from None
-    mix = None
-    if "mix" in wire:
-        m = _require(wire, "mix", dict)
-        try:
-            mix = WorkloadMix(
-                name=m["name"],
-                category=m["category"],
-                benchmarks=tuple(m["benchmarks"]),
-                seed=m["seed"],
-            )
-        except (KeyError, TypeError) as e:
-            raise ProtocolError(f"invalid mix: {e}") from None
-    way_sweep = wire.get("way_sweep")
+    sc = _scale_from_wire(_require(wire, "scale", dict))
+    mix = _mix_from_wire(_require(wire, "mix", dict)) if "mix" in wire else None
     if kind == KIND_MECHANISM and mix is None:
         raise ProtocolError("mechanism runs require a mix")
-    if kind in (KIND_ALONE, KIND_PROFILE, KIND_HOOK) and "bench" not in wire:
-        raise ProtocolError(f"{kind} runs require a bench")
+    mechanism = _optional(wire, "mechanism", str)
+    bench = _optional(wire, "bench", str)
+    if kind in (KIND_ALONE, KIND_PROFILE, KIND_HOOK):
+        if bench is None:
+            raise ProtocolError(f"{kind} runs require a bench")
+        if kind != KIND_HOOK and bench not in BENCHMARKS:  # hooks name ``module:function``
+            raise ProtocolError(f"{kind} run names unknown benchmark {bench!r}")
+    way_sweep = _optional(wire, "way_sweep", list)
+    if way_sweep is not None:
+        if not all(type(w) is int for w in way_sweep):
+            raise ProtocolError(f"way_sweep must be a list of ints, got {way_sweep!r}")
+        way_sweep = tuple(way_sweep)
     try:
         return PlannedRun(
             kind=kind,
             sc=sc,
             mix=mix,
-            mechanism=wire.get("mechanism"),
-            bench=wire.get("bench"),
-            way_sweep=tuple(way_sweep) if way_sweep is not None else None,
+            mechanism=mechanism,
+            bench=bench,
+            way_sweep=way_sweep,
         )
     except KeyError as e:  # unknown mechanism — PlannedRun validates eagerly
         raise ProtocolError(str(e)) from None

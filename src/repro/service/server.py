@@ -431,11 +431,11 @@ class ServiceClient:
     * ``ServiceClient(host=..., port=...)`` / ``ServiceClient(path=...)``
       — socket: speaks the JSON-lines protocol to a running daemon.
 
-    Every method returns the decoded response dict; :meth:`submit`
-    returns the per-run outcome list and raises nothing on run
-    failures — failures arrive as structured per-run errors, and an
-    ``overloaded``/``protocol`` refusal is the returned response's
-    ``error`` object.
+    Every method returns the decoded response dict.  :meth:`submit`
+    returns ``{"ok": true, "results": [...]}`` with one outcome per run
+    and raises nothing on run failures, which arrive as structured
+    per-run errors; an ``overloaded``/``protocol`` refusal returns
+    ``{"ok": false, "error": {...}}``.
     """
 
     def __init__(

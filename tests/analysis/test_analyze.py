@@ -89,6 +89,71 @@ class TestSummarize:
         assert s.distinct("metric") == ["hs_norm"]
 
 
+def per_cell_summary(obs, metrics, vs, n_resamples):
+    """Summary rows built by filtering the whole table once per cell."""
+    from repro.analysis.stats import bootstrap_ci, paired_permutation_test, sign_test
+
+    def cells(mech, metric, cat):
+        rows = obs.filter(mechanism=mech, metric=metric)
+        if cat != OVERALL:
+            rows = rows.filter(category=cat)
+        return {(r["workload"], r["seed"]): r["value"] for r in rows}
+
+    out = []
+    for metric in metrics:
+        for cat in obs.distinct("category") + [OVERALL]:
+            ref = cells(vs, metric, cat)
+            for mech in obs.distinct("mechanism"):
+                mine = cells(mech, metric, cat)
+                if not mine:
+                    continue
+                ci = bootstrap_ci(list(mine.values()), n_resamples=n_resamples, seed=0)
+                p_perm = p_sign = None
+                shared = sorted(set(mine) & set(ref))
+                if mech != vs and len(shared) >= 2:
+                    a, r = [mine[k] for k in shared], [ref[k] for k in shared]
+                    p_perm = paired_permutation_test(a, r, n_resamples=n_resamples, seed=0).p_value
+                    p_sign = sign_test(a, r).p_value
+                out.append((cat, mech, metric, ci.n, ci.stat, ci.lo, ci.hi, p_perm, p_sign))
+    return out
+
+
+class TestSummarizeSlices:
+    @staticmethod
+    def ragged_obs():
+        """synthetic_obs() plus a second metric, a third mechanism, a
+        one-workload category and one missing (workload, seed) cell."""
+        b = TableBuilder("analysis")
+        for r in synthetic_obs():
+            b.add(**{k: r[k] for k in ("metric", "value", "workload", "category",
+                                       "mechanism", "seed")})
+        for i, seed in enumerate((2019, 2020)):
+            for mech in ("pt", "cmm-a", "dunn"):
+                for metric in ("hs_norm", "ws"):
+                    b.add(metric=metric, value=1.0 + 0.1 * i + len(mech) * 0.01,
+                          workload="pref_unfri-00", category="pref_unfri",
+                          mechanism=mech, seed=seed)
+        obs = b.build()
+        obs.rows = [r for r in obs.rows if not (
+            r["mechanism"] == "cmm-a" and r["workload"] == "pref_agg-01" and r["seed"] == 2020)]
+        return obs
+
+    @pytest.mark.parametrize("vs", ["pt", "baseline"], ids=["vs-present", "vs-absent"])
+    def test_one_grouping_pass_matches_per_cell_filters(self, vs):
+        obs = self.ragged_obs()
+        metrics = ("hs_norm", "ws", "nope")
+        got = summarize(obs, metrics=metrics, vs=vs, n_resamples=200)
+        assert [
+            (r["category"], r["mechanism"], r["metric"], r["n"], r["mean"],
+             r["ci_lo"], r["ci_hi"], r["p_perm"], r["p_sign"])
+            for r in got
+        ] == per_cell_summary(obs, metrics, vs, n_resamples=200)
+        one_workload = got.filter(category="pref_unfri", metric="ws")
+        assert {r["n"] for r in one_workload} == {2}
+        if vs == "baseline":
+            assert all(r["p_perm"] is None and r["vs"] == "baseline" for r in got)
+
+
 class TestEndToEnd:
     @pytest.fixture(scope="class")
     def result(self, tmp_path_factory) -> AnalysisResult:

@@ -90,15 +90,27 @@ class TestKeys:
         assert payload["machine"]["n_cores"] == 8
 
 
-    def test_memoised_key_is_the_full_digest_for_every_kind(self, mix):
-        """``key()`` hashes once per instance over parts built once per
-        scale; the digest must equal one built from scratch."""
+    def test_memoised_key_is_the_full_digest_for_every_kind(self, mix, monkeypatch):
+        """``key()`` hashes once per distinct run value over parts built
+        once per scale; the digest must equal one built from scratch, and
+        an equal run rebuilt independently or decoded from the wire must
+        reuse it without a new derivation."""
+        from repro.experiments import engine
+        from repro.service.protocol import run_from_wire, run_to_wire
+
         def full_digest(run: PlannedRun) -> str:
             machine = dataclasses.asdict(run.sc.params())
             machine.pop("sim_engine")
             payload = dict(run.key_payload(), scale=run.sc.cache_key(), machine=machine)
             blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
             return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+        derivations = []
+        real_hash = engine._hash_payload
+        monkeypatch.setattr(
+            engine, "_hash_payload", lambda payload: derivations.append(1) or real_hash(payload)
+        )
+        engine._run_key.cache_clear()
 
         runs = [
             PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="cmm-a"),
@@ -108,15 +120,25 @@ class TestKeys:
             PlannedRun(KIND_HOOK, SC, bench="tests.chaos.workers:ok"),
         ]
         assert len({r.key() for r in runs}) == len(runs)
+        assert len(derivations) == len(runs)
         for run in runs:
             before = pickle.loads(pickle.dumps(run))  # pickled before the first key()
             assert run.key() == run.key() == full_digest(run)
-            after = pickle.loads(pickle.dumps(run))  # carries the digest
+            after = pickle.loads(pickle.dumps(run))
             assert before == after == run
             assert before.key() == after.key() == run.key()
-            # A derived run is a new instance: it must not inherit the digest.
+            # Equal values built independently share the memo entry.
+            derived = len(derivations)
+            rebuilt = PlannedRun(run.kind, dataclasses.replace(run.sc), mix=run.mix,
+                                 mechanism=run.mechanism, bench=run.bench,
+                                 way_sweep=run.way_sweep)
+            assert rebuilt is not run
+            assert rebuilt.key() == run_from_wire(run_to_wire(run)).key() == run.key()
+            assert len(derivations) == derived
+            # A derived run is a new value: it must get its own full digest.
             bigger = dataclasses.replace(run, sc=dataclasses.replace(SC, exec_units=4096))
             assert bigger.key() == full_digest(bigger) != run.key()
+            assert len(derivations) == derived + 1
 
 
 class TestResultCache:

@@ -54,13 +54,33 @@ class TestAloneFigures:
         from repro.analysis import build_artifacts
         from repro.experiments import engine
 
-        # own scale name: figures._PROFILES memoises per scale name
+        # its own scale: figures._PROFILES memoises per scale
         sc = dataclasses.replace(SC, name="figunit-injected")
         with engine.ExperimentSession(cache_dir=tmp_path, max_workers=1) as session:
             (built,) = build_artifacts(["fig01"], sc, session=session)
             assert len(session.records) == len(BENCHMARKS)
         assert {r["benchmark"] for r in built.figure["rows"]} == set(BENCHMARKS)
         assert engine._DEFAULT_SESSION is None
+
+
+    def test_same_name_scales_do_not_share_profiles(self, tmp_path):
+        """The figure memos key on the whole scale, not its name."""
+        from repro.analysis import build_artifacts
+        from repro.experiments import engine, figures
+
+        small, large = (
+            dataclasses.replace(SC, name="figunit-memo", profile_accesses=n) for n in (2048, 4096)
+        )
+        with engine.ExperimentSession(cache_dir=tmp_path, max_workers=1) as session:
+            (first,) = build_artifacts(["fig01"], small, session=session)
+            (second,) = build_artifacts(["fig01"], large, session=session)
+            figures._PROFILES.clear()
+            figures._STORES.clear()
+            (fresh,) = build_artifacts(["fig01"], large, session=session)
+        assert second.table.to_csv() == fresh.table.to_csv()
+        assert second.table.to_csv() != first.table.to_csv()
+        assert figures.get_store(small) is figures.get_store(dataclasses.replace(small))
+        assert figures.get_store(small) is not figures.get_store(large)
 
 
 class TestDetectionFigure:

@@ -54,8 +54,50 @@ class TestRoundtrip:
 
     def test_custom_scale_travels_whole(self):
         sc = dataclasses.replace(TINY, name="custom", alone_accesses=1234)
-        restored = run_from_wire(run_to_wire(PlannedRun(KIND_ALONE, sc, bench="433.milc")))
+        run = PlannedRun(KIND_ALONE, sc, bench="433.milc")
+        restored = run_from_wire(run_to_wire(run))
         assert restored.sc == sc
+        first = run_to_wire(run)
+        assert first["scale"] == dataclasses.asdict(sc)
+        assert list(first["scale"]) == [f.name for f in dataclasses.fields(sc)]
+        first["scale"]["alone_accesses"] = 1
+        assert run_to_wire(run)["scale"] == dataclasses.asdict(sc)  # a fresh copy each call
+
+
+def _malformed(run_index: int, **patch) -> dict:
+    """``sample_runs()[run_index]`` on the wire with ``patch`` applied; a
+    ``scale__<field>`` or ``mix__<field>`` name patches a nested field."""
+    wire = run_to_wire(sample_runs()[run_index])
+    for path, value in patch.items():
+        *parent, field = path.split("__")
+        target = wire
+        for name in parent:
+            target = target[name]
+        target[field] = value
+    return wire
+
+
+#: Wire runs with a field of the wrong type or an unknown benchmark name.
+MALFORMED_RUNS = [
+    pytest.param(_malformed(1, scale__llc_scale="16"), id="scale-str"),
+    pytest.param(_malformed(1, scale__quantum=[512]), id="scale-list"),
+    pytest.param(_malformed(1, scale__n_cores=True), id="scale-bool"),
+    pytest.param(_malformed(1, scale__name=7), id="scale-name-int"),
+    pytest.param(_malformed(0, mix__seed=[1]), id="mix-seed-list"),
+    pytest.param(_malformed(0, mix__seed="1"), id="mix-seed-str"),
+    pytest.param(_malformed(0, mix__name=3), id="mix-name-int"),
+    pytest.param(_malformed(0, mix__category=None), id="mix-category-null"),
+    pytest.param(_malformed(0, mix__benchmarks=["nope"] * 8), id="mix-unknown-bench"),
+    pytest.param(_malformed(0, mix__benchmarks=[["429.mcf"]] * 8), id="mix-bench-lists"),
+    pytest.param(_malformed(0, mix__benchmarks="429.mcf"), id="mix-bench-str"),
+    pytest.param(_malformed(1, bench="nope"), id="alone-unknown-bench"),
+    pytest.param(_malformed(2, bench="nope"), id="profile-unknown-bench"),
+    pytest.param(_malformed(1, bench=["429.mcf"]), id="bench-list"),
+    pytest.param(_malformed(2, way_sweep=[[1], 2]), id="way-sweep-lists"),
+    pytest.param(_malformed(2, way_sweep=[1, "2"]), id="way-sweep-str"),
+    pytest.param(_malformed(2, way_sweep=4), id="way-sweep-int"),
+    pytest.param(_malformed(0, mechanism=["cmm-a"]), id="mechanism-list"),
+]
 
 
 class TestValidation:
@@ -98,6 +140,25 @@ class TestValidation:
     def test_non_dict_rejected(self):
         with pytest.raises(ProtocolError):
             run_from_wire(["not", "a", "dict"])
+
+    @pytest.mark.parametrize("wire", MALFORMED_RUNS)
+    def test_malformed_run_refused_at_decode(self, wire, tmp_path):
+        """Refused by ``run_from_wire``, and answered by the service with a
+        ``protocol`` error: nothing raised, journaled or queued."""
+        from repro.experiments.engine import ExperimentSession
+        from repro.service import ExperimentService, ServiceClient
+
+        with pytest.raises(ProtocolError):
+            run_from_wire(wire)
+        journal_dir = tmp_path / "journal"
+        session = ExperimentSession(cache_dir=tmp_path / "cache", max_workers=1)
+        service = ExperimentService(session=session, journal_dir=journal_dir)
+        with service, ServiceClient(service=service) as cli:
+            resp = cli.request({"op": "submit", "runs": [wire]})
+            scheduler = cli.status()["status"]["scheduler"]
+        assert resp["ok"] is False and resp["error"]["type"] == "protocol"
+        assert scheduler["submitted"] == 0
+        assert list(journal_dir.glob("*")) == []
 
 
 class TestFraming:
