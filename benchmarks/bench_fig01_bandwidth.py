@@ -1,13 +1,13 @@
 """Fig. 1: memory bandwidth per benchmark, demand vs. prefetch increase."""
 
-from repro.experiments.figures import fig01_bandwidth
+from conftest import wide_rows
+
 from repro.experiments.report import render_table
 from repro.workloads.speclike import benchmark
 
 
-def test_fig01_bandwidth(run_once, scale):
-    d = run_once(fig01_bandwidth, scale)
-    rows = d["rows"]
+def test_fig01_bandwidth(figure):
+    rows = wide_rows(figure("fig01"), "benchmark")
     print()
     print(
         render_table(

@@ -1,12 +1,12 @@
 """Fig. 2: IPC speedup from prefetching per benchmark."""
 
-from repro.experiments.figures import fig02_prefetch_speedup
+from conftest import wide_rows
+
 from repro.experiments.report import render_table
 
 
-def test_fig02_prefetch_speedup(run_once, scale):
-    d = run_once(fig02_prefetch_speedup, scale)
-    rows = d["rows"]
+def test_fig02_prefetch_speedup(figure):
+    rows = wide_rows(figure("fig02"), "benchmark")
     print()
     print(
         render_table(

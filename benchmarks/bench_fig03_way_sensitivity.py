@@ -1,13 +1,14 @@
 """Fig. 3: IPC as a function of allotted LLC ways (prefetchers on)."""
 
-from repro.experiments.figures import fig03_way_sensitivity
+from conftest import wide_rows
+
 from repro.experiments.report import render_table
 from repro.workloads.speclike import benchmark
 
 
-def test_fig03_way_sensitivity(run_once, scale):
-    d = run_once(fig03_way_sensitivity, scale)
-    rows = d["rows"]
+def test_fig03_way_sensitivity(figure):
+    table = figure("fig03")
+    rows = wide_rows(table.filter(lambda r: r["metric"] != "ipc"), "benchmark")
     print()
     print(
         render_table(
@@ -26,6 +27,6 @@ def test_fig03_way_sensitivity(run_once, scale):
         spec = benchmark(r["benchmark"])
         assert (r["min_ways_80pct"] >= 8) == spec.llc_sensitive, r["benchmark"]
     # way curves are (weakly) improving with more ways for sensitive apps
-    curve = by_name["429.mcf"]["ipc_by_ways"]
+    curve = {r["ways"]: r["value"] for r in table.filter(metric="ipc", benchmark="429.mcf")}
     ways_sorted = sorted(curve)
     assert curve[ways_sorted[-1]] >= curve[ways_sorted[0]]

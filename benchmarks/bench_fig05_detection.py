@@ -1,13 +1,13 @@
 """Fig. 5: the front-end's Agg-set detection across workload categories."""
 
-from repro.experiments.figures import fig05_detection
+from conftest import wide_rows
+
 from repro.experiments.report import render_table
 from repro.workloads.speclike import benchmark
 
 
-def test_fig05_detection(run_once, scale):
-    d = run_once(fig05_detection, scale)
-    rows = d["rows"]
+def test_fig05_detection(figure):
+    rows = wide_rows(figure("fig05"), "workload")
     print()
     print(
         render_table(

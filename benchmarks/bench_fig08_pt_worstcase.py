@@ -1,14 +1,12 @@
 """Fig. 8: PT's lowest per-application normalized IPC per workload."""
 
-from conftest import print_category_means
-
-from repro.experiments.figures import fig08_pt_worstcase
+from conftest import print_category_means, wide_rows
 
 
-def test_fig08_pt_worstcase(run_once, scale, store):
-    d = run_once(fig08_pt_worstcase, scale, store)
-    print_category_means(d)
-    rows = d["rows"]
+def test_fig08_pt_worstcase(figure):
+    table = figure("fig08")
+    print_category_means(table, "worst")
+    rows = wide_rows(table, "workload", "mechanism", metric="worst")
     # paper shape: PT significantly hurts at least one application in
     # most workloads that contain prefetch-friendly benchmarks.
     fri_rows = [r for r in rows if r["category"] in ("pref_fri", "pref_agg")]

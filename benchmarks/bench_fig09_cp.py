@@ -1,14 +1,12 @@
 """Fig. 9: cache partitioning — Dunn vs. Pref-CP vs. Pref-CP2."""
 
-from conftest import print_category_means
-
-from repro.experiments.figures import fig09_cp
+from conftest import category_means, print_category_means
 
 
-def test_fig09_cp(run_once, scale, store):
-    d = run_once(fig09_cp, scale, store)
-    print_category_means(d)
-    means = d["category_means"]
+def test_fig09_cp(figure):
+    table = figure("fig09")
+    print_category_means(table, "hs_norm")
+    means = category_means(table, "hs_norm")
     # paper shape: the prefetch-aware plans beat Dunn on every category
     # that actually contains aggressive prefetching.
     for cat in ("pref_fri", "pref_agg", "pref_unfri"):

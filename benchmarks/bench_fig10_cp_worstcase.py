@@ -1,14 +1,12 @@
 """Fig. 10: CP worst-case per-application speedup."""
 
-from conftest import print_category_means
-
-from repro.experiments.figures import fig10_cp_worstcase
+from conftest import category_means, print_category_means
 
 
-def test_fig10_cp_worstcase(run_once, scale, store):
-    d = run_once(fig10_cp_worstcase, scale, store)
-    print_category_means(d)
-    means = d["category_means"]
+def test_fig10_cp_worstcase(figure):
+    table = figure("fig10")
+    print_category_means(table, "worst")
+    means = category_means(table, "worst")
     # paper shape: the prefetch-aware CP plans keep worst-case speedups
     # high (no application is destroyed by partitioning).
     for cat, m in means.items():

@@ -1,14 +1,12 @@
 """Fig. 11: the coordinated mechanisms CMM-a / CMM-b / CMM-c."""
 
-from conftest import print_category_means
-
-from repro.experiments.figures import fig11_cmm
+from conftest import category_means, print_category_means
 
 
-def test_fig11_cmm(run_once, scale, store):
-    d = run_once(fig11_cmm, scale, store)
-    print_category_means(d)
-    means = d["category_means"]
+def test_fig11_cmm(figure):
+    table = figure("fig11")
+    print_category_means(table, "hs_norm")
+    means = category_means(table, "hs_norm")
     # paper shape: CMM-a and CMM-c beat CMM-b on the categories with
     # unfriendly aggressors (CMM-b leaves their demand interference in
     # the shared cache).

@@ -1,14 +1,14 @@
 """Fig. 13: all seven throttling/partitioning mechanisms compared."""
 
-from conftest import print_category_means
+from conftest import category_means, print_category_means
 
-from repro.experiments.figures import ALL_MECHS, fig13_all
+from repro.analysis.artifacts import ALL_MECHS
 
 
-def test_fig13_all_mechanisms(run_once, scale, store):
-    d = run_once(fig13_all, scale, store)
-    print_category_means(d)
-    means = d["category_means"]
+def test_fig13_all_mechanisms(figure):
+    table = figure("fig13")
+    print_category_means(table, "hs_norm")
+    means = category_means(table, "hs_norm")
     # paper shape: Pref Agg and Pref Unfri benefit the most overall...
     best_gain = {
         cat: max(means[cat][m] for m in ALL_MECHS) for cat in means

@@ -1,14 +1,12 @@
 """Fig. 14: normalized memory traffic of the seven mechanisms."""
 
-from conftest import print_category_means
-
-from repro.experiments.figures import fig14_bandwidth
+from conftest import category_means, print_category_means
 
 
-def test_fig14_bandwidth(run_once, scale, store):
-    d = run_once(fig14_bandwidth, scale, store)
-    print_category_means(d)
-    means = d["category_means"]
+def test_fig14_bandwidth(figure):
+    table = figure("fig14")
+    print_category_means(table, "bw_norm")
+    means = category_means(table, "bw_norm")
     for cat in ("pref_agg", "pref_unfri"):
         # paper shape: PT has the lowest bandwidth consumption (it
         # disables prefetching outright)...

@@ -1,14 +1,12 @@
 """Fig. 15: normalized STALLS_L2_PENDING per workload."""
 
-from conftest import print_category_means
-
-from repro.experiments.figures import fig15_stalls
+from conftest import category_means, print_category_means
 
 
-def test_fig15_stalls(run_once, scale, store):
-    d = run_once(fig15_stalls, scale, store)
-    print_category_means(d)
-    means = d["category_means"]
+def test_fig15_stalls(figure):
+    table = figure("fig15")
+    print_category_means(table, "stalls_norm")
+    means = category_means(table, "stalls_norm")
     # paper shape: CMM-a/c show the lowest stall counts on the
     # categories with aggressive prefetching (best isolation).
     for cat in ("pref_agg", "pref_unfri"):

@@ -1,13 +1,13 @@
 """Table I: per-core metric values on a mixed workload."""
 
-from repro.experiments.figures import table1_metrics
+from conftest import wide_rows
+
 from repro.experiments.report import render_table
 from repro.workloads.speclike import benchmark
 
 
-def test_table1_metrics(run_once, scale):
-    d = run_once(table1_metrics, scale)
-    rows = d["rows"]
+def test_table1_metrics(figure):
+    rows = wide_rows(figure("table1"), "core")
     assert len(rows) == 8
     print()
     print(

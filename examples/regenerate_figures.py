@@ -4,69 +4,28 @@
     python examples/regenerate_figures.py [scale] [--artifacts DIR] > report.md
 
 This is the script that produced the measured numbers recorded in
-EXPERIMENTS.md.  It is now a thin driver over :mod:`repro.analysis`:
-the figure registry builds every figure through one shared
+EXPERIMENTS.md.  It is a thin driver over :mod:`repro.analysis`, the
+same path as ``repro figures``: the figure registry builds every
+figure's tidy table through one
 :class:`~repro.experiments.engine.ExperimentSession` (deduplicated,
-parallel on misses, persisted in the on-disk cache), the markdown
-tables render through the shared formatter, and ``--artifacts DIR``
-additionally emits the canonical CSV + Vega-Lite artifact set
-(``repro figures`` is the CLI equivalent).  At ``full`` scale the
-first (cold) pass takes a while; ``tiny`` finishes in a couple of
-minutes cold and seconds warm.
+parallel on misses, persisted in the on-disk cache), each section
+prints the registry's wide view of that table under the figure's
+title, and ``--artifacts DIR`` additionally emits the canonical CSV +
+Vega-Lite artifact set.  At ``full`` scale the first (cold) pass takes
+a while; ``tiny`` finishes in under a minute cold and seconds warm.
 """
 
 import os
 import sys
 import time
 
-from repro.analysis import build_artifacts, render_markdown_table, write_artifacts
+from repro.analysis import build_artifacts, get_figure_spec, render_markdown_table, write_artifacts
 from repro.experiments.config import get_scale
-from repro.experiments.engine import ExperimentSession, set_default_session
-from repro.workloads.mixes import CATEGORIES
-
-md_table = render_markdown_table
-
-#: (figure id, section title, row renderer).  Mechanism figures (7-15)
-#: have no renderer here: they all print their category-means table.
-SECTIONS = {
-    "fig01": ("Fig. 1 — memory bandwidth (MB/s), prefetch off demand vs. on total",
-              ["benchmark", "demand", "total", "increase %"],
-              lambda r: [r["benchmark"], r["demand_bw_mbs"], r["total_bw_mbs"], r["increase_pct"]]),
-    "fig02": ("Fig. 2 — IPC speedup from prefetching",
-              ["benchmark", "IPC on", "IPC off", "speedup %"],
-              lambda r: [r["benchmark"], r["ipc_on"], r["ipc_off"], r["speedup_pct"]]),
-    "fig03": ("Fig. 3 — LLC way sensitivity",
-              ["benchmark", "min ways for 90%", "min ways for 80%"],
-              lambda r: [r["benchmark"], r["min_ways_90pct"], r["min_ways_80pct"]]),
-    "fig05": ("Fig. 5 — detected Agg sets",
-              ["workload", "agg cores", "agg benchmarks"],
-              lambda r: [r["workload"], str(r["agg_set"]), ", ".join(r["agg_benchmarks"])]),
-    "table1": ("Table I — metrics on one pref_agg workload",
-               ["core", "benchmark", "M2", "M3 PTR/s", "M4 PGA", "M5 PMR", "M6 PPM", "M7 B/s"],
-               lambda r: [r["core"], r["benchmark"], r["M2_l2_pref_miss_frac"], r["M3_l2_ptr"],
-                          r["M4_pga"], r["M5_l2_pmr"], r["M6_l2_ppm"], r["M7_llc_pt"]]),
-}
-
-MECHANISM_TITLES = {
-    "fig07": "Fig. 7 — PT normalized HS (category means)",
-    "fig08": "Fig. 8 — PT worst-case speedup",
-    "fig09": "Fig. 9 — CP normalized HS",
-    "fig10": "Fig. 10 — CP worst-case speedup",
-    "fig11": "Fig. 11 — CMM normalized HS",
-    "fig12": "Fig. 12 — CMM worst-case speedup",
-    "fig13": "Fig. 13 — all mechanisms, normalized HS",
-    "fig14": "Fig. 14 — normalized memory traffic",
-    "fig15": "Fig. 15 — normalized L2-pending stalls",
-}
+from repro.experiments.engine import ExperimentSession
 
 #: Presentation order: alone/profile figures first, then the sweep.
-ORDER = ("fig01", "fig02", "fig03", "fig05", "table1") + tuple(MECHANISM_TITLES)
-
-
-def category_means_table(d):
-    mechs = list(next(iter(d["category_means"].values())))
-    rows = [[cat] + [d["category_means"][cat][m] for m in mechs] for cat in CATEGORIES]
-    return md_table(["category"] + mechs, rows)
+ORDER = ("fig01", "fig02", "fig03", "fig05", "table1",
+         "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15")
 
 
 def main() -> None:
@@ -85,19 +44,14 @@ def main() -> None:
 
     verbose = bool(os.environ.get("REPRO_PROGRESS"))
     session = ExperimentSession(progress=progress if verbose else None)
-    set_default_session(session)  # figure drivers share the same store
 
-    built = build_artifacts(list(ORDER), sc, session=session)
+    built = build_artifacts(ORDER, sc, session=session)
 
-    print(f"# Regenerated figures (scale = {sc.name})\n")
+    print(f"# Regenerated figures (scale = {sc.name})")
     for bf in built:
-        if bf.fig_id in SECTIONS:
-            title, headers, to_row = SECTIONS[bf.fig_id]
-            print(f"## {title}\n" if bf.fig_id == ORDER[0] else f"\n## {title}\n")
-            print(md_table(headers, [to_row(r) for r in bf.figure["rows"]]))
-        else:
-            print(f"\n## {MECHANISM_TITLES[bf.fig_id]}\n")
-            print(category_means_table(bf.figure))
+        spec = get_figure_spec(bf.fig_id)
+        print(f"\n## {spec.title}\n")
+        print(render_markdown_table(*spec.wide(bf.table)))
 
     if artifacts_dir:
         paths = write_artifacts(built, artifacts_dir, scale=sc.name, seed=sc.seed)

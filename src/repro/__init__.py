@@ -14,13 +14,12 @@ Public API tour:
 * ``repro.workloads`` — SPEC CPU2006-like synthetic benchmarks, the
   Rand Access micro-benchmark, and the paper's workload mixes;
 * ``repro.metrics`` — HS / WS / ANTT / worst-case speedup;
-* ``repro.experiments`` — one driver per paper table and figure, built
-  on the **experiment engine** (``repro.experiments.engine``): an
-  :class:`ExperimentSession` expands a declarative :class:`RunSpec`
-  into a deduplicated plan, executes cache misses across a process
-  pool, and replays hits from a content-addressed on-disk store
-  (``REPRO_CACHE_DIR`` / ``REPRO_WORKERS``; see
-  ``docs/experiment_engine.md``);
+* ``repro.experiments`` — the **experiment engine**
+  (``repro.experiments.engine``): an :class:`ExperimentSession`
+  expands a declarative :class:`RunSpec` into a deduplicated plan,
+  executes cache misses across a process pool, and replays hits from
+  a content-addressed on-disk store (``REPRO_CACHE_DIR`` /
+  ``REPRO_WORKERS``; see ``docs/experiment_engine.md``);
 * ``repro.analysis`` — the declarative analysis layer (see
   ``docs/analysis.md``): tidy tables with a round-trip-safe CSV codec,
   per-figure canonical CSV + Vega-Lite artifacts
@@ -64,8 +63,6 @@ from repro.analysis import (
     TidyTable,
     bootstrap_ci,
     build_artifacts,
-    figure_table,
-    figure_vega,
     run_analysis,
     write_artifacts,
 )
@@ -100,7 +97,7 @@ from repro.sim.machine import Machine
 from repro.sim.params import MachineParams, default_params, scaled_params
 from repro.workloads.mixes import WorkloadMix, all_mixes, make_mixes
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 #: Exported through ``__getattr__`` (PEP 562): the service imports
 #: asyncio, which ``import repro`` and every CLI command but ``serve``
@@ -124,8 +121,6 @@ __all__ = [
     "TidyTable",
     "bootstrap_ci",
     "build_artifacts",
-    "figure_table",
-    "figure_vega",
     "run_analysis",
     "write_artifacts",
     "CMMController",

@@ -28,14 +28,15 @@ from repro.analysis.analyze import (
     write_analysis,
 )
 from repro.analysis.artifacts import (
+    ALL_MECHS,
     ARTIFACT_SCHEMA_VERSION,
+    CMM_MECHS,
+    CP_MECHS,
     FIGURE_IDS,
     BuiltFigure,
     FigureSpec,
     build_artifacts,
     check_artifacts,
-    figure_table,
-    figure_vega,
     get_figure_spec,
     write_artifacts,
 )
@@ -63,10 +64,13 @@ from repro.analysis.tables import (
 )
 
 __all__ = [
+    "ALL_MECHS",
     "ARTIFACT_SCHEMA_VERSION",
     "AnalysisResult",
     "BootstrapCI",
     "BuiltFigure",
+    "CMM_MECHS",
+    "CP_MECHS",
     "FIGURE_IDS",
     "FigureSpec",
     "PairedTest",
@@ -81,8 +85,6 @@ __all__ = [
     "decode_cell",
     "encode_cell",
     "fair_slowdown",
-    "figure_table",
-    "figure_vega",
     "flatten_row",
     "fmt_value",
     "get_figure_spec",

@@ -26,15 +26,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from repro.analysis.artifacts import FIGURE_IDS
 from repro.experiments.config import SCALES, get_scale
 from repro.experiments.report import render_table, render_trace_timeline
 from repro.workloads.mixes import CATEGORIES, make_mixes
 from repro.workloads.speclike import BENCHMARKS, benchmark
-
-FIGURES = (
-    "table1", "fig01", "fig02", "fig03", "fig05",
-    "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-)
 
 
 def _add_scale(p: argparse.ArgumentParser) -> None:
@@ -101,7 +97,7 @@ def _make_session(args):
             file=sys.stderr,
         ),
     )
-    # Module-level helpers (figure drivers, shims) follow the same session.
+    # Module-level helpers (``repro.run`` and friends) follow the same session.
     set_default_session(session)
     return session
 
@@ -133,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine(p)
 
     p = sub.add_parser("figure", help="regenerate one paper figure/table")
-    p.add_argument("id", choices=FIGURES)
+    p.add_argument("id", choices=FIGURE_IDS)
     _add_scale(p)
     _add_engine(p)
 
@@ -282,22 +278,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    from repro.analysis.artifacts import get_figure_spec
+    from repro.analysis.artifacts import build_artifacts, get_figure_spec
 
     sc = get_scale(args.scale)
-    _make_session(args)
-    d = get_figure_spec(args.id).build(sc)
-    if "category_means" in d:
-        mechs = list(next(iter(d["category_means"].values())))
-        rows = [[cat] + [d["category_means"][cat][m] for m in mechs] for cat in d["category_means"]]
-        print(render_table(["category"] + mechs, rows,
-                           title=f"{d['figure']} ({d.get('metric', '')}) @ {sc.name}"))
-    else:
-        rows = d["rows"]
-        if rows:
-            headers = [k for k in rows[0] if not isinstance(rows[0][k], dict)]
-            print(render_table(headers, [[r[h] for h in headers] for r in rows],
-                               title=f"{d['figure']} @ {sc.name}"))
+    session = _make_session(args)
+    spec = get_figure_spec(args.id)
+    (built,) = build_artifacts([args.id], sc, session=session)
+    headers, rows = spec.wide(built.table)
+    print(render_table(headers, rows, title=f"{spec.title} @ {sc.name}"))
     return 0
 
 
@@ -305,6 +293,9 @@ def cmd_figures(args) -> int:
     from repro.analysis import build_artifacts, check_artifacts, write_artifacts
     from repro.analysis.render import RenderUnavailable
 
+    if args.check and not Path(args.check).is_dir():
+        print(f"--check: {args.check} is not a directory", file=sys.stderr)
+        return 2
     sc = get_scale(args.scale)
     session = _make_session(args)
     try:
@@ -329,8 +320,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from repro.analysis import run_analysis, write_analysis
-    from repro.experiments.figures import ALL_MECHS
+    from repro.analysis import ALL_MECHS, run_analysis, write_analysis
 
     sc = get_scale(args.scale)
     session = _make_session(args)

@@ -1,4 +1,5 @@
-"""Evaluation harness: one driver per paper table/figure.
+"""Evaluation harness: scales, the experiment engine and the runners
+the figure registry (:mod:`repro.analysis.artifacts`) builds on.
 
 Scales (``REPRO_SCALE`` env var or explicit argument):
 

@@ -1,4 +1,4 @@
-"""Export figure results to JSON / CSV for external plotting.
+"""Export result rows and decision traces to CSV / JSON.
 
 Row flattening and cell encoding are delegated to
 :mod:`repro.analysis.tables`, which is **round-trip safe**: nested
@@ -19,21 +19,8 @@ from pathlib import Path
 from repro.analysis.tables import decode_cell, encode_cell, flatten_row, unflatten_row
 
 
-def figure_to_json(figure: dict, *, indent: int = 2) -> str:
-    """Serialise a figure dict (as produced by ``repro.experiments.figures``)."""
-
-    def default(o):
-        if isinstance(o, (tuple, set)):
-            return list(o)
-        if hasattr(o, "item"):  # numpy scalars
-            return o.item()
-        raise TypeError(f"not JSON serialisable: {type(o)}")
-
-    return json.dumps(figure, indent=indent, default=default)
-
-
 def rows_to_csv(rows: list[dict]) -> str:
-    """Render a figure's ``rows`` as CSV text.
+    """Render a list of row dicts as CSV text.
 
     Nested dicts flatten into escaped dotted columns and every cell is
     encoded invertibly; :func:`rows_from_csv` is the inverse.
@@ -111,17 +98,3 @@ def write_traces(traces, directory: str | Path, *, stem: str = "traces") -> tupl
     cpath.write_text(traces_to_csv(traces))
     return jpath, cpath
 
-
-def write_figure(figure: dict, directory: str | Path, *, stem: str | None = None) -> tuple[Path, Path]:
-    """Write ``<stem>.json`` and ``<stem>.csv`` under ``directory``.
-
-    ``stem`` defaults to the figure's id.  Returns the two paths.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    stem = stem or figure.get("figure", "figure")
-    jpath = directory / f"{stem}.json"
-    cpath = directory / f"{stem}.csv"
-    jpath.write_text(figure_to_json(figure))
-    cpath.write_text(rows_to_csv(figure.get("rows", [])))
-    return jpath, cpath

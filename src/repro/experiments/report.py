@@ -1,4 +1,4 @@
-"""Plain-text rendering of experiment results (the paper's rows/series).
+"""Plain-text rendering of experiment results: tables and trace timelines.
 
 Value and table formatting is shared with every other human-facing
 renderer through :mod:`repro.analysis.format`; this module keeps only
@@ -15,12 +15,6 @@ from repro.analysis.format import fmt_value, render_ascii_table
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]], *, title: str = "") -> str:
     """Fixed-width ASCII table; floats rendered to three decimals."""
     return render_ascii_table(headers, rows, title=title)
-
-
-def render_series(name: str, labels: Sequence[str], values: Sequence[float]) -> str:
-    """One named series, label=value pairs (a figure's bar heights)."""
-    pairs = ", ".join(f"{l}={v:.3f}" for l, v in zip(labels, values))
-    return f"{name}: {pairs}"
 
 
 def _fmt_value(v: object) -> str:

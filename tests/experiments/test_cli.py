@@ -151,6 +151,14 @@ class TestFiguresCommand:
                      "--cache-dir", str(tmp_path / "c"), "--workers", "1"]) == 2
         assert "unknown figure 'fig99'" in capsys.readouterr().err
 
+    def test_missing_golden_dir_is_an_error(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-goldens"
+        assert main(["figures", "table1", "--out", str(tmp_path / "a"), "--check", str(missing),
+                     "--cache-dir", str(tmp_path / "c"), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"--check: {missing} is not a directory"
+        assert not (tmp_path / "a").exists()
+
     @pytest.mark.slow
     def test_emits_and_checks_artifacts(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")

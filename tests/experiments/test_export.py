@@ -1,71 +1,50 @@
-"""JSON/CSV export of figure results."""
+"""CSV / JSON export of result rows and traces."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.experiments.export import figure_to_json, rows_from_csv, rows_to_csv, write_figure
+from repro.experiments.export import rows_from_csv, rows_to_csv
 
 
 @pytest.fixture
-def figure():
-    return {
-        "figure": "fig99",
-        "metric": "hs_norm",
-        "rows": [
-            {"workload": "w-00", "category": "pref_agg", "pt": 1.05,
-             "agg_set": (1, 2), "ipc_by_ways": {1: 0.5, 20: 1.0}},
-            {"workload": "w-01", "category": "pref_agg", "pt": 0.98,
-             "agg_set": (), "ipc_by_ways": {1: 0.4, 20: 0.9}},
-        ],
-        "category_means": {"pref_agg": {"pt": np.float64(1.015)}},
-    }
-
-
-class TestJson:
-    def test_roundtrip(self, figure):
-        data = json.loads(figure_to_json(figure))
-        assert data["figure"] == "fig99"
-        assert data["rows"][0]["agg_set"] == [1, 2]
-
-    def test_numpy_scalars_serialised(self, figure):
-        data = json.loads(figure_to_json(figure))
-        assert data["category_means"]["pref_agg"]["pt"] == pytest.approx(1.015)
-
-    def test_unserialisable_rejected(self):
-        with pytest.raises(TypeError):
-            figure_to_json({"x": object()})
+def rows():
+    return [
+        {"workload": "w-00", "category": "pref_agg", "pt": 1.05,
+         "agg_set": (1, 2), "ipc_by_ways": {1: 0.5, 20: 1.0}},
+        {"workload": "w-01", "category": "pref_agg", "pt": 0.98,
+         "agg_set": (), "ipc_by_ways": {1: 0.4, 20: 0.9}},
+    ]
 
 
 class TestCsv:
-    def test_header_and_rows(self, figure):
-        text = rows_to_csv(figure["rows"])
+    def test_header_and_rows(self, rows):
+        text = rows_to_csv(rows)
         lines = text.strip().splitlines()
         assert lines[0].startswith("workload,category,pt")
         assert len(lines) == 3
 
-    def test_nested_dict_flattened(self, figure):
-        text = rows_to_csv(figure["rows"])
+    def test_nested_dict_flattened(self, rows):
+        text = rows_to_csv(rows)
         assert "ipc_by_ways.1" in text.splitlines()[0]
 
-    def test_lists_json_encoded(self, figure):
+    def test_lists_json_encoded(self, rows):
         # The old exporter ";"-joined sequences with no escaping; cells
         # are now JSON so they decode back to the original values.
-        text = rows_to_csv(figure["rows"])
+        text = rows_to_csv(rows)
         assert "[1,2]" in text
         assert "1;2" not in text
 
     def test_empty(self):
         assert rows_to_csv([]) == ""
 
-    def test_roundtrip_restores_types(self, figure):
-        rows = rows_from_csv(rows_to_csv(figure["rows"]))
-        assert rows[0]["workload"] == "w-00"
-        assert rows[0]["pt"] == 1.05
-        assert rows[0]["agg_set"] == [1, 2]  # tuples come back as lists
-        assert rows[1]["agg_set"] == []
-        assert rows[0]["ipc_by_ways"] == {"1": 0.5, "20": 1.0}
+    def test_roundtrip_restores_types(self, rows):
+        back = rows_from_csv(rows_to_csv(rows))
+        assert back[0]["workload"] == "w-00"
+        assert back[0]["pt"] == 1.05
+        assert back[0]["agg_set"] == [1, 2]  # tuples come back as lists
+        assert back[1]["agg_set"] == []
+        assert back[0]["ipc_by_ways"] == {"1": 0.5, "20": 1.0}
 
     def test_roundtrip_full_float_precision(self):
         tricky = [{"v": 0.1 + 0.2, "w": 1.0 / 3.0}]
@@ -89,20 +68,6 @@ class TestCsv:
         rows = rows_from_csv(rows_to_csv(tricky))
         assert rows[0]["a.b"] == 1
         assert rows[0]["a"] == {"b": 2}
-
-
-class TestWriteFigure:
-    def test_writes_both_files(self, figure, tmp_path):
-        jpath, cpath = write_figure(figure, tmp_path)
-        assert jpath.name == "fig99.json"
-        assert cpath.name == "fig99.csv"
-        assert json.loads(jpath.read_text())["figure"] == "fig99"
-        assert "w-00" in cpath.read_text()
-
-    def test_custom_stem_and_mkdir(self, figure, tmp_path):
-        jpath, _ = write_figure(figure, tmp_path / "deep" / "dir", stem="custom")
-        assert jpath.name == "custom.json"
-        assert jpath.exists()
 
 
 class TestTraceExport:

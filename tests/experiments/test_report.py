@@ -1,6 +1,6 @@
 """ASCII rendering."""
 
-from repro.experiments.report import render_series, render_table
+from repro.experiments.report import render_table
 
 
 class TestRenderTable:
@@ -19,12 +19,6 @@ class TestRenderTable:
         out = render_table(["m"], [["longvalue"]])
         header, sep, row = out.splitlines()
         assert len(sep) >= len("longvalue")
-
-
-class TestRenderSeries:
-    def test_pairs(self):
-        out = render_series("pt", ["fri", "agg"], [1.0, 1.5])
-        assert out == "pt: fri=1.000, agg=1.500"
 
 
 class TestRenderTraceTimeline:
