@@ -57,61 +57,44 @@ Quickstart::
     print(ev.metrics["cmm-a"]["hs_norm"])
 """
 
-from repro.analysis import (
-    FigureSpec,
-    TableBuilder,
-    TidyTable,
-    bootstrap_ci,
-    build_artifacts,
-    run_analysis,
-    write_artifacts,
-)
-from repro.core import CMMController, make_policy, policy_names
-from repro.core.allocation import ResourceConfig
-from repro.core.epoch import EpochConfig
-from repro.core.pipeline import DecisionPipeline, Stage, SweepScorer
-from repro.core.trace import EpochTrace, StageTrace
-from repro.experiments.config import ScaleConfig, get_scale
-from repro.experiments.engine import (
-    ExperimentError,
-    ExperimentSession,
-    ResultCache,
-    RunSpec,
-    default_session,
-    run,
-    set_default_session,
-)
-from repro.experiments.batch import BatchRunSpec, simulate_batch
-from repro.experiments.runner import RunResult, WorkloadEval
-from repro.platform.base import PlatformError
-from repro.platform.faults import FaultPlan, FaultyPlatform
-from repro.platform.simulated import SimulatedPlatform
-from repro.sim.engines import (
-    EngineSelectionError,
-    EngineSpec,
-    available_engines,
-    register_engine,
-    resolve_engine,
-)
-from repro.sim.machine import Machine
-from repro.sim.params import MachineParams, default_params, scaled_params
-from repro.workloads.mixes import WorkloadMix, all_mixes, make_mixes
+from repro._lazy import lazy_exports
 
 __version__ = "5.0.0"
 
-#: Exported through ``__getattr__`` (PEP 562): the service imports
-#: asyncio, which ``import repro`` and every CLI command but ``serve``
-#: never use.
-_SERVICE_EXPORTS = ("ExperimentService", "ServiceClient")
-
-
-def __getattr__(name: str):
-    if name in _SERVICE_EXPORTS:
-        import repro.service
-
-        value = globals()[name] = getattr(repro.service, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: Every public name, by the module that defines it.  Resolved on first
+#: access (PEP 562), so ``import repro`` loads no subpackage: a warm
+#: replay never imports the simulator, and only ``serve`` imports the
+#: service (and asyncio).
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.analyze": ("run_analysis",),
+    "repro.analysis.artifacts": ("FigureSpec", "build_artifacts", "write_artifacts"),
+    "repro.analysis.stats": ("bootstrap_ci",),
+    "repro.analysis.tables": ("TableBuilder", "TidyTable"),
+    "repro.core.allocation": ("ResourceConfig",),
+    "repro.core.controller": ("CMMController",),
+    "repro.core.epoch": ("EpochConfig",),
+    "repro.core.pipeline": ("DecisionPipeline", "Stage", "SweepScorer"),
+    "repro.core.policies": ("make_policy", "policy_names"),
+    "repro.core.trace": ("EpochTrace", "StageTrace"),
+    "repro.experiments.batch": ("BatchRunSpec", "simulate_batch"),
+    "repro.experiments.config": ("ScaleConfig", "get_scale"),
+    "repro.experiments.engine": (
+        "ExperimentError", "ExperimentSession", "ResultCache", "RunSpec",
+        "default_session", "run", "set_default_session",
+    ),
+    "repro.experiments.runner": ("RunResult", "WorkloadEval"),
+    "repro.platform.base": ("PlatformError",),
+    "repro.platform.faults": ("FaultPlan", "FaultyPlatform"),
+    "repro.platform.simulated": ("SimulatedPlatform",),
+    "repro.service.server": ("ExperimentService", "ServiceClient"),
+    "repro.sim.engines": (
+        "EngineSelectionError", "EngineSpec", "available_engines",
+        "register_engine", "resolve_engine",
+    ),
+    "repro.sim.machine": ("Machine",),
+    "repro.sim.params": ("MachineParams", "default_params", "scaled_params"),
+    "repro.workloads.mixes": ("WorkloadMix", "all_mixes", "make_mixes"),
+})
 
 
 __all__ = [
@@ -168,8 +151,13 @@ __all__ = [
 ]
 
 
-def quick_run(category: str = "pref_agg", *, mechanism: str = "cmm-a", scale: str | None = None) -> WorkloadEval:
-    """Evaluate one workload of ``category`` under ``mechanism`` vs. baseline."""
+def quick_run(category: str = "pref_agg", *, mechanism: str = "cmm-a", scale: str | None = None):
+    """Evaluate one workload of ``category`` under ``mechanism`` vs. baseline;
+    returns its :class:`WorkloadEval`."""
+    from repro.experiments.config import get_scale
+    from repro.experiments.engine import default_session
+    from repro.workloads.mixes import make_mixes
+
     sc = get_scale(scale)
     mix = make_mixes(category, 1, seed=sc.seed)[0]
     return default_session().evaluate(mix, (mechanism,), sc)

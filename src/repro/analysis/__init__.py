@@ -19,49 +19,28 @@ shared presentation formatter every human-facing table renders through.
 See ``docs/analysis.md``.
 """
 
-from repro.analysis.analyze import (
-    AnalysisResult,
-    collect_observations,
-    run_analysis,
-    seed_axis,
-    summarize,
-    write_analysis,
-)
-from repro.analysis.artifacts import (
-    ALL_MECHS,
-    ARTIFACT_SCHEMA_VERSION,
-    CMM_MECHS,
-    CP_MECHS,
-    FIGURE_IDS,
-    BuiltFigure,
-    FigureSpec,
-    build_artifacts,
-    check_artifacts,
-    get_figure_spec,
-    write_artifacts,
-)
-from repro.analysis.format import fmt_value, render_ascii_table, render_markdown_table
-from repro.analysis.stats import (
-    BootstrapCI,
-    PairedTest,
-    bootstrap_ci,
-    fair_slowdown,
-    hm_ipc,
-    paired_permutation_test,
-    sign_test,
-    slowdowns,
-    unfairness,
-)
-from repro.analysis.tables import (
-    SCHEMA_COLUMNS,
-    TIDY_SCHEMA_VERSION,
-    TableBuilder,
-    TidyTable,
-    decode_cell,
-    encode_cell,
-    flatten_row,
-    unflatten_row,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.analyze": (
+        "AnalysisResult", "collect_observations", "run_analysis", "seed_axis",
+        "summarize", "write_analysis",
+    ),
+    "repro.analysis.artifacts": (
+        "ALL_MECHS", "ARTIFACT_SCHEMA_VERSION", "CMM_MECHS", "CP_MECHS", "FIGURE_IDS",
+        "BuiltFigure", "FigureSpec", "build_artifacts", "check_artifacts",
+        "get_figure_spec", "write_artifacts",
+    ),
+    "repro.analysis.format": ("fmt_value", "render_ascii_table", "render_markdown_table"),
+    "repro.analysis.stats": (
+        "BootstrapCI", "PairedTest", "bootstrap_ci", "fair_slowdown", "hm_ipc",
+        "paired_permutation_test", "sign_test", "slowdowns", "unfairness",
+    ),
+    "repro.analysis.tables": (
+        "SCHEMA_COLUMNS", "TIDY_SCHEMA_VERSION", "TableBuilder", "TidyTable",
+        "decode_cell", "encode_cell", "flatten_row", "unflatten_row",
+    ),
+})
 
 __all__ = [
     "ALL_MECHS",

@@ -29,13 +29,9 @@ import numpy as np
 
 from repro.analysis import vega as _vega
 from repro.analysis.tables import TIDY_SCHEMA_VERSION, TableBuilder, TidyTable
-from repro.core.frontend import AggDetector
 from repro.core.metrics_defs import CoreSummary, TableIMetrics, summarize_sample
 from repro.experiments.config import ScaleConfig, get_scale
 from repro.experiments.engine import ExperimentSession, RunSpec, default_session
-from repro.experiments.runner import build_machine
-from repro.platform.simulated import SimulatedPlatform
-from repro.workloads.classify import DEFAULT_WAY_SWEEP
 from repro.workloads.mixes import WorkloadMix, make_mixes
 from repro.workloads.speclike import BENCHMARKS
 
@@ -69,7 +65,9 @@ TABLE1_METRICS = tuple(f"M{i}_{f.name}" for i, f in enumerate(fields(TableIMetri
 # ----------------------------------------------------------------- sources
 #
 # ``source(sc, session, mechanisms)``: ``mechanisms`` is the union over
-# every mechanism figure of one ``build_artifacts`` call.
+# every mechanism figure of one ``build_artifacts`` call.  Sources that
+# simulate import the simulator and platform when they run, so a figure
+# replayed from the session's cache never loads them.
 
 
 def _profiles(sc: ScaleConfig, session: ExperimentSession, _mechanisms) -> dict:
@@ -77,11 +75,16 @@ def _profiles(sc: ScaleConfig, session: ExperimentSession, _mechanisms) -> dict:
 
 
 def _way_profiles(sc: ScaleConfig, session: ExperimentSession, _mechanisms) -> dict:
+    from repro.workloads.classify import DEFAULT_WAY_SWEEP
+
     return session.profile_all(tuple(BENCHMARKS), sc, way_sweep=DEFAULT_WAY_SWEEP)
 
 
 def _sample(mix: WorkloadMix, sc: ScaleConfig) -> list[CoreSummary]:
     """Per-core summaries of one sampling interval after a warm-up."""
+    from repro.experiments.runner import build_machine
+    from repro.platform.simulated import SimulatedPlatform
+
     plat = SimulatedPlatform(build_machine(mix, sc))
     plat.run_interval(max(sc.sample_units, 2048))  # warm-up
     return summarize_sample(plat.run_interval(sc.sample_units), plat.cycles_per_second)
@@ -94,6 +97,8 @@ def _table1_sample(sc: ScaleConfig, _session, _mechanisms) -> tuple[WorkloadMix,
 
 def _detections(sc: ScaleConfig, _session, _mechanisms) -> list[tuple[WorkloadMix, tuple[int, ...]]]:
     """The Agg set the front-end finds in each mix of the sweep."""
+    from repro.core.frontend import AggDetector
+
     detector = AggDetector()
     return [(mix, detector.detect(_sample(mix, sc)).agg_set) for mix in RunSpec().resolve_mixes(sc)]
 

@@ -71,6 +71,12 @@ def _plain(v: object) -> object:
     return v
 
 
+#: Every character a text ``json.loads`` accepts can begin with: a value
+#: (object, array, string, number, ``true``/``false``/``null``, ``NaN``,
+#: ``Infinity``) or the JSON whitespace it skips first.
+_JSON_START = frozenset('{["-0123456789tfnNI \t\n\r')
+
+
 def encode_cell(v: object) -> str:
     """One CSV cell, invertible by :func:`decode_cell`.
 
@@ -89,6 +95,8 @@ def encode_cell(v: object) -> str:
     if isinstance(v, str):
         if v == "":
             return '""'
+        if v[0] not in _JSON_START:
+            return v  # cannot decode as anything else: skip the trial parse
         try:
             json.loads(v)
         except ValueError:

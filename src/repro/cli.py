@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.artifacts import FIGURE_IDS
+from repro.core.policies import policy_names
 from repro.experiments.config import SCALES, get_scale
 from repro.experiments.report import render_table, render_trace_timeline
 from repro.workloads.mixes import CATEGORIES, make_mixes
@@ -38,14 +39,19 @@ def _add_scale(p: argparse.ArgumentParser) -> None:
                    help="experiment scale (default: $REPRO_SCALE or tiny)")
 
 
-def _workers(value: str) -> int:
+def _at_least_one(value: str) -> int:
     n = int(value)
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return n
 
 
-_workers.__name__ = "int"  # argparse: "invalid int value", not "_workers"
+_at_least_one.__name__ = "int"  # argparse: "invalid int value", not "_at_least_one"
+
+
+def _add_mechanism(p: argparse.ArgumentParser, **kwargs) -> None:
+    """``--mechanism``, checked against the policy registry at parse time."""
+    p.add_argument("--mechanism", choices=policy_names(), metavar="MECHANISM", **kwargs)
 
 
 def _engine_name(value: str) -> str:
@@ -63,7 +69,7 @@ _engine_name.__name__ = "engine"
 
 
 def _add_engine(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=_workers, default=None,
+    p.add_argument("--workers", type=_at_least_one, default=None,
                    help="parallel simulation processes (default: $REPRO_WORKERS or CPUs)")
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -121,9 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate mechanisms on one category")
     p.add_argument("--category", choices=CATEGORIES, default="pref_agg")
-    p.add_argument("--mechanism", action="append", default=None,
-                   help="repeatable; default: cmm-a")
-    p.add_argument("--workloads", type=int, default=None,
+    _add_mechanism(p, action="append", default=None, help="repeatable; default: cmm-a")
+    p.add_argument("--workloads", type=_at_least_one, default=None,
                    help="number of mixes (default: scale's setting)")
     _add_scale(p)
     _add_engine(p)
@@ -151,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "paired significance tests per mechanism")
     p.add_argument("--seeds", type=int, default=3,
                    help="number of seeds, starting at the scale's default (default: 3)")
-    p.add_argument("--mechanism", action="append", default=None,
+    _add_mechanism(p, action="append", default=None,
                    help="repeatable; default: all seven paper mechanisms")
     p.add_argument("--vs", default="pt",
                    help="reference mechanism for the paired tests (default: pt)")
@@ -165,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine(p)
 
     p = sub.add_parser("trace", help="render per-epoch decision timelines for one run")
-    p.add_argument("--mechanism", default="cmm-a")
+    _add_mechanism(p, default="cmm-a")
     p.add_argument("--category", choices=CATEGORIES, default="pref_agg")
     p.add_argument("--mix", type=int, default=0,
                    help="mix index within the category (see `repro mixes`)")
@@ -180,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="controller scenario (repro.platform.faults.SCENARIOS), 'all' "
                         "(every controller scenario), or 'service'")
     p.add_argument("--seed", type=int, default=0, help="fault-plan seed")
-    p.add_argument("--mechanism", default="cmm-a")
+    _add_mechanism(p, default="cmm-a")
     p.add_argument("--epochs", type=int, default=6)
     p.add_argument("--category", choices=CATEGORIES, default="pref_agg")
     p.add_argument("--clients", type=int, default=8,

@@ -8,38 +8,26 @@ periodically, using short sampling intervals scored by the harmonic
 mean of per-core IPC.
 """
 
-from repro.core.allocation import ResourceConfig
-from repro.core.controller import (
-    CMMController,
-    DegradedState,
-    EpochRecord,
-    ResilienceConfig,
-    RunStats,
-)
-from repro.core.epoch import EpochConfig, EpochContext, IntervalResult
-from repro.core.frontend import (
-    AggDetector,
-    DetectorConfig,
-    SampleRejected,
-    SampleValidationConfig,
-    SampleValidator,
-)
-from repro.core.metrics_defs import TableIMetrics, CoreSummary, summarize_sample
-from repro.core.pipeline import (
-    ActuateStage,
-    ClassifyStage,
-    CoordinatedThrottleStage,
-    DecisionPipeline,
-    DunnStage,
-    PartitionStage,
-    PipelineState,
-    SenseStage,
-    Stage,
-    SweepScorer,
-    ThrottleSweepStage,
-)
-from repro.core.policies import POLICIES, make_policy, policy_names
-from repro.core.trace import TRACE_SCHEMA_VERSION, EpochTrace, StageTrace, TraceSchemaError
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.allocation": ("ResourceConfig",),
+    "repro.core.controller": ("CMMController", "DegradedState", "EpochRecord", "ResilienceConfig"),
+    "repro.core.epoch": ("EpochConfig", "EpochContext", "IntervalResult"),
+    "repro.core.frontend": (
+        "AggDetector", "DetectorConfig", "SampleRejected", "SampleValidationConfig",
+        "SampleValidator",
+    ),
+    "repro.core.metrics_defs": ("TableIMetrics", "CoreSummary", "summarize_sample"),
+    "repro.core.pipeline": (
+        "ActuateStage", "ClassifyStage", "CoordinatedThrottleStage", "DecisionPipeline",
+        "DunnStage", "PartitionStage", "PipelineState", "SenseStage", "Stage",
+        "SweepScorer", "ThrottleSweepStage",
+    ),
+    "repro.core.policies": ("POLICIES", "make_policy", "policy_names"),
+    "repro.core.runstats": ("RunStats",),
+    "repro.core.trace": ("TRACE_SCHEMA_VERSION", "EpochTrace", "StageTrace", "TraceSchemaError"),
+})
 
 __all__ = [
     "ResourceConfig",

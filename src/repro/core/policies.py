@@ -1,28 +1,41 @@
-"""Policy registry: the seven mechanisms of the paper's Fig. 13 plus baseline."""
+"""Policy registry: the seven mechanisms of the paper's Fig. 13 plus baseline.
+
+Each factory imports its policy class on first call, so checking a
+name against the registry (a planned run, a CLI option) loads no
+policy module, and with it none of the controller or pipeline.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
+import importlib
+from typing import TYPE_CHECKING, Callable
 
-from repro.core.coordinated import CMMPolicy
-from repro.core.dunn import DunnPolicy
-from repro.core.partitioning import PrefCPPolicy, PrefCP2Policy
-from repro.core.policy_base import BaselinePolicy, Policy
-from repro.core.ppm_baseline import PPMGroupThrottlingPolicy
-from repro.core.throttling import PrefetchThrottlingPolicy
+if TYPE_CHECKING:
+    from repro.core.policy_base import Policy
+
+
+def _factory(path: str, *args) -> Callable[[], Policy]:
+    """A zero-arg factory for the class at ``"module:Class"``."""
+    module, _, cls = path.partition(":")
+
+    def make() -> Policy:
+        return getattr(importlib.import_module(module), cls)(*args)
+
+    return make
+
 
 POLICIES: dict[str, Callable[[], Policy]] = {
-    "baseline": BaselinePolicy,
-    "pt": PrefetchThrottlingPolicy,
-    "dunn": DunnPolicy,
-    "pref-cp": PrefCPPolicy,
-    "pref-cp2": PrefCP2Policy,
-    "cmm-a": lambda: CMMPolicy("a"),
-    "cmm-b": lambda: CMMPolicy("b"),
-    "cmm-c": lambda: CMMPolicy("c"),
+    "baseline": _factory("repro.core.policy_base:BaselinePolicy"),
+    "pt": _factory("repro.core.throttling:PrefetchThrottlingPolicy"),
+    "dunn": _factory("repro.core.dunn:DunnPolicy"),
+    "pref-cp": _factory("repro.core.partitioning:PrefCPPolicy"),
+    "pref-cp2": _factory("repro.core.partitioning:PrefCP2Policy"),
+    "cmm-a": _factory("repro.core.coordinated:CMMPolicy", "a"),
+    "cmm-b": _factory("repro.core.coordinated:CMMPolicy", "b"),
+    "cmm-c": _factory("repro.core.coordinated:CMMPolicy", "c"),
     # Related-work baseline (Panda et al. SPAC-style): PPM 2-group
     # throttling, kept out of MECHANISMS (not one of the paper's seven).
-    "ppm-group": PPMGroupThrottlingPolicy,
+    "ppm-group": _factory("repro.core.ppm_baseline:PPMGroupThrottlingPolicy"),
 }
 
 #: The seven managed mechanisms compared in Fig. 13 (baseline excluded).

@@ -19,22 +19,17 @@ Shapes (who wins, by what factor) are stable across scales; absolute
 values are simulator units, not Xeon measurements (see EXPERIMENTS.md).
 """
 
-from repro.experiments.batch import BatchRunSpec, BatchUnavailable, simulate_batch
-from repro.experiments.config import ScaleConfig, get_scale, SCALES
-from repro.experiments.engine import (
-    ExperimentSession,
-    PlannedRun,
-    ResultCache,
-    RunRecord,
-    RunSpec,
-    default_session,
-    set_default_session,
-)
-from repro.experiments.runner import (
-    RunResult,
-    WorkloadEval,
-    build_machine,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.batch": ("BatchRunSpec", "BatchUnavailable", "simulate_batch"),
+    "repro.experiments.config": ("ScaleConfig", "get_scale", "SCALES"),
+    "repro.experiments.engine": (
+        "ExperimentSession", "PlannedRun", "ResultCache", "RunRecord", "RunSpec",
+        "default_session", "set_default_session",
+    ),
+    "repro.experiments.runner": ("RunResult", "WorkloadEval", "build_machine"),
+})
 
 __all__ = [
     "ScaleConfig",

@@ -13,8 +13,14 @@ inputs:
   version — into a content-addressed key;
 * :class:`ExperimentSession` executes cache misses either serially or
   across a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (``max_workers``), persists payloads in a :class:`ResultCache`, and
-  emits per-run :class:`RunRecord` timing/progress entries.
+  (``max_workers``; the pool half lives in :mod:`repro.experiments.pool`),
+  persists payloads in a :class:`ResultCache`, and emits per-run
+  :class:`RunRecord` timing/progress entries.
+
+A plan whose every key hits replays without importing the simulator,
+the controller or the pool: those load inside the functions that
+compute, at the first miss (``docs/experiment_engine.md``, "Import
+layering").
 
 Seeding is per-run (``mix.seed + core`` for traces, fixed seeds for
 alone/profile runs) and no state is shared between runs, so parallel
@@ -57,19 +63,15 @@ import tempfile
 import time
 import warnings
 import weakref
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.controller import CMMController, RunStats
-from repro.core.epoch import EpochConfig
 from repro.core.policies import POLICIES, make_policy
+from repro.core.runstats import RunStats
 from repro.core.trace import (
     TRACE_SCHEMA_VERSION,
     EpochTrace,
@@ -78,14 +80,22 @@ from repro.core.trace import (
     traces_to_dicts,
 )
 from repro.experiments.config import ScaleConfig, get_scale, key_inputs
+from repro.experiments.runner import (
+    RunResult,
+    WorkloadEval,
+    build_machine,
+    drive_mechanism,
+)
 from repro.metrics.speedup import harmonic_speedup, weighted_speedup, worst_case_speedup
-from repro.platform.simulated import SimulatedPlatform
 from repro.sim import tracestore
 from repro.sim.engines import ENGINE_AUTO, ENGINE_BATCH, ENV_VAR, EngineSpec, get_engine
-from repro.sim.machine import CORE_ADDRESS_STRIDE_LINES
-from repro.workloads.classify import AloneProfile, profile_benchmark, run_alone
 from repro.workloads.mixes import CATEGORIES, WorkloadMix, make_mixes
 from repro.workloads.speclike import BENCHMARKS
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.workloads.classify import AloneProfile
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -273,11 +283,12 @@ def _run_key(run: PlannedRun) -> str:
 # ----------------------------------------------------------- computation
 #
 # Top-level functions so planned runs pickle cleanly into pool workers.
+# The simulator, controller and platform load inside them (through
+# ``runner`` and ``classify``), at the first miss: a replay that hits
+# every key never imports them.
 
 
 def _compute_mechanism(run: PlannedRun) -> dict:
-    from repro.experiments.runner import build_machine, drive_mechanism  # avoid import cycle
-
     sc = run.sc
     machine = build_machine(run.mix, sc, trace_store=tracestore.active_view())
     stats = drive_mechanism(machine, run.mechanism, sc)
@@ -295,6 +306,8 @@ def _compute_mechanism(run: PlannedRun) -> dict:
 
 
 def _compute_alone(run: PlannedRun) -> dict:
+    from repro.workloads.classify import run_alone
+
     sc = run.sc
     m, snap = run_alone(
         run.bench, sc.params(), sc.alone_accesses, quantum=sc.quantum,
@@ -304,6 +317,8 @@ def _compute_alone(run: PlannedRun) -> dict:
 
 
 def _compute_profile(run: PlannedRun) -> dict:
+    from repro.workloads.classify import profile_benchmark
+
     sc = run.sc
     return _profile_payload(profile_benchmark(
         run.bench, sc.params(), sc.profile_accesses, way_sweep=run.way_sweep,
@@ -356,48 +371,6 @@ def _execute_planned(run: PlannedRun, traces=None) -> tuple[dict, float]:
     return payload, time.perf_counter() - t0
 
 
-def _trace_requirements(run: PlannedRun) -> list[dict]:
-    """The traces a planned run will consume, as ``TraceStore.publish``
-    keyword sets.  Must mirror what the compute functions request."""
-    from repro.experiments.runner import mechanism_trace_length
-
-    sc = run.sc
-    llc_lines = sc.params().llc.lines
-    if run.kind == KIND_MECHANISM:
-        length = mechanism_trace_length(sc)
-        return [
-            {
-                "spec": bench,
-                "llc_lines": llc_lines,
-                "base_line": core * CORE_ADDRESS_STRIDE_LINES,
-                "seed": run.mix.seed + core,
-                "length": length,
-            }
-            for core, bench in enumerate(run.mix.benchmarks)
-        ]
-    if run.kind == KIND_ALONE:
-        return [
-            {
-                "spec": run.bench,
-                "llc_lines": llc_lines,
-                "base_line": 0,
-                "seed": 0,
-                "length": 2 * sc.alone_accesses,
-            }
-        ]
-    if run.kind == KIND_PROFILE:
-        return [
-            {
-                "spec": run.bench,
-                "llc_lines": llc_lines,
-                "base_line": 0,
-                "seed": 0,
-                "length": 2 * sc.profile_accesses,
-            }
-        ]
-    return []  # hooks consume no traces
-
-
 def _rehydrate_stats(payload: dict, traces: list[EpochTrace] | None = None) -> RunStats:
     # Cached replays carry the accumulated PMU totals (all metrics) and
     # the structured decision traces, but not raw per-epoch samples.
@@ -425,6 +398,8 @@ def _cache_record(r: PlannedRun, payload: dict, secs: float) -> dict:
 
 
 def _rehydrate_profile(payload: dict) -> AloneProfile:
+    from repro.workloads.classify import AloneProfile
+
     # Ways in numeric order: a payload replayed from disk has its keys in
     # JSON's sorted string order ("12" < "2"), a fresh one in sweep order.
     ways = sorted((int(w), ipc) for w, ipc in payload["ipc_by_ways"].items())
@@ -870,51 +845,6 @@ class ExperimentSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _ensure_pool(self, width: int) -> ProcessPoolExecutor:
-        """The persistent batch pool, (re)spawned only when missing or
-        too narrow for this batch — not per batch."""
-        pool = self._pools["batch"]
-        if pool is not None and self._pool_width < width:
-            self._pools["batch"] = None
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-        if pool is None:
-            pool = ProcessPoolExecutor(max_workers=width, mp_context=self.mp_context)
-            self._pools["batch"] = pool
-            self._pool_width = width
-        return pool
-
-    def _discard_pool(self) -> None:
-        pool, self._pools["batch"] = self._pools["batch"], None
-        self._pool_width = 0
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _manifest_for(self, run: PlannedRun) -> dict | None:
-        """Materialize + publish the run's traces; ``{key: item}`` or
-        ``None`` when the plane is off / shared memory is unavailable."""
-        if self.trace_store is None:
-            return None
-        manifest: dict[str, dict] = {}
-        for req in _trace_requirements(run):
-            item = self.trace_store.publish(**req)
-            if item is not None:
-                manifest[item["key"]] = item
-        return manifest or None
-
-    @staticmethod
-    def _affinity_order(misses: list[tuple[str, PlannedRun]]) -> list[tuple[str, PlannedRun]]:
-        """Misses regrouped so runs sharing traces are adjacent.
-
-        Groups keep first-seen order (stable, deterministic), so a
-        plan that is already grouped — the common case — is returned
-        unchanged.
-        """
-        groups: dict[str, list[tuple[str, PlannedRun]]] = {}
-        for key, r in misses:
-            groups.setdefault(r.affinity_group, []).append((key, r))
-        return [kr for grp in groups.values() for kr in grp]
-
     # -- plumbing ----------------------------------------------------
 
     def _resolve(self, sc: ScaleConfig | None) -> ScaleConfig:
@@ -1039,8 +969,10 @@ class ExperimentSession:
                 journal.record_failed(key, msg)
 
         if len(misses) > 1 and self.max_workers > 1:
-            self._execute_parallel(misses, finish, fail)
-        else:
+            from repro.experiments import pool
+
+            pool.execute_parallel(self, misses, finish, fail)
+        elif misses:
             self._execute_serial(misses, finish, fail)
         if journal is not None:
             if not journal.pending_keys():
@@ -1132,121 +1064,6 @@ class ExperimentSession:
             if err is not None:
                 fail(key, r, err)
 
-    def _execute_parallel(self, misses, finish, fail) -> None:
-        """Pool execution with per-run timeout, retry, and pool respawn.
-
-        The batch pool is *persistent*: it outlives this batch and is
-        reused by the next one, so workers keep their attached
-        shared-memory segments (and warm imports) across batches.  Runs
-        are submitted in affinity order — runs over the same mix
-        adjacent — so a worker picking up consecutive tasks mostly
-        re-reads segments it already mapped.
-
-        Completed runs are finished (and persisted) as their futures
-        resolve.  When the pool breaks — a worker died — or a run hangs
-        past its deadline, the pool is discarded and the unfinished
-        runs are re-submitted to a fresh one; after ``pool_respawns``
-        such incidents the stragglers fall back to a one-run-at-a-time
-        isolation pool that pins each crash on the run that caused it.
-        """
-        pending: dict[str, PlannedRun] = dict(self._affinity_order(misses))
-        attempts: dict[str, int] = dict.fromkeys(pending, 0)
-        respawns = 0
-        while pending:
-            if respawns > self.pool_respawns:
-                self._execute_isolated(pending, finish, fail)
-                return
-            workers = min(self.max_workers, len(pending))
-            pool = self._ensure_pool(workers)
-            futures: dict = {}
-            now = time.monotonic()
-            deadline = None if self.run_timeout is None else now + self.run_timeout
-            broken = False
-            try:
-                for key, r in pending.items():
-                    futures[pool.submit(_execute_planned, r, self._manifest_for(r))] = key
-            except BrokenProcessPool:
-                broken = True
-            not_done = set(futures)
-            while not_done and not broken:
-                timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
-                finished, not_done = wait(not_done, timeout=timeout, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    key = futures[fut]
-                    r = pending[key]
-                    try:
-                        payload, secs = fut.result()
-                    except BrokenProcessPool:
-                        broken = True  # key stays pending for the respawn
-                    except Exception as e:
-                        attempts[key] += 1
-                        if attempts[key] > self.run_retries:
-                            fail(key, r, e)
-                            pending.pop(key)
-                        # else: stays pending, re-submitted next round
-                    else:
-                        finish(key, r, payload, secs)
-                        pending.pop(key)
-                if not finished and deadline is not None and time.monotonic() >= deadline:
-                    # Every still-running worker is past the per-run
-                    # budget: report those runs failed and abandon the
-                    # pool (a hung worker poisons its slot).
-                    for fut in not_done:
-                        if fut.cancel():
-                            continue  # never started — stays pending
-                        key = futures[fut]
-                        r = pending.pop(key)
-                        fail(key, r, f"{r.label}: run exceeded {self.run_timeout:.6g}s timeout")
-                    broken = True
-            if broken:
-                self._discard_pool()
-                respawns += 1
-            # else: the healthy pool stays alive for the next batch.
-
-    def _execute_isolated(self, pending: dict[str, "PlannedRun"], finish, fail) -> None:
-        """Last-resort mode: one pool of one worker, one run at a time.
-
-        Slow, but deterministic under crashing workers: a crash or hang
-        is attributable to exactly the run that was executing, so every
-        healthy run still completes.  The single-worker pool is owned
-        by the session and reused — across runs *and* across batches —
-        until it actually breaks (crash or hang); only then is it
-        respawned, instead of paying a fresh worker per retried run.
-        """
-
-        def discard_iso(wait_: bool) -> None:
-            pool, self._pools["iso"] = self._pools["iso"], None
-            if pool is not None:
-                pool.shutdown(wait=wait_, cancel_futures=True)
-
-        def iso_pool() -> ProcessPoolExecutor:
-            pool = self._pools["iso"]
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=1, mp_context=self.mp_context)
-                self._pools["iso"] = pool
-            return pool
-
-        for key in list(pending):
-            r = pending.pop(key)
-            manifest = self._manifest_for(r)
-            try:
-                fut = iso_pool().submit(_execute_planned, r, manifest)
-            except BrokenProcessPool:
-                discard_iso(wait_=False)
-                fut = iso_pool().submit(_execute_planned, r, manifest)
-            try:
-                payload, secs = fut.result(timeout=self.run_timeout)
-            except FuturesTimeoutError:
-                fail(key, r, f"run exceeded {self.run_timeout:.6g}s timeout")
-                discard_iso(wait_=False)
-            except BrokenProcessPool as e:
-                fail(key, r, e)
-                discard_iso(wait_=True)
-            except Exception as e:
-                fail(key, r, e)  # worker survived; keep its pool
-            else:
-                finish(key, r, payload, secs)
-
     # -- single runs -------------------------------------------------
 
     def run(
@@ -1266,14 +1083,16 @@ class ExperimentSession:
         ``sample_units``) always simulate fresh, since their knobs are
         not part of the content key.
         """
-        from repro.experiments.runner import RunResult, build_machine
-
         sc = self._resolve(sc)
         if isinstance(policy_or_name, str) and detector_cfg is None and sample_units is None:
             planned = PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism=policy_or_name)
             payload = self.execute([planned])[planned.key()]
             traces = self._load_traces(planned.key())
             return RunResult(mix, label or policy_or_name, _rehydrate_stats(payload, traces))
+
+        from repro.core.controller import CMMController
+        from repro.core.epoch import EpochConfig
+        from repro.platform.simulated import SimulatedPlatform
 
         policy = make_policy(policy_or_name) if isinstance(policy_or_name, str) else policy_or_name
         machine = build_machine(mix, sc, trace_store=self.trace_store)
@@ -1370,9 +1189,6 @@ class ExperimentSession:
         base_run = PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism="baseline")
         mech_runs = {m: PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism=m) for m in mechs}
         payloads = self.execute([*alone_runs.values(), base_run, *mech_runs.values()])
-
-        from repro.experiments.runner import RunResult
-
         alone = np.array([payloads[alone_runs[b].key()]["ipc"] for b in mix.benchmarks])
         base = RunResult(mix, "baseline", _rehydrate_stats(payloads[base_run.key()]))
         runs = {
@@ -1419,7 +1235,6 @@ def build_eval(mix: WorkloadMix, alone: np.ndarray, base, runs: dict):
     fairness columns (hm-IPC, fair slowdown / ANTT, unfairness) the
     multi-seed analysis summarizes alongside them."""
     from repro.analysis.stats import fair_slowdown, hm_ipc, unfairness
-    from repro.experiments.runner import WorkloadEval
 
     base_hs = harmonic_speedup(base.ipc, alone)
     ev = WorkloadEval(mix=mix, baseline=base, runs=dict(runs), alone_ipc=alone)

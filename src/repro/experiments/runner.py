@@ -9,7 +9,9 @@ Execution and caching live in :mod:`repro.experiments.engine`:
 an :class:`~repro.experiments.engine.ExperimentSession` deduplicates,
 parallelises and persists runs, and batch execution lives in
 :func:`repro.simulate_batch`.  This module keeps the result types
-(:class:`RunResult`, :class:`WorkloadEval`) and the machine factory.
+(:class:`RunResult`, :class:`WorkloadEval`) and the machine factory;
+the simulator, controller and platform load inside the functions that
+run them, so replaying cached results never imports them.
 The pre-engine shims (``run_mechanism``, ``run_policy_object``,
 ``evaluate_workload``, ``ALONE_CACHE``) were removed in 2.0 and
 ``AloneCache`` after 2.3.0 — see CHANGELOG.md.
@@ -18,15 +20,18 @@ The pre-engine shims (``run_mechanism``, ``run_policy_object``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.controller import RunStats
+from repro.core.runstats import RunStats
 from repro.experiments.config import ScaleConfig
-from repro.sim.machine import Machine
 from repro.sim.pmu import Event
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.speclike import build_trace
+
+if TYPE_CHECKING:
+    from repro.sim.machine import Machine
 
 
 def mechanism_trace_length(sc: ScaleConfig) -> int:
@@ -78,6 +83,8 @@ def build_machine(
     pins a simulation engine (differential tests, bench lanes); ``None``
     keeps the normal params/env/auto resolution.
     """
+    from repro.sim.machine import Machine
+
     params = sc.params()
     if mix.n_cores > params.n_cores:
         raise ValueError(f"mix {mix.name} needs {mix.n_cores} cores, machine has {params.n_cores}")

@@ -18,9 +18,13 @@ from a seeded, serializable :class:`~repro.platform.faults.FaultPlan` —
 see ``docs/robustness.md``.
 """
 
-from repro.platform.base import Platform, PlatformError
-from repro.platform.faults import FaultPlan, FaultyPlatform, scenario_plan, verify_safe_state
-from repro.platform.simulated import SimulatedPlatform
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.platform.base": ("Platform", "PlatformError"),
+    "repro.platform.faults": ("FaultPlan", "FaultyPlatform", "scenario_plan", "verify_safe_state"),
+    "repro.platform.simulated": ("SimulatedPlatform",),
+})
 
 __all__ = [
     "Platform",

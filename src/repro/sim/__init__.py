@@ -12,24 +12,21 @@ E5-2620 v4 used by the paper (see DESIGN.md section 2).  It models:
 * a PMU counter fabric exposing the events the paper's Table I uses.
 """
 
-from repro.sim.params import MachineParams, CacheGeometry
-from repro.sim.cache import Cache, PartitionedCache
-from repro.sim.engines import (
-    ENGINE_BATCH,
-    ENGINE_FAST,
-    ENGINE_REFERENCE,
-    EngineSelectionError,
-    EngineSpec,
-    available_engines,
-    get_engine,
-    register_engine,
-    resolve_engine,
-)
-from repro.sim.fastcache import FastCache, FastPartitionedCache
-from repro.sim.machine import Machine
-from repro.sim.msr import MsrFile, PrefetchMsr, PF_ALL_ON, PF_ALL_OFF
-from repro.sim.cat import CatController
-from repro.sim.pmu import Pmu, Event, PmuSample
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.params": ("MachineParams", "CacheGeometry"),
+    "repro.sim.cache": ("Cache", "PartitionedCache"),
+    "repro.sim.engines": (
+        "ENGINE_BATCH", "ENGINE_FAST", "ENGINE_REFERENCE", "EngineSelectionError",
+        "EngineSpec", "available_engines", "get_engine", "register_engine", "resolve_engine",
+    ),
+    "repro.sim.fastcache": ("FastCache", "FastPartitionedCache"),
+    "repro.sim.machine": ("Machine",),
+    "repro.sim.msr": ("MsrFile", "PrefetchMsr", "PF_ALL_ON", "PF_ALL_OFF"),
+    "repro.sim.cat": ("CatController",),
+    "repro.sim.pmu": ("Pmu", "Event", "PmuSample"),
+})
 
 __all__ = [
     "MachineParams",

@@ -8,15 +8,15 @@ real benchmark it is named after.  Tests verify the measured
 classifications against the intended ones.
 """
 
-from repro.workloads.speclike import (
-    BENCHMARKS,
-    BenchmarkSpec,
-    StreamSpec,
-    benchmark,
-    benchmark_names,
-    build_trace,
-)
-from repro.workloads.mixes import WorkloadMix, make_mixes, all_mixes, CATEGORIES
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.speclike": (
+        "BENCHMARKS", "BenchmarkSpec", "StreamSpec", "benchmark", "benchmark_names",
+        "build_trace",
+    ),
+    "repro.workloads.mixes": ("WorkloadMix", "make_mixes", "all_mixes", "CATEGORIES"),
+})
 
 __all__ = [
     "BENCHMARKS",

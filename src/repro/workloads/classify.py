@@ -19,12 +19,14 @@ registry entry's intended flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.sim.cat import low_ways_mask
-from repro.sim.machine import Machine
 from repro.sim.params import MachineParams
 from repro.sim.pmu import Event, PmuSample
 from repro.workloads.speclike import BenchmarkSpec, benchmark, build_trace
+
+if TYPE_CHECKING:
+    from repro.sim.machine import Machine
 
 #: Paper thresholds.
 BW_DEMAND_MIN_MBS = 1500.0
@@ -106,6 +108,9 @@ def run_alone(
     (:mod:`repro.sim.tracestore`) — a profile way-sweep re-runs the
     *same* trace a dozen times, which the store generates exactly once.
     """
+    from repro.sim.cat import low_ways_mask
+    from repro.sim.machine import Machine
+
     if isinstance(spec, str):
         spec = benchmark(spec)
     m = Machine(params, quantum=quantum)

@@ -20,19 +20,14 @@ prefetching when run alone (Sec. IV-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import zlib
 
 import numpy as np
 
-from repro.sim.trace import (
-    PointerChaseStream,
-    RandomStream,
-    SequentialStream,
-    Stream,
-    StridedStream,
-    TraceGenerator,
-)
+if TYPE_CHECKING:
+    from repro.sim.trace import Stream, TraceGenerator
 
 # Streams of one core are placed this many lines apart so they never
 # overlap (core regions themselves are 2**34 lines apart).
@@ -195,6 +190,14 @@ def build_trace(spec: BenchmarkSpec | str, *, llc_lines: int, base_line: int, se
     the core's private region; ``seed`` makes the instance unique
     (mixes may contain the same benchmark several times).
     """
+    from repro.sim.trace import (
+        PointerChaseStream,
+        RandomStream,
+        SequentialStream,
+        StridedStream,
+        TraceGenerator,
+    )
+
     if isinstance(spec, str):
         spec = benchmark(spec)
     rng = np.random.default_rng((seed, zlib.crc32(spec.name.encode())))

@@ -1,7 +1,11 @@
 """Tidy tables: schema validation, queries, round-trip-safe codec."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.analysis.tables import (
     SCHEMA_COLUMNS,
@@ -23,6 +27,29 @@ class TestCellCodec:
     )
     def test_roundtrip(self, value):
         assert decode_cell(encode_cell(value)) == value
+
+    @given(st.text() | st.builds(str.__add__, st.sampled_from('{["-07tfnNI \t\n\r'), st.text()))
+    @example("NaN")
+    @example("-Infinity")
+    @example(" 1")
+    @example("\t[]")
+    @example("\ufeff1")
+    @example("true story")
+    def test_text_roundtrips_and_keeps_the_trial_parse_rule(self, text):
+        """The first-character fast path changes no output: a string is
+        JSON-quoted exactly when ``json.loads`` would accept it."""
+
+        def trial_parse_rule(v: str) -> str:
+            if v == "":
+                return '""'
+            try:
+                json.loads(v)
+            except ValueError:
+                return v
+            return json.dumps(v)
+
+        assert encode_cell(text) == trial_parse_rule(text)
+        assert decode_cell(encode_cell(text)) == text
 
     def test_floats_keep_repr_precision(self):
         assert decode_cell(encode_cell(1.0 / 3.0)) == 1.0 / 3.0  # bit-exact

@@ -18,6 +18,7 @@ import textwrap
 
 import pytest
 
+from repro.experiments import pool
 from repro.experiments.config import TINY
 from repro.experiments.engine import (
     KIND_HOOK,
@@ -122,16 +123,16 @@ class TestIsolatedPoolReuse:
         finish = lambda key, r, payload, secs: done.append(key)
         fail = lambda key, r, err: failed.append(key)
         # A healthy isolated run creates the pool...
-        session._execute_isolated({hook("ok_a").key(): hook("ok_a")}, finish, fail)
+        pool.execute_isolated(session, {hook("ok_a").key(): hook("ok_a")}, finish, fail)
         iso = session._pools["iso"]
         assert iso is not None and done
         # ...a second healthy run reuses exactly that pool...
-        session._execute_isolated({hook("ok_b").key(): hook("ok_b")}, finish, fail)
+        pool.execute_isolated(session, {hook("ok_b").key(): hook("ok_b")}, finish, fail)
         assert session._pools["iso"] is iso
         # ...and only a crash discards it; the next run respawns fresh.
-        session._execute_isolated({hook("crash").key(): hook("crash")}, finish, fail)
+        pool.execute_isolated(session, {hook("crash").key(): hook("crash")}, finish, fail)
         assert session._pools["iso"] is None and failed
-        session._execute_isolated({hook("ok_c").key(): hook("ok_c")}, finish, fail)
+        pool.execute_isolated(session, {hook("ok_c").key(): hook("ok_c")}, finish, fail)
         assert session._pools["iso"] is not None
         session.close()
 
@@ -145,7 +146,7 @@ class TestSessionLifecycle:
 
     def test_abandoned_session_finalizes_on_gc(self, tmp_path):
         session = make_session(tmp_path)
-        assert session._manifest_for(mech("baseline"))  # publishes segments
+        assert pool.manifest_for(session, mech("baseline"))  # publishes segments
         assert shm_residue() != []
         del session
         import gc
@@ -160,6 +161,7 @@ class TestSessionLifecycle:
             """
             import dataclasses, os, signal
             from repro.experiments.config import TINY
+            from repro.experiments import pool
             from repro.experiments.engine import (
                 KIND_MECHANISM, ExperimentSession, PlannedRun,
             )
@@ -175,7 +177,7 @@ class TestSessionLifecycle:
             )
             mix = make_mixes("pref_agg", 1, seed=2019)[0]
             run = PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="baseline")
-            assert session._manifest_for(run), "expected published segments"
+            assert pool.manifest_for(session, run), "expected published segments"
             assert shm_residue(), "expected live segments before interrupt"
             print("SEGMENTS-LIVE", flush=True)
             signal.raise_signal(signal.SIGINT)

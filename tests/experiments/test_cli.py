@@ -20,6 +20,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["classify", "x", "--scale", "huge"])
 
+    @pytest.mark.parametrize("command", ["run", "analyze", "trace", "chaos"])
+    def test_unknown_mechanism_is_a_usage_error(self, command, capsys):
+        """Checked against the registry at parse time: argparse's one-line
+        error and exit 2, not a ``KeyError`` traceback from the engine."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--mechanism", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --mechanism: invalid choice: 'bogus'" in err
+        assert "Traceback" not in err
+
+    def test_every_registered_mechanism_parses(self):
+        from repro import policy_names
+
+        for name in policy_names():
+            assert build_parser().parse_args(["run", "--mechanism", name]).mechanism == [name]
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_workloads_below_one_is_a_usage_error(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--workloads", count, "--no-cache"])
+        assert exc.value.code == 2
+        assert "argument --workloads: must be >= 1" in capsys.readouterr().err
+
 
 class TestBenchmarksCommand:
     def test_lists_registry(self, capsys):
