@@ -94,7 +94,6 @@ from repro.sim.core_model import QuantumCounts, solve_quantum
 from repro.sim.engines import ENGINE_BATCH
 from repro.sim.fastcache import FastCache
 from repro.sim.machine import Machine
-from repro.sim.memory import DramModel
 from repro.sim.msr import MsrFile, PrefetchMsr, enables_from_mask
 from repro.sim.params import MachineParams
 from repro.sim.pmu import N_EVENTS, Event
@@ -1002,11 +1001,14 @@ def run_static_sweep(
     cold whole-group :meth:`GroupedLLC.serve` into ``(R, quanta,
     cpus)`` counters: runs whose CLOS partitions are disjoint take the
     stack-distance strategy, any others (overlapping CBMs) the round
-    loop, and the per-way image is never built.  Last, timing runs per
-    run and quantum as a scalar fixed point fed those counters; every
-    per-run arithmetic sequence matches a scalar fast machine op for
-    op, so results are bit-identical to running each configuration on
-    its own machine.
+    loop, and the per-way image is never built.  Last, timing: one
+    batched :func:`~repro.sim.core_model.solve_quantum` call per quantum
+    solves all R runs' fixed points from those counters (the ``(R,
+    cores)`` solve is bit-equal to R scalar solves), and the PMU and
+    wall-cycle adds run as ``(R,)`` columns in the scalar machine's
+    quantum order.  Every per-run arithmetic sequence matches a scalar
+    fast machine op for op, so results are bit-identical to running
+    each configuration on its own machine.
     """
     params = kernel.params
     n = params.n_cores
@@ -1038,9 +1040,8 @@ def run_static_sweep(
     runs = range(R)
     cores = {cpu: GroupedCore(params, kernel.base_traces[cpu], R) for cpu in kernel.lane_cores}
     mask_of = {cpu: dict.fromkeys(runs, eff_mask[cpu]) for cpu in cores}
-    pmu = [np.zeros((n, N_EVENTS), dtype=np.float64) for _ in range(R)]
-    wall = [0.0] * R
-    drams = [DramModel(params) for _ in range(R)]
+    pmu = np.zeros((R, n, N_EVENTS), dtype=np.float64)
+    wall = np.zeros(R, dtype=np.float64)
     line_bytes = float(params.line_bytes)
 
     # 1. The core side of every quantum: it never reads LLC state.
@@ -1069,49 +1070,46 @@ def run_static_sweep(
     del streams
     if stream.n:
         glc.serve(stream, allowed, hits_d, mem_d, pref_m)
-    hits_l, mem_l, pref_l = hits_d.tolist(), mem_d.tolist(), pref_m.tolist()
 
-    # 3. Per-run timing, quantum by quantum, in the scalar machine's order.
+    # 3. Timing: one batched solve per quantum for all R runs, and the
+    # PMU and wall adds as (R,) columns in the scalar machine's order.
     for j, edges in enumerate(quanta):
         active = [False] * n
         ipm = [0.0] * n
         mlp = [1.0] * n
+        n_acc = [0] * n
+        l2_hit = [0] * n
         for cpu, e in edges.items():
             active[cpu] = True
             ipm[cpu] = e.ipm
             mlp[cpu] = e.mlp
-        for r in range(R):
-            counts = [QuantumCounts() for _ in range(n)]
-            prow = pmu[r]
-            h_r, m_r, p_r = hits_l[r][j], mem_l[r][j], pref_l[r][j]
-            for cpu, e in edges.items():
-                qc = counts[cpu]
-                qc.n_access = e.n_access
-                qc.n_l2_hit_d = e.n_l2_hit_d
-                fastengine.apply_llc_tail(
-                    qc, prow, cpu, h_r[cpu], m_r[cpu], p_r[cpu], line_bytes
-                )
-                prow[cpu] += e.pmu_row
-            timing = solve_quantum(params, drams[r], counts, ipm, mlp, active)
-            demand_b = 0.0
-            pref_b = 0.0
-            for cpu in range(n):
-                if not active[cpu]:
-                    continue
-                c = counts[cpu]
-                prow[cpu, Event.INSTRUCTIONS] += c.n_access * (1.0 + ipm[cpu])
-                prow[cpu, Event.CYCLES] += timing.cycles[cpu]
-                prow[cpu, Event.STALLS_L2_PENDING] += timing.stalls_l2_pending[cpu]
-                prow[cpu, Event.MEM_DEMAND_BYTES] += c.demand_bytes
-                prow[cpu, Event.MEM_PREF_BYTES] += c.pref_bytes
-                demand_b += c.demand_bytes
-                pref_b += c.pref_bytes
-            drams[r].account(demand_b, pref_b)
-            wall[r] += timing.machine_cycles
+            n_acc[cpu] = e.n_access
+            l2_hit[cpu] = e.n_l2_hit_d
+        mem_j = mem_d[:, j]
+        counts = QuantumCounts(
+            n_access=np.array(n_acc, dtype=np.int64),
+            n_l2_hit_d=np.array(l2_hit, dtype=np.int64),
+            n_llc_hit_d=hits_d[:, j],
+            n_mem_d=mem_j,
+            demand_bytes=mem_j * line_bytes,
+            pref_bytes=pref_m[:, j] * line_bytes,
+        )
+        timing = solve_quantum(params, counts, ipm, mlp, active)
+        for cpu, e in edges.items():
+            prow = pmu[:, cpu]
+            # fastengine.apply_llc_tail's one PMU add, then the core row.
+            prow[:, Event.L3_LOAD_MISS] += mem_j[:, cpu]
+            prow += e.pmu_row
+            prow[:, Event.INSTRUCTIONS] += e.n_access * (1.0 + e.ipm)
+            prow[:, Event.CYCLES] += timing.cycles[:, cpu]
+            prow[:, Event.STALLS_L2_PENDING] += timing.stalls_l2_pending[:, cpu]
+            prow[:, Event.MEM_DEMAND_BYTES] += counts.demand_bytes[:, cpu]
+            prow[:, Event.MEM_PREF_BYTES] += counts.pref_bytes[:, cpu]
+        wall += timing.machine_cycles
 
     fallbacks = sum(core.trace_fallbacks() for core in cores.values())
     return [
-        StaticSweepRun(pmu[r], wall[r], glc.stats_for(r), glc.occupancy(r), fallbacks)
+        StaticSweepRun(pmu[r], float(wall[r]), glc.stats_for(r), glc.occupancy(r), fallbacks)
         for r in runs
     ]
 

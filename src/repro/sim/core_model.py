@@ -20,15 +20,21 @@ et al.'s Dunn policy clusters on and the paper's Fig. 15 reports.
 Because queue factor and cycle counts are mutually dependent
 (more queuing -> longer quantum -> lower utilisation), the solver
 iterates the pair to a damped fixed point.
+
+:func:`solve_quantum` solves one quantum from per-core Python values
+(the scalar machine's path), or a batch of independent quanta at once:
+(rows, cores) arrays whose leading axis is runs (a static sweep) or
+quanta (a single-core row).  Every row of a batch is bit-equal to the
+scalar solve of that row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.sim.memory import RHO_CLIP, DramModel
+from repro.sim.memory import RHO_CLIP
 from repro.sim.params import MachineParams
 
 
@@ -41,6 +47,8 @@ def _scalar_sum(vals: list) -> float:
     that tree so scalar means match ``ndarray.mean`` bit for bit.
     Verified against this interpreter's NumPy at import (see
     ``_SCALAR_SUM_EXACT``); larger inputs must use NumPy directly.
+    It only adds and never updates an element in place, so a list of
+    equal-length arrays sums elementwise through the same tree.
     """
     n = len(vals)
     if n < 8:
@@ -52,14 +60,14 @@ def _scalar_sum(vals: list) -> float:
     i = 8
     last = n - (n % 8)
     while i < last:
-        r0 += vals[i]
-        r1 += vals[i + 1]
-        r2 += vals[i + 2]
-        r3 += vals[i + 3]
-        r4 += vals[i + 4]
-        r5 += vals[i + 5]
-        r6 += vals[i + 6]
-        r7 += vals[i + 7]
+        r0 = r0 + vals[i]
+        r1 = r1 + vals[i + 1]
+        r2 = r2 + vals[i + 2]
+        r3 = r3 + vals[i + 3]
+        r4 = r4 + vals[i + 4]
+        r5 = r5 + vals[i + 5]
+        r6 = r6 + vals[i + 6]
+        r7 = r7 + vals[i + 7]
         i += 8
     res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
     while i < n:
@@ -102,28 +110,129 @@ class QuantumCounts:
 
 @dataclass
 class QuantumTiming:
-    """Solved timing for one quantum across the machine."""
+    """Solved timing for one quantum across the machine.
+
+    For a batch solve every array gains the batch's leading axis:
+    ``(rows, cores)`` arrays and a ``(rows,)`` ``machine_cycles``.
+    """
 
     cycles: np.ndarray          # per core
     stalls_l2_pending: np.ndarray
     queue_factor: np.ndarray    # per core effective factor
-    machine_cycles: float
+    machine_cycles: float | np.ndarray
 
     def __post_init__(self) -> None:
         self.cycles = np.asarray(self.cycles, dtype=np.float64)
 
 
+_COUNT_FIELDS = tuple(f.name for f in fields(QuantumCounts))
+
+
 def solve_quantum(
     params: MachineParams,
-    dram: DramModel,
-    counts: list[QuantumCounts],
-    inst_per_mem: list[float],
-    mlp: list[float],
+    counts: list[QuantumCounts] | QuantumCounts,
+    inst_per_mem,
+    mlp,
     active: list[bool],
     *,
     iterations: int = 6,
 ) -> QuantumTiming:
-    """Fixed-point solve of per-core cycles and DRAM queue factors."""
+    """Fixed-point solve of per-core cycles and DRAM queue factors.
+
+    ``counts`` is one quantum's per-core list, with per-core
+    ``inst_per_mem``, ``mlp`` and ``active`` lists.  Or it is a batch:
+    one :class:`QuantumCounts` whose fields broadcast to ``(rows,
+    cores)`` arrays, a leading axis of independent runs or quanta in
+    front of the cores axis; ``inst_per_mem`` and ``mlp`` then broadcast
+    to the same shape, and ``active`` is per core, shared by every row.
+    Each row of a batch's result is bit-equal to the scalar solve of
+    that row.
+    """
+    if isinstance(counts, QuantumCounts):
+        return _solve_rows(params, counts, inst_per_mem, mlp, active, iterations)
+    return _solve_cores(params, counts, inst_per_mem, mlp, active, iterations)
+
+
+def _solve_rows(params, counts, inst_per_mem, mlp, active, iterations) -> QuantumTiming:
+    """The batch form: every row at once, in the scalar path's IEEE operations.
+
+    Work arrays are core-major ``(cores, rows)``, so a core's column is
+    one contiguous row.  Elementwise terms keep the scalar grouping and
+    its branches become ``np.where``; the two reductions (socket bytes,
+    the active-core cycle mean) run :func:`_scalar_sum` over the core
+    rows, which adds them in the same pairwise tree as the scalar path.
+    """
+    n = len(active)
+    cnt = [np.asarray(getattr(counts, f)) for f in _COUNT_FIELDS]
+    ipm = np.asarray(inst_per_mem, dtype=np.float64)
+    mlp = np.asarray(mlp, dtype=np.float64)
+    shape = np.broadcast_shapes(*(c.shape for c in cnt), ipm.shape, mlp.shape)
+    if len(shape) != 2 or shape[1] != n:
+        raise ValueError(f"a batch solve needs (rows, {n}) inputs, got {shape}")
+    if not _SCALAR_SUM_EXACT or n > 128:
+        # The sums must come from NumPy: solve row by row on the scalar path.
+        cols = [np.broadcast_to(x, shape).tolist() for x in (*cnt, ipm, mlp)]
+        rows = [
+            _solve_cores(
+                params,
+                [QuantumCounts(*c) for c in zip(*(f[b] for f in cols[:6]))],
+                cols[6][b], cols[7][b], active, iterations,
+            )
+            for b in range(shape[0])
+        ]
+        return QuantumTiming(
+            cycles=np.array([t.cycles for t in rows]).reshape(shape),
+            stalls_l2_pending=np.array([t.stalls_l2_pending for t in rows]).reshape(shape),
+            queue_factor=np.array([t.queue_factor for t in rows]).reshape(shape),
+            machine_cycles=np.array([t.machine_cycles for t in rows], dtype=np.float64),
+        )
+    n_acc, l2_hit, llc_hit, mem_d, dem_b, pref_b, ipm, mlp = (
+        np.ascontiguousarray(np.broadcast_to(x, shape).T) for x in (*cnt, ipm, mlp)
+    )
+    par = np.where(mlp > 1.0, mlp, 1.0)
+    exec_cycles = n_acc * (1.0 + ipm) * params.cpi_exec
+    l2_stall = l2_hit * float(params.lat_l2) / par
+    llc_stall = llc_hit * float(params.lat_llc) / par
+    mem_lat = mem_d * float(params.lat_mem)
+    core_bytes = dem_b + pref_b
+    total_bytes = _scalar_sum(list(core_bytes))
+    act_idx = [i for i in range(n) if active[i]]
+    n_act = len(act_idx)
+    mem_bpc = params.mem_bytes_per_cycle
+    core_bpc = params.core_bytes_per_cycle
+    gain = params.queue_gain
+    cap = params.max_queue_factor
+
+    qf = np.ones((n, shape[0]))
+    machine_cycles = np.ones(shape[0])
+    for it in range(iterations + 1):
+        mem_stall = mem_lat * qf / par
+        cy = exec_cycles + l2_stall + llc_stall + mem_stall
+        cycles = np.where(cy > 1.0, cy, 1.0)
+        if n_act:
+            machine_cycles = _scalar_sum([cycles[i] for i in act_idx]) / n_act
+        if it == iterations:
+            break
+        mc = np.where(machine_cycles > 1e-9, machine_cycles, 1e-9)
+        rho_socket = total_bytes / (mem_bpc * mc)
+        # cycles >= 1.0 here, so the scalar path's 1e-9 guard never fires.
+        rho = core_bytes / (core_bpc * cycles)
+        rho = np.where(rho < rho_socket, rho_socket, rho)
+        rho = np.where(rho < 0.0, 0.0, np.where(rho > RHO_CLIP, RHO_CLIP, rho))
+        f = 1.0 + gain * rho / (1.0 - rho)
+        f = np.where(f > cap, cap, f)
+        qf = 0.5 * qf + 0.5 * f
+
+    return QuantumTiming(
+        cycles=cycles.T,
+        stalls_l2_pending=(llc_stall + mem_stall).T,
+        queue_factor=qf.T,
+        machine_cycles=machine_cycles,
+    )
+
+
+def _solve_cores(params, counts, inst_per_mem, mlp, active, iterations) -> QuantumTiming:
+    """The scalar form: one quantum from per-core Python values."""
     n = len(counts)
     if not (len(inst_per_mem) == len(mlp) == len(active) == n):
         raise ValueError("counts, inst_per_mem, mlp and active must align")

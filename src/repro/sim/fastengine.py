@@ -561,10 +561,11 @@ def run_llc_phase(machine, counts, llc_reqs, pmu_counts) -> None:
 def apply_llc_tail(qc, pmu_counts, cpu, n_hit_d, n_mem_d, n_pref_fill, line_bytes) -> None:
     """Fold per-core LLC serve tallies into quantum counts and PMU rows.
 
-    Shared by :func:`run_llc_phase` and the batch engine's grouped-LLC
-    paths (:func:`repro.sim.batch.run_static_sweep`, lockstep machines)
-    so the exact accumulation order — and therefore float64 bit-identity
-    with the scalar engine — lives in one place.
+    Shared by :func:`run_llc_phase` and the batch engine's lockstep
+    machines so the exact accumulation order — and therefore float64
+    bit-identity with the scalar engine — lives in one place.  The
+    batched timing of :func:`repro.sim.batch.run_static_sweep` and
+    :mod:`repro.sim.singlecore` folds the same values as arrays.
     """
     qc.n_llc_hit_d += n_hit_d
     if n_mem_d:

@@ -196,7 +196,7 @@ class Machine:
     def _timing_phase(self, counts, ipm, mlp, active) -> None:
         """Solve the quantum's fixed-point timing and account PMU/DRAM."""
         pmu_counts = self.pmu.counts
-        timing = solve_quantum(self.params, self.dram, counts, ipm, mlp, active)
+        timing = solve_quantum(self.params, counts, ipm, mlp, active)
         demand_b = 0.0
         pref_b = 0.0
         for cpu in range(self.params.n_cores):

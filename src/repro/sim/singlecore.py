@@ -32,13 +32,15 @@ bit-identical to the scalar runs:
   the core's lines: a request hits iff its distance is ``< a``, and
   every row's demand hits, demand fills and prefetch fills per chunk
   come from one ``bincount`` per pass.
-* **Timing per row** folds the chunks into the row's quanta and runs
-  the scalar machine's per-quantum sequence — :func:`~repro.sim.
-  fastengine.apply_llc_tail`, :func:`~repro.sim.core_model.
-  solve_quantum`, the PMU adds — accumulating every counter over the
-  whole run and reporting total minus the warm-up snapshot, exactly as
-  ``Pmu.delta_since`` does (``CYCLES`` and ``INSTRUCTIONS`` are
-  non-integer, so a re-summed window would round differently).
+* **Timing per row** folds the chunks into the row's quanta and solves
+  them all in one batched :func:`~repro.sim.core_model.solve_quantum`
+  call (quanta are independent: each solve reads only its own
+  counts).  The scalar machine's per-quantum PMU adds become one
+  sequential ``np.cumsum`` over the quanta, whose row ``j`` is the
+  machine's running total after quantum ``j``; the row reports total
+  minus the warm-up snapshot, exactly as ``Pmu.delta_since`` does
+  (``CYCLES`` and ``INSTRUCTIONS`` are non-integer, so a re-summed
+  window would round differently).
 
 Rows must keep every boundary on the trace's burst alignment (all
 scales do), because only aligned chunkings replay one stream
@@ -55,8 +57,6 @@ import numpy as np
 from repro.sim.batch import _advance_image, _fresh_bank, _LaneState, _lru_distances
 from repro.sim.core_model import QuantumCounts, solve_quantum
 from repro.sim.fastcache import FastCache
-from repro.sim.fastengine import apply_llc_tail
-from repro.sim.memory import DramModel
 from repro.sim.params import CacheGeometry, MachineParams
 from repro.sim.pmu import N_EVENTS, Event, PmuSample
 
@@ -230,10 +230,13 @@ def _serve_llc(passes: list[_Pass], geom: CacheGeometry) -> None:
 
 
 def _time_row(params: MachineParams, p: _Pass, row: SingleCoreRow) -> PmuSample:
-    """One row's PMU delta: the scalar machine's per-quantum sequence."""
+    """One row's PMU delta: every quantum solved at once, added in order."""
+    deltas = np.zeros((params.n_cores, N_EVENTS), dtype=np.float64)
+    starts = row.quantum_starts()
+    if not starts:
+        return PmuSample(deltas, 0.0)
     W = params.llc.ways
     a = W if row.ways is None else min(max(int(row.ways), 1), W)
-    starts = row.quantum_starts()
     first = np.searchsorted(p.bounds, starts)
     n_chunks = int(np.searchsorted(p.bounds, row.end))
     hits = p.dem_le[:n_chunks, a - 1]
@@ -243,37 +246,39 @@ def _time_row(params: MachineParams, p: _Pass, row: SingleCoreRow) -> PmuSample:
         p.dem_le[:n_chunks, W] - hits,
         p.pref_le[:n_chunks, W] - p.pref_le[:n_chunks, a - 1],
     ))
-    quanta = np.add.reduceat(cols, first, axis=0).tolist() if starts else []
+    quanta = np.add.reduceat(cols, first, axis=0)
     n_warm = len(range(0, row.warmup, row.quantum))
 
     ipm = float(p.trace.inst_per_mem)
-    mlp = float(p.trace.mlp)
     line_bytes = float(params.line_bytes)
-    dram = DramModel(params)
-    pmu = np.zeros((1, N_EVENTS), dtype=np.float64)
-    wall = 0.0
-    snap = None
-    for j, (n_acc, l2_hit, *core, hit_d, mem_d, pref_m) in enumerate(quanta):
-        if j == n_warm:
-            snap = pmu.copy(), wall
-        qc = QuantumCounts(n_access=n_acc, n_l2_hit_d=l2_hit)
-        pmu[0, _CORE_EVENTS] += core
-        apply_llc_tail(qc, pmu, 0, hit_d, mem_d, pref_m, line_bytes)
-        # Only core 0 runs: idle cores add exact zeros to every sum of
-        # the solve, so solving core 0 alone is the machine's solve.
-        timing = solve_quantum(params, dram, [qc], [ipm], [mlp], [True])
-        pmu[0, Event.INSTRUCTIONS] += n_acc * (1.0 + ipm)
-        pmu[0, Event.CYCLES] += timing.cycles[0]
-        pmu[0, Event.STALLS_L2_PENDING] += timing.stalls_l2_pending[0]
-        pmu[0, Event.MEM_DEMAND_BYTES] += qc.demand_bytes
-        pmu[0, Event.MEM_PREF_BYTES] += qc.pref_bytes
-        dram.account(qc.demand_bytes, qc.pref_bytes)
-        wall += timing.machine_cycles
-    if snap is None:
-        snap = pmu.copy(), wall
-    deltas = np.zeros((params.n_cores, N_EVENTS), dtype=np.float64)
-    deltas[0] = pmu[0] - snap[0][0]
-    return PmuSample(deltas, wall - snap[1])
+    n_acc, mem_d = quanta[:, 0], quanta[:, -2]
+    # fastengine.apply_llc_tail's fold, one quantum per row; only core 0
+    # runs, and idle cores add exact zeros to every sum of the solve, so
+    # solving core 0 alone is the machine's solve.
+    qc = QuantumCounts(
+        n_access=n_acc[:, None],
+        n_l2_hit_d=quanta[:, 1:2],
+        n_llc_hit_d=quanta[:, -3:-2],
+        n_mem_d=mem_d[:, None],
+        demand_bytes=(mem_d * line_bytes)[:, None],
+        pref_bytes=(quanta[:, -1] * line_bytes)[:, None],
+    )
+    timing = solve_quantum(params, qc, [ipm], [float(p.trace.mlp)], [True])
+    adds = np.zeros((len(quanta), N_EVENTS), dtype=np.float64)
+    adds[:, _CORE_EVENTS] = quanta[:, 2:-3]
+    adds[:, Event.L3_LOAD_MISS] = mem_d
+    adds[:, Event.INSTRUCTIONS] = n_acc * (1.0 + ipm)
+    adds[:, Event.CYCLES] = timing.cycles[:, 0]
+    adds[:, Event.STALLS_L2_PENDING] = timing.stalls_l2_pending[:, 0]
+    adds[:, Event.MEM_DEMAND_BYTES] = qc.demand_bytes[:, 0]
+    adds[:, Event.MEM_PREF_BYTES] = qc.pref_bytes[:, 0]
+    # The machine's running totals, quantum by quantum: cumsum adds
+    # sequentially, so row j is the PMU after quantum j, bit for bit.
+    pmu = np.cumsum(adds, axis=0)
+    wall = np.cumsum(timing.machine_cycles)
+    snap_pmu, snap_wall = (pmu[n_warm - 1], wall[n_warm - 1]) if n_warm else (0.0, 0.0)
+    deltas[0] = pmu[-1] - snap_pmu
+    return PmuSample(deltas, float(wall[-1] - snap_wall))
 
 
 def run_single_core(

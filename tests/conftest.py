@@ -10,25 +10,32 @@ from repro.sim.params import CacheGeometry, MachineParams
 from repro.sim.trace import RandomStream, SequentialStream, TraceGenerator
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="session", autouse=True)
 def _result_cache_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("repro-cache")
+    """Point ``REPRO_CACHE_DIR`` at a throwaway dir for the whole run.
+
+    Session-scoped, so it is in place before any module-scoped fixture
+    builds the default session: test runs neither read nor pollute the
+    user's real ``~/.cache/repro`` store, yet still exercise the disk
+    tier.
+    """
+    path = tmp_path_factory.mktemp("repro-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(path))
+        yield path
 
 
 @pytest.fixture(autouse=True)
-def _isolated_default_session(_result_cache_dir, monkeypatch):
-    """Give every test a fresh default session over a throwaway cache dir.
+def _isolated_default_session():
+    """Give every test a fresh default session.
 
-    Keeps test runs from reading (or polluting) the user's real
-    ``~/.cache/repro`` store while still exercising the disk tier, and
-    closes whatever default session the test created:
+    Closes whatever default session the test created:
     ``set_default_session(None)`` only drops the reference, and a
     dropped session's pool workers and published ``/dev/shm`` segments
     would otherwise outlive the test that made them.
     """
     from repro.experiments import engine
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(_result_cache_dir))
     yield
     if engine._DEFAULT_SESSION is not None:
         engine._DEFAULT_SESSION.close()

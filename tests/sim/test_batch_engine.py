@@ -24,11 +24,13 @@ import pytest
 
 from repro.experiments.batch import BatchRunSpec, build_batch_kernel, simulate_batch
 from repro.experiments.batch import _run_mechanism as run_mechanism_on
-from repro.experiments.config import ScaleConfig
+from repro.experiments.config import TINY, ScaleConfig
 from repro.experiments.engine import KIND_MECHANISM, ExperimentSession, PlannedRun
 from repro.experiments.runner import build_machine
 from repro.sim import PF_ALL_OFF, PF_ALL_ON
-from repro.sim.batch import run_static_sweep
+from repro.sim import batch as sim_batch
+from repro.sim.batch import degradation_count, run_static_sweep
+from repro.sim.core_model import solve_quantum
 from repro.sim.engines import (
     ENGINE_AUTO,
     ENGINE_BATCH,
@@ -47,6 +49,8 @@ from repro.workloads.mixes import make_mixes
 
 SC = ScaleConfig(name="batch-unit", llc_scale=16, n_cores=4, quantum=512)
 N_ACCESSES = 6000
+#: Eight tiny quanta, with a short last one.
+IDLE_N_ACCESSES = 7 * TINY.quantum + 200
 
 CATEGORIES = ("pref_agg", "pref_unfri", "pref_no_agg")
 
@@ -213,6 +217,64 @@ class TestLockstepSweep:
                 assert np.array_equal(row.pmu_counts, ref["totals"]), f"n={n_acc}: pmu"
                 assert row.wall_cycles == ref["wall"], f"n={n_acc}: wall"
                 assert row.llc_stats == ref["llc"], f"n={n_acc}: llc stats"
+
+
+class TestStaticSweepTiming:
+    """The sweep's timing: one batched solve per quantum for every run."""
+
+    def _idle_column_specs(self):
+        """A 4-core mix on the 8-core tiny machine: cores 4-7 stay idle.
+        Two disjoint way splits plus one overlapping-CBM configuration
+        (ways 8-11 shared), which the grouped LLC serves by round loop."""
+        mix = _mix("pref_agg")
+        w = TINY.params().llc.ways
+        full = (1 << w) - 1
+        configs = [
+            _cat_split(4, w, mix.n_cores),
+            _cat_split(13, w, mix.n_cores),
+            (((0, (1 << 12) - 1), (1, full ^ 0xFF)), (0, 1, 0, 1)),
+        ]
+        return [
+            BatchRunSpec(mix=mix, n_accesses=IDLE_N_ACCESSES, masks=MASKS["pf_mixed"],
+                         clos_cbms=clos_cbms, core_clos=core_clos)
+            for clos_cbms, core_clos in configs
+        ]
+
+    def test_idle_columns_match_scalar(self, store, monkeypatch):
+        specs = self._idle_column_specs()
+        assert specs[0].mix.n_cores < TINY.params().n_cores
+        rounds = []
+        round_loop = sim_batch.GroupedLLC._round_loop
+
+        def round_spy(self, stream, run_idx, *args):
+            rounds.extend(run_idx.tolist())
+            return round_loop(self, stream, run_idx, *args)
+
+        monkeypatch.setattr(sim_batch.GroupedLLC, "_round_loop", round_spy)
+        before = degradation_count()
+        batch = simulate_batch(specs, TINY, trace_store=store)
+        assert degradation_count() == before, "the sweep fell back to scalar"
+        assert rounds == [2], f"round loop served {rounds}"
+        for i, (rs, spec) in enumerate(zip(batch, specs)):
+            ref = _scalar_stats(spec, store, sc=TINY)
+            assert rs.totals.shape == (TINY.params().n_cores, ref["totals"].shape[1])
+            assert np.array_equal(rs.totals, ref["totals"]), f"config {i}: totals diverged"
+            assert rs.wall_cycles == ref["wall"], f"config {i}: wall cycles diverged"
+            assert type(rs.wall_cycles) is float
+
+    def test_one_solve_per_quantum(self, store, monkeypatch):
+        """Not one per (run, quantum): the solve takes every run at once."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return solve_quantum(*args, **kwargs)
+
+        monkeypatch.setattr(sim_batch, "solve_quantum", counting)
+        specs = self._idle_column_specs()
+        simulate_batch(specs, TINY, trace_store=store)
+        assert len(calls) == -(-IDLE_N_ACCESSES // TINY.quantum)
+        assert all(np.shape(c.n_llc_hit_d) == (len(specs), TINY.params().n_cores) for c in calls)
 
 
 class TestMidRunControlFlips:
