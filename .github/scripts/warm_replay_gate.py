@@ -8,9 +8,10 @@ none of the modules below was imported.
 
 Table I and Fig. 5 sample freshly built machines by design: they are
 not cached runs.  So a full ``repro figures`` does load ``sim.machine``,
-``sim.fastengine`` and ``platform.simulated``; the tier-1 test
+``sim.fastengine``, ``sim.batch`` (a fast machine's LLC is its
+``GroupedLLC``) and ``platform.simulated``; the tier-1 test
 ``tests/test_public_api.py::TestPublicApi::test_warm_replay_imports_only_what_it_runs``
-pins those three as well, for the cached figures.
+pins those four as well, for the cached figures.
 
 Run from the repository root: ``python .github/scripts/warm_replay_gate.py``.
 """
@@ -23,7 +24,6 @@ from pathlib import Path
 
 #: Loaded only at a session's first cache miss.
 NOT_ON_A_WARM_REPLAY = (
-    "repro.sim.batch",
     "repro.core.controller",
     "repro.core.pipeline",
     "repro.experiments.batch",

@@ -29,6 +29,7 @@ class CoreAccuracy:
 def prefetch_accuracy(machine: Machine) -> list[CoreAccuracy]:
     """Per-core ground-truth prefetch accuracy from cache bookkeeping."""
     out = []
+    llc_pref_fills = machine.llc_stats().pref_fills
     for core, cs in enumerate(machine.cores):
         if not cs.active:
             continue
@@ -37,7 +38,7 @@ def prefetch_accuracy(machine: Machine) -> list[CoreAccuracy]:
                 core=core,
                 l1_accuracy=cs.l1.stats.prefetch_accuracy,
                 l2_accuracy=cs.l2.stats.prefetch_accuracy,
-                llc_pref_fills=machine.llc.stats.pref_fills,
+                llc_pref_fills=llc_pref_fills,
                 l2_pref_fills=cs.l2.stats.pref_fills,
             )
         )

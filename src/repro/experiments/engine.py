@@ -1006,11 +1006,10 @@ class ExperimentSession:
         * >= 2 mechanism misses sharing an affinity group and scale run
           through one shared batch kernel
           (:func:`repro.experiments.batch.compute_mechanism_group`);
-        * every profile miss of one scale, plus the alone misses beside
-          it, runs on the single-core plane
+        * every profile and alone miss of one scale runs on the
+          single-core plane
           (:func:`repro.experiments.batch.compute_single_core_group`),
           which also answers each profiled benchmark's alone run.
-          Alone misses with no profile beside them stay per-run.
 
         Any failure returns the whole group to the scalar loop, which
         retains the retry semantics, and counts a degradation.
@@ -1036,7 +1035,7 @@ class ExperimentSession:
             try:
                 if shape == "mix" and len(grp) >= 2:
                     rows = [(p, s, ()) for p, s in compute_mechanism_group(runs, self.trace_store)]
-                elif shape == "single-core" and any(r.kind == KIND_PROFILE for r in runs):
+                elif shape == "single-core":
                     rows = compute_single_core_group(runs, self.trace_store)
                 else:
                     remaining.extend(grp)

@@ -21,7 +21,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ENGINE_BATCH", "ENGINE_FAST", "ENGINE_REFERENCE", "EngineSelectionError",
         "EngineSpec", "available_engines", "get_engine", "register_engine", "resolve_engine",
     ),
-    "repro.sim.fastcache": ("FastCache", "FastPartitionedCache"),
+    "repro.sim.fastcache": ("FastCache",),
     "repro.sim.machine": ("Machine",),
     "repro.sim.msr": ("MsrFile", "PrefetchMsr", "PF_ALL_ON", "PF_ALL_OFF"),
     "repro.sim.cat": ("CatController",),
@@ -34,7 +34,6 @@ __all__ = [
     "Cache",
     "PartitionedCache",
     "FastCache",
-    "FastPartitionedCache",
     "ENGINE_BATCH",
     "ENGINE_FAST",
     "ENGINE_REFERENCE",

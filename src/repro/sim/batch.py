@@ -574,21 +574,23 @@ class GroupedLLC:
     The run axis leads: ``tags``/``stamps``/``pref`` are ``(runs, sets,
     ways)`` arrays holding every run's way-partitioned LLC at once, so
     one pass over a shared merged request stream advances all runs
-    together.  Bit-identical mapping onto
-    :class:`~repro.sim.fastcache.FastPartitionedCache`'s dict sets:
+    together.  It is the LLC of every fast path: lockstep groups and
+    static sweeps serve R runs, a scalar fast ``Machine`` one (width 1).
+    Bit-identical, way for way, to the reference
+    :class:`~repro.sim.cache.PartitionedCache` per run:
 
-    * dict order is last-touch order (hits pop + reinsert), so "first
-      entry" == minimum LRU stamp; ``stamps`` hold each way's last
-      touch as its global stream position.
+    * like the reference's per-way clock stamps, ``stamps`` hold each
+      way's last touch, as its global stream position, so the LRU
+      allowed way is the minimum stamp among the allowed ways.
     * **stamp-0 invariant:** a never-filled way (``tags == -1``) keeps
       stamp 0 and every touched way carries a stream position >= 1.
       The minimum stamp over a request's allowed ways is therefore the
       lowest-indexed allowed free way while one exists (``argmin``
-      returns the first minimum — the scalar's lowest set bit of
-      ``free & abits``) and the LRU allowed way once none does (then
-      every allowed way is valid and stamps are distinct).  One
-      ``argmin`` is the whole victim rule; there is no free-way search
-      and no count of free lines.
+      returns the first minimum, as the reference's ``min`` + ``index``
+      does over its stamp-0 empty ways) and the LRU allowed way once
+      none does (then every allowed way is valid and stamps are
+      distinct).  One ``argmin`` is the whole victim rule; there is no
+      free-way search and no count of free lines.
 
     Every request touches exactly one way per run (hits refresh the hit
     way, misses fill the chosen way), so each segment needs a single
@@ -1349,8 +1351,6 @@ class LockstepMachine(Machine):
         self._pos = 0
         self._q = -1
         self._masks: dict[int, int] = {}
-        self._allow = np.zeros((kernel.params.n_cores, kernel.params.llc.ways), dtype=bool)
-        self._allow_gen = -1
         self._outq: deque = deque()
         self._decl_remaining = 0
         self._sched_pos = 0
@@ -1368,16 +1368,6 @@ class LockstepMachine(Machine):
             "LockstepMachine cores are driven by the group's shared "
             "trace; traces are registered on the BatchKernel"
         )
-
-    def _refresh_allow(self) -> None:
-        cat = self.cat
-        if cat.generation == self._allow_gen:
-            return
-        self._allow[:] = False
-        for cpu in range(self.params.n_cores):
-            for w in cat.allowed_ways(cpu):
-                self._allow[cpu, w] = True
-        self._allow_gen = cat.generation
 
     def run_accesses(self, n_per_core: int) -> None:
         # Prefetch-mask and CAT writes only happen between driver calls,

@@ -7,9 +7,10 @@ Engines implement the machine's hot path.  Each is described by an
   (:mod:`repro.sim.cache` + ``Machine._run_core_chunk_reference``).
   Simple, audited, and the semantic source of truth.
 * ``fast`` — the scalar batched-chunk kernel (:mod:`repro.sim.fastcache`
-  / :mod:`repro.sim.fastengine`): run-length-collapsed chunk pipeline,
-  fused cache/prefetcher loops, vectorised LLC merge.  Differential
-  tests assert it is bit-identical to ``reference``.
+  / :mod:`repro.sim.fastengine`): run-length-collapsed chunk pipeline
+  and fused cache/prefetcher loops on the cores, the batch engine's
+  ``GroupedLLC`` at width 1 for the shared LLC.  Differential tests
+  assert it is bit-identical to ``reference``, LLC image included.
 * ``batch`` — the multi-run batch kernel (:mod:`repro.sim.batch`): N
   runs of the same mix advance together over one zero-copy
   materialized trace, the fast kernel's core phase run once per

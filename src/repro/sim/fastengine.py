@@ -1,7 +1,7 @@
 """The ``fast`` engine's fused per-quantum kernels.
 
-Bit-identical restructuring of ``Machine._run_core_chunk_reference`` /
-``_run_llc_phase_reference`` (see :mod:`repro.sim.engines`):
+:func:`run_core_chunk` is a bit-identical restructuring of
+``Machine._run_core_chunk_reference`` (see :mod:`repro.sim.engines`):
 
 * **Staged chunk pipeline** — the trace chunk is pre-segmented with
   NumPy into runs of identical ``(ctx, line)`` records (spatial-locality
@@ -15,16 +15,16 @@ Bit-identical restructuring of ``Machine._run_core_chunk_reference`` /
   ``PrefetcherBank.l1_candidates``/``l2_candidates`` and the four
   prefetcher models is inlined into one interpreter loop over local
   variables; cache stats accumulate in locals and flush once per chunk.
-* **Vectorised LLC merge** — per-core request lists (prefetches encoded
-  as ``~line`` so a list stays a flat int vector) are round-robin
-  merged with one NumPy transpose instead of a nested Python loop, and
-  per-core PMU/byte accounting is accumulated in flat counters and
-  applied once per quantum.
 
 Everything here mutates the same state objects the reference engine
 would (:class:`~repro.sim.fastcache.FastCache` sets, prefetcher tables,
 PMU count array), so mid-run engine introspection (analysis hooks,
 ``CacheStats``) sees identical values.
+
+The LLC side is :class:`~repro.sim.batch.GroupedLLC` for every fast
+path; this module holds what wraps its serve — the round-robin request
+merge (:func:`merge_llc_requests`) and the per-core tail
+(:func:`apply_llc_tail`).
 """
 
 from __future__ import annotations
@@ -35,19 +35,9 @@ import numpy as np
 
 from repro.sim.pmu import Event
 
-__all__ = ["run_core_chunk", "run_llc_phase", "encode_prefetch", "decode_request"]
+__all__ = ["apply_llc_tail", "merge_llc_requests", "run_core_chunk"]
 
 _SENTINEL = np.int64(np.iinfo(np.int64).min)
-
-
-def encode_prefetch(line: int) -> int:
-    """Encode a prefetch LLC request as ``~line`` (demands stay ``>= 0``)."""
-    return ~line
-
-
-def decode_request(enc: int) -> tuple[int, bool]:
-    """Inverse of the request encoding: ``(line, is_prefetch)``."""
-    return (~enc, True) if enc < 0 else (enc, False)
 
 
 def run_core_chunk(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
@@ -456,112 +446,10 @@ def merge_llc_requests(llc_reqs) -> tuple[list, list, list]:
     return busy, merged, mcpus
 
 
-def run_llc_phase(machine, counts, llc_reqs, pmu_counts) -> None:
-    """Serve all cores' LLC requests, merged round-robin (fused loop)."""
-    busy = [cpu for cpu, reqs in enumerate(llc_reqs) if reqs]
-    if not busy:
-        return
-    llc = machine.llc
-    W = llc.ways
-    set_mask = llc._set_mask
-    sets = llc._sets
-    free = llc._free
-    pref = llc._pref
-    way_occ = llc._way_occ
-    full_bits = llc._full_bits
-
-    ncpu = len(llc_reqs)
-    abits_l = [0] * ncpu
-    for cpu in busy:
-        abits_l[cpu] = llc._allowed_bits(machine.cat.allowed_ways(cpu))
-
-    # --- round-robin merge (vectorised column-major interleave) -----
-    if len(busy) == 1:
-        cpu0 = busy[0]
-        pairs = zip(llc_reqs[cpu0], _repeat(cpu0))
-    else:
-        lens = [len(llc_reqs[c]) for c in busy]
-        maxlen = max(lens)
-        mat = np.full((len(busy), maxlen), _SENTINEL, dtype=np.int64)
-        for row, c in enumerate(busy):
-            mat[row, : lens[row]] = llc_reqs[c]
-        flat = mat.T.ravel()
-        valid = flat != _SENTINEL
-        merged = flat[valid].tolist()
-        mcpus = np.tile(np.asarray(busy, dtype=np.int64), maxlen)[valid].tolist()
-        pairs = zip(merged, mcpus)
-
-    hits_d = [0] * ncpu
-    mem_d = [0] * ncpu
-    pref_m = [0] * ncpu
-    acc = hits = fills = used = evic = 0
-
-    for enc, cpu in pairs:
-        if enc >= 0:
-            line = enc
-            is_pref = False
-        else:
-            line = ~enc
-            is_pref = True
-        si = line & set_mask
-        s = sets[si]
-        acc += 1
-        w = s.pop(line, None)
-        if w is not None:
-            hits += 1
-            s[line] = w  # reinsert -> MRU
-            if is_pref:
-                continue
-            slot = si * W + w
-            if pref[slot]:
-                pref[slot] = 0
-                used += 1
-            hits_d[cpu] += 1
-            continue
-        abits = abits_l[cpu]
-        fm = free[si] & abits
-        if fm:
-            vw = (fm & -fm).bit_length() - 1
-            free[si] ^= 1 << vw
-            way_occ[vw] += 1
-        else:
-            if abits == full_bits:
-                vw = s.pop(next(iter(s)))
-            else:
-                for victim, vw in s.items():
-                    if abits >> vw & 1:
-                        break
-                del s[victim]
-            slot = si * W + vw
-            if pref[slot]:
-                pref[slot] = 0
-                evic += 1
-        s[line] = vw
-        if is_pref:
-            pref[si * W + vw] = 1
-            fills += 1
-            pref_m[cpu] += 1
-        else:
-            mem_d[cpu] += 1
-
-    st = llc.stats
-    st.accesses += acc
-    st.hits += hits
-    st.pref_fills += fills
-    st.pref_used += used
-    st.pref_evicted_unused += evic
-
-    line_bytes = float(machine.params.line_bytes)
-    for cpu in busy:
-        apply_llc_tail(
-            counts[cpu], pmu_counts, cpu, hits_d[cpu], mem_d[cpu], pref_m[cpu], line_bytes
-        )
-
-
 def apply_llc_tail(qc, pmu_counts, cpu, n_hit_d, n_mem_d, n_pref_fill, line_bytes) -> None:
     """Fold per-core LLC serve tallies into quantum counts and PMU rows.
 
-    Shared by :func:`run_llc_phase` and the batch engine's lockstep
+    Shared by the scalar fast machine and the batch engine's lockstep
     machines so the exact accumulation order — and therefore float64
     bit-identity with the scalar engine — lives in one place.  The
     batched timing of :func:`repro.sim.batch.run_static_sweep` and

@@ -12,12 +12,14 @@ kernel module uses.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.sim import fastengine
 from repro.sim.cat import CatController
-from repro.sim.cache import Cache, PartitionedCache
+from repro.sim.cache import Cache, CacheStats, PartitionedCache
 from repro.sim.core_model import QuantumCounts, solve_quantum
 from repro.sim.engines import ENGINE_FAST, resolve_engine
-from repro.sim.fastcache import FastCache, FastPartitionedCache
+from repro.sim.fastcache import FastCache
 from repro.sim.memory import DramModel
 from repro.sim.msr import MsrFile, PrefetchMsr, enables_from_mask
 from repro.sim.params import MachineParams
@@ -78,12 +80,19 @@ class Machine:
         self._fast = spec.kernel == ENGINE_FAST
         n = self.params.n_cores
         self.cores = [_CoreState(self.params, self._fast) for _ in range(n)]
-        self.llc: PartitionedCache | FastPartitionedCache
         if self._fast:
-            self.llc = FastPartitionedCache(self.params.llc)
+            # The batch engine's grouped LLC at width 1: one LLC model
+            # for every fast path (sim.batch imports this module).
+            from repro.sim.batch import GroupedLLC
+
+            self.llc = GroupedLLC(self.params.llc, 1)
         else:
             self.llc = PartitionedCache(self.params.llc)
         self.cat = CatController(self.params.llc.ways, n)
+        # CAT as a (cpus, ways) allow matrix, rebuilt when the CAT
+        # generation moves (see _refresh_allow).
+        self._allow = np.zeros((n, self.params.llc.ways), dtype=bool)
+        self._allow_gen = -1
         self.msr = MsrFile(n)
         self.prefetch_msr = PrefetchMsr(self.msr)
         self.pmu = Pmu(n)
@@ -115,6 +124,18 @@ class Machine:
     def core_base_line(self, core: int) -> int:
         """Base line address of a core's private region."""
         return core * CORE_ADDRESS_STRIDE_LINES
+
+    def llc_stats(self) -> CacheStats:
+        """The shared LLC's counters, whichever engine built it."""
+        if self._fast:
+            return CacheStats(*self.llc.stats_for(0))
+        return self.llc.stats
+
+    def llc_occupancy(self) -> int:
+        """Valid lines in the shared LLC."""
+        if self._fast:
+            return self.llc.occupancy(0)
+        return self.llc.occupancy()
 
     # ----------------------------------------------------------- run
 
@@ -186,12 +207,37 @@ class Machine:
             else:
                 self._run_core_chunk_reference(cpu, cs, q, counts[cpu], llc_reqs[cpu], pmu_counts)
 
+    def _refresh_allow(self) -> None:
+        cat = self.cat
+        if cat.generation == self._allow_gen:
+            return
+        self._allow[:] = False
+        for cpu in range(self.params.n_cores):
+            for w in cat.allowed_ways(cpu):
+                self._allow[cpu, w] = True
+        self._allow_gen = cat.generation
+
     def _llc_phase(self, counts, llc_reqs) -> None:
         """Merge all cores' LLC requests round-robin and serve them."""
-        if self._fast:
-            fastengine.run_llc_phase(self, counts, llc_reqs, self.pmu.counts)
-        else:
-            self._run_llc_phase_reference(counts, llc_reqs, self.pmu.counts)
+        if not self._fast:
+            self._serve_llc_reference(counts, llc_reqs, self.pmu.counts)
+            return
+        from repro.sim.batch import _PreparedStream
+
+        busy, merged, mcpus = fastengine.merge_llc_requests(llc_reqs)
+        if not busy:
+            return
+        self._refresh_allow()
+        hits_d, mem_d, pref_m = np.zeros((3, 1, self.params.n_cores), dtype=np.int64)
+        stream = _PreparedStream(merged, mcpus, self.params.llc.sets - 1)
+        self.llc.serve(stream, self._allow[None], hits_d, mem_d, pref_m)
+        pmu_counts = self.pmu.counts
+        line_bytes = float(self.params.line_bytes)
+        for cpu in busy:
+            fastengine.apply_llc_tail(
+                counts[cpu], pmu_counts, cpu,
+                int(hits_d[0, cpu]), int(mem_d[0, cpu]), int(pref_m[0, cpu]), line_bytes,
+            )
 
     def _timing_phase(self, counts, ipm, mlp, active) -> None:
         """Solve the quantum's fixed-point timing and account PMU/DRAM."""
@@ -312,7 +358,7 @@ class Machine:
         pmu_counts[cpu, Event.L2_PREF_REQ] += n_l2_pref
         pmu_counts[cpu, Event.L2_PREF_MISS] += n_l2_pref_miss
 
-    def _run_llc_phase_reference(
+    def _serve_llc_reference(
         self,
         counts: list[QuantumCounts],
         llc_reqs: list[list[tuple[int, bool]]],
@@ -321,7 +367,7 @@ class Machine:
         """Serve all cores' LLC requests, merged round-robin.
 
         The ``reference`` engine's kernel — semantic source of truth for
-        :func:`repro.sim.fastengine.run_llc_phase`.
+        the fast engine's :class:`~repro.sim.batch.GroupedLLC` serve.
         """
         llc_access = self.llc.access
         line_bytes = float(self.params.line_bytes)

@@ -12,8 +12,9 @@ Differential checks, innermost layer first:
   takes every run with independent partitions and defers the image.
 * The stamp-0 victim rule on its own: a stack-solved fill phase
   confined to the low ways, then a CAT flip that exposes never-filled
-  high ways, way-exact against :class:`FastPartitionedCache`; the
-  empty-allow-row error; a static sweep that never builds the image.
+  high ways, way-exact against the reference
+  :class:`~repro.sim.cache.PartitionedCache`; the empty-allow-row
+  error; a static sweep that never builds the image.
 * :func:`run_static_sweep` over 1-way partitions, overlapping CBMs and
   hypothesis-drawn disjoint CLOS layouts (idle core, ragged access
   counts) against one scalar fast machine per configuration.
@@ -36,7 +37,6 @@ from repro.experiments.config import ScaleConfig
 from repro.experiments.runner import build_machine
 from repro.sim.batch import GroupedLLC, LockstepGroup, _PreparedStream, run_static_sweep
 from repro.sim.cache import PartitionedCache
-from repro.sim.fastcache import FastPartitionedCache
 from repro.sim.params import CacheGeometry
 from repro.sim.tracestore import TraceStore
 from repro.workloads.mixes import make_mixes
@@ -388,7 +388,7 @@ class TestStampZeroVictimRule:
         W = GEOM.ways
         split = int(rng.integers(1, low))
         llc = GroupedLLC(GEOM, 2)
-        refs = [FastPartitionedCache(GEOM) for _ in range(2)]
+        refs = [PartitionedCache(GEOM) for _ in range(2)]
 
         def replay(stream, allowed):
             for i in range(stream.n):
@@ -398,7 +398,7 @@ class TestStampZeroVictimRule:
 
         def check(label):
             for r, ref in enumerate(refs):
-                assert np.array_equal(llc.tags[r], ref.tags_array()), f"{label}: run {r} ways"
+                assert np.array_equal(llc.tags[r], np.array(ref._tags)), f"{label}: run {r} ways"
                 rs = ref.stats
                 assert llc.stats_for(r) == (
                     rs.accesses, rs.hits, rs.pref_fills, rs.pref_used, rs.pref_evicted_unused,
@@ -465,7 +465,7 @@ class TestStampZeroVictimRule:
             _serve_all(llc, stream, allowed)
         assert (llc.tags == -1).all(), "a rejected serve must not touch the image"
         with pytest.raises(ValueError, match="allowed_ways must contain at least one way"):
-            FastPartitionedCache(GEOM).access(0, (), False)
+            PartitionedCache(GEOM).access(0, (), False)
         # The offending run is not in the served subgroup: nothing to reject.
         args = [np.zeros((1, N_CPUS), dtype=np.int64) for _ in range(3)]
         llc.serve(stream, allowed, *args, runs=[0])
@@ -511,11 +511,11 @@ def _assert_sweep_matches_scalar(mix, configs, masks, n_acc, store) -> None:
         ref.run_accesses(n_acc)
         assert np.array_equal(rows[r].pmu_counts, ref.pmu.counts), f"config {r}: pmu"
         assert rows[r].wall_cycles == ref.pmu.wall_cycles, f"config {r}: wall"
-        rs = ref.llc.stats
+        rs = ref.llc_stats()
         assert rows[r].llc_stats == (
             rs.accesses, rs.hits, rs.pref_fills, rs.pref_used, rs.pref_evicted_unused,
         ), f"config {r}: llc stats"
-        assert rows[r].llc_occupancy == ref.llc.occupancy(), f"config {r}: occupancy"
+        assert rows[r].llc_occupancy == ref.llc_occupancy(), f"config {r}: occupancy"
 
 
 _MIX = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
@@ -656,12 +656,12 @@ class TestLockstepGroupVsScalar:
             m = group.members[r]
             assert np.array_equal(m.pmu.counts, ref.pmu.counts), f"run {r}: pmu"
             assert m.pmu.wall_cycles == ref.pmu.wall_cycles, f"run {r}: wall"
-            rs = ref.llc.stats
+            rs = ref.llc_stats()
             assert group.llc.stats_for(r) == (
                 rs.accesses, rs.hits, rs.pref_fills, rs.pref_used,
                 rs.pref_evicted_unused,
             ), f"run {r}: llc stats"
-            assert group.llc.occupancy(r) == ref.llc.occupancy(), f"run {r}: occupancy"
+            assert group.llc.occupancy(r) == ref.llc_occupancy(), f"run {r}: occupancy"
             for cpu in group.cores:
                 l1_tags, l2_tags, table = snaps[r][cpu]
                 assert np.array_equal(l1_tags, ref.cores[cpu].l1.tags_array()), (

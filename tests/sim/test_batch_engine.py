@@ -109,12 +109,12 @@ def _scalar_stats(spec, store, sc=SC):
     snap = m.pmu.snapshot()
     m.run_accesses(spec.n_accesses)
     s = m.pmu.delta_since(snap)
-    llc = m.llc.stats
+    llc = m.llc_stats()
     return {
         "totals": s.deltas,
         "wall": s.wall_cycles,
         "llc": (llc.accesses, llc.hits, llc.pref_fills, llc.pref_used, llc.pref_evicted_unused),
-        "occ": m.llc.occupancy(),
+        "occ": m.llc_occupancy(),
     }
 
 

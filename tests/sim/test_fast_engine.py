@@ -2,7 +2,8 @@
 
 Every observable the experiment layer consumes — PMU counters, per-core
 L1/L2 cache stats, LLC stats and occupancy, IPC and its harmonic mean —
-must match exactly (integer counters bit for bit, IPC as identical
+and the way-exact LLC image (tag and prefetched-unused bit per set and
+way) must match exactly (integer counters bit for bit, IPC as identical
 floats) across workload mixes, per-core prefetcher masks and CAT
 partitionings.  This is what lets the experiment cache key exclude the
 engine choice (see ``repro.sim.engines``).
@@ -68,6 +69,16 @@ def _build(engine, mix, masks, partitioned):
     return m
 
 
+def _llc_image(m: Machine) -> tuple[np.ndarray, np.ndarray]:
+    """Way-exact LLC image: tag and prefetched-unused bit per (set, way)."""
+    if m.engine == ENGINE_REFERENCE:
+        tags = np.array(m.llc._tags, dtype=np.int64)
+        unused = m.llc._pref_unused
+        pref = np.array([[t in unused for t in row] for row in m.llc._tags], dtype=bool)
+        return tags, pref
+    return m.llc.tags[0], m.llc.pref[0] != 0
+
+
 def _observables(m: Machine) -> dict:
     sample = PmuSample(m.pmu.counts.copy(), m.pmu.wall_cycles)
     out = {"pmu": m.pmu.counts.copy(), "ipc": sample.ipc_all()}
@@ -83,9 +94,10 @@ def _observables(m: Machine) -> dict:
             )
         out[f"occ_l1_{i}"] = cs.l1.occupancy()
         out[f"occ_l2_{i}"] = cs.l2.occupancy()
-    s = m.llc.stats
+    s = m.llc_stats()
     out["llc"] = (s.accesses, s.hits, s.pref_fills, s.pref_used, s.pref_evicted_unused)
-    out["llc_occ"] = m.llc.occupancy()
+    out["llc_occ"] = m.llc_occupancy()
+    out["llc_tags"], out["llc_pref"] = _llc_image(m)
     out["hm_ipc"] = hm_ipc(summarize_sample(sample, cycles_per_second=1e9))
     return out
 

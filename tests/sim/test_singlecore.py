@@ -7,8 +7,8 @@ Innermost first: hypothesis-drawn rows (masks with and without the
 all-off cascade, CAT ways, quanta, ragged warm-ups and windows sharing
 one pass), then every benchmark's profile payload through the engine's
 group, the trace-prefix property alone runs rely on, the session
-storing the alone runs a profile answered, and which passes enter the
-scalar kernel at all.
+storing the alone runs a profile answered, alone-only groups staying
+off scalar machines, and which passes enter the scalar kernel at all.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.experiments.engine import (
     _execute_planned,
 )
 from repro.sim import fastengine
+from repro.sim.machine import Machine
 from repro.sim.singlecore import SingleCoreRow, run_single_core
 from repro.sim.tracestore import TraceStore
 from repro.workloads.classify import DEFAULT_WAY_SWEEP, run_alone
@@ -162,6 +163,31 @@ class TestEngineGroup:
                 rec.pop("seconds")
                 records.append(json.dumps(rec, sort_keys=True))
             assert records[0] == records[1]
+
+    def test_alone_only_group_builds_no_scalar_machine(self, monkeypatch):
+        """A 1-worker batch session executing only alone misses answers
+        them on the plane, byte-equal to a fast session's machines."""
+        built = []
+        init = Machine.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "__init__", spy)
+        plan = [PlannedRun(KIND_ALONE, SC, bench=b) for b in BENCHES]
+
+        def payloads(engine):
+            with ExperimentSession(
+                cache_dir=None, max_workers=1, trace_cache="memory", engine=engine
+            ) as s:
+                out = s.execute(plan)
+            return [json.dumps(out[r.key()]) for r in plan]
+
+        batch = payloads("batch")
+        assert built == [], "alone misses ran on scalar machines"
+        assert batch == payloads("fast")
+        assert len(built) == len(BENCHES)
 
 
 def test_only_all_off_passes_skip_the_kernel(monkeypatch):
