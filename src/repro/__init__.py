@@ -59,7 +59,7 @@ Quickstart::
 
 from repro._lazy import lazy_exports
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 #: Every public name, by the module that defines it.  Resolved on first
 #: access (PEP 562), so ``import repro`` loads no subpackage: a warm

@@ -468,33 +468,19 @@ def cmd_serve(args) -> int:
 
 def cmd_cache(args) -> int:
     from repro.experiments.engine import ResultCache, default_cache_dir
-    from repro.sim.tracestore import TraceStore
 
-    root = Path(args.cache_dir or default_cache_dir())
-    cache = ResultCache(root)
-    store = TraceStore(root / "tracestore", mode="disk")
+    cache = ResultCache(Path(args.cache_dir or default_cache_dir()))
     if args.action == "clear":
         removed = cache.clear()
-        traces_removed = store.clear()
         print(f"removed {removed} cached results from {cache.root}")
-        print(f"removed {traces_removed} materialized traces from {store.root}")
         return 0
     s = cache.stats()
-    t = store.stats()
     print(f"cache root : {s.root}")
     print(f"entries    : {s.entries}")
     print(f"size       : {s.bytes / 1e6:.2f} MB")
     print(f"corrupt    : {s.corrupt}")
     for kind in sorted(s.by_kind):
         print(f"  {kind:<10}: {s.by_kind[kind]}")
-    print(f"trace store: {t.root}")
-    print(f"  traces   : {t.entries}")
-    print(f"  size     : {t.bytes / 1e6:.2f} MB")
-    print(f"  fallbacks: {t.fallbacks}")
-    from repro.sim.batch import degradation_count
-
-    print("batch engine:")
-    print(f"  degradations: {degradation_count()}")
     return 0
 
 

@@ -22,7 +22,7 @@ values are simulator units, not Xeon measurements (see EXPERIMENTS.md).
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.experiments.batch": ("BatchRunSpec", "BatchUnavailable", "simulate_batch"),
+    "repro.experiments.batch": ("BatchRunSpec", "simulate_batch"),
     "repro.experiments.config": ("ScaleConfig", "get_scale", "SCALES"),
     "repro.experiments.engine": (
         "ExperimentSession", "PlannedRun", "ResultCache", "RunRecord", "RunSpec",
@@ -36,7 +36,6 @@ __all__ = [
     "get_scale",
     "SCALES",
     "BatchRunSpec",
-    "BatchUnavailable",
     "ExperimentSession",
     "PlannedRun",
     "ResultCache",

@@ -16,9 +16,10 @@ together with per-run prefetch-mask and CAT-allow tensors applied per
 quantum, so runs stay batched even after their policies diverge.
 
 The fallback ladder has two rungs.  Whatever the plane does not take —
-a singleton, a group whose traces it cannot serve, a sweep or lockstep
-group that failed — runs per run on a plain scalar ``fast``
-:class:`~repro.sim.machine.Machine`.  Results are bit-identical on
+a singleton, a sweep or lockstep group that failed — runs per run on a
+plain scalar ``fast`` :class:`~repro.sim.machine.Machine`.  The trace
+store always serves forkable materialized traces, so every group of
+two or more starts on the first rung.  Results are bit-identical on
 either rung; a group that *fell* to the second one is counted
 (``batch.degradation_count()``, ``RunStats.batch_degradations``).
 
@@ -29,8 +30,8 @@ Two entry points:
   named mechanism driven by the CMM controller, or a *static*
   prefetch-mask / CAT configuration run for a fixed access count) and
   returns one :class:`~repro.core.controller.RunStats` per spec.
-  Specs are grouped by mix; a group that cannot be batched (trace
-  plane off) transparently falls back to per-run scalar-fast machines.
+  Specs are grouped by mix; a singleton group runs on its own
+  scalar-fast machine.
 * :func:`compute_mechanism_group` — used by
   ``ExperimentSession._execute_serial`` to batch a mix-affine group of
   planned mechanism runs; payloads are byte-identical to the scalar
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 
 from repro.core.controller import RunStats
 from repro.experiments.config import ScaleConfig, get_scale
-from repro.sim import tracestore
 from repro.sim.batch import (
     BatchKernel,
     LockstepError,
@@ -56,12 +56,7 @@ from repro.sim.batch import (
 from repro.sim.machine import CORE_ADDRESS_STRIDE_LINES, Machine
 from repro.workloads.mixes import WorkloadMix
 
-__all__ = ["BatchRunSpec", "BatchUnavailable", "simulate_batch", "compute_mechanism_group"]
-
-
-class BatchUnavailable(RuntimeError):
-    """A group could not be batched (e.g. trace plane off); callers
-    fall back to per-run scalar execution."""
+__all__ = ["BatchRunSpec", "simulate_batch", "compute_mechanism_group"]
 
 
 @dataclass(frozen=True)
@@ -105,17 +100,15 @@ def _mechanism_trace_length(sc: ScaleConfig) -> int:
 
 def build_batch_kernel(
     mix: WorkloadMix, sc: ScaleConfig, trace_store, *, length: int | None = None
-) -> BatchKernel | None:
-    """A shared kernel for ``mix``, or ``None`` when it can't be built.
+) -> BatchKernel:
+    """A shared kernel for ``mix`` over ``trace_store``'s traces.
 
-    Requires every core's trace to come from the trace plane as a
-    forkable :class:`~repro.sim.tracestore.MaterializedTrace`; the
-    request mirrors :func:`repro.experiments.runner.build_machine`
-    byte for byte (same llc_lines / base_line / seed / length), which
-    is what makes batch results bit-identical to scalar ones.
+    Every core's trace is a forkable
+    :class:`~repro.sim.tracestore.MaterializedTrace`; the request
+    mirrors :func:`repro.experiments.runner.build_machine` byte for
+    byte (same llc_lines / base_line / seed / length), which is what
+    makes batch results bit-identical to scalar ones.
     """
-    if trace_store is None:
-        return None
     params = sc.params()
     if mix.n_cores > params.n_cores:
         raise ValueError(f"mix {mix.name} needs {mix.n_cores} cores, machine has {params.n_cores}")
@@ -129,8 +122,6 @@ def build_batch_kernel(
             seed=mix.seed + core,
             length=length,
         )
-        if trace is None or not hasattr(trace, "fork"):
-            return None
         kernel.add_core(core, trace)
     return kernel
 
@@ -198,17 +189,12 @@ def simulate_batch(
 ) -> list[RunStats]:
     """Run every spec, batching runs that share a mix; one RunStats each.
 
-    ``trace_store`` defaults to the active worker view, else the
-    default session's store.  Groups whose traces cannot be served by
-    the plane fall back to per-run scalar-fast machines — same
-    results, no sharing.
+    ``trace_store`` defaults to the default session's store.
     """
     specs = list(specs)
     if not specs:
         return []
     sc = sc or get_scale()
-    if trace_store is None:
-        trace_store = tracestore.active_view()
     if trace_store is None:
         from repro.experiments.engine import default_session
 
@@ -250,9 +236,6 @@ def simulate_batch(
                     for i, stats in zip(mech_idx, mech_stats):
                         out[i] = stats
                         done.add(i)
-        elif len(indices) >= 2:
-            # A 2+ run group the batch plane could not serve at all.
-            note_degradation()
         for i in indices:
             if i in done:
                 continue
@@ -339,8 +322,6 @@ def compute_single_core_group(runs, trace_store) -> list[tuple[dict, float, list
     the scalar ``_compute_profile`` / ``_compute_alone`` ones;
     ``answered`` holds the ``(alone run, payload)`` of each profiled
     benchmark with no alone run in ``runs``, for the session to store.
-    Raises :class:`BatchUnavailable` when the trace plane cannot serve a
-    benchmark.
     """
     from repro.experiments.engine import KIND_ALONE, KIND_PROFILE, PlannedRun, _profile_payload
     from repro.sim.singlecore import ALL_OFF, SingleCoreRow, run_single_core
@@ -376,12 +357,9 @@ def compute_single_core_group(runs, trace_store) -> list[tuple[dict, float, list
     traces = {}
     for bench in dict.fromkeys(key.trace for key in rows):
         length = max(key.end for key in rows if key.trace == bench)
-        trace = trace_store.trace_for(
+        traces[bench] = trace_store.trace_for(
             bench, llc_lines=params.llc.lines, base_line=0, seed=0, length=length
         )
-        if trace is None or not hasattr(trace, "fork"):
-            raise BatchUnavailable(f"trace plane cannot serve {bench}")
-        traces[bench] = trace
     samples = run_single_core(params, list(rows), traces)
 
     def alone_payload(bench: str) -> dict:
@@ -410,9 +388,7 @@ def compute_mechanism_group(runs, trace_store) -> list[tuple[dict, float]]:
     ``runs`` are :class:`~repro.experiments.engine.PlannedRun` rows of
     kind ``mechanism`` sharing one mix and scale.  Returns ``(payload,
     seconds)`` per run, where the payload dict is byte-identical to the
-    scalar ``_compute_mechanism`` one.  Raises :class:`BatchUnavailable`
-    when the group can't be batched; the session then falls back to the
-    per-run scalar path.
+    scalar ``_compute_mechanism`` one.
 
     A group of 2+ runs executes in masked lockstep — one grouped SoA
     pass even though the mechanisms diverge.  A
@@ -422,8 +398,6 @@ def compute_mechanism_group(runs, trace_store) -> list[tuple[dict, float]]:
     r0 = runs[0]
     sc = r0.sc
     kernel = build_batch_kernel(r0.mix, sc, trace_store)
-    if kernel is None:
-        raise BatchUnavailable(f"trace plane cannot serve mix {r0.mix.name}")
     degraded = False
     if len(runs) >= 2:
         t0 = time.perf_counter()

@@ -41,15 +41,15 @@ as zero-copy slices.  The worker pool is *persistent* across batches;
 misses are submitted in mix-affine order and each run carries a small
 manifest naming the shared-memory segments holding its traces, so
 workers attach by name instead of unpickling arrays (and keep their
-attachments for later runs of the same mix).  The plane is a pure
-transport optimisation — results are bit-identical with it on or off,
-and it is excluded from cache keys like the simulation engine choice.
+attachments for later runs of the same mix).  The plane lives in
+memory only and is a pure transport optimisation — results are
+bit-identical to live generation, and it is excluded from cache keys
+like the simulation engine choice.
 
-Environment knobs: ``REPRO_CACHE_DIR`` relocates the on-disk store
-(default ``~/.cache/repro``), ``REPRO_WORKERS`` sets the default
+Environment knobs: ``REPRO_CACHE_DIR`` relocates the on-disk result
+store (default ``~/.cache/repro``), ``REPRO_WORKERS`` sets the default
 worker count (clamped to the CPU count), ``REPRO_RUN_TIMEOUT`` sets
-the default per-run timeout in seconds, ``REPRO_TRACE_CACHE`` selects
-the trace-plane mode (``off``/``memory``/``disk``).  See
+the default per-run timeout in seconds.  See
 ``docs/experiment_engine.md``.
 """
 
@@ -745,11 +745,10 @@ class ExperimentSession:
     mp_context:
         Optional ``multiprocessing`` context for the pools.
     trace_cache:
-        Trace-plane mode (``off``/``memory``/``disk``); defaults to
-        ``$REPRO_TRACE_CACHE``.  ``off`` regenerates every trace live
-        (the pre-plane behaviour); results are bit-identical either
-        way.  The disk tier lives under ``<cache root>/tracestore``;
-        an in-memory result cache implies an in-memory trace store.
+        Accepts only ``None`` or ``"memory"``: the session's
+        :class:`~repro.sim.tracestore.TraceStore` always lives in
+        memory.  Removed once the benchmark harness stops passing it
+        (ROADMAP item 1).
     engine:
         Simulation-engine name for this session's runs, resolved
         through the :mod:`repro.sim.engines` registry (explicit
@@ -779,6 +778,9 @@ class ExperimentSession:
         trace_cache: str | None = None,
         engine: str | None = None,
     ) -> None:
+        # Legacy one-valued argument, removed with ROADMAP item 1.
+        if trace_cache not in (None, "memory"):
+            raise ValueError(f"trace_cache must be None or 'memory', got {trace_cache!r}")
         if cache is None:
             root = default_cache_dir() if cache_dir is self._UNSET else cache_dir
             cache = ResultCache(root)
@@ -805,12 +807,7 @@ class ExperimentSession:
         #: so later calls (e.g. per-mix evaluate after a sweep) report
         #: the failure instead of re-executing a known-bad run.
         self.failed: dict[str, str] = {}
-        mode = tracestore.trace_cache_mode(trace_cache)
-        if mode == "off":
-            self.trace_store: tracestore.TraceStore | None = None
-        else:
-            trace_root = self.cache.root / "tracestore" if self.cache.root is not None else None
-            self.trace_store = tracestore.TraceStore(trace_root, mode=mode)
+        self.trace_store = tracestore.TraceStore()
         #: The persistent batch pool and the single-worker isolation
         #: pool, held in a plain dict so the exit finalizer can shut
         #: them down without keeping the session alive.
@@ -836,8 +833,7 @@ class ExperimentSession:
         ``weakref.finalize``, so abandoned sessions never leak
         ``/dev/shm`` residue."""
         self._pools_finalizer()
-        if self.trace_store is not None:
-            self.trace_store.close()
+        self.trace_store.close()
 
     def __enter__(self) -> "ExperimentSession":
         return self
@@ -1015,7 +1011,7 @@ class ExperimentSession:
         retains the retry semantics, and counts a degradation.
         """
         spec = self._engine_spec()
-        if not spec.batched or self.trace_store is None:
+        if not spec.batched:
             return misses
         from repro.experiments.batch import compute_mechanism_group, compute_single_core_group
         from repro.sim.batch import note_degradation

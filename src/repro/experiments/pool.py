@@ -99,9 +99,7 @@ def trace_requirements(run: PlannedRun) -> list[dict]:
 
 def manifest_for(session: ExperimentSession, run: PlannedRun) -> dict | None:
     """Materialize + publish the run's traces; ``{key: item}`` or
-    ``None`` when the plane is off / shared memory is unavailable."""
-    if session.trace_store is None:
-        return None
+    ``None`` when shared memory is unavailable."""
     manifest: dict[str, dict] = {}
     for req in trace_requirements(run):
         item = session.trace_store.publish(**req)

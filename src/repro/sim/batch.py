@@ -113,9 +113,9 @@ __all__ = [
 ]
 
 # Process-wide degradation tally, mirroring the trace plane's
-# fallback counter idiom: every fork-to-scalar or unbatchable-group
-# event is counted here (in addition to per-run attribution on the
-# fallback machines) so `repro cache stats` can surface it.
+# fallback counter idiom: every fall to per-run scalar machines is
+# counted here (in addition to per-run attribution on the fallback
+# machines) so a whole sweep can assert it stayed batched.
 _PROCESS_DEGRADATIONS = 0
 
 
@@ -952,7 +952,7 @@ class BatchKernel:
             raise TypeError(
                 "batch kernel requires forkable materialized traces "
                 f"(got {type(base_trace).__name__} for core {cpu}); "
-                "enable the trace plane or fall back to the scalar engine"
+                "serve them from a TraceStore or use the scalar engine"
             )
         self.base_traces[cpu] = base_trace
 

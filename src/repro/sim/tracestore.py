@@ -23,13 +23,10 @@ request that breaks alignment (or outruns the materialized length)
 drops the trace back to a live generator, fast-forwarded to the exact
 position — still bit-identical, just no longer zero-copy.
 
-Storage tiers:
+Storage is one in-memory tier plus shared memory:
 
-* **memory** — per-:class:`TraceStore` dict of materialized arrays;
-* **disk** — mmap-backed ``.npy`` files plus JSON meta under
-  ``<REPRO_CACHE_DIR>/tracestore/`` (atomic writes, content-addressed
-  names, size-accounted by :meth:`TraceStore.stats`, wiped by
-  :meth:`TraceStore.clear` / ``repro cache clear``);
+* **memory** — per-:class:`TraceStore` dict of materialized arrays,
+  living as long as the store (a session owns one);
 * **shared memory** — the parent experiment process *publishes*
   segments (``multiprocessing.shared_memory``) that persistent pool
   workers attach by name instead of receiving arrays through pickle.
@@ -38,12 +35,11 @@ Storage tiers:
   ``weakref.finalize``/atexit, and after worker crashes — a dead
   worker only ever *attached*).
 
-The ``REPRO_TRACE_CACHE`` knob selects the mode: ``off`` disables the
-plane entirely (every run synthesises live, the pre-plane behaviour),
-``memory`` keeps materialized traces in-process only, and the default
-(``1``/``on``/``disk``) adds the on-disk tier.  The trace plane is a
-pure transport optimisation and is deliberately **excluded from
-experiment cache keys**, exactly like the ``sim_engine`` selection.
+Nothing is written to disk and there is no knob: code that holds no
+store (a bare ``build_machine``, a pool worker whose manifest misses)
+generates live.  The trace plane is a pure transport optimisation and
+is deliberately **excluded from experiment cache keys**, exactly like
+the ``sim_engine`` selection.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ import contextlib
 import hashlib
 import json
 import os
-import tempfile
 import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -63,13 +58,10 @@ import numpy as np
 from repro.workloads.speclike import BenchmarkSpec, benchmark, build_trace
 
 __all__ = [
-    "TRACESTORE_SCHEMA_VERSION",
     "SHM_PREFIX",
     "MaterializedTrace",
     "TraceStore",
-    "TraceStoreStats",
     "fallback_count",
-    "trace_cache_mode",
     "trace_key",
     "active_view",
     "use_view",
@@ -77,37 +69,10 @@ __all__ = [
     "shm_residue",
 ]
 
-#: Bump whenever the materialized layout or the generation recipe
-#: changes; old disk entries then miss instead of replaying stale data.
-TRACESTORE_SCHEMA_VERSION = 1
-
 #: Prefix of every shared-memory segment the trace plane creates; the
 #: leak checks (``repro.platform.faults.verify_no_segment_leaks``, the
 #: chaos suite) scan ``/dev/shm`` for it.
 SHM_PREFIX = "repro-tr-"
-
-_MODES = ("off", "memory", "disk")
-
-
-def trace_cache_mode(raw: str | None = None) -> str:
-    """Resolve ``REPRO_TRACE_CACHE`` to ``off`` | ``memory`` | ``disk``.
-
-    Unset, ``1``, ``on``, ``auto`` and ``disk`` all mean the full
-    plane (memory + disk tiers); ``memory`` skips the disk tier;
-    ``0``/``off``/``false``/``no`` disable materialization entirely.
-    """
-    if raw is None:
-        raw = os.environ.get("REPRO_TRACE_CACHE", "")
-    norm = raw.strip().lower()
-    if norm in ("0", "off", "false", "no"):
-        return "off"
-    if norm in ("mem", "memory"):
-        return "memory"
-    if norm in ("", "1", "on", "auto", "disk", "true", "yes"):
-        return "disk"
-    raise ValueError(
-        f"REPRO_TRACE_CACHE must be one of off/memory/disk (or a boolean), got {raw!r}"
-    )
 
 
 def trace_key(
@@ -124,7 +89,6 @@ def trace_key(
     if isinstance(spec, str):
         spec = benchmark(spec)
     payload = {
-        "schema": TRACESTORE_SCHEMA_VERSION,
         "spec": asdict(spec),
         "llc_lines": int(llc_lines),
         "base_line": int(base_line),
@@ -237,28 +201,14 @@ class MaterializedTrace:
 
 
 # Process-wide count of MaterializedTrace zero-copy go-live fallbacks
-# (every _go_live adds one).  Surfaced via fallback_count() /
-# TraceStoreStats.fallbacks / `repro cache stats` so batch runs can
-# assert the whole sweep stayed on the zero-copy path.
+# (every _go_live adds one).  Surfaced via fallback_count() so batch
+# runs can assert the whole sweep stayed on the zero-copy path.
 _PROCESS_FALLBACKS = 0
 
 
 def fallback_count() -> int:
     """Zero-copy go-live fallbacks in this process (all traces, all stores)."""
     return _PROCESS_FALLBACKS
-
-
-@dataclass(frozen=True)
-class TraceStoreStats:
-    """What a :class:`TraceStore`'s disk tier holds (plus live segments)."""
-
-    root: Path | None
-    entries: int
-    bytes: int
-    shm_segments: int
-    shm_bytes: int
-    #: process-wide go-live fallbacks at sampling time (see fallback_count)
-    fallbacks: int = 0
 
 
 @dataclass
@@ -272,24 +222,21 @@ class _Entry:
 
 
 class TraceStore:
-    """Materialized-trace cache: memory tier, optional disk tier, and
-    parent-owned shared-memory publication for pool workers.
+    """Materialized-trace cache: an in-memory tier plus parent-owned
+    shared-memory publication for pool workers.
 
-    ``root`` is the disk-tier directory (conventionally
-    ``<cache>/tracestore``); ``None`` keeps everything in memory.
-    ``mode`` defaults to :func:`trace_cache_mode` (the
-    ``REPRO_TRACE_CACHE`` env knob); a store in ``off`` mode returns
-    ``None`` from :meth:`trace_for` so callers fall back to live
-    generation.
+    ``root`` and ``mode`` accept only ``None`` and ``"memory"``.
     """
 
     _ids = iter(range(1, 1 << 62))
 
-    def __init__(self, root: str | Path | None = None, *, mode: str | None = None) -> None:
-        self.mode = trace_cache_mode() if mode is None else mode
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        self.root = Path(root).expanduser() if root is not None and self.mode == "disk" else None
+    def __init__(self, root: None = None, *, mode: str | None = None) -> None:
+        # Legacy one-valued arguments: removed once the benchmark
+        # harness stops passing them (ROADMAP item 1).
+        if root is not None or mode not in (None, "memory"):
+            raise ValueError(
+                f"a TraceStore is in-memory only; got root={root!r}, mode={mode!r}"
+            )
         self._mem: dict[str, _Entry] = {}
         self._shm: dict[str, object] = {}  # key -> SharedMemory (parent-owned)
         #: Distinguishes this store's segments from any other store in
@@ -301,11 +248,7 @@ class TraceStore:
         # callback must not reference self or it would never fire.
         self._segments_finalizer = weakref.finalize(self, TraceStore._release, self._shm)
 
-    # -- keys & lifecycle --------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
+    # -- lifecycle ---------------------------------------------------
 
     def close(self) -> None:
         """Unlink every published segment; idempotent."""
@@ -320,63 +263,6 @@ class TraceStore:
                 shm.unlink()
         shm_map.clear()
 
-    # -- disk tier ----------------------------------------------------
-
-    def _data_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.npy"
-
-    def _meta_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def _write_disk(self, key: str, stacked: np.ndarray, meta: dict) -> None:
-        data_path = self._data_path(key)
-        data_path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic like the result cache: a torn .npy must never be
-        # visible under its final name.
-        fd, tmp = tempfile.mkstemp(dir=data_path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                np.save(f, stacked)
-            os.replace(tmp, data_path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        fd, tmp = tempfile.mkstemp(dir=data_path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(json.dumps(meta, sort_keys=True))
-            os.replace(tmp, self._meta_path(key))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-
-    def _load_disk(self, key: str, min_length: int) -> _Entry | None:
-        if self.root is None:
-            return None
-        meta_path = self._meta_path(key)
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if meta.get("schema") != TRACESTORE_SCHEMA_VERSION or meta.get("length", 0) < min_length:
-            return None
-        try:
-            stacked = np.load(self._data_path(key), mmap_mode="r")
-        except (OSError, ValueError):
-            return None
-        if stacked.shape != (2, meta["length"]) or stacked.dtype != np.int64:
-            return None
-        return _Entry(
-            ctx=stacked[0],
-            lines=stacked[1],
-            inst_per_mem=meta["inst_per_mem"],
-            mlp=meta["mlp"],
-            footprint=meta["footprint"],
-            align=meta["align"],
-        )
-
     # -- materialization ---------------------------------------------
 
     def _entry_for(
@@ -386,32 +272,17 @@ class TraceStore:
         entry = self._mem.get(key)
         if entry is not None and len(entry.ctx) >= length:
             return key, entry
-        entry = self._load_disk(key, length)
-        if entry is None:
-            gen = build_trace(spec, llc_lines=llc_lines, base_line=base_line, seed=seed)
-            n = _round_up(max(length, 1), gen.burst_len)
-            ctx, lines = gen.chunk(n)
-            stacked = np.stack([ctx, lines])
-            entry = _Entry(
-                ctx=stacked[0],
-                lines=stacked[1],
-                inst_per_mem=gen.inst_per_mem,
-                mlp=gen.mlp,
-                footprint=gen.footprint_lines(),
-                align=gen.burst_len,
-            )
-            if self.root is not None:
-                meta = {
-                    "schema": TRACESTORE_SCHEMA_VERSION,
-                    "bench": spec.name,
-                    "length": n,
-                    "inst_per_mem": entry.inst_per_mem,
-                    "mlp": entry.mlp,
-                    "footprint": entry.footprint,
-                    "align": entry.align,
-                }
-                with contextlib.suppress(OSError):
-                    self._write_disk(key, stacked, meta)
+        gen = build_trace(spec, llc_lines=llc_lines, base_line=base_line, seed=seed)
+        ctx, lines = gen.chunk(_round_up(max(length, 1), gen.burst_len))
+        stacked = np.stack([ctx, lines])
+        entry = _Entry(
+            ctx=stacked[0],
+            lines=stacked[1],
+            inst_per_mem=gen.inst_per_mem,
+            mlp=gen.mlp,
+            footprint=gen.footprint_lines(),
+            align=gen.burst_len,
+        )
         self._mem[key] = entry
         # A longer materialization supersedes any published segment of
         # the shorter one only on the parent side; workers keep serving
@@ -426,11 +297,8 @@ class TraceStore:
         base_line: int,
         seed: int,
         length: int,
-    ) -> MaterializedTrace | None:
-        """A replayable trace covering ``length`` accesses, or ``None``
-        when the plane is off (caller then builds a live generator)."""
-        if not self.enabled:
-            return None
+    ) -> MaterializedTrace:
+        """A replayable trace covering ``length`` accesses."""
         if isinstance(spec, str):
             spec = benchmark(spec)
         _key, entry = self._entry_for(
@@ -453,13 +321,10 @@ class TraceStore:
 
         The manifest item is a plain JSON-able dict a pool worker turns
         back into a :class:`MaterializedTrace` by attaching the segment
-        (see :class:`ManifestView`).  Returns ``None`` when the plane
-        is off or shared memory is unavailable on this platform — the
-        worker then falls back to live generation, which is always
-        bit-identical.
+        (see :class:`ManifestView`).  Returns ``None`` when shared
+        memory is unavailable on this platform — the worker then falls
+        back to live generation, which is always bit-identical.
         """
-        if not self.enabled:
-            return None
         if isinstance(spec, str):
             spec = benchmark(spec)
         key, entry = self._entry_for(
@@ -503,35 +368,6 @@ class TraceStore:
             "base_line": int(base_line),
             "seed": int(seed),
         }
-
-    # -- accounting ---------------------------------------------------
-
-    def stats(self) -> TraceStoreStats:
-        entries = 0
-        total = 0
-        if self.root is not None and self.root.is_dir():
-            for path in self.root.glob("*/*.npy"):
-                entries += 1
-                with contextlib.suppress(OSError):
-                    total += path.stat().st_size
-        elif self.root is None:
-            entries = len(self._mem)
-            total = sum(2 * len(e.ctx) * 8 for e in self._mem.values())
-        shm_bytes = sum(getattr(s, "size", 0) for s in self._shm.values())
-        return TraceStoreStats(
-            self.root, entries, total, len(self._shm), shm_bytes, fallback_count()
-        )
-
-    def clear(self) -> int:
-        """Drop the memory tier and every on-disk entry; returns entries removed."""
-        removed = len(self._mem)
-        self._mem.clear()
-        if self.root is not None and self.root.is_dir():
-            disk = list(self.root.glob("*/*.npy"))
-            removed = max(removed, len(disk))
-            for path in disk + list(self.root.glob("*/*.json")):
-                path.unlink(missing_ok=True)
-        return removed
 
 
 def _entry_trace(
@@ -636,7 +472,7 @@ class ManifestView:
 
 #: The trace source compute functions consult, set around each run by
 #: the experiment engine: the session's TraceStore on the serial path,
-#: a ManifestView inside pool workers, None when the plane is off.
+#: a ManifestView inside pool workers, None for plain live generation.
 _ACTIVE: TraceStore | ManifestView | None = None
 
 

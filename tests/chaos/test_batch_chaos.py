@@ -1,8 +1,8 @@
 """Batched-sweep chaos: batch-layer failures must be invisible.
 
 The batch engine sits between sessions and the simulator, so its
-failure contract matters: a group that cannot be batched, a lockstep
-sweep that dies mid-flight, or a batch path sabotaged outright must
+failure contract matters: a lockstep sweep that dies mid-flight, a
+group member that raises, or a batch path sabotaged outright must
 degrade to per-run scalar execution with **identical results** — never
 an exception, never a changed payload, never a half-written entry.
 """
@@ -34,7 +34,7 @@ MECH_SC = dataclasses.replace(SC, sample_units=512, exec_units=2048, n_epochs=1)
 
 @pytest.fixture(scope="module")
 def store():
-    return TraceStore(None, mode="memory")
+    return TraceStore()
 
 
 @pytest.fixture(scope="module")
@@ -72,16 +72,6 @@ class TestLockstepFailureFallback:
         for h, d in zip(healthy, degraded):
             assert np.array_equal(h.totals, d.totals)
             assert h.wall_cycles == d.wall_cycles
-
-    def test_unbatchable_store_degrades_to_scalar(self, mix):
-        """Trace plane off: no kernel can be built, results unchanged."""
-        warm = TraceStore(None, mode="memory")
-        specs = _static_specs(mix, width=2)
-        batched = simulate_batch(specs, SC, trace_store=warm)
-        off = simulate_batch(specs, SC, trace_store=TraceStore(None, mode="off"))
-        for a, b in zip(batched, off):
-            assert np.array_equal(a.totals, b.totals)
-            assert a.wall_cycles == b.wall_cycles
 
 
 class TestPerRunRung:
@@ -225,17 +215,13 @@ class TestSessionGroupFailureFallback:
             PlannedRun(KIND_MECHANISM, MECH_SC, mix=mix, mechanism=m)
             for m in ("baseline", "pt")
         ]
-        healthy = ExperimentSession(
-            cache_dir=None, max_workers=1, trace_cache="memory"
-        ).execute(runs)
+        healthy = ExperimentSession(cache_dir=None, max_workers=1).execute(runs)
 
         def bomb(*a, **kw):
             raise RuntimeError("injected batch-group failure")
 
         monkeypatch.setattr(B, "compute_mechanism_group", bomb)
-        degraded = ExperimentSession(
-            cache_dir=None, max_workers=1, trace_cache="memory"
-        ).execute(runs)
+        degraded = ExperimentSession(cache_dir=None, max_workers=1).execute(runs)
         assert healthy.keys() == degraded.keys()
         for key in healthy:
             assert json.dumps(healthy[key], sort_keys=True) == json.dumps(
@@ -254,18 +240,14 @@ class TestSessionGroupFailureFallback:
             PlannedRun(KIND_PROFILE, sc, bench="429.mcf"),
             PlannedRun(KIND_ALONE, sc, bench="410.bwaves"),
         ]
-        healthy = ExperimentSession(
-            cache_dir=None, max_workers=1, trace_cache="memory"
-        ).execute(runs)
+        healthy = ExperimentSession(cache_dir=None, max_workers=1).execute(runs)
 
         def bomb(*a, **kw):
             raise RuntimeError("injected single-core plane failure")
 
         monkeypatch.setattr(singlecore, "run_single_core", bomb)
         before = degradation_count()
-        degraded = ExperimentSession(
-            cache_dir=None, max_workers=1, trace_cache="memory"
-        ).execute(runs)
+        degraded = ExperimentSession(cache_dir=None, max_workers=1).execute(runs)
         assert degradation_count() == before + 1
         assert healthy.keys() == degraded.keys()
         for key in healthy:

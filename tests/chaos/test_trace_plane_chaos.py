@@ -53,7 +53,6 @@ def mech(mechanism):
 def make_session(tmp_path, **kw):
     kw.setdefault("max_workers", 2)
     kw.setdefault("mp_context", FORK)
-    kw.setdefault("trace_cache", "memory")
     kw.setdefault("run_timeout", 120)
     return ExperimentSession(cache_dir=tmp_path / "cache", **kw)
 
@@ -68,7 +67,7 @@ class TestWorkerCrash:
         out = session.execute(runs, strict=False)
         assert len(out) == 2  # both mechanism runs completed
         assert list(session.failed) == [hook("crash").key()]
-        assert session.trace_store.stats().shm_segments > 0  # plane was used
+        assert shm_residue()  # plane was used
         session.close()
         assert verify_no_segment_leaks() == []
         assert shm_residue() == []
@@ -78,10 +77,10 @@ class TestWorkerCrash:
         # pool: a pool crash must not invalidate published segments.
         session = make_session(tmp_path)
         session.execute([mech("baseline"), hook("crash")], strict=False)
-        before = session.trace_store.stats().shm_segments
+        before = shm_residue()
         out = session.execute([mech("pt")])
         assert len(out) == 1
-        assert session.trace_store.stats().shm_segments == before  # reused
+        assert shm_residue() == before  # reused
         session.close()
         assert shm_residue() == []
 
@@ -172,9 +171,7 @@ class TestSessionLifecycle:
                 TINY, name="unit", quantum=256, sample_units=256,
                 exec_units=2048, alone_accesses=4096,
             )
-            session = ExperimentSession(
-                cache_dir=None, max_workers=1, trace_cache="memory"
-            )
+            session = ExperimentSession(cache_dir=None, max_workers=1)
             mix = make_mixes("pref_agg", 1, seed=2019)[0]
             run = PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="baseline")
             assert pool.manifest_for(session, run), "expected published segments"

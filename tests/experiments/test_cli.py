@@ -85,6 +85,10 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path / "c")]) == 0
         out = capsys.readouterr().out
         assert "entries    : 0" in out
+        # Process-wide counters of this command's own process, which
+        # simulates nothing: always 0 there, so not printed.
+        assert "fallbacks" not in out
+        assert "degradations" not in out
 
     def test_stats_and_clear_roundtrip(self, capsys, tmp_path):
         from repro.experiments.engine import SCHEMA_VERSION, ResultCache

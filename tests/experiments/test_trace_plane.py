@@ -1,11 +1,12 @@
 """The trace plane must change *nothing* but wall-clock time.
 
 Differential contract (mirrors ``tests/chaos/test_differential.py``):
-with the plane on — serial store, shared-memory manifest, disk tier —
-every run's payload is byte-identical to the plane-off (live
-generation) path, decision/PMU fingerprints match the pre-hardening
-captures, and content-addressed cache keys are untouched (the plane is
-excluded from ``key_payload`` exactly like the ``sim_engine`` choice).
+through the session's in-memory store and the shared-memory manifest,
+every run's payload is byte-identical to live generation (the path a
+pool worker takes without shared memory), decision/PMU fingerprints
+match the pre-hardening captures, and content-addressed cache keys are
+untouched (the plane is excluded from ``key_payload`` exactly like the
+``sim_engine`` choice).
 """
 
 import dataclasses
@@ -25,6 +26,7 @@ from repro.experiments.engine import (
     KIND_PROFILE,
     ExperimentSession,
     PlannedRun,
+    _execute_planned,
 )
 from repro.experiments.runner import build_machine, mechanism_trace_length
 from repro.platform.simulated import SimulatedPlatform
@@ -76,6 +78,18 @@ def canonical(payloads):
     return json.dumps(payloads, sort_keys=True)
 
 
+def live_reference():
+    """Every planned run's payload from live generation, keyed and
+    shaped like ``session.execute`` (which stores decision traces
+    beside the payload)."""
+    out = {}
+    for run in the_plan():
+        payload, _secs = _execute_planned(run, None)
+        payload.pop("traces", None)
+        out[run.key()] = payload
+    return out
+
+
 def execute(tmp_path, tag, **session_kwargs):
     session = ExperimentSession(
         scale=SC, cache_dir=tmp_path / tag, run_timeout=120, **session_kwargs
@@ -88,40 +102,38 @@ def execute(tmp_path, tag, **session_kwargs):
 
 class TestPayloadIdentity:
     def test_serial_store_matches_live(self, tmp_path):
-        off = execute(tmp_path, "off", max_workers=1, trace_cache="off")
-        mem = execute(tmp_path, "mem", max_workers=1, trace_cache="memory")
-        disk = execute(tmp_path, "disk", max_workers=1, trace_cache="disk")
-        assert canonical(mem) == canonical(off)
-        assert canonical(disk) == canonical(off)
+        mem = execute(tmp_path, "mem", max_workers=1)
+        assert canonical(mem) == canonical(live_reference())
 
-    def test_disk_replay_from_prior_session_matches(self, tmp_path):
-        off = execute(tmp_path, "off", max_workers=1, trace_cache="off")
-        # Two sessions share one cache dir: the second one's traces all
-        # come from the first one's mmap-backed disk tier.
-        execute(tmp_path, "warm", max_workers=1, trace_cache="disk")
-        warm = execute(tmp_path, "warm2", max_workers=1, trace_cache="disk")
-        assert canonical(warm) == canonical(off)
+    def test_cold_session_writes_no_traces(self, tmp_path):
+        session = ExperimentSession(scale=SC, cache_dir=tmp_path / "cache", max_workers=1)
+        try:
+            out = session.execute(the_plan())
+        finally:
+            session.close()
+        assert not (tmp_path / "cache" / "tracestore").exists()
+        assert canonical(out) == canonical(live_reference())
 
     def test_pool_manifest_path_matches(self, tmp_path, plenty_of_cpus):
-        off = execute(tmp_path, "off", max_workers=1, trace_cache="off")
+        live = live_reference()
         before = set(shm_residue())
         session = ExperimentSession(
             scale=SC, cache_dir=tmp_path / "pool", run_timeout=120,
-            max_workers=3, mp_context=FORK, trace_cache="memory",
+            max_workers=3, mp_context=FORK,
         )
         try:
             pooled = session.execute(the_plan())
             published = set(shm_residue()) - before
         finally:
             session.close()
-        assert canonical(pooled) == canonical(off)
+        assert canonical(pooled) == canonical(live)
         assert published, "the pool path published no segment"
         assert not published & set(shm_residue())
 
 
 class TestFingerprints:
     def test_controller_with_store_matches_pre_hardening(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         for mech, expected in PRE_HARDENING_FINGERPRINTS.items():
             machine = build_machine(the_mix(), SC, trace_store=store)
             ctl = CMMController(
@@ -136,7 +148,7 @@ class TestFingerprints:
     def test_no_fallbacks_at_standard_scales(self):
         # Every chunk a mechanism run requests is 32-aligned and within
         # the materialized bound — the zero-copy path never bails out.
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         machine = build_machine(the_mix(), SC, trace_store=store)
         ctl = CMMController(
             SimulatedPlatform(machine),
@@ -165,32 +177,3 @@ class TestCacheKeysUntouched:
             PlannedRun(KIND_PROFILE, SC, bench="453.povray", way_sweep=(1, 2)).key()
             == PRE_HARDENING_KEYS["profile-453.povray"]
         )
-
-    def test_trace_cache_mode_not_in_key_payload(self, monkeypatch):
-        run = PlannedRun(KIND_MECHANISM, SC, mix=the_mix(), mechanism="cmm-a")
-        key = run.key()
-        for mode in ("off", "memory", "disk"):
-            monkeypatch.setenv("REPRO_TRACE_CACHE", mode)
-            assert run.key() == key, mode
-
-    def test_cached_result_replays_across_modes(self, tmp_path):
-        # A result computed with the plane on replays from the result
-        # cache in a plane-off session (and vice versa): same keys.
-        on = ExperimentSession(
-            scale=SC, cache_dir=tmp_path / "shared", max_workers=1,
-            trace_cache="memory", run_timeout=120,
-        )
-        try:
-            first = on.execute(the_plan())
-        finally:
-            on.close()
-        off = ExperimentSession(
-            scale=SC, cache_dir=tmp_path / "shared", max_workers=1,
-            trace_cache="off", run_timeout=120,
-        )
-        try:
-            second = off.execute(the_plan())
-            assert all(r.cached for r in off.records)
-        finally:
-            off.close()
-        assert canonical(first) == canonical(second)

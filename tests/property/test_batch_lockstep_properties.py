@@ -444,7 +444,7 @@ class TestStampZeroVictimRule:
             raise AssertionError("run_static_sweep materialised the LLC image")
 
         monkeypatch.setattr(GroupedLLC, "_image", _forbidden)
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         mix = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
         W = SC.params().llc.ways
         configs = [
@@ -525,7 +525,7 @@ _IDLE_MIX = make_mixes("pref_no_agg", 1, n_cores=3, seed=2019)[0]
 
 @pytest.fixture(scope="module")
 def store():
-    return TraceStore(None, mode="memory")
+    return TraceStore()
 
 
 class TestStaticSweepVsScalar:
@@ -569,7 +569,7 @@ class TestStaticSweepVsScalar:
         _assert_sweep_matches_scalar(mix, [*configs, _OVERLAPPING], masks, n_acc, store)
 
     def test_invalid_cbm_rejected(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         mix = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
         kernel = build_batch_kernel(mix, SC, store, length=512)
         with pytest.raises(ValueError, match="not a contiguous run"):
@@ -622,7 +622,7 @@ class TestLockstepGroupVsScalar:
         span lengths) through a LockstepGroup match one scalar fast
         machine per run — PMU, wall, dense core tensors, LLC image."""
         rng = np.random.default_rng(seed)
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         mix = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
         ways = SC.params().llc.ways
         # Ragged: each run gets a different number of segments.

@@ -63,7 +63,7 @@ MASKS = {
 
 @pytest.fixture(scope="module")
 def store():
-    return TraceStore(None, mode="memory")
+    return TraceStore()
 
 
 def _mix(category):
@@ -341,7 +341,7 @@ class TestSessionDispatch:
         mix = _mix("pref_agg")
         runs = [PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism=m) for m in self.MECHS]
         session = ExperimentSession(
-            cache_dir=None, max_workers=1, trace_cache="memory", engine=engine
+            cache_dir=None, max_workers=1, engine=engine
         )
         return session.execute(runs)
 

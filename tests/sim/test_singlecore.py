@@ -42,7 +42,7 @@ SC = ScaleConfig(
     profile_accesses=2048, alone_accesses=1024,
 )
 PARAMS = SC.params()
-STORE = TraceStore(None, mode="memory")
+STORE = TraceStore()
 BENCHES = ("rand_access", "429.mcf", "410.bwaves", "456.hmmer")
 MASKS = (0x0, 0xF, 0x3, 0xC, 0x5)
 
@@ -179,7 +179,7 @@ class TestEngineGroup:
 
         def payloads(engine):
             with ExperimentSession(
-                cache_dir=None, max_workers=1, trace_cache="memory", engine=engine
+                cache_dir=None, max_workers=1, engine=engine
             ) as s:
                 out = s.execute(plan)
             return [json.dumps(out[r.key()]) for r in plan]

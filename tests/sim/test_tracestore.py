@@ -2,9 +2,9 @@
 
 The load-bearing property is *bit-identity*: a materialized trace must
 reproduce the live generator's output exactly, under every aligned
-chunk partition, across the disk round-trip, and through the
-shared-memory manifest path — plus a correct (still bit-identical)
-fallback when a request breaks alignment or outruns the material.
+chunk partition and through the shared-memory manifest path — plus a
+correct (still bit-identical) fallback when a request breaks alignment
+or outruns the material.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.sim.tracestore import (
     MaterializedTrace,
     TraceStore,
     shm_residue,
-    trace_cache_mode,
     trace_key,
 )
 from repro.workloads.speclike import benchmark, build_trace
@@ -44,35 +43,28 @@ def assert_same_stream(got, expected):
 
 
 class TestMode:
-    @pytest.mark.parametrize("raw,mode", [
-        ("", "disk"), ("1", "disk"), ("on", "disk"), ("auto", "disk"),
-        ("disk", "disk"), ("true", "disk"),
-        ("memory", "memory"), ("mem", "memory"),
-        ("0", "off"), ("off", "off"), ("false", "off"), ("no", "off"),
-        ("OFF", "off"), (" Disk ", "disk"),
-    ])
-    def test_parse(self, raw, mode):
-        assert trace_cache_mode(raw) == mode
+    """The store is in-memory only; the legacy ``root``/``mode`` and
+    ``trace_cache`` arguments accept nothing else."""
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "memory")
-        assert trace_cache_mode() == "memory"
-        monkeypatch.delenv("REPRO_TRACE_CACHE")
-        assert trace_cache_mode() == "disk"
+    def test_memory_and_none_accepted(self):
+        from repro.experiments.engine import ExperimentSession
 
-    def test_junk_rejected(self):
-        with pytest.raises(ValueError, match="REPRO_TRACE_CACHE"):
-            trace_cache_mode("sometimes")
+        TraceStore().close()
+        TraceStore(None, mode="memory").close()
+        ExperimentSession(cache_dir=None, max_workers=1, trace_cache="memory").close()
+        ExperimentSession(cache_dir=None, max_workers=1).close()
 
-    def test_off_store_serves_nothing(self, tmp_path):
-        store = TraceStore(tmp_path, mode="off")
-        assert not store.enabled
-        assert store.trace_for(
-            BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256
-        ) is None
-        assert store.publish(
-            BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256
-        ) is None
+    def test_junk_rejected(self, tmp_path):
+        from repro.experiments.engine import ExperimentSession
+
+        for mode in ("disk", "off", "sometimes"):
+            with pytest.raises(ValueError):
+                TraceStore(None, mode=mode)
+            with pytest.raises(ValueError):
+                ExperimentSession(cache_dir=tmp_path, max_workers=1, trace_cache=mode)
+        with pytest.raises(ValueError):
+            TraceStore(tmp_path, mode="memory")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTraceKey:
@@ -94,11 +86,22 @@ class TestTraceKey:
 
     def test_length_not_in_key(self):
         # Longer materializations supersede shorter ones under one key.
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         short = store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
         long = store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=1024)
         assert short.length == 256
         assert long.length >= 1024
+
+    def test_longer_request_replaces_shorter_entry(self):
+        store = TraceStore()
+        store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
+        long = store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=2048)
+        assert long.length >= 2048
+        got = [long.chunk(512) for _ in range(4)]
+        assert_same_stream(got, live_chunks(BENCH, [512] * 4))
+        assert long.fallbacks == 0
+        again = store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
+        assert again.length == long.length  # the longer entry now serves both
 
 
 class TestBitIdentity:
@@ -115,21 +118,21 @@ class TestBitIdentity:
     @pytest.mark.parametrize("bench", [BENCH, "429.mcf", "rand_access", "483.xalancbmk"])
     @pytest.mark.parametrize("pattern", PATTERNS, ids=[str(p[:2]) for p in PATTERNS])
     def test_aligned_replay_matches_live(self, bench, pattern):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         trace, got = store_chunks(store, bench, pattern)
         assert_same_stream(got, live_chunks(bench, pattern))
         assert trace.fallbacks == 0
 
     def test_partition_independent(self):
         # The same cumulative stream under two different partitions.
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         _, a = store_chunks(store, BENCH, [512] * 4)
         _, b = store_chunks(store, BENCH, [1024, 1024])
         assert np.concatenate([l for _, l in a]).tolist() == \
             np.concatenate([l for _, l in b]).tolist()
 
     def test_zero_copy_views(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         trace = store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=1024)
         ctx, lines = trace.chunk(512)
         again = store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=1024)
@@ -138,14 +141,14 @@ class TestBitIdentity:
         assert np.shares_memory(ctx, c2)
 
     def test_unaligned_request_goes_live_bit_identically(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         pattern = [512, 17, 512]  # 17 breaks the 32-access alignment
         trace, got = store_chunks(store, BENCH, pattern)
         assert_same_stream(got, live_chunks(BENCH, pattern))
         assert trace.fallbacks == 1
 
     def test_overrun_goes_live_bit_identically(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         trace = store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=1024)
         pattern = [512, 512, 512, 512]  # second half outruns the material
         got = [trace.chunk(n) for n in pattern]
@@ -153,7 +156,7 @@ class TestBitIdentity:
         assert trace.fallbacks == 1
 
     def test_properties_mirror_generator(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         trace = store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
         gen = build_trace(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0)
         assert trace.inst_per_mem == gen.inst_per_mem
@@ -161,59 +164,9 @@ class TestBitIdentity:
         assert trace.footprint_lines() == gen.footprint_lines()
 
 
-class TestDiskTier:
-    def test_round_trip_is_mmap_and_identical(self, tmp_path):
-        a = TraceStore(tmp_path, mode="disk")
-        pattern = [512] * 4
-        _, first = store_chunks(a, BENCH, pattern)
-        b = TraceStore(tmp_path, mode="disk")  # fresh store: disk hit
-        trace, second = store_chunks(b, BENCH, pattern)
-        assert_same_stream(second, first)
-        base = trace._ctx
-        while base is not None and not isinstance(base, np.memmap):
-            base = base.base
-        assert isinstance(base, np.memmap)
-
-    def test_stats_and_clear(self, tmp_path):
-        store = TraceStore(tmp_path, mode="disk")
-        store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=512)
-        store.trace_for("429.mcf", llc_lines=LLC_LINES, base_line=0, seed=0, length=512)
-        s = store.stats()
-        assert s.root == tmp_path
-        assert s.entries == 2
-        assert s.bytes >= 2 * (2 * 512 * 8)
-        assert store.clear() == 2
-        assert store.stats().entries == 0
-
-    def test_short_disk_entry_regenerated_longer(self, tmp_path):
-        a = TraceStore(tmp_path, mode="disk")
-        a.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
-        b = TraceStore(tmp_path, mode="disk")
-        long = b.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=2048)
-        assert long.length >= 2048
-        got = [long.chunk(512) for _ in range(4)]
-        assert_same_stream(got, live_chunks(BENCH, [512] * 4))
-
-    def test_corrupt_meta_misses(self, tmp_path):
-        store = TraceStore(tmp_path, mode="disk")
-        store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
-        for meta in tmp_path.glob("*/*.json"):
-            meta.write_text("{ not json")
-        fresh = TraceStore(tmp_path, mode="disk")
-        trace = fresh.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
-        got = [trace.chunk(256)]
-        assert_same_stream(got, live_chunks(BENCH, [256]))
-
-    def test_memory_mode_writes_nothing(self, tmp_path):
-        store = TraceStore(tmp_path, mode="memory")
-        store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
-        assert store.root is None
-        assert list(tmp_path.iterdir()) == []
-
-
 class TestPublishAndManifest:
     def test_manifest_round_trip_identical(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         try:
             item = store.publish(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=1024)
             if item is None:
@@ -234,7 +187,7 @@ class TestPublishAndManifest:
         assert view.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=64) is None
 
     def test_manifest_too_short_returns_none(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         try:
             item = store.publish(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
             if item is None:
@@ -247,40 +200,42 @@ class TestPublishAndManifest:
             store.close()
 
     def test_republish_reuses_segment(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         try:
             a = store.publish(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=512)
             if a is None:
                 pytest.skip("shared memory unavailable on this platform")
             b = store.publish(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=512)
             assert a["shm"] == b["shm"]
-            assert store.stats().shm_segments == 1
+            assert a["shm"] in shm_residue()
         finally:
             store.close()
         assert a["shm"] not in shm_residue()
 
     def test_longer_publish_supersedes(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         try:
             a = store.publish(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
             if a is None:
                 pytest.skip("shared memory unavailable on this platform")
             b = store.publish(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=4096)
             assert b["length"] >= 4096
-            assert store.stats().shm_segments == 1  # old segment unlinked
+            residue = set(shm_residue())
+            assert a["shm"] not in residue  # old segment unlinked
+            assert b["shm"] in residue
         finally:
             store.close()
         assert not {a["shm"], b["shm"]} & set(shm_residue())
 
     def test_close_is_idempotent(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         item = store.publish(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
         store.close()
         store.close()
         assert item is None or item["shm"] not in shm_residue()
 
     def test_finalizer_releases_on_gc(self):
-        store = TraceStore(None, mode="memory")
+        store = TraceStore()
         item = store.publish(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=256)
         if item is None:
             pytest.skip("shared memory unavailable on this platform")
