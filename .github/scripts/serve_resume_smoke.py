@@ -22,6 +22,9 @@ is nothing it could resume.  (Which keys the resume executed — and so
 already holds in memory — depends on the kill timing; keys that
 finished before the kill are on disk only, so the first warm submit
 may still queue and journal them.)
+
+First of all, ``repro serve --host 0.0.0.0`` must exit non-zero with a
+"not a loopback address" error instead of binding a reachable socket.
 """
 
 import json
@@ -51,6 +54,14 @@ def main() -> int:
     from repro.service.protocol import run_to_wire
     from repro.service.journal import SweepJournal
     from repro.workloads.mixes import make_mixes
+
+    refused = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--host", "0.0.0.0", "--no-cache"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert refused.returncode != 0, "serve bound a non-loopback host"
+    assert "'0.0.0.0' is not a loopback address" in refused.stderr, refused.stderr
+    print("non-loopback --host refused")
 
     sc = get_scale()
     mix = make_mixes("pref_agg", 1, seed=sc.seed)[0]

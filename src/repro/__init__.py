@@ -38,8 +38,8 @@ Running things:
 * :meth:`ExperimentSession.evaluate` / :meth:`ExperimentSession.sweep`
   — baseline-normalized metrics for one or many workloads.
 * Sessions **own their caches** (dependency injection) and pick their
-  simulation engine through the :mod:`repro.sim.engines` registry
-  (``engine=`` argument, ``REPRO_SIM_ENGINE`` env var, or ``auto``).
+  simulation engine (:mod:`repro.sim.engines`) from the ``engine=``
+  argument, then the ``REPRO_SIM_ENGINE`` env var, then ``batch``.
 * ``repro serve`` (:mod:`repro.service`) exposes a session to many
   concurrent clients: single-flight dedup per cache key, bounded
   queues and a crash-consistent sweep journal (``--resume``) — see
@@ -59,7 +59,7 @@ Quickstart::
 
 from repro._lazy import lazy_exports
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 #: Every public name, by the module that defines it.  Resolved on first
 #: access (PEP 562), so ``import repro`` loads no subpackage: a warm
@@ -88,8 +88,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.platform.simulated": ("SimulatedPlatform",),
     "repro.service.server": ("ExperimentService", "ServiceClient"),
     "repro.sim.engines": (
-        "EngineSelectionError", "EngineSpec", "available_engines",
-        "register_engine", "resolve_engine",
+        "EngineSelectionError", "EngineSpec", "available_engines", "resolve_engine",
     ),
     "repro.sim.machine": ("Machine",),
     "repro.sim.params": ("MachineParams", "default_params", "scaled_params"),
@@ -141,7 +140,6 @@ __all__ = [
     "make_policy",
     "policy_names",
     "quick_run",
-    "register_engine",
     "resolve_engine",
     "run",
     "scaled_params",

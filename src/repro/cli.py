@@ -54,50 +54,58 @@ def _add_mechanism(p: argparse.ArgumentParser, **kwargs) -> None:
     p.add_argument("--mechanism", choices=policy_names(), metavar="MECHANISM", **kwargs)
 
 
-def _engine_name(value: str) -> str:
-    from repro.sim.engines import ENGINE_AUTO, EngineSelectionError, get_engine
-
-    if value != ENGINE_AUTO:
-        try:
-            get_engine(value)
-        except EngineSelectionError as e:
-            raise argparse.ArgumentTypeError(str(e)) from None
-    return value
-
-
-_engine_name.__name__ = "engine"
-
-
 def _add_engine(p: argparse.ArgumentParser) -> None:
+    from repro.sim.engines import ENGINE_AUTO, available_engines
+
     p.add_argument("--workers", type=_at_least_one, default=None,
                    help="parallel simulation processes (default: $REPRO_WORKERS or CPUs)")
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)")
     p.add_argument("--no-cache", action="store_true",
                    help="keep results in memory only for this invocation")
-    p.add_argument("--engine", type=_engine_name, default=None,
-                   help="simulation engine from the repro.sim.engines registry "
-                        "(default: $REPRO_SIM_ENGINE or auto; results are "
-                        "bit-identical across engines)")
+    p.add_argument("--engine", choices=available_engines() + (ENGINE_AUTO,), default=None,
+                   help="simulation engine (default: $REPRO_SIM_ENGINE or batch; "
+                        "results are bit-identical across engines)")
+
+
+def _export_engine(args) -> str | None:
+    """The ``--engine`` name, also exported to ``$REPRO_SIM_ENGINE``:
+    pool workers resolve their engine from the environment, while the
+    session itself prefers the explicit argument."""
+    if args.engine is not None:
+        import os
+
+        from repro.sim.engines import ENV_VAR
+
+        os.environ[ENV_VAR] = args.engine
+    return args.engine
+
+
+def _loopback_host(value: str) -> str:
+    """``--host``: ``localhost``, ``127.0.0.0/8`` or ``::1``; the service
+    has no authentication, so it never binds a reachable address."""
+    import ipaddress
+
+    try:
+        loopback = value.lower() == "localhost" or ipaddress.ip_address(value).is_loopback
+    except ValueError:
+        loopback = False
+    if not loopback:
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a loopback address (localhost, 127.0.0.0/8 or ::1); "
+            "serve on --unix PATH to share the service between users"
+        )
+    return value
 
 
 def _make_session(args):
     from repro.experiments.engine import ExperimentSession, default_cache_dir, set_default_session
 
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        # Pool workers resolve their engine from the environment; the
-        # session object itself prefers the explicit argument.
-        import os
-
-        from repro.sim.engines import ENV_VAR
-
-        os.environ[ENV_VAR] = engine
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
     session = ExperimentSession(
         cache_dir=cache_dir,
         max_workers=args.workers,
-        engine=engine,
+        engine=_export_engine(args),
         progress=lambda rec, done, total: print(
             f"[{done}/{total}] {'cached' if rec.cached else f'{rec.seconds:5.1f}s'}  {rec.label}",
             file=sys.stderr,
@@ -193,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale(p)
 
     p = sub.add_parser("serve", help="run the experiment service front door")
-    p.add_argument("--host", default="127.0.0.1", help="TCP bind host (localhost only)")
+    p.add_argument("--host", type=_loopback_host, default="127.0.0.1",
+                   help="TCP bind host: localhost, 127.0.0.0/8 or ::1")
     p.add_argument("--port", type=int, default=0, help="TCP port (0 picks a free one)")
     p.add_argument("--unix", default=None, metavar="PATH",
                    help="serve on a unix socket instead of TCP")
@@ -426,11 +435,7 @@ def cmd_serve(args) -> int:
     from repro.service import ExperimentService
     from repro.service.server import sanitized_run_timeout
 
-    engine = args.engine
-    if engine is not None:
-        from repro.sim.engines import ENV_VAR
-
-        os.environ[ENV_VAR] = engine
+    engine = _export_engine(args)
     # A daemon must not crash on a bad environment variable: parse the
     # run timeout fail-soft, warn once, and mask the variable so the
     # session's own strict parse cannot re-raise.

@@ -135,7 +135,6 @@ class CMMController:
         detector_cfg: DetectorConfig | None = None,
         resilience_cfg: ResilienceConfig | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        trace: bool = True,
     ) -> None:
         self.platform = platform
         self.policy = policy
@@ -143,9 +142,6 @@ class CMMController:
         self.detector = AggDetector(detector_cfg)
         self.resilience = resilience_cfg or ResilienceConfig()
         self._sleep = sleep
-        # Tracing is observability only — on by default, and bit-identical
-        # either way (pinned by tests/chaos/test_differential.py).
-        self.trace = trace
         self._validator: SampleValidator | None = None
         self._last_chosen: ResourceConfig | None = None
         self._consecutive_failures = 0
@@ -277,17 +273,16 @@ class CMMController:
 
         record = EpochRecord(chosen, len(ctx.intervals), exec_sample, failure=failure)
         self._record_outcome(stats, record, epoch_index)
-        if self.trace:
-            stats.traces.append(
-                EpochTrace(
-                    epoch=epoch_index,
-                    policy=self.policy.name,
-                    stages=list(ctx.stage_traces) + [actuation],
-                    winner=config_summary(chosen),
-                    sampling_intervals=len(ctx.intervals),
-                    failure=failure,
-                )
+        stats.traces.append(
+            EpochTrace(
+                epoch=epoch_index,
+                policy=self.policy.name,
+                stages=list(ctx.stage_traces) + [actuation],
+                winner=config_summary(chosen),
+                sampling_intervals=len(ctx.intervals),
+                failure=failure,
             )
+        )
         return record
 
     def _run_degraded_epoch(self, stats: RunStats, epoch_index: int) -> EpochRecord:
@@ -302,17 +297,16 @@ class CMMController:
             stats.failures.append(f"epoch {epoch_index}: {failure}")
         record = EpochRecord(self._baseline(), 0, exec_sample, failure=failure)
         stats.epochs.append(record)
-        if self.trace:
-            stats.traces.append(
-                EpochTrace(
-                    epoch=epoch_index,
-                    policy=self.policy.name,
-                    winner=config_summary(record.chosen),
-                    sampling_intervals=0,
-                    failure=failure,
-                    degraded=True,
-                )
+        stats.traces.append(
+            EpochTrace(
+                epoch=epoch_index,
+                policy=self.policy.name,
+                winner=config_summary(record.chosen),
+                sampling_intervals=0,
+                failure=failure,
+                degraded=True,
             )
+        )
         return record
 
     def run(self, n_epochs: int) -> RunStats:

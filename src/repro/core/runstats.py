@@ -33,8 +33,8 @@ class RunStats:
     epochs: list[EpochRecord] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
     degraded: DegradedState | None = None
-    #: Structured per-epoch decision records (see repro.core.trace);
-    #: empty when the controller runs with ``trace=False``.
+    #: Structured per-epoch decision records (see repro.core.trace), one
+    #: per epoch; empty for cache-rehydrated stats whose traces are gone.
     traces: list[EpochTrace] = field(default_factory=list)
     #: Zero-copy go-live fallbacks the run's traces took (see
     #: ``MaterializedTrace.chunk``); 0 for live-generated traces and

@@ -51,12 +51,9 @@ def key_inputs(sc: ScaleConfig) -> tuple[dict, dict]:
     Both are pure functions of the frozen ``sc`` and cost ~100 us to
     rebuild, so they are built once per distinct scale (equal scales
     rebuilt from the wire share an entry).  The dicts are shared by every
-    caller: read-only.  ``sim_engine`` is dropped because engines are
-    differential-tested bit-identical (see ``PlannedRun.key_payload``).
+    caller: read-only.
     """
-    machine = asdict(sc.params())
-    machine.pop("sim_engine", None)
-    return sc.cache_key(), machine
+    return sc.cache_key(), asdict(sc.params())
 
 
 TINY = ScaleConfig(

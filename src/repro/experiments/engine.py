@@ -88,7 +88,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.speedup import harmonic_speedup, weighted_speedup, worst_case_speedup
 from repro.sim import tracestore
-from repro.sim.engines import ENGINE_AUTO, ENGINE_BATCH, ENV_VAR, EngineSpec, get_engine
+from repro.sim.engines import ENGINE_BATCH, EngineSpec, resolve_engine
 from repro.workloads.mixes import CATEGORIES, WorkloadMix, make_mixes
 from repro.workloads.speclike import BENCHMARKS
 
@@ -235,11 +235,10 @@ class PlannedRun:
     def key_payload(self) -> dict:
         """Everything the simulated outcome depends on.
 
-        The simulation engine choice and the trace-plane mode are both
-        differential-tested bit-identical (tests/sim/test_fast_engine.py,
-        tests/experiments/test_trace_plane.py), so neither can change
-        the outcome — excluding them keeps cached results valid across
-        engine/plane choices and default changes.  ``scale`` and
+        The simulation engine and the trace plane are not inputs: both
+        are differential-tested bit-identical (tests/sim/test_fast_engine.py,
+        tests/experiments/test_trace_plane.py), so cached results stay
+        valid across engine choices and default changes.  ``scale`` and
         ``machine`` are the shared dicts of :func:`key_inputs`: read-only.
         """
         scale, machine = key_inputs(self.sc)
@@ -751,10 +750,10 @@ class ExperimentSession:
         (ROADMAP item 1).
     engine:
         Simulation-engine name for this session's runs, resolved
-        through the :mod:`repro.sim.engines` registry (explicit
-        argument beats ``$REPRO_SIM_ENGINE`` beats ``auto``).  ``auto``
-        — the default — picks the batch engine, so serial mix-affine
-        mechanism groups execute through one shared
+        through :func:`repro.sim.engines.resolve_engine` (explicit
+        argument beats ``$REPRO_SIM_ENGINE`` beats ``batch``).  The
+        default, the batch engine, runs serial mix-affine mechanism
+        groups through one shared
         :class:`~repro.sim.batch.BatchKernel`; results are bit-identical
         to per-run execution, and the engine name never enters result
         cache keys.  Naming a non-batched engine (``fast``,
@@ -786,9 +785,8 @@ class ExperimentSession:
             cache = ResultCache(root)
         self.scale = scale
         self.cache = cache
-        if engine is not None and engine != ENGINE_AUTO:
-            get_engine(engine)  # typed EngineSelectionError on unknown names
         self.engine = engine
+        self._resolved_engine()  # EngineSelectionError on an unknown name
         if max_workers is None:
             self.max_workers = default_workers()
         else:
@@ -981,18 +979,15 @@ class ExperimentSession:
             raise ExperimentError(errors)
         return out
 
-    def _engine_spec(self) -> EngineSpec:
-        """This session's resolved engine (explicit > env > auto=batch).
+    def _resolved_engine(self) -> EngineSpec:
+        """This session's engine (explicit > env > batch).
 
-        Sessions resolve ``auto`` to the batch engine — unlike a bare
+        Sessions default to the batch engine — unlike a bare
         :class:`~repro.sim.machine.Machine`, a session sees whole plans
         and can group mix-affine runs — so setting ``$REPRO_SIM_ENGINE``
         (or ``engine=``) to a scalar engine is the off switch.
         """
-        name = self.engine or os.environ.get(ENV_VAR) or ENGINE_AUTO
-        if name == ENGINE_AUTO:
-            name = ENGINE_BATCH
-        return get_engine(name)
+        return resolve_engine(self.engine, ENGINE_BATCH)
 
     def _execute_batched(self, misses, finish):
         """Dispatch batchable groups; return leftover misses.
@@ -1010,8 +1005,7 @@ class ExperimentSession:
         Any failure returns the whole group to the scalar loop, which
         retains the retry semantics, and counts a degradation.
         """
-        spec = self._engine_spec()
-        if not spec.batched:
+        if not self._resolved_engine().batched:
             return misses
         from repro.experiments.batch import compute_mechanism_group, compute_single_core_group
         from repro.sim.batch import note_degradation

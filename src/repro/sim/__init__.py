@@ -19,7 +19,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.sim.cache": ("Cache", "PartitionedCache"),
     "repro.sim.engines": (
         "ENGINE_BATCH", "ENGINE_FAST", "ENGINE_REFERENCE", "EngineSelectionError",
-        "EngineSpec", "available_engines", "get_engine", "register_engine", "resolve_engine",
+        "EngineSpec", "available_engines", "resolve_engine",
     ),
     "repro.sim.fastcache": ("FastCache",),
     "repro.sim.machine": ("Machine",),
@@ -40,8 +40,6 @@ __all__ = [
     "EngineSelectionError",
     "EngineSpec",
     "available_engines",
-    "get_engine",
-    "register_engine",
     "resolve_engine",
     "Machine",
     "MsrFile",

@@ -1278,12 +1278,6 @@ class GroupedCore:
 
     # -- dense SoA views (inspection / property suite) -----------------
 
-    def _lane_of(self, run: int) -> _CoreLane:
-        for lane in self.lanes:
-            if run in lane.runs:
-                return lane
-        raise KeyError(f"run {run} not in any lane (retired?)")
-
     def cache_tensors(self, level: str = "l1"):
         """``(tags, stamps)`` as ``(runs, sets, ways)`` int64 tensors.
 

@@ -1,7 +1,6 @@
-"""Simulation-engine registry and selection.
+"""Simulation-engine choice: a closed table of three engines.
 
-Engines implement the machine's hot path.  Each is described by an
-:class:`EngineSpec` in a process-wide registry:
+Engines implement the machine's hot path:
 
 * ``reference`` — the original per-access object-oriented kernel
   (:mod:`repro.sim.cache` + ``Machine._run_core_chunk_reference``).
@@ -23,21 +22,20 @@ Engines implement the machine's hot path.  Each is described by an
   width 1 ≡ fast).
 
 Because every engine is pinned bit-identical, results never depend on
-the engine choice and the experiment cache keys deliberately exclude it
-(see ``PlannedRun.key_payload``).
+the engine choice and the experiment cache keys never contain it.
 
-Selection order: an explicit ``Machine(engine=...)`` argument beats
-``MachineParams.sim_engine`` beats the ``REPRO_SIM_ENGINE`` environment
-variable beats the default (``fast``).  All selection paths resolve
-through :func:`resolve_engine`, which returns the full
-:class:`EngineSpec`; unknown names raise :class:`EngineSelectionError`
-listing the registered engines.
+Selection order: an explicit name beats the ``REPRO_SIM_ENGINE``
+environment variable beats the caller's default — ``fast`` for a
+``Machine``, ``batch`` for an ``ExperimentSession``.  ``auto`` (or
+``None``) defers to the next rung.  Every path resolves through
+:func:`resolve_engine`; unknown names raise
+:class:`EngineSelectionError` listing the engines and ``auto``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ENGINE_REFERENCE = "reference"
 ENGINE_FAST = "fast"
@@ -50,119 +48,50 @@ DEFAULT_ENGINE = ENGINE_FAST
 
 
 class EngineSelectionError(ValueError):
-    """An engine name did not resolve against the registry.
-
-    Subclasses :class:`ValueError` so pre-registry callers that caught
-    ``ValueError`` keep working.
-    """
+    """An engine name is not one of the engines or ``auto``."""
 
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Registered description of one simulation engine.
-
-    ``kernel`` names the scalar kernel a ``Machine`` runs when built
-    with this engine (``"reference"`` or ``"fast"``); ``batch_width``
-    is the maximum number of runs one dispatch may advance together
-    (1 = scalar-only).  ``capabilities`` is a free-form tag set used by
-    the experiment layer (e.g. ``"multi-run"`` gates batch dispatch).
-    """
+    """One simulation engine: its ``name`` and the scalar ``kernel``
+    (``"reference"`` or ``"fast"``) a ``Machine`` built with it runs."""
 
     name: str
-    kernel: str = ENGINE_FAST
-    batch_width: int = 1
-    description: str = ""
-    capabilities: frozenset[str] = field(default_factory=frozenset)
+    kernel: str
 
     @property
     def batched(self) -> bool:
-        return self.batch_width > 1
-
-    def __post_init__(self) -> None:
-        if not self.name or self.name != self.name.strip().lower():
-            raise EngineSelectionError(
-                f"engine name must be a lowercase identifier, got {self.name!r}"
-            )
-        if self.kernel not in (ENGINE_REFERENCE, ENGINE_FAST):
-            raise EngineSelectionError(
-                f"engine kernel must be {ENGINE_REFERENCE!r} or {ENGINE_FAST!r}, "
-                f"got {self.kernel!r}"
-            )
-        if self.batch_width < 1:
-            raise EngineSelectionError(
-                f"engine batch_width must be >= 1, got {self.batch_width}"
-            )
+        """Whether a session dispatches mix-affine runs as batch groups."""
+        return self.name == ENGINE_BATCH
 
 
-_REGISTRY: dict[str, EngineSpec] = {}
-
-
-def register_engine(spec: EngineSpec, *, replace: bool = False) -> EngineSpec:
-    """Add an engine to the registry; returns the spec for chaining."""
-    if spec.name == ENGINE_AUTO:
-        raise EngineSelectionError(f"{ENGINE_AUTO!r} is reserved for deferred selection")
-    if spec.name in _REGISTRY and not replace:
-        raise EngineSelectionError(
-            f"engine {spec.name!r} is already registered (pass replace=True to override)"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
+_ENGINES = {
+    spec.name: spec
+    for spec in (
+        EngineSpec(ENGINE_REFERENCE, ENGINE_REFERENCE),
+        EngineSpec(ENGINE_FAST, ENGINE_FAST),
+        EngineSpec(ENGINE_BATCH, ENGINE_FAST),
+    )
+}
 
 
 def available_engines() -> tuple[str, ...]:
-    """Names of all registered engines, in registration order."""
-    return tuple(_REGISTRY)
+    """The engine names: ``("reference", "fast", "batch")``."""
+    return tuple(_ENGINES)
 
 
-def get_engine(name: str) -> EngineSpec:
-    """Look up a concrete engine name (no ``auto`` resolution)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise EngineSelectionError(
-            f"unknown simulation engine {name!r}; "
-            f"registered engines: {available_engines() + (ENGINE_AUTO,)}"
-        ) from None
-
-
-def resolve_engine(name: str | None = None) -> EngineSpec:
-    """Resolve an engine name (or ``auto``/None/env var) to its spec."""
+def resolve_engine(name: str | None = None, default: str = DEFAULT_ENGINE) -> EngineSpec:
+    """Resolve ``name``, then ``$REPRO_SIM_ENGINE``, then ``default``;
+    ``auto`` and ``None`` defer to the next rung."""
     n = (name or ENGINE_AUTO).strip().lower()
     if n == ENGINE_AUTO:
-        n = os.environ.get(ENV_VAR, "").strip().lower() or DEFAULT_ENGINE
-    if n not in _REGISTRY:
+        n = os.environ.get(ENV_VAR, "").strip().lower() or ENGINE_AUTO
+    if n == ENGINE_AUTO:
+        n = default
+    try:
+        return _ENGINES[n]
+    except KeyError:
         raise EngineSelectionError(
             f"unknown simulation engine {name!r} (resolved {n!r}); "
             f"one of {available_engines() + (ENGINE_AUTO,)}"
-        )
-    return _REGISTRY[n]
-
-
-register_engine(
-    EngineSpec(
-        name=ENGINE_REFERENCE,
-        kernel=ENGINE_REFERENCE,
-        description="per-access object-oriented kernel; semantic source of truth",
-    )
-)
-register_engine(
-    EngineSpec(
-        name=ENGINE_FAST,
-        kernel=ENGINE_FAST,
-        description="run-length-collapsed scalar chunk kernel, bit-identical to reference",
-    )
-)
-register_engine(
-    EngineSpec(
-        name=ENGINE_BATCH,
-        kernel=ENGINE_FAST,
-        batch_width=64,
-        capabilities=frozenset({"multi-run"}),
-        description=(
-            "multi-run masked-lockstep kernel over a shared materialized "
-            "trace (static sweeps and runs with divergent per-quantum "
-            "policies), bit-identical to fast; scalar fallback is the "
-            "fast kernel"
-        ),
-    )
-)
+        ) from None

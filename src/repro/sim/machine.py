@@ -69,13 +69,11 @@ class Machine:
         self.quantum = int(quantum)
         if self.quantum < 1:
             raise ValueError("quantum must be positive")
-        # Explicit argument beats params.sim_engine beats $REPRO_SIM_ENGINE.
-        # The registry resolves the name to a full EngineSpec; the spec's
-        # kernel decides which scalar hot path this machine runs (a
-        # batch-capable engine degrades to its scalar kernel here — the
-        # multi-run path lives in repro.sim.batch / repro.simulate_batch).
-        spec = resolve_engine(engine if engine is not None else self.params.sim_engine)
-        self.engine_spec = spec
+        # Explicit argument beats $REPRO_SIM_ENGINE beats fast.  The
+        # engine's kernel decides which scalar hot path this machine runs
+        # (batch degrades to its scalar kernel here — the multi-run path
+        # lives in repro.sim.batch / repro.simulate_batch).
+        spec = resolve_engine(engine)
         self.engine = spec.name
         self._fast = spec.kernel == ENGINE_FAST
         n = self.params.n_cores

@@ -86,23 +86,12 @@ class MachineParams:
     stride_degree: int = 2
     stride_confidence: int = 2
 
-    # Simulation-engine choice: "auto" or any name registered in the
-    # repro.sim.engines registry (auto defers to $REPRO_SIM_ENGINE,
-    # default fast).  The engines are differential-tested
-    # bit-identical, so this knob never changes a result — only how
-    # fast it is computed.
-    sim_engine: str = "auto"
-
     def __post_init__(self) -> None:
-        from repro.sim.engines import ENGINE_AUTO, get_engine
-
         if self.n_cores < 1:
             raise ValueError("need at least one core")
         for g in (self.l1, self.l2, self.llc):
             if g.line_bytes != self.line_bytes:
                 raise ValueError("all cache levels must share the machine line size")
-        if self.sim_engine != ENGINE_AUTO:
-            get_engine(self.sim_engine)  # raises EngineSelectionError if unknown
 
     @property
     def cycles_per_second(self) -> float:

@@ -39,7 +39,7 @@ Nothing is written to disk and there is no knob: code that holds no
 store (a bare ``build_machine``, a pool worker whose manifest misses)
 generates live.  The trace plane is a pure transport optimisation and
 is deliberately **excluded from experiment cache keys**, exactly like
-the ``sim_engine`` selection.
+the simulation-engine choice (:mod:`repro.sim.engines`).
 """
 
 from __future__ import annotations

@@ -78,10 +78,6 @@ def _seq(region: float, weight: float = 1.0, repeats: int = 8) -> StreamSpec:
     return StreamSpec("seq", region, weight, stride=1, repeats=repeats)
 
 
-def _strided(region: float, weight: float = 1.0, stride: int = 16) -> StreamSpec:
-    return StreamSpec("strided", region, weight, stride=stride, repeats=1)
-
-
 def _random(region: float, weight: float = 1.0) -> StreamSpec:
     return StreamSpec("random", region, weight)
 

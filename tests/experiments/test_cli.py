@@ -44,6 +44,26 @@ class TestParser:
         assert exc.value.code == 2
         assert "argument --workloads: must be >= 1" in capsys.readouterr().err
 
+    def test_unknown_engine_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "--engine", "warp"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --engine: invalid choice: 'warp'" in err
+        for name in ("reference", "fast", "batch", "auto"):
+            assert repr(name) in err
+
+    @pytest.mark.parametrize("host", ["0.0.0.0", "192.168.1.5", "::", "example.com"])
+    def test_serve_refuses_a_non_loopback_host(self, host, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--host", host])
+        assert exc.value.code == 2
+        assert f"argument --host: {host!r} is not a loopback address" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", "127.8.9.10", "::1", "localhost"])
+    def test_serve_accepts_a_loopback_host(self, host):
+        assert build_parser().parse_args(["serve", "--host", host]).host == host
+
 
 class TestBenchmarksCommand:
     def test_lists_registry(self, capsys):

@@ -100,7 +100,6 @@ class TestKeys:
 
         def full_digest(run: PlannedRun) -> str:
             machine = dataclasses.asdict(run.sc.params())
-            machine.pop("sim_engine")
             payload = dict(run.key_payload(), scale=run.sc.cache_key(), machine=machine)
             blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
             return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -139,6 +138,26 @@ class TestKeys:
             bigger = dataclasses.replace(run, sc=dataclasses.replace(SC, exec_units=4096))
             assert bigger.key() == full_digest(bigger) != run.key()
             assert len(derivations) == derived + 1
+
+
+    #: Literal ``key()`` digests of one TINY run per kind.  A change that
+    #: moves any of them orphans every cached result of that kind, so a
+    #: refactor of the key inputs (scale, machine parameters) must keep them.
+    PINNED_TINY_KEYS = {
+        "mechanism": "089552140c00d01dc2231ca31bb632602b3a9e9e3d65623ffcab03a15046cd91",
+        "alone": "63e241d60f0b8d68aadc2457606865c8c67d762f5b3637c5b5761241c6523f0b",
+        "profile": "3e5cdc26c12fba1e7dec0e8271ac1fd3202176eed42a84df34f08ddb26ff7c42",
+        "profile_ways": "4b5c05927ec2f13a0f400cf306c6c0c478565b3c566f5a221b43388d68487314",
+    }
+
+    def test_tiny_keys_are_pinned(self, mix):
+        runs = {
+            "mechanism": PlannedRun(KIND_MECHANISM, TINY, mix=mix, mechanism="cmm-a"),
+            "alone": PlannedRun(KIND_ALONE, TINY, bench="429.mcf"),
+            "profile": PlannedRun(KIND_PROFILE, TINY, bench="453.povray"),
+            "profile_ways": PlannedRun(KIND_PROFILE, TINY, bench="453.povray", way_sweep=(1, 2)),
+        }
+        assert {kind: run.key() for kind, run in runs.items()} == self.PINNED_TINY_KEYS
 
 
 class TestResultCache:

@@ -6,7 +6,7 @@ every run's payload is byte-identical to live generation (the path a
 pool worker takes without shared memory), decision/PMU fingerprints
 match the pre-hardening captures, and content-addressed cache keys are
 untouched (the plane is excluded from ``key_payload`` exactly like the
-``sim_engine`` choice).
+simulation-engine choice).
 """
 
 import dataclasses

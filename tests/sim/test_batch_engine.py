@@ -38,10 +38,7 @@ from repro.sim.engines import (
     ENGINE_REFERENCE,
     ENV_VAR,
     EngineSelectionError,
-    EngineSpec,
     available_engines,
-    get_engine,
-    register_engine,
     resolve_engine,
 )
 from repro.sim.tracestore import TraceStore
@@ -358,10 +355,12 @@ class TestSessionDispatch:
     def test_env_var_is_the_off_switch(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "fast")
         off = ExperimentSession(cache_dir=None, max_workers=1)
-        assert not off._engine_spec().batched
+        assert not off._resolved_engine().batched
         monkeypatch.delenv(ENV_VAR)
         auto = ExperimentSession(cache_dir=None, max_workers=1)
-        assert auto._engine_spec().batched
+        assert auto._resolved_engine().batched
+        named = ExperimentSession(cache_dir=None, max_workers=1, engine="fast")
+        assert not named._resolved_engine().batched
 
     def test_unknown_engine_rejected_at_construction(self):
         with pytest.raises(EngineSelectionError, match="unknown simulation engine"):
@@ -373,13 +372,12 @@ class TestEngineRegistry:
         names = available_engines()
         for name in (ENGINE_REFERENCE, ENGINE_FAST, ENGINE_BATCH):
             assert name in names
-        assert not get_engine(ENGINE_FAST).batched
-        assert get_engine(ENGINE_BATCH).batched
-        assert "multi-run" in get_engine(ENGINE_BATCH).capabilities
+        assert not resolve_engine(ENGINE_FAST).batched
+        assert resolve_engine(ENGINE_BATCH).batched
 
     def test_unknown_name_lists_engines(self):
         with pytest.raises(EngineSelectionError) as exc:
-            get_engine("warp")
+            resolve_engine("warp")
         msg = str(exc.value)
         for name in available_engines() + (ENGINE_AUTO,):
             assert name in msg
@@ -393,24 +391,6 @@ class TestEngineRegistry:
 
     def test_selection_error_is_a_value_error(self):
         assert issubclass(EngineSelectionError, ValueError)
-
-    def test_duplicate_registration_needs_replace(self):
-        spec = get_engine(ENGINE_FAST)
-        with pytest.raises(EngineSelectionError, match="already registered"):
-            register_engine(spec)
-        assert register_engine(spec, replace=True) is spec
-
-    def test_auto_name_reserved(self):
-        with pytest.raises(EngineSelectionError, match="reserved"):
-            register_engine(EngineSpec(name=ENGINE_AUTO))
-
-    def test_spec_validation(self):
-        with pytest.raises(EngineSelectionError, match="lowercase"):
-            EngineSpec(name="Fast")
-        with pytest.raises(EngineSelectionError, match="kernel"):
-            EngineSpec(name="x", kernel="warp")
-        with pytest.raises(EngineSelectionError, match="batch_width"):
-            EngineSpec(name="x", batch_width=0)
 
     def test_resolve_auto_follows_env(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "reference")

@@ -169,18 +169,9 @@ class TestEngineSelection:
         monkeypatch.setenv(ENV_VAR, "reference")
         assert Machine(tiny_params).engine == ENGINE_REFERENCE
 
-    def test_params_field_beats_env(self, tiny_params, monkeypatch):
-        from dataclasses import replace
-
-        monkeypatch.setenv(ENV_VAR, "fast")
-        params = replace(tiny_params, sim_engine="reference")
-        assert Machine(params).engine == ENGINE_REFERENCE
-
-    def test_explicit_arg_beats_params(self, tiny_params):
-        from dataclasses import replace
-
-        params = replace(tiny_params, sim_engine="reference")
-        assert Machine(params, engine="fast").engine == ENGINE_FAST
+    def test_explicit_arg_beats_env(self, tiny_params, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "reference")
+        assert Machine(tiny_params, engine="fast").engine == ENGINE_FAST
 
     def test_invalid_engine_rejected(self, tiny_params, monkeypatch):
         with pytest.raises(ValueError, match="unknown simulation engine"):
@@ -188,10 +179,3 @@ class TestEngineSelection:
         monkeypatch.setenv(ENV_VAR, "warp")
         with pytest.raises(ValueError, match="unknown simulation engine"):
             resolve_engine(None)
-
-    def test_engine_excluded_from_cache_key(self):
-        from repro.experiments.config import TINY
-        from repro.experiments.engine import KIND_ALONE, PlannedRun
-
-        payload = PlannedRun(kind=KIND_ALONE, sc=TINY, bench="410.bwaves").key_payload()
-        assert "sim_engine" not in payload["machine"]
