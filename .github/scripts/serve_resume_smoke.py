@@ -11,9 +11,11 @@ the batch before the signal landed, the journal is sealed, ``--resume``
 is a no-op, and the payloads are already in the cache — either way
 every key must be present and identical to the baseline.
 
-Before it is shut down, the resumed daemon is sent one malformed run (a
-list where the scale's ``quantum`` should be an int): it must answer
-with a ``protocol`` error, journal nothing, and keep the connection.
+Before it is shut down, the resumed daemon is sent three runs it must
+refuse at decode: a malformed one (a list where the scale's ``quantum``
+should be an int), a ``kind: "hook"`` run naming a ``module:function``,
+and one with ``llc_scale: 0``.  Each must get a ``protocol`` error,
+journal nothing, and keep the connection.
 On that same connection it is then asked for the same batch again,
 warm.  Every result must come back ``cached: true`` and
 byte-identical to the baseline; once every key is in the daemon's
@@ -108,14 +110,19 @@ def main() -> int:
         wait_for(sock.exists, 300, "the resumed daemon's socket")
         with ServiceClient(path=sock) as cli:
             assert cli.ping()["ok"]
-            # A malformed run is refused at decode with a structured
-            # error; the connection stays up for the warm batch below.
+            # Malformed, code-naming and zero-scale runs are refused at
+            # decode with a structured error; the connection stays up
+            # for the warm batch below.
             journals = sorted(wal.glob("*.jsonl"))
-            bad = run_to_wire(runs[0])
-            bad["scale"]["quantum"] = [bad["scale"]["quantum"]]
-            refused = cli.submit([bad])
-            assert not refused["ok"] and refused["error"]["type"] == "protocol", refused
-            assert sorted(wal.glob("*.jsonl")) == journals, "a refused run wrote a journal"
+            malformed = run_to_wire(runs[0])
+            malformed["scale"]["quantum"] = [malformed["scale"]["quantum"]]
+            hook = run_to_wire(runs[0]) | {"kind": "hook", "bench": "os:getcwd"}
+            zero_scale = run_to_wire(runs[0])
+            zero_scale["scale"]["llc_scale"] = 0
+            for bad in (malformed, hook, zero_scale):
+                refused = cli.submit([bad])
+                assert not refused["ok"] and refused["error"]["type"] == "protocol", refused
+                assert sorted(wal.glob("*.jsonl")) == journals, "a refused run wrote a journal"
             warm = [cli.submit(runs)]
             journals = sorted(wal.glob("*.jsonl"))
             warm.append(cli.submit(runs))
@@ -146,7 +153,7 @@ def main() -> int:
         assert json.dumps(served, sort_keys=True) == json.dumps(baseline, sort_keys=True), \
             "warm resubmit payloads diverged from an uninterrupted run"
     print(f"serve resume smoke OK: {len(runs)} payloads bit-identical after SIGKILL + --resume, "
-          "malformed run refused, warm resubmits cached and unjournaled")
+          "malformed, hook and zero-scale runs refused, warm resubmits cached and unjournaled")
     return 0
 
 

@@ -13,11 +13,16 @@ robustness layer promises:
 
 Used by ``repro chaos`` (the CLI gate CI runs across seeds) and the
 chaos test suite.
+
+Run failures for the engine and service gates are injected in process
+through :func:`injected_faults`; nothing on the wire can name one.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from repro.workloads.mixes import WorkloadMix, make_mixes
 __all__ = [
     "ChaosReport",
     "ServiceChaosReport",
-    "chaos_failing_hook",
+    "injected_faults",
     "run_chaos_scenario",
     "run_service_chaos_scenario",
 ]
@@ -150,9 +155,33 @@ def run_chaos_scenario(
 # ``run-failed``), and bit-identity (payloads match a clean session).
 
 
-def chaos_failing_hook(run) -> dict:
-    """Hook bench that always fails; drives the structured-error path."""
-    raise RuntimeError("chaos_failing_hook: injected run failure")
+@contextlib.contextmanager
+def injected_faults(faults: Mapping[str, Callable]) -> Iterator[None]:
+    """Call ``faults[run.key()](run)`` in place of that run's compute function.
+
+    Wraps the engine's dispatch table for the block and restores it
+    exactly on exit.  Only the scalar paths read the table (a lone
+    mechanism miss, a pooled run, any run of an ``engine="fast"``
+    session), and pool workers see the wrap only if forked inside it.
+    """
+    from repro.experiments import engine
+
+    table = engine._COMPUTE
+    saved = dict(table)
+
+    def faulted(compute: Callable) -> Callable:
+        return lambda run: faults.get(run.key(), compute)(run)
+
+    table.update({kind: faulted(compute) for kind, compute in saved.items()})
+    try:
+        yield
+    finally:
+        table.clear()
+        table.update(saved)
+
+
+def _failing_run(run) -> dict:
+    raise RuntimeError("injected run failure")
 
 
 @dataclass
@@ -196,15 +225,16 @@ def run_service_chaos_scenario(
     ``clients`` threads each drive their own :class:`ServiceClient`
     against one background :class:`ExperimentService` on an in-memory
     :class:`ResultCache`.  Batches overlap heavily (every client submits
-    a rotation of the same run pool, including one always-failing hook
-    run), so the single-flight invariant is under real contention.
+    a rotation of the same run pool: four alone runs and one mechanism
+    run faulted to raise), so the single-flight invariant is under real
+    contention.
     """
     import json as _json
     import threading
 
     from repro.experiments.engine import (
         KIND_ALONE,
-        KIND_HOOK,
+        KIND_MECHANISM,
         ExperimentSession,
         PlannedRun,
         ResultCache,
@@ -219,13 +249,9 @@ def run_service_chaos_scenario(
         scheduler_config=SchedulerConfig(max_pending=512, max_client_pending=128),
     )
 
-    benches = list(
-        dict.fromkeys(make_mixes("pref_agg", 1, seed=sc.seed + seed)[0].benchmarks)
-    )[:4]
-    pool = [PlannedRun(KIND_ALONE, sc, bench=b) for b in benches]
-    pool.append(
-        PlannedRun(KIND_HOOK, sc, bench="repro.experiments.chaos:chaos_failing_hook")
-    )
+    mix = make_mixes("pref_agg", 1, seed=sc.seed + seed)[0]
+    pool = [PlannedRun(KIND_ALONE, sc, bench=b) for b in list(dict.fromkeys(mix.benchmarks))[:4]]
+    pool.append(PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism="baseline"))
     expect_keys = {r.key() for r in pool}
     fail_key = pool[-1].key()
 
@@ -240,9 +266,8 @@ def run_service_chaos_scenario(
                 got.append(cli.submit(pool[rot:] + pool[:rot]))
             responses[idx] = got
 
-    service.start_background()
     problems: list[str] = []
-    try:
+    with injected_faults({fail_key: _failing_run}), service:
         threads = [
             threading.Thread(target=drive, args=(i,), name=f"chaos-client-{i}")
             for i in range(clients)
@@ -278,7 +303,7 @@ def run_service_chaos_scenario(
                             problems.append(f"unstructured error for {outcome['key']}")
                         elif outcome["key"] == fail_key and err["type"] != "run-failed":
                             problems.append(
-                                f"failing hook reported {err['type']!r}, not 'run-failed'"
+                                f"failing run reported {err['type']!r}, not 'run-failed'"
                             )
         if not hung and outcomes == 0:
             problems.append("no outcomes returned by any client")
@@ -294,8 +319,6 @@ def run_service_chaos_scenario(
                 problems.append(f"single-flight violated: key {key[:12]}… executed {n}×")
         if set(per_key) - expect_keys:
             problems.append("executed keys outside the submitted pool")
-    finally:
-        service.close()
 
     # Bit-identity: a clean local session must produce byte-equal
     # payloads for every key the service executed successfully.

@@ -25,6 +25,12 @@ class ScaleConfig:
     profile_accesses: int = 40960   # Figs. 1-3 profiling runs
     seed: int = 2019
 
+    def __post_init__(self) -> None:
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"ScaleConfig.{name} must be a positive int, got {value!r}")
+
     def params(self) -> MachineParams:
         return scaled_params(self.llc_scale, n_cores=self.n_cores)
 
@@ -42,6 +48,13 @@ class ScaleConfig:
         for presentation_only in ("name", "workloads_per_category", "seed"):
             d.pop(presentation_only)
         return d
+
+
+#: Every size a run is built from: zero or negative is not a scale.
+_POSITIVE_FIELDS = (
+    "llc_scale", "n_cores", "quantum", "sample_units", "exec_units", "n_epochs",
+    "workloads_per_category", "alone_accesses", "profile_accesses",
+)
 
 
 @lru_cache(maxsize=128)

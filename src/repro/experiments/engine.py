@@ -121,11 +121,6 @@ SCHEMA_VERSION = 1
 KIND_MECHANISM = "mechanism"
 KIND_ALONE = "alone"
 KIND_PROFILE = "profile"
-#: Extension point: ``bench`` holds a ``"module:function"`` path to a
-#: top-level callable ``f(PlannedRun) -> dict`` resolved inside the
-#: worker.  Used by the chaos suite to drive crashing/hanging workers
-#: through the exact production pool path.
-KIND_HOOK = "hook"
 
 
 # --------------------------------------------------------------- defaults
@@ -203,11 +198,15 @@ class PlannedRun:
     way_sweep: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        # An unknown mechanism is bad input, not a worker fault: fail
-        # eagerly with the registry's KeyError instead of letting the
-        # failure-handling machinery report it as a failed run.
+        # Bad input is not a worker fault: fail eagerly instead of
+        # letting the failure-handling machinery report a failed run.
+        if self.kind not in (KIND_MECHANISM, KIND_ALONE, KIND_PROFILE):
+            raise ValueError(f"unknown run kind {self.kind!r}")
         if self.kind == KIND_MECHANISM and self.mechanism not in POLICIES:
             raise KeyError(f"unknown policy {self.mechanism!r}; one of {sorted(POLICIES)}")
+        # Ways above the LLC's are legal (``swept_ways`` drops them).
+        if self.way_sweep and min(self.way_sweep) < 1:
+            raise ValueError(f"way_sweep entries must be >= 1, got {list(self.way_sweep)}")
 
     @property
     def label(self) -> str:
@@ -215,8 +214,6 @@ class PlannedRun:
             return f"{self.mix.name}/{self.mechanism}"
         if self.kind == KIND_ALONE:
             return f"alone/{self.bench}"
-        if self.kind == KIND_HOOK:
-            return f"hook/{self.bench}"
         return f"profile/{self.bench}" + ("+ways" if self.way_sweep else "")
 
     @property
@@ -256,13 +253,9 @@ class PlannedRun:
             payload["mechanism"] = self.mechanism
         elif self.kind == KIND_ALONE:
             payload["bench"] = self.bench
-        elif self.kind == KIND_PROFILE:
+        else:  # KIND_PROFILE
             payload["bench"] = self.bench
             payload["way_sweep"] = list(self.way_sweep) if self.way_sweep else None
-        elif self.kind == KIND_HOOK:
-            payload["hook"] = self.bench
-        else:  # pragma: no cover - guarded by constructors
-            raise ValueError(f"unknown run kind {self.kind!r}")
         return payload
 
     def key(self) -> str:
@@ -337,19 +330,10 @@ def _profile_payload(prof: AloneProfile) -> dict:
     }
 
 
-def _compute_hook(run: PlannedRun) -> dict:
-    import importlib
-
-    module_name, _, func_name = run.bench.partition(":")
-    fn = getattr(importlib.import_module(module_name), func_name)
-    return fn(run)
-
-
 _COMPUTE: dict[str, Callable[[PlannedRun], dict]] = {
     KIND_MECHANISM: _compute_mechanism,
     KIND_ALONE: _compute_alone,
     KIND_PROFILE: _compute_profile,
-    KIND_HOOK: _compute_hook,
 }
 
 
@@ -1014,20 +998,18 @@ class ExperimentSession:
         for key, r in misses:
             if r.kind == KIND_MECHANISM:
                 g = ("mix", r.affinity_group, r.sc.name)
-            elif r.kind in (KIND_PROFILE, KIND_ALONE):
-                g = ("single-core", r.sc)
             else:
-                g = ("#single", key)
+                g = ("single-core", r.sc)
             groups.setdefault(g, []).append((key, r))
         remaining: list[tuple[str, PlannedRun]] = []
         for (shape, *_), grp in groups.items():
             runs = [r for _, r in grp]
             try:
-                if shape == "mix" and len(grp) >= 2:
-                    rows = [(p, s, ()) for p, s in compute_mechanism_group(runs, self.trace_store)]
-                elif shape == "single-core":
+                if shape == "single-core":
                     rows = compute_single_core_group(runs, self.trace_store)
-                else:
+                elif len(grp) >= 2:
+                    rows = [(p, s, ()) for p, s in compute_mechanism_group(runs, self.trace_store)]
+                else:  # a lone mechanism miss has no group to share
                     remaining.extend(grp)
                     continue
             except Exception:

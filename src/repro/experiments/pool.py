@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 from repro.experiments.engine import (
     KIND_ALONE,
     KIND_MECHANISM,
-    KIND_PROFILE,
     PlannedRun,
     _execute_planned,
 )
@@ -74,27 +73,16 @@ def trace_requirements(run: PlannedRun) -> list[dict]:
             }
             for core, bench in enumerate(run.mix.benchmarks)
         ]
-    if run.kind == KIND_ALONE:
-        return [
-            {
-                "spec": run.bench,
-                "llc_lines": llc_lines,
-                "base_line": 0,
-                "seed": 0,
-                "length": 2 * sc.alone_accesses,
-            }
-        ]
-    if run.kind == KIND_PROFILE:
-        return [
-            {
-                "spec": run.bench,
-                "llc_lines": llc_lines,
-                "base_line": 0,
-                "seed": 0,
-                "length": 2 * sc.profile_accesses,
-            }
-        ]
-    return []  # hooks consume no traces
+    accesses = sc.alone_accesses if run.kind == KIND_ALONE else sc.profile_accesses
+    return [
+        {
+            "spec": run.bench,
+            "llc_lines": llc_lines,
+            "base_line": 0,
+            "seed": 0,
+            "length": 2 * accesses,
+        }
+    ]
 
 
 def manifest_for(session: ExperimentSession, run: PlannedRun) -> dict | None:

@@ -26,9 +26,15 @@ result or a structured error, never a dropped connection mid-protocol.
 Run objects serialize everything a :class:`PlannedRun` needs to be
 reconstructed in another process: the full :class:`ScaleConfig` (not
 just its name, so custom scales travel), the workload mix, and the
-kind-specific fields.  :func:`run_from_wire` validates eagerly and
-raises :class:`ProtocolError` on malformed input so bad requests are
-rejected at the front door, not deep inside a worker.
+kind-specific fields.  A run names data, never code: its kind is one of
+``mechanism`` (a policy on a mix), ``alone`` (one benchmark's alone IPC)
+or ``profile`` (one benchmark's single-core profile, optionally over a
+way sweep).  :func:`run_from_wire` validates eagerly and raises
+:class:`ProtocolError` on malformed input so bad requests are rejected
+at the front door, not deep inside a worker.  At decode it checks every
+field's JSON type, benchmark and mechanism names against their
+registries, that every scale size is a positive int and builds a
+machine, and that every ``way_sweep`` entry is at least 1.
 """
 
 from __future__ import annotations
@@ -36,10 +42,9 @@ from __future__ import annotations
 import json
 from typing import Any, get_type_hints
 
-from repro.experiments.config import ScaleConfig
+from repro.experiments.config import ScaleConfig, key_inputs
 from repro.experiments.engine import (
     KIND_ALONE,
-    KIND_HOOK,
     KIND_MECHANISM,
     KIND_PROFILE,
     PlannedRun,
@@ -143,9 +148,11 @@ def _scale_from_wire(d: dict) -> ScaleConfig:
                 f"scale field {field!r} must be {typ.__name__}, got {type(value).__name__}"
             )
     try:
-        return ScaleConfig(**d)
-    except TypeError as e:  # unknown or missing fields
+        sc = ScaleConfig(**d)
+        key_inputs(sc)  # memoised per scale: refuses a machine that cannot be built
+    except (TypeError, ValueError) as e:  # unknown, missing or non-positive fields
         raise ProtocolError(f"invalid scale config: {e}") from None
+    return sc
 
 
 def _mix_from_wire(m: dict) -> WorkloadMix:
@@ -163,9 +170,10 @@ def _mix_from_wire(m: dict) -> WorkloadMix:
 def run_from_wire(wire: dict) -> PlannedRun:
     """Reconstruct a :class:`PlannedRun`; :class:`ProtocolError` on bad input.
 
-    Every field is checked against its declared type (and benchmark names
-    against the registry) before the run exists, so a malformed run is
-    refused here and never reaches key derivation, the journal or a worker.
+    Every field is checked against its declared type and range (benchmark
+    and mechanism names against their registries) before the run exists,
+    so a malformed run is refused here and never reaches the scheduler,
+    the journal or a worker.
     """
     if not isinstance(wire, dict):
         raise ProtocolError(f"run object must be a dict, got {type(wire).__name__}")
@@ -173,7 +181,7 @@ def run_from_wire(wire: dict) -> PlannedRun:
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported run wire version {version!r}")
     kind = _require(wire, "kind", str)
-    if kind not in (KIND_MECHANISM, KIND_ALONE, KIND_PROFILE, KIND_HOOK):
+    if kind not in (KIND_MECHANISM, KIND_ALONE, KIND_PROFILE):
         raise ProtocolError(f"unknown run kind {kind!r}")
     sc = _scale_from_wire(_require(wire, "scale", dict))
     mix = _mix_from_wire(_require(wire, "mix", dict)) if "mix" in wire else None
@@ -181,10 +189,10 @@ def run_from_wire(wire: dict) -> PlannedRun:
         raise ProtocolError("mechanism runs require a mix")
     mechanism = _optional(wire, "mechanism", str)
     bench = _optional(wire, "bench", str)
-    if kind in (KIND_ALONE, KIND_PROFILE, KIND_HOOK):
+    if kind in (KIND_ALONE, KIND_PROFILE):
         if bench is None:
             raise ProtocolError(f"{kind} runs require a bench")
-        if kind != KIND_HOOK and bench not in BENCHMARKS:  # hooks name ``module:function``
+        if bench not in BENCHMARKS:
             raise ProtocolError(f"{kind} run names unknown benchmark {bench!r}")
     way_sweep = _optional(wire, "way_sweep", list)
     if way_sweep is not None:
@@ -200,5 +208,5 @@ def run_from_wire(wire: dict) -> PlannedRun:
             bench=bench,
             way_sweep=way_sweep,
         )
-    except KeyError as e:  # unknown mechanism — PlannedRun validates eagerly
+    except (KeyError, ValueError) as e:  # unknown mechanism or a way below 1
         raise ProtocolError(str(e)) from None

@@ -1,8 +1,9 @@
 """Engine failure paths: worker exceptions, crashes, hangs, broken pools.
 
-Drives real misbehaving workers through the production pool via
-``KIND_HOOK`` runs.  Uses the ``fork`` start method so hook paths in
-``tests.chaos.workers`` resolve inside children without installation.
+Drives real misbehaving workers through the production pool: real
+``alone`` runs, some replaced by the faults in ``tests.chaos.workers``
+through :func:`~repro.experiments.chaos.injected_faults`.  Uses the
+``fork`` start method so pool workers inherit the installed faults.
 """
 
 import dataclasses
@@ -10,23 +11,28 @@ import multiprocessing
 
 import pytest
 
+from repro.experiments import engine as E
+from repro.experiments.chaos import injected_faults
 from repro.experiments.config import TINY
 from repro.experiments.engine import (
-    KIND_HOOK,
+    KIND_ALONE,
     ExperimentError,
     ExperimentSession,
     PlannedRun,
 )
+from tests.chaos.workers import boom, crash, hang
 
-SC = dataclasses.replace(TINY, name="unit")
+SC = dataclasses.replace(TINY, name="unit", alone_accesses=2048)
 FORK = multiprocessing.get_context("fork")
+
+#: Healthy stand-ins, and the run each test faults.
+OK_A, OK_B, OK_C, FAULTY = (
+    PlannedRun(KIND_ALONE, SC, bench=b)
+    for b in ("410.bwaves", "462.libquantum", "459.GemsFDTD", "470.lbm")
+)
 
 
 pytestmark = pytest.mark.usefixtures("plenty_of_cpus")
-
-
-def hook(name):
-    return PlannedRun(KIND_HOOK, SC, bench=f"tests.chaos.workers:{name}")
 
 
 def make_session(tmp_path, **kw):
@@ -35,66 +41,81 @@ def make_session(tmp_path, **kw):
     return ExperimentSession(cache_dir=tmp_path / "cache", **kw)
 
 
+class TestFaultSeam:
+    def test_table_is_restored_after_a_raising_body(self):
+        table, before = E._COMPUTE, dict(E._COMPUTE)
+        with pytest.raises(RuntimeError, match="body"), injected_faults({FAULTY.key(): boom}):
+            assert E._COMPUTE[KIND_ALONE] is not before[KIND_ALONE]
+            raise RuntimeError("body")
+        assert E._COMPUTE is table and E._COMPUTE == before
+
+
 class TestWorkerExceptions:
     def test_raising_worker_fails_only_itself(self, tmp_path):
         session = make_session(tmp_path)
-        runs = [hook("ok_a"), hook("ok_b"), hook("boom")]
-        with pytest.raises(ExperimentError) as ei:
-            session.execute(runs)
+        with injected_faults({FAULTY.key(): boom}), pytest.raises(ExperimentError) as ei:
+            session.execute([OK_A, OK_B, FAULTY])
         assert len(ei.value.errors) == 1
         assert "injected worker exception" in str(ei.value)
         # The healthy runs completed and were cached despite the failure.
-        out = session.execute([hook("ok_a"), hook("ok_b")])
-        assert all(p["ok"] for p in out.values())
+        out = session.execute([OK_A, OK_B])
+        assert all("ipc" in p for p in out.values())
+        assert all(r.cached for r in session.records[-2:])
 
     def test_strict_false_reports_instead_of_raising(self, tmp_path):
         session = make_session(tmp_path)
-        out = session.execute([hook("ok_a"), hook("boom")], strict=False)
+        with injected_faults({FAULTY.key(): boom}):
+            out = session.execute([OK_A, FAULTY], strict=False)
         assert len(out) == 1
         failed = [r for r in session.records if r.error]
-        assert len(failed) == 1 and "boom" in failed[0].label
+        assert len(failed) == 1 and failed[0].key == FAULTY.key()
 
     def test_failed_key_is_remembered_not_rerun(self, tmp_path):
         session = make_session(tmp_path)
-        session.execute([hook("ok_a"), hook("boom")], strict=False)
+        with injected_faults({FAULTY.key(): boom}):
+            session.execute([OK_A, FAULTY], strict=False)
         records_before = len(session.records)
         with pytest.raises(ExperimentError):
-            session.execute([hook("boom")])
+            session.execute([FAULTY])
         # Re-reported from session memory: exactly one new record, no pool.
         assert len(session.records) == records_before + 1
         assert session.records[-1].error is not None
 
     def test_serial_path_retries_then_fails(self, tmp_path):
-        session = make_session(tmp_path, max_workers=1, run_retries=1)
-        with pytest.raises(ExperimentError):
-            session.execute([hook("boom")])
-        assert hook("boom").key() in session.failed
+        session = make_session(tmp_path, max_workers=1, run_retries=1, engine="fast")
+        attempts = []
+        with injected_faults({FAULTY.key(): lambda run: attempts.append(1) or boom(run)}):
+            with pytest.raises(ExperimentError):
+                session.execute([FAULTY])
+        assert FAULTY.key() in session.failed
+        assert len(attempts) == 2
 
 
 class TestBrokenPool:
     def test_crashing_worker_does_not_sink_the_batch(self, tmp_path):
         session = make_session(tmp_path)
-        runs = [hook("ok_a"), hook("ok_b"), hook("ok_c"), hook("crash")]
-        out = session.execute(runs, strict=False)
+        with injected_faults({FAULTY.key(): crash}):
+            out = session.execute([OK_A, OK_B, OK_C, FAULTY], strict=False)
         # Every healthy run completed; only the crasher is reported failed.
         assert len(out) == 3
-        assert all(p["ok"] for p in out.values())
-        assert list(session.failed) == [hook("crash").key()]
+        assert all("ipc" in p for p in out.values())
+        assert list(session.failed) == [FAULTY.key()]
 
     def test_completed_results_survive_a_pool_crash(self, tmp_path):
         session = make_session(tmp_path)
-        session.execute([hook("ok_a"), hook("ok_b"), hook("crash")], strict=False)
+        with injected_faults({FAULTY.key(): crash}):
+            session.execute([OK_A, OK_B, FAULTY], strict=False)
         # A fresh session sees the healthy results on disk.
         fresh = make_session(tmp_path, max_workers=1)
-        fresh.execute([hook("ok_a"), hook("ok_b")])
+        fresh.execute([OK_A, OK_B])
         assert all(r.cached for r in fresh.records)
 
 
 class TestTimeouts:
     def test_hung_worker_times_out_without_sinking_the_batch(self, tmp_path):
         session = make_session(tmp_path, run_timeout=0.6)
-        runs = [hook("ok_a"), hook("ok_b"), hook("hang")]
-        out = session.execute(runs, strict=False)
+        with injected_faults({FAULTY.key(): hang}):
+            out = session.execute([OK_A, OK_B, FAULTY], strict=False)
         assert len(out) == 2
         (msg,) = [r.error for r in session.records if r.error]
         assert "timeout" in msg
@@ -116,10 +137,8 @@ class TestTimeouts:
 
 class TestSweepResilience:
     def test_sweep_skips_broken_workloads_and_warns(self, tmp_path, monkeypatch):
-        from repro.experiments import engine as E
-
         # Pin the scalar engine: the sabotage point is the per-run
-        # compute hook, which batched group dispatch legitimately
+        # compute function, which batched group dispatch legitimately
         # bypasses (batch-layer failure fallback is covered in
         # test_batch_chaos.py).
         session = make_session(tmp_path, max_workers=1, engine="fast")

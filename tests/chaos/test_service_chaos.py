@@ -12,17 +12,17 @@ import threading
 
 import pytest
 
-from repro.experiments.chaos import run_service_chaos_scenario
+from repro.experiments.chaos import injected_faults, run_service_chaos_scenario
 from repro.experiments.config import TINY
-from repro.experiments.engine import KIND_HOOK, ExperimentSession, PlannedRun
+from repro.experiments.engine import KIND_ALONE, ExperimentSession, PlannedRun
 from repro.service import ExperimentService, ServiceClient
+from tests.chaos.workers import crash
 
 SC = dataclasses.replace(TINY, name="unit", alone_accesses=2000)
 FORK = multiprocessing.get_context("fork")
-
-
-def hook(name: str) -> PlannedRun:
-    return PlannedRun(KIND_HOOK, SC, bench=f"tests.chaos.workers:{name}")
+OK_A, OK_B, CRASHING = (
+    PlannedRun(KIND_ALONE, SC, bench=b) for b in ("410.bwaves", "462.libquantum", "470.lbm")
+)
 
 
 class TestScenarioRunner:
@@ -32,7 +32,7 @@ class TestScenarioRunner:
         assert report.ok, report.problems
         # Single-flight cap: executions never exceed the unique keys.
         assert report.executions <= report.unique_keys
-        # Every client's failing-hook outcome arrived as a structured error.
+        # Every client's failing-run outcome arrived as a structured error.
         assert report.structured_errors > 0
 
 
@@ -42,7 +42,7 @@ class TestWorkerCrash:
         session = ExperimentSession(
             cache_dir=tmp_path / "cache", max_workers=2, mp_context=FORK)
         service = ExperimentService(session=session, journal_dir=tmp_path / "wal")
-        runs = [hook("ok_a"), hook("crash"), hook("ok_b")]
+        runs = [OK_A, CRASHING, OK_B]
         responses: dict[int, dict] = {}
 
         def drive(idx: int) -> None:
@@ -50,7 +50,7 @@ class TestWorkerCrash:
                 rot = idx % len(runs)
                 responses[idx] = cli.submit(runs[rot:] + runs[:rot])
 
-        with service:
+        with service, injected_faults({CRASHING.key(): crash}):
             threads = [threading.Thread(target=drive, args=(i,)) for i in range(4)]
             for t in threads:
                 t.start()
@@ -58,7 +58,7 @@ class TestWorkerCrash:
                 t.join(timeout=120)
                 assert not t.is_alive(), "client hung on a crashed worker"
 
-        crash_key = hook("crash").key()
+        crash_key = CRASHING.key()
         for idx, resp in responses.items():
             assert resp["ok"], resp
             for outcome in resp["results"]:

@@ -2,10 +2,10 @@
 session — not after worker crashes, not after KeyboardInterrupt, not
 after a session is simply dropped.
 
-Uses the ``fork`` start method and real mechanism runs (which publish
-segments) mixed with the misbehaving ``KIND_HOOK`` workers from
-``tests.chaos.workers``, so the leak paths exercised are the
-production pool paths.
+Uses the ``fork`` start method and real mechanism and alone runs (which
+publish segments), some replaced by the faults in ``tests.chaos.workers``
+through :func:`~repro.experiments.chaos.injected_faults`, so the leak
+paths exercised are the production pool paths.
 """
 
 import dataclasses
@@ -19,9 +19,10 @@ import textwrap
 import pytest
 
 from repro.experiments import pool
+from repro.experiments.chaos import injected_faults
 from repro.experiments.config import TINY
 from repro.experiments.engine import (
-    KIND_HOOK,
+    KIND_ALONE,
     KIND_MECHANISM,
     ExperimentSession,
     PlannedRun,
@@ -29,20 +30,24 @@ from repro.experiments.engine import (
 from repro.platform.faults import verify_no_segment_leaks
 from repro.sim.tracestore import shm_residue
 from repro.workloads.mixes import make_mixes
+from tests.chaos.workers import crash, hang, slow
 
 SC = dataclasses.replace(
     TINY, name="unit", quantum=256, sample_units=256, exec_units=2048, alone_accesses=4096
 )
 FORK = multiprocessing.get_context("fork")
 
+#: Healthy stand-ins, and the run each test faults.
+OK_A, OK_B, OK_C, SLOW_A, SLOW_B, SLOW_C, FAULTY = (
+    PlannedRun(KIND_ALONE, SC, bench=b)
+    for b in ("410.bwaves", "462.libquantum", "459.GemsFDTD", "437.leslie3d",
+              "481.wrf", "433.milc", "470.lbm")
+)
+
 pytestmark = [
     pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no POSIX shared-memory filesystem"),
     pytest.mark.usefixtures("plenty_of_cpus"),
 ]
-
-
-def hook(name):
-    return PlannedRun(KIND_HOOK, SC, bench=f"tests.chaos.workers:{name}")
 
 
 def mech(mechanism):
@@ -63,10 +68,10 @@ class TestWorkerCrash:
         pool finishes the mechanism runs, and close() leaves /dev/shm
         clean — the dead worker only ever *attached*."""
         session = make_session(tmp_path)
-        runs = [mech("baseline"), hook("crash"), mech("cmm-a")]
-        out = session.execute(runs, strict=False)
+        with injected_faults({FAULTY.key(): crash}):
+            out = session.execute([mech("baseline"), FAULTY, mech("cmm-a")], strict=False)
         assert len(out) == 2  # both mechanism runs completed
-        assert list(session.failed) == [hook("crash").key()]
+        assert list(session.failed) == [FAULTY.key()]
         assert shm_residue()  # plane was used
         session.close()
         assert verify_no_segment_leaks() == []
@@ -76,7 +81,8 @@ class TestWorkerCrash:
         # The store (and its segments) belongs to the session, not the
         # pool: a pool crash must not invalidate published segments.
         session = make_session(tmp_path)
-        session.execute([mech("baseline"), hook("crash")], strict=False)
+        with injected_faults({FAULTY.key(): crash}):
+            session.execute([mech("baseline"), FAULTY], strict=False)
         before = shm_residue()
         out = session.execute([mech("pt")])
         assert len(out) == 1
@@ -86,7 +92,8 @@ class TestWorkerCrash:
 
     def test_hang_then_timeout_leaks_nothing(self, tmp_path):
         session = make_session(tmp_path, run_timeout=0.6)
-        out = session.execute([hook("hang"), hook("ok_a")], strict=False)
+        with injected_faults({FAULTY.key(): hang}):
+            out = session.execute([FAULTY, OK_A], strict=False)
         assert len(out) == 1
         session.close()
         assert shm_residue() == []
@@ -98,19 +105,19 @@ class TestIsolatedPoolReuse:
         the first crash; the healthy stragglers then share ONE
         single-worker pool instead of paying one pool per run.
 
-        The healthy runs are ``slow`` hooks, so the crash breaks the
+        The healthy runs are faulted ``slow``, so the crash breaks the
         batch pool while they are still in flight — a broken pool
         fails *every* outstanding future, running ones included — and
         all three deterministically reach the isolation pool."""
         session = make_session(tmp_path, pool_respawns=0)
-        runs = [hook("crash"), hook("slow_a"), hook("slow_b"), hook("slow_c")]
-        out = session.execute(runs, strict=False)
-        assert len(out) == 3
-        assert all(p["ok"] for p in out.values())
+        faults = {FAULTY.key(): crash} | {r.key(): slow for r in (SLOW_A, SLOW_B, SLOW_C)}
+        with injected_faults(faults):
+            out = session.execute([FAULTY, SLOW_A, SLOW_B, SLOW_C], strict=False)
+        assert set(out) == {r.key() for r in (SLOW_A, SLOW_B, SLOW_C)}
         # The isolation pool survived the batch for the next one.
         iso = session._pools["iso"]
         assert iso is not None
-        session.execute([hook("slow_a")])  # cached — pool untouched
+        session.execute([SLOW_A])  # cached — pool untouched
         assert session._pools["iso"] is iso
         session.close()
         assert session._pools["iso"] is None
@@ -121,18 +128,19 @@ class TestIsolatedPoolReuse:
         done, failed = [], []
         finish = lambda key, r, payload, secs: done.append(key)
         fail = lambda key, r, err: failed.append(key)
-        # A healthy isolated run creates the pool...
-        pool.execute_isolated(session, {hook("ok_a").key(): hook("ok_a")}, finish, fail)
-        iso = session._pools["iso"]
-        assert iso is not None and done
-        # ...a second healthy run reuses exactly that pool...
-        pool.execute_isolated(session, {hook("ok_b").key(): hook("ok_b")}, finish, fail)
-        assert session._pools["iso"] is iso
-        # ...and only a crash discards it; the next run respawns fresh.
-        pool.execute_isolated(session, {hook("crash").key(): hook("crash")}, finish, fail)
-        assert session._pools["iso"] is None and failed
-        pool.execute_isolated(session, {hook("ok_c").key(): hook("ok_c")}, finish, fail)
-        assert session._pools["iso"] is not None
+        with injected_faults({FAULTY.key(): crash}):
+            # A healthy isolated run creates the pool...
+            pool.execute_isolated(session, {OK_A.key(): OK_A}, finish, fail)
+            iso = session._pools["iso"]
+            assert iso is not None and done
+            # ...a second healthy run reuses exactly that pool...
+            pool.execute_isolated(session, {OK_B.key(): OK_B}, finish, fail)
+            assert session._pools["iso"] is iso
+            # ...and only a crash discards it; the next run respawns fresh.
+            pool.execute_isolated(session, {FAULTY.key(): FAULTY}, finish, fail)
+            assert session._pools["iso"] is None and failed
+            pool.execute_isolated(session, {OK_C.key(): OK_C}, finish, fail)
+            assert session._pools["iso"] is not None
         session.close()
 
 

@@ -1,9 +1,11 @@
-"""Hook workers for the engine failure tests.
+"""Fault functions for the engine, service and trace-plane chaos tests.
 
-Resolved inside pool workers via ``KIND_HOOK`` runs
-(``bench="tests.chaos.workers:<name>"``), so every function must be a
-top-level callable taking the :class:`PlannedRun`.  Requires the
-``fork`` start method (the child inherits the parent's ``sys.path``).
+Installed in process by
+:func:`repro.experiments.chaos.injected_faults` (``{run.key(): boom}``):
+each is called with the faulted :class:`PlannedRun` in place of its
+compute function.  Pool workers inherit a fault only when they are
+forked while it is installed, so the tests pin the ``fork`` start
+method.
 """
 
 import os
@@ -13,17 +15,6 @@ import time
 #: enough that abandoned workers don't stall interpreter teardown.
 HANG_SECONDS = 2.5
 
-
-def ok(run):
-    return {"ok": True, "hook": run.bench}
-
-
-# Aliases give each successful run a distinct content key.
-ok_a = ok
-ok_b = ok
-ok_c = ok
-
-
 #: ``slow`` sleeps long enough that a crash elsewhere in the batch
 #: breaks the pool while these runs are still in flight.
 SLOW_SECONDS = 0.4
@@ -31,10 +22,7 @@ SLOW_SECONDS = 0.4
 
 def slow(run):
     time.sleep(SLOW_SECONDS)
-    return {"ok": True, "hook": run.bench}
-
-
-slow_a = slow_b = slow_c = slow
+    return {"slept_s": SLOW_SECONDS}
 
 
 def boom(run):
@@ -47,4 +35,4 @@ def crash(run):
 
 def hang(run):
     time.sleep(HANG_SECONDS)
-    return {"ok": True, "hook": run.bench}
+    return {"slept_s": HANG_SECONDS}

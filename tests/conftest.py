@@ -46,9 +46,9 @@ def _isolated_default_session():
 def plenty_of_cpus(monkeypatch):
     """Defeat the worker clamp on small CI boxes.
 
-    Tests that need the *pool* path (a crashing hook run in-process
-    would take pytest down with it) request this; on a 1-CPU container
-    the clamp would silently force every session serial.
+    Tests that need the *pool* path (a run faulted to crash its worker
+    would take pytest down with it in-process) request this; on a 1-CPU
+    container the clamp would silently force every session serial.
     """
     monkeypatch.setattr("os.cpu_count", lambda: 8)
 

@@ -1,5 +1,7 @@
 """Scale presets."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.config import FULL, SCALES, SMALL, TINY, get_scale
@@ -53,3 +55,12 @@ class TestScales:
 
     def test_scales_ordered_by_size(self):
         assert TINY.exec_units < SMALL.exec_units < FULL.exec_units
+
+    @pytest.mark.parametrize("field", [
+        "llc_scale", "n_cores", "quantum", "sample_units", "exec_units", "n_epochs",
+        "workloads_per_category", "alone_accesses", "profile_accesses",
+    ])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_sizes_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(TINY, **{field: value})

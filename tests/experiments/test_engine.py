@@ -18,7 +18,6 @@ from repro.core.trace import TRACE_SCHEMA_VERSION, traces_to_dicts
 from repro.experiments.config import TINY
 from repro.experiments.engine import (
     KIND_ALONE,
-    KIND_HOOK,
     KIND_MECHANISM,
     KIND_PROFILE,
     SCHEMA_VERSION,
@@ -89,6 +88,17 @@ class TestKeys:
         assert payload["schema"] == SCHEMA_VERSION
         assert payload["machine"]["n_cores"] == 8
 
+    def test_only_the_three_declared_kinds_construct(self):
+        with pytest.raises(ValueError, match="unknown run kind 'hook'"):
+            PlannedRun("hook", SC, bench="x")
+
+    @pytest.mark.parametrize("way_sweep", [(0,), (2, -3)])
+    def test_way_sweep_entries_below_one_refused(self, way_sweep):
+        with pytest.raises(ValueError, match="way_sweep"):
+            PlannedRun(KIND_PROFILE, SC, bench="429.mcf", way_sweep=way_sweep)
+        # Ways above the LLC's stay legal: the profile drops them.
+        PlannedRun(KIND_PROFILE, SC, bench="429.mcf", way_sweep=(1, 64))
+
 
     def test_memoised_key_is_the_full_digest_for_every_kind(self, mix, monkeypatch):
         """``key()`` hashes once per distinct run value over parts built
@@ -116,7 +126,6 @@ class TestKeys:
             PlannedRun(KIND_ALONE, SC, bench="429.mcf"),
             PlannedRun(KIND_PROFILE, SC, bench="453.povray"),
             PlannedRun(KIND_PROFILE, SC, bench="453.povray", way_sweep=(1, 2)),
-            PlannedRun(KIND_HOOK, SC, bench="tests.chaos.workers:ok"),
         ]
         assert len({r.key() for r in runs}) == len(runs)
         assert len(derivations) == len(runs)

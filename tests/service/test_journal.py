@@ -6,17 +6,19 @@ import json
 
 import pytest
 
+from repro.experiments.chaos import injected_faults
 from repro.experiments.config import TINY
-from repro.experiments.engine import KIND_HOOK, ExperimentSession, PlannedRun
+from repro.experiments.engine import KIND_ALONE, ExperimentSession, PlannedRun
 from repro.service.journal import JOURNAL_SCHEMA_VERSION, JournalError, SweepJournal
 from repro.service.protocol import run_to_wire
 from repro.service.scheduler import SingleFlightScheduler
+from tests.chaos.workers import boom
 
-SC = dataclasses.replace(TINY, name="unit")
-
-
-def hook(name: str) -> PlannedRun:
-    return PlannedRun(KIND_HOOK, SC, bench=f"tests.chaos.workers:{name}")
+SC = dataclasses.replace(TINY, name="unit", alone_accesses=2048)
+OK_A, OK_B, OK_C, FAULTY = (
+    PlannedRun(KIND_ALONE, SC, bench=b)
+    for b in ("410.bwaves", "462.libquantum", "459.GemsFDTD", "470.lbm")
+)
 
 
 def dummy_plan(n: int = 3) -> dict[str, dict]:
@@ -117,7 +119,7 @@ class TestIncomplete:
 
 class TestResumeIdentity:
     def test_replay_is_bit_identical_to_uninterrupted_run(self, tmp_path):
-        runs = [hook("ok_a"), hook("ok_b"), hook("ok_c")]
+        runs = [OK_A, OK_B, OK_C]
         # Baseline: the uninterrupted sweep.
         with ExperimentSession(cache_dir=tmp_path / "c0", max_workers=1) as s0:
             baseline = s0.execute(runs)
@@ -151,7 +153,7 @@ class TestResumeIdentity:
     def test_owed_only_journal_resumes_bit_identical(self, tmp_path):
         """Journal what can be resumed: a key answered from the cache is
         in no plan, and the plan plus the cache still recover the batch."""
-        runs = [hook("ok_a"), hook("ok_b"), hook("ok_c")]
+        runs = [OK_A, OK_B, OK_C]
         with ExperimentSession(cache_dir=tmp_path / "c0", max_workers=1) as s0:
             baseline = s0.execute(runs)
 
@@ -177,12 +179,14 @@ class TestResumeIdentity:
         assert SweepJournal.load(journal.path).sealed
 
     def test_failed_pending_key_leaves_journal_unsealed(self, tmp_path):
-        runs = [hook("ok_a"), hook("boom")]
+        runs = [OK_A, FAULTY]
         journal = SweepJournal.create(
             tmp_path / "wal", {r.key(): run_to_wire(r) for r in runs}, sweep_id="s1"
         )
         journal.close()
-        with ExperimentSession(cache_dir=tmp_path / "c", max_workers=1) as s:
+        # The scalar engine: the batch planes never call a faulted compute.
+        with ExperimentSession(cache_dir=tmp_path / "c", max_workers=1, engine="fast") as s, \
+                injected_faults({FAULTY.key(): boom}):
             out = s.execute([], resume=tmp_path / "wal" / "s1.jsonl", strict=False)
         assert set(out) == {runs[0].key()}
         loaded = SweepJournal.load(tmp_path / "wal" / "s1.jsonl")

@@ -8,7 +8,6 @@ import pytest
 from repro.experiments.config import TINY
 from repro.experiments.engine import (
     KIND_ALONE,
-    KIND_HOOK,
     KIND_MECHANISM,
     KIND_PROFILE,
     PlannedRun,
@@ -33,7 +32,7 @@ def sample_runs() -> list[PlannedRun]:
         PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="cmm-a"),
         PlannedRun(KIND_ALONE, SC, bench="429.mcf"),
         PlannedRun(KIND_PROFILE, SC, bench="429.mcf", way_sweep=(1, 2, 4)),
-        PlannedRun(KIND_HOOK, SC, bench="tests.chaos.workers:ok_a"),
+        PlannedRun(KIND_ALONE, dataclasses.replace(SC, alone_accesses=2048), bench="433.milc"),
     ]
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments.config import TINY
 from repro.experiments.engine import (
-    KIND_HOOK,
+    KIND_ALONE,
     SCHEMA_VERSION,
     ExperimentSession,
     PlannedRun,
@@ -24,27 +24,33 @@ from repro.service.scheduler import (
     SingleFlightScheduler,
 )
 
-SC = dataclasses.replace(TINY, name="unit")
+SC = dataclasses.replace(TINY, name="unit", alone_accesses=2048)
 
 
-def hook(name: str) -> PlannedRun:
-    return PlannedRun(KIND_HOOK, SC, bench=f"tests.chaos.workers:{name}")
+def alone(bench: str) -> PlannedRun:
+    return PlannedRun(KIND_ALONE, SC, bench=bench)
+
+
+#: Distinct healthy runs, and the one a ``FakeSession`` can be told to fail.
+OK_A, OK_B, OK_C, FAILING = (
+    alone(b) for b in ("410.bwaves", "462.libquantum", "459.GemsFDTD", "470.lbm")
+)
 
 
 def record(run: PlannedRun) -> dict:
-    """A cache record as the engine would store it for a hook run."""
-    return {"schema": SCHEMA_VERSION, "kind": run.kind, "payload": {"hook": run.bench}}
+    """A stand-in cache record for ``run``, as a ``FakeSession`` stores it."""
+    return {"schema": SCHEMA_VERSION, "kind": run.kind, "payload": {"bench": run.bench}}
 
 
 class FakeSession:
     """Engine stand-in: records batches, replays from a memory cache."""
 
-    def __init__(self, *, delay: float = 0.0, fail_benches: tuple = ()):
+    def __init__(self, *, delay: float = 0.0, fail_keys: tuple = ()):
         self.records: list[RunRecord] = []
         self.failed: dict[str, str] = {}
         self.calls: list[list[str]] = []
         self.delay = delay
-        self.fail_benches = fail_benches
+        self.fail_keys = fail_keys
         self.cache = ResultCache(None)
 
     def execute(self, runs, *, strict=True, resume=None):
@@ -52,7 +58,7 @@ class FakeSession:
         out = {}
         for r in runs:
             key = r.key()
-            if r.bench.rsplit(":", 1)[-1] in self.fail_benches:
+            if key in self.fail_keys:
                 self.failed[key] = "injected failure"
             if key in self.failed:
                 self.records.append(
@@ -79,7 +85,7 @@ def run_async(coro):
 class TestSingleFlight:
     def test_concurrent_overlapping_submits_execute_once(self):
         session = FakeSession(delay=0.02)
-        runs = [hook("ok_a"), hook("ok_b"), hook("ok_c")]
+        runs = [OK_A, OK_B, OK_C]
 
         async def main():
             sched = SingleFlightScheduler(session)
@@ -101,7 +107,7 @@ class TestSingleFlight:
 
     def test_resubmit_after_completion_replays_from_cache(self):
         session = FakeSession()
-        runs = [hook("ok_a")]
+        runs = [OK_A]
 
         async def main():
             sched = SingleFlightScheduler(session)
@@ -137,7 +143,7 @@ class TestAnsweredAtAdmission:
 
     def test_all_cached_submit_queues_and_journals_nothing(self, tmp_path):
         session = FakeSession()
-        runs = [hook("ok_a"), hook("ok_b")]
+        runs = [OK_A, OK_B]
 
         async def main():
             sched = SingleFlightScheduler(session, journal_dir=tmp_path)
@@ -159,7 +165,7 @@ class TestAnsweredAtAdmission:
         assert status["queued"] == 0 and status["cache_replays"] == 2
 
     def test_inline_payload_is_byte_equal_to_the_queued_replay(self, tmp_path):
-        runs = [hook("ok_a"), hook("ok_b")]
+        runs = [OK_A, OK_B]
         with ExperimentSession(cache_dir=tmp_path, max_workers=1) as s0:
             (executed,) = submit_each(s0, runs)
         # A fresh session finds the entries on disk only: its first
@@ -174,7 +180,7 @@ class TestAnsweredAtAdmission:
     def test_full_queue_still_answers_and_a_refusal_replays_nothing(self):
         session = FakeSession()
         config = SchedulerConfig(max_pending=1)
-        warm, queued, extra = hook("ok_a"), hook("ok_b"), hook("ok_c")
+        warm, queued, extra = OK_A, OK_B, OK_C
         session.cache.put(warm.key(), record(warm))
 
         async def main():
@@ -199,7 +205,7 @@ class TestAnsweredAtAdmission:
 
     def test_subscribers_get_one_run_event_per_inline_replay(self):
         session = FakeSession()
-        runs = [hook("ok_a"), hook("ok_b")]
+        runs = [OK_A, OK_B]
 
         async def main():
             sched = SingleFlightScheduler(session)
@@ -220,7 +226,7 @@ class TestAnsweredAtAdmission:
 
     def test_mixed_submit_journals_exactly_the_owed_keys(self, tmp_path):
         session = FakeSession(delay=0.05)
-        warm, fresh, shared = hook("ok_a"), hook("ok_b"), hook("ok_c")
+        warm, fresh, shared = OK_A, OK_B, OK_C
         session.cache.put(warm.key(), record(warm))
 
         async def main():
@@ -245,7 +251,7 @@ class TestAnsweredAtAdmission:
 
     def test_abandoned_submit_leaves_every_unfinished_key_in_an_unsealed_plan(self, tmp_path):
         session = FakeSession()
-        warm, owed = hook("ok_a"), hook("ok_b")
+        warm, owed = OK_A, OK_B
         session.cache.put(warm.key(), record(warm))
 
         async def main():
@@ -264,7 +270,7 @@ class TestAnsweredAtAdmission:
     def test_disk_only_entry_takes_the_queue(self, tmp_path):
         session = FakeSession()
         session.cache = ResultCache(tmp_path / "cache")
-        run = hook("ok_a")
+        run = OK_A
         ResultCache(tmp_path / "cache").put(run.key(), record(run))  # another process's write
 
         from_disk, from_memory = submit_each(
@@ -275,7 +281,7 @@ class TestAnsweredAtAdmission:
 
     def test_failed_key_memory_takes_the_queue(self):
         session = FakeSession()
-        run = hook("ok_a")
+        run = OK_A
         session.cache.put(run.key(), record(run))
         session.failed[run.key()] = "failed earlier this session"
 
@@ -285,7 +291,7 @@ class TestAnsweredAtAdmission:
 
     def test_resident_key_still_in_flight_attaches(self):
         session = FakeSession(delay=0.2)
-        run = hook("ok_a")
+        run = OK_A
 
         async def main():
             sched = SingleFlightScheduler(session)
@@ -317,7 +323,7 @@ class TestAnsweredAtAdmission:
                 return super()._path(key)
 
         cache = OffLoopDisk(tmp_path)
-        runs = [hook("ok_a"), hook("ok_b")]
+        runs = [OK_A, OK_B]
         with pytest.raises(AssertionError, match="event loop"):
             cache.get(runs[0].key())  # the guard is armed
         with ExperimentSession(cache=cache, max_workers=1) as session:
@@ -336,7 +342,7 @@ class TestAdmission:
             sched = SingleFlightScheduler(session, config)
             # No dispatcher: everything submitted stays queued.
             with pytest.raises(OverloadedError) as ei:
-                await sched.submit([hook("ok_a"), hook("ok_b"), hook("ok_c")])
+                await sched.submit([OK_A, OK_B, OK_C])
             assert ei.value.limit == 2
             assert sched.counters["overloaded"] == 1
             await sched.stop()
@@ -350,7 +356,7 @@ class TestAdmission:
         async def main():
             sched = SingleFlightScheduler(session, config)
             with pytest.raises(OverloadedError, match="client"):
-                await sched.submit([hook("ok_a"), hook("ok_b")], client="greedy")
+                await sched.submit([OK_A, OK_B], client="greedy")
             await sched.stop()
 
         run_async(main())
@@ -358,7 +364,7 @@ class TestAdmission:
     def test_attaching_to_inflight_keys_is_always_admitted(self):
         session = FakeSession(delay=0.05)
         config = SchedulerConfig(max_pending=3)
-        runs = [hook("ok_a"), hook("ok_b"), hook("ok_c")]
+        runs = [OK_A, OK_B, OK_C]
 
         async def main():
             sched = SingleFlightScheduler(session, config)
@@ -381,8 +387,8 @@ class TestFairnessAndDispatch:
     def test_round_robin_across_clients(self):
         session = FakeSession()
         config = SchedulerConfig(batch_max=2)
-        a_runs = [hook(f"slow_{s}") for s in "abc"]
-        b_run = [hook("ok_a")]
+        a_runs = [alone(b) for b in ("437.leslie3d", "481.wrf", "433.milc")]
+        b_run = [OK_A]
 
         async def main():
             sched = SingleFlightScheduler(session, config)
@@ -400,13 +406,13 @@ class TestFairnessAndDispatch:
         assert b_run[0].key() in session.calls[0]
 
     def test_failed_runs_resolve_with_structured_errors(self):
-        session = FakeSession(fail_benches=("boom",))
+        session = FakeSession(fail_keys=(FAILING.key(),))
 
         async def main():
             sched = SingleFlightScheduler(session)
             await sched.start()
             try:
-                return await sched.submit([hook("ok_a"), hook("boom")])
+                return await sched.submit([OK_A, FAILING])
             finally:
                 await sched.stop()
 
@@ -424,7 +430,7 @@ class TestFairnessAndDispatch:
             sched = SingleFlightScheduler(session, config)
             await sched.start()
             try:
-                return await sched.submit([hook("ok_a")]), dict(sched.counters)
+                return await sched.submit([OK_A]), dict(sched.counters)
             finally:
                 await sched.stop()
 
@@ -438,7 +444,7 @@ class TestFairnessAndDispatch:
 
         async def main():
             sched = SingleFlightScheduler(session)  # dispatcher never started
-            task = asyncio.ensure_future(sched.submit([hook("ok_a")]))
+            task = asyncio.ensure_future(sched.submit([OK_A]))
             for _ in range(5):
                 await asyncio.sleep(0)
             await sched.stop()
@@ -494,8 +500,8 @@ class TestSubscribers:
 
 class TestJournaling:
     def test_completed_batch_seals_its_journal(self, tmp_path):
-        session = FakeSession(fail_benches=("boom",))
-        runs = [hook("ok_a"), hook("boom")]
+        session = FakeSession(fail_keys=(FAILING.key(),))
+        runs = [OK_A, FAILING]
 
         async def main():
             sched = SingleFlightScheduler(session, journal_dir=tmp_path)
@@ -518,7 +524,7 @@ class TestJournaling:
 
         async def main():
             sched = SingleFlightScheduler(session, journal_dir=tmp_path)
-            task = asyncio.ensure_future(sched.submit([hook("ok_a")]))
+            task = asyncio.ensure_future(sched.submit([OK_A]))
             for _ in range(5):
                 await asyncio.sleep(0)
             await sched.stop()  # dies before dispatching
@@ -527,4 +533,4 @@ class TestJournaling:
         run_async(main())
         pending = SweepJournal.incomplete(tmp_path)
         assert len(pending) == 1
-        assert pending[0].pending_keys() == [hook("ok_a").key()]
+        assert pending[0].pending_keys() == [OK_A.key()]

@@ -9,23 +9,53 @@ import threading
 import pytest
 
 from repro.experiments.config import TINY
-from repro.experiments.engine import KIND_HOOK, ExperimentSession, PlannedRun
+from repro.experiments.engine import KIND_ALONE, ExperimentSession, PlannedRun
 from repro.service.journal import SweepJournal
 from repro.service.protocol import PROTOCOL_VERSION, run_to_wire
 from repro.service.scheduler import SchedulerConfig
 from repro.service.server import ExperimentService, ServiceClient, sanitized_run_timeout
 
-SC = dataclasses.replace(TINY, name="unit")
-
-
-def hook(name: str) -> PlannedRun:
-    return PlannedRun(KIND_HOOK, SC, bench=f"tests.chaos.workers:{name}")
+SC = dataclasses.replace(TINY, name="unit", alone_accesses=2048)
+OK_A, OK_B = (PlannedRun(KIND_ALONE, SC, bench=b) for b in ("410.bwaves", "462.libquantum"))
 
 
 def make_service(tmp_path, **kw) -> ExperimentService:
     session = ExperimentSession(cache_dir=tmp_path / "cache", max_workers=1)
     kw.setdefault("journal_dir", tmp_path / "journal")
     return ExperimentService(session=session, **kw)
+
+
+def serve_unix(service: ExperimentService, sock) -> threading.Thread:
+    """``service.serve`` on a unix socket in a daemon thread, once listening."""
+    ready = threading.Event()
+    t = threading.Thread(
+        target=lambda: asyncio.run(
+            service.serve(unix_path=sock, ready=lambda _b: ready.set())),
+        daemon=True,
+    )
+    t.start()
+    assert ready.wait(10)
+    return t
+
+
+def wire_with(scale: dict | None = None, **fields) -> dict:
+    """``OK_A`` on the wire with ``fields`` and ``scale`` fields replaced."""
+    wire = run_to_wire(OK_A) | fields
+    wire["scale"] = wire["scale"] | (scale or {})
+    return wire
+
+
+#: Wire runs that decode-time checks refuse with a ``protocol`` error.
+REFUSED_RUNS = [
+    pytest.param(wire_with(kind="hook", bench="os:getcwd"), id="hook"),
+    pytest.param(wire_with({"llc_scale": 0}), id="llc-scale-0"),
+    pytest.param(wire_with({"llc_scale": 1 << 20}), id="llc-scale-too-large"),
+    pytest.param(wire_with({"n_cores": 0}), id="n-cores-0"),
+    pytest.param(wire_with({"alone_accesses": 0}), id="alone-accesses-0"),
+    pytest.param(wire_with({"alone_accesses": -5}), id="alone-accesses-negative"),
+    pytest.param(wire_with(kind="profile", way_sweep=[0]), id="way-sweep-0"),
+    pytest.param(wire_with(kind="profile", way_sweep=[2, -3]), id="way-sweep-negative"),
+]
 
 
 class TestSanitizedRunTimeout:
@@ -86,11 +116,11 @@ class TestInProcessTransport:
         service = make_service(tmp_path)
         with service, ServiceClient(service=service, client_name="t") as cli:
             assert cli.ping()["ok"]
-            resp = cli.submit([hook("ok_a"), hook("ok_b")])
+            resp = cli.submit([OK_A, OK_B])
             assert resp["ok"]
             assert [o["ok"] for o in resp["results"]] == [True, True]
             assert all(o["cached"] is False for o in resp["results"])
-            again = cli.submit([hook("ok_a")])
+            again = cli.submit([OK_A])
             assert again["results"][0]["cached"] is True
             status = cli.status()["status"]
             assert status["scheduler"]["executed"] == 2
@@ -103,7 +133,7 @@ class TestInProcessTransport:
             with ServiceClient(service=service) as cli:
                 resp = cli.request({
                     "op": "submit",
-                    "runs": [run_to_wire(hook("ok_a")), run_to_wire(hook("ok_b"))],
+                    "runs": [run_to_wire(OK_A), run_to_wire(OK_B)],
                 })
         assert resp["ok"] is False
         assert resp["error"]["type"] == "overloaded"
@@ -114,17 +144,10 @@ class TestSocketTransport:
     def test_unix_socket_end_to_end(self, tmp_path):
         service = make_service(tmp_path)
         sock = tmp_path / "svc.sock"
-        ready = threading.Event()
-        t = threading.Thread(
-            target=lambda: asyncio.run(
-                service.serve(unix_path=sock, ready=lambda _b: ready.set())),
-            daemon=True,
-        )
-        t.start()
-        assert ready.wait(10)
+        t = serve_unix(service, sock)
         with ServiceClient(path=sock) as cli:
             assert cli.ping()["ok"]
-            resp = cli.submit([hook("ok_a")])
+            resp = cli.submit([OK_A])
             assert resp["ok"] and resp["results"][0]["ok"]
             assert cli.shutdown()["stopping"]
         t.join(timeout=10)
@@ -133,15 +156,31 @@ class TestSocketTransport:
         service.close()
 
 
+class TestFrontDoorRefusals:
+    @pytest.mark.parametrize("bad", REFUSED_RUNS)
+    def test_refused_at_decode_and_the_connection_lives_on(self, tmp_path, bad):
+        service = make_service(tmp_path)
+        sock = tmp_path / "svc.sock"
+        t = serve_unix(service, sock)
+        with ServiceClient(path=sock) as cli:
+            resp = cli.submit([bad])
+            assert resp["ok"] is False and resp["error"]["type"] == "protocol", resp
+            assert list((tmp_path / "journal").glob("*.jsonl")) == []  # nothing journaled
+            assert cli.submit([OK_A])["results"][0]["ok"]  # same connection, still served
+            assert cli.shutdown()["stopping"]
+        t.join(timeout=10)
+        service.close()
+
+
 class TestSubscribe:
     def test_in_process_streams_per_run_events(self, tmp_path):
         service = make_service(tmp_path)
         with service, ServiceClient(service=service, client_name="t") as cli:
             assert cli.subscribe()["subscribed"] is True
-            assert cli.submit([hook("ok_a"), hook("ok_b")])["ok"]
+            assert cli.submit([OK_A, OK_B])["ok"]
             events = [cli.next_event(timeout_s=10) for _ in range(2)]
             assert all(e["event"] == "run" for e in events)
-            assert {e["label"].rsplit(":", 1)[-1] for e in events} == {"ok_a", "ok_b"}
+            assert {e["label"] for e in events} == {OK_A.label, OK_B.label}
             assert events[-1]["done"] == 2 and events[-1]["total"] == 2
             assert all(e["cached"] is False and e["error"] is None for e in events)
             with pytest.raises(TimeoutError):
@@ -151,9 +190,9 @@ class TestSubscribe:
     def test_cached_replays_are_flagged(self, tmp_path):
         service = make_service(tmp_path)
         with service, ServiceClient(service=service) as cli:
-            cli.submit([hook("ok_a")])
+            cli.submit([OK_A])
             cli.subscribe()
-            cli.submit([hook("ok_a")])
+            cli.submit([OK_A])
             assert cli.next_event(timeout_s=10)["cached"] is True
 
     def test_next_event_requires_subscription(self, tmp_path):
@@ -177,20 +216,13 @@ class TestSubscribe:
 
         service = make_service(tmp_path)
         sock = tmp_path / "svc.sock"
-        ready = threading.Event()
-        t = threading.Thread(
-            target=lambda: asyncio.run(
-                service.serve(unix_path=sock, ready=lambda _b: ready.set())),
-            daemon=True,
-        )
-        t.start()
-        assert ready.wait(10)
+        t = serve_unix(service, sock)
         with ServiceClient(path=sock) as watcher, ServiceClient(path=sock) as cli:
             ack = watcher.subscribe()
             assert ack["ok"] and ack["subscribed"] is True
-            assert cli.submit([hook("ok_a")])["ok"]
+            assert cli.submit([OK_A])["ok"]
             ev = watcher.next_event(timeout_s=10)
-            assert ev["event"] == "run" and ev["label"].endswith("ok_a")
+            assert ev["event"] == "run" and ev["label"] == OK_A.label
 
             # Any other op on a subscribed connection is a protocol error.
             f = watcher._file
@@ -212,7 +244,7 @@ class TestSubscribe:
 
 class TestResume:
     def test_unsealed_journal_replays_on_resume(self, tmp_path):
-        runs = [hook("ok_a"), hook("ok_b")]
+        runs = [OK_A, OK_B]
         wal_dir = tmp_path / "journal"
         SweepJournal.create(
             wal_dir, {r.key(): run_to_wire(r) for r in runs}, sweep_id="crashed"
@@ -230,7 +262,7 @@ class TestResume:
         assert sealed.sealed and sealed.pending_keys() == []
 
     def test_resumed_payloads_match_uninterrupted_run(self, tmp_path):
-        runs = [hook("ok_a"), hook("ok_b")]
+        runs = [OK_A, OK_B]
         with ExperimentSession(cache_dir=tmp_path / "baseline", max_workers=1) as s0:
             baseline = s0.execute(runs)
 
@@ -248,8 +280,24 @@ class TestResume:
             service.close()
         assert json.dumps(replayed, sort_keys=True) == json.dumps(baseline, sort_keys=True)
 
+    def test_journal_holding_a_hook_run_is_refused_at_resume(self, tmp_path):
+        wal_dir = tmp_path / "journal"
+        hook = wire_with(kind="hook", bench="os:getcwd")
+        SweepJournal.create(
+            wal_dir, {OK_A.key(): run_to_wire(OK_A), "hook": hook}, sweep_id="old"
+        ).close()
+        service = make_service(tmp_path)
+        try:
+            with pytest.warns(RuntimeWarning, match="unknown run kind 'hook'"):
+                service.start_background(resume=True)
+            assert service.resumed_sweeps == 0
+            assert service.session.records == []  # nothing of the sweep ran
+        finally:
+            service.close()
+        assert not SweepJournal.load(wal_dir / "old.jsonl").sealed
+
     def test_sealed_journals_are_not_resumed(self, tmp_path):
-        runs = [hook("ok_a")]
+        runs = [OK_A]
         wal_dir = tmp_path / "journal"
         with SweepJournal.create(
             wal_dir, {r.key(): run_to_wire(r) for r in runs}, sweep_id="done"
