@@ -32,7 +32,7 @@ Running things:
 * :func:`run` — one (workload, mechanism-or-policy) simulation through
   the default session.
 * :func:`simulate_batch` — many runs at once: specs sharing a workload
-  mix are executed on one batch kernel (shared zero-copy trace, masked
+  mix are executed on one batch kernel (shared materialized trace, masked
   lockstep over grouped cores and a grouped LLC), bit-identical to
   running each on its own machine.
 * :meth:`ExperimentSession.evaluate` / :meth:`ExperimentSession.sweep`

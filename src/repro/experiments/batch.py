@@ -5,8 +5,8 @@ This is the experiment-layer face of the sim-layer batch kernel
 (:mod:`repro.sim.batch`).  A *batch* is a set of runs over the **same
 workload mix** — the natural shape of the paper's sweeps (one mix under
 PT / Dunn / CMM / partition-size ablations).  All runs share one
-:class:`~repro.sim.batch.BatchKernel` (a single zero-copy materialized
-trace per core) and advance on one run-axis plane: a
+:class:`~repro.sim.batch.BatchKernel` (a single materialized trace per
+core) and advance on one run-axis plane: a
 :class:`~repro.sim.batch.GroupedCore` per core and one grouped LLC.
 Static specs sharing a prefetch-mask vector and access count go
 through :func:`~repro.sim.batch.run_static_sweep`; groups of 2+

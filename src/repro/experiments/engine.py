@@ -36,8 +36,8 @@ whole sweep.  See ``docs/robustness.md``.
 
 The **trace plane** (:mod:`repro.sim.tracestore`) rides underneath:
 each session owns a :class:`~repro.sim.tracestore.TraceStore` that
-materializes every deterministic benchmark trace once and replays it
-as zero-copy slices.  The worker pool is *persistent* across batches;
+materializes every deterministic benchmark trace once, in a compact
+layout, and replays it chunk by chunk.  The worker pool is *persistent* across batches;
 misses are submitted in mix-affine order and each run carries a small
 manifest naming the shared-memory segments holding its traces, so
 workers attach by name instead of unpickling arrays (and keep their

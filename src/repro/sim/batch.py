@@ -8,7 +8,7 @@ chunk through private L1/L2 with prefetcher triggering — depends only
 on the core's trace, its prefetcher-mask history and the quantum
 partition.  It never observes the LLC, CAT partitioning, DRAM or any
 other core.  So all R runs of a mix advance through the shared
-zero-copy trace *together*, one quantum at a time, SIMT-style, and the
+materialized trace *together*, one quantum at a time, SIMT-style, and the
 run axis is explicit on both sides of the LLC boundary.
 
 Core side: :class:`GroupedCore`
@@ -74,7 +74,7 @@ Two drivers share that plane:
 There is no third path: a caller that cannot batch, or whose group
 fails, runs each member on its own scalar ``Machine`` and counts a
 degradation (:func:`note_degradation`, surfaced as
-``RunStats.batch_degradations``).  A trace that leaves the zero-copy
+``RunStats.batch_degradations``).  A trace that leaves the stored
 path (alignment fallback) keeps replaying faithfully inside its lane —
 bit-identical, counted in ``trace_fallbacks`` — but that lane can no
 longer be cloned, so a group that needs to split it degrades.
@@ -442,10 +442,11 @@ def _lru_distances(line, vset, ways: int, n_sets: int):
     touch is ``ways``).  One LRU stack of depth ``ways`` per set,
     advanced a whole occurrence round at a time; returns ``(d, stack)``
     with each set's final stack, MRU first and -1 padded (in ``line``'s
-    dtype, so narrow lines keep the per-round gathers narrow).
+    dtype, so narrow lines keep the per-round gathers narrow).  ``d``
+    is ``int8`` below 127 ways (so ``d + 1`` still fits), else ``int16``.
     """
     stack = np.full((n_sets, ways), -1, dtype=line.dtype)
-    d = np.empty(len(line), dtype=np.int64)
+    d = np.empty(len(line), dtype=np.int8 if ways < 127 else np.int16)
     below = np.arange(1, ways)
     for ids in _occurrence_rounds(vset):
         s = vset[ids]
@@ -1140,7 +1141,7 @@ class _CoreLane:
 class GroupedCore:
     """R runs' private-core state for one core, advanced in masked lockstep.
 
-    Run-axis batching for the core side: all R runs share one zero-copy
+    Run-axis batching for the core side: all R runs share one materialized
     trace, and per-run prefetch masks are the only divergence axis.
     State is deduplicated into lanes (equality classes) rather than a
     dense ``(runs, sets, ways)`` tensor: interval-aligned sweeps spend
@@ -1192,7 +1193,7 @@ class GroupedCore:
     def _clone(self, st: _LaneState) -> _LaneState:
         if st.trace._live is not None:
             raise LockstepError(
-                "cannot split a lane whose trace left the zero-copy path"
+                "cannot split a lane whose trace left the stored path"
             )
         return _clone_image(self.params, st, self._fork_trace(st.trace.pos))
 

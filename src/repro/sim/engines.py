@@ -11,7 +11,7 @@ Engines implement the machine's hot path:
   ``GroupedLLC`` at width 1 for the shared LLC.  Differential tests
   assert it is bit-identical to ``reference``, LLC image included.
 * ``batch`` — the multi-run batch kernel (:mod:`repro.sim.batch`): N
-  runs of the same mix advance together over one zero-copy
+  runs of the same mix advance together over one
   materialized trace, the fast kernel's core phase run once per
   state-equality class of runs (``GroupedCore``) and the LLC as a
   ``(runs, sets, ways)`` tensor (``GroupedLLC``) — static CAT sweeps

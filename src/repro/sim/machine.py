@@ -258,10 +258,10 @@ class Machine:
         self.pmu.wall_cycles += timing.machine_cycles
 
     def trace_fallbacks(self) -> int:
-        """Total zero-copy go-live fallbacks across attached traces.
+        """Total go-live fallbacks across attached materialized traces.
 
         Non-zero only when a :class:`~repro.sim.tracestore.MaterializedTrace`
-        had to leave the zero-copy path (see ``MaterializedTrace.chunk``);
+        had to leave the stored path (see ``MaterializedTrace.chunk``);
         plain generator traces report 0.
         """
         return sum(int(getattr(cs.trace, "fallbacks", 0)) for cs in self.cores)

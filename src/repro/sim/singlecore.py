@@ -178,7 +178,6 @@ def _distances(streams: list[np.ndarray], geom: CacheGeometry) -> list[np.ndarra
         vset += np.repeat(np.arange(len(batch), dtype=np.int32) * S, counts)
         d, _ = _lru_distances(line, vset, W, len(batch) * S)
         del line, vset
-        d = d.astype(np.int8 if W < 127 else np.int32)
         for k, dk in zip(batch, np.split(d, np.cumsum(counts)[:-1])):
             out[k] = dk
         start = stop
@@ -191,7 +190,9 @@ def _cascade(passes: list[_Pass], params: MachineParams) -> None:
     A repeat of the previous access's line is an L1 hit at distance 0
     and leaves every stack as it was, so L1 runs over the collapsed
     stream; a level's misses (distance = ways) are the next level's
-    stream, and the L2 misses are the LLC's demand stream.
+    stream, and the L2 misses are the LLC's demand stream.  Each pass
+    keeps only its collapsed ``(position, line)`` pairs, and every level
+    filters them, so no full-length line array outlives its collapse.
     """
     pos: list[np.ndarray] = []
     lines: list[np.ndarray] = []
@@ -199,19 +200,19 @@ def _cascade(passes: list[_Pass], params: MachineParams) -> None:
         ln = p.trace.fork(0).chunk(int(p.bounds[-1]))[1]
         keep = np.flatnonzero(np.r_[True, ln[1:] != ln[:-1]]).astype(np.int32)
         pos.append(keep)
-        lines.append(ln)
+        lines.append(ln[keep])
+        del ln
     for geom, col in ((params.l1, 3), (params.l2, 6)):
-        d = _distances([ln[k] for ln, k in zip(lines, pos)], geom)
-        pos = [k[dk == geom.ways] for k, dk in zip(pos, d)]
-        del d
-        for p, k in zip(passes, pos):
-            p.core[:, col] = np.bincount(p.chunk_of(k), minlength=len(p.sizes))
+        for k, (dk, p) in enumerate(zip(_distances(lines, geom), passes)):
+            miss = dk == geom.ways
+            pos[k], lines[k] = pos[k][miss], lines[k][miss]
+            p.core[:, col] = np.bincount(p.chunk_of(pos[k]), minlength=len(p.sizes))
     for p, k, ln in zip(passes, pos, lines):
         l1_miss, l2_miss = p.core[:, 3], p.core[:, 6]
         p.core[:, 1] = l1_miss - l2_miss   # n_l2_hit_d
         p.core[:, 2] = p.sizes             # L1_DM_REQ
         p.core[:, 5] = l1_miss             # L2_DM_REQ
-        p.llc_line = ln[k]
+        p.llc_line = ln
         p.llc_pref = np.zeros(len(k), dtype=bool)
         p.llc_chunk = p.chunk_of(k)
 

@@ -1,5 +1,5 @@
 """Materialized trace plane: generate each deterministic trace once,
-replay it everywhere as zero-copy array slices.
+replay it everywhere from a compact in-memory layout.
 
 Every simulation run regenerates its benchmark traces from scratch
 (:func:`repro.workloads.speclike.build_trace` + ``TraceGenerator``
@@ -7,12 +7,22 @@ chunk synthesis), even though a cold sweep asks for the *same* traces
 over and over: every mechanism run of a mix re-synthesises the mix's
 eight per-core streams, and a profile way-sweep rebuilds one benchmark
 a dozen times.  This module materializes a trace once per
-``(benchmark spec, llc_lines, base_line, seed)`` into a flat int64
-``(2, length)`` array — row 0 the ctx ids, row 1 the line addresses —
-and serves it back through :class:`MaterializedTrace`, which implements
-the same ``chunk(n)`` protocol as a live generator but returns
-**zero-copy views** into the materialized array.  ``Machine`` and
+``(benchmark spec, llc_lines, base_line, seed)`` and serves it back
+through :class:`MaterializedTrace`, which implements the same
+``chunk(n)`` protocol as a live generator.  ``Machine`` and
 ``fastengine`` are untouched; they cannot tell the difference.
+
+**Layout.**  Every access of a generator comes from one of its few
+streams, and a stream has one ``ctx`` and owns the lines from its
+``base_line`` up (streams sit ``1 << 28`` lines apart).  A trace is
+therefore kept as a ``uint8`` stream code per access, indexing two
+per-trace tables (each stream's ``ctx`` and ``base_line``, both taken
+from the generator's ``streams``), plus each line's offset from its
+stream's base in the narrowest signed integer type that holds every
+offset — at most ``int32`` for every registered benchmark.  That is at
+most 5 bytes per access instead of the 16 of two int64 columns.  ``chunk(n)`` expands
+only the requested slice back to the int64 ``(ctx, lines)`` pair: two
+``take``\\ s and an add.
 
 Bit-identity rests on the generator's *chunk-alignment invariance*
 (documented in :mod:`repro.sim.trace`): as long as every ``chunk(n)``
@@ -21,17 +31,19 @@ quantum/interval sizes are), the emitted stream depends only on the
 cumulative position, not on how it was partitioned into chunks.  A
 request that breaks alignment (or outruns the materialized length)
 drops the trace back to a live generator, fast-forwarded to the exact
-position — still bit-identical, just no longer zero-copy.
+position — still bit-identical, just no longer served from the store.
 
 Storage is one in-memory tier plus shared memory:
 
-* **memory** — per-:class:`TraceStore` dict of materialized arrays,
-  living as long as the store (a session owns one);
+* **memory** — per-:class:`TraceStore` dict of compact traces, living
+  as long as the store (a session owns one);
 * **shared memory** — the parent experiment process *publishes*
   segments (``multiprocessing.shared_memory``) that persistent pool
   workers attach by name instead of receiving arrays through pickle.
-  Segments are parent-owned: the session that created them unlinks
-  them on close (normal exit, ``KeyboardInterrupt`` via
+  A segment holds the same compact layout — the offsets, then the
+  codes — and the two tables and the offset type ride in the manifest
+  item.  Segments are parent-owned: the session that created them
+  unlinks them on close (normal exit, ``KeyboardInterrupt`` via
   ``weakref.finalize``/atexit, and after worker crashes — a dead
   worker only ever *attached*).
 
@@ -102,46 +114,91 @@ def _round_up(n: int, align: int) -> int:
     return -(-int(n) // align) * align
 
 
-class MaterializedTrace:
-    """Replays a materialized ``(ctx, lines)`` array via ``chunk(n)``.
+#: Candidate offset types, narrowest first.
+_OFFSET_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
-    Serves zero-copy views while every request keeps the cumulative
-    position a multiple of ``align`` (the source generator's
-    ``burst_len``) and inside the materialized length.  The first
-    request that breaks either condition switches to a **live**
+
+@dataclass
+class _Entry:
+    """One materialized trace in its compact layout.
+
+    Access ``i`` is ``(ctx_of[code[i]], base_of[code[i]] + offset[i])``.
+    """
+
+    code: np.ndarray
+    offset: np.ndarray
+    ctx_of: np.ndarray
+    base_of: np.ndarray
+    inst_per_mem: float
+    mlp: float
+    footprint: int
+    align: int
+
+    @property
+    def length(self) -> int:
+        return len(self.code)
+
+    @classmethod
+    def build(cls, gen, length: int) -> "_Entry":
+        """The first ``length`` accesses of ``gen`` (a fresh generator)."""
+        ctx, lines = gen.chunk(length)
+        # The tables come from the streams, sorted by ctx, so a code is
+        # the rank of the access's ctx.  Every ctx is some stream's, and
+        # build_trace gives each of a spec's (few) streams its own.
+        streams = sorted(gen.streams, key=lambda s: s.ctx)
+        ctx_of = np.array([s.ctx for s in streams], dtype=np.int64)
+        base_of = np.array([s.base_line for s in streams], dtype=np.int64)
+        code = np.searchsorted(ctx_of, ctx).astype(np.uint8)
+        del ctx
+        offset = base_of.take(code)
+        np.subtract(lines, offset, out=offset)
+        del lines
+        lo, hi = int(offset.min()), int(offset.max())
+        dtype = next(t for t in _OFFSET_DTYPES if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+        return cls(
+            code=code,
+            offset=offset.astype(dtype),
+            ctx_of=ctx_of,
+            base_of=base_of,
+            inst_per_mem=gen.inst_per_mem,
+            mlp=gen.mlp,
+            footprint=gen.footprint_lines(),
+            align=gen.burst_len,
+        )
+
+    def expand(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Accesses ``start:stop`` as the generator's int64 ``(ctx, lines)``."""
+        code = self.code[start:stop]
+        lines = self.base_of.take(code)
+        lines += self.offset[start:stop]
+        return self.ctx_of.take(code), lines
+
+
+class MaterializedTrace:
+    """Replays a materialized trace via ``chunk(n)``.
+
+    Serves from the store's compact entry while every request keeps
+    the cumulative position a multiple of ``align`` (the source
+    generator's ``burst_len``) and inside the materialized length.  The
+    first request that breaks either condition switches to a **live**
     generator built by ``factory`` and fast-forwarded to the current
     position — bit-identical output either way, so callers never need
     to care which side served them.  ``fallbacks`` counts the switch
     (0 or 1); tests pin it at 0 for the standard scales.
     """
 
-    def __init__(
-        self,
-        ctx: np.ndarray,
-        lines: np.ndarray,
-        *,
-        inst_per_mem: float,
-        mlp: float,
-        footprint: int,
-        factory: Callable[[], object],
-        align: int = 32,
-    ) -> None:
-        if len(ctx) != len(lines):
-            raise ValueError("ctx and lines must be equal-length")
-        self._ctx = ctx
-        self._lines = lines
-        self.inst_per_mem = float(inst_per_mem)
-        self.mlp = float(mlp)
-        self._footprint = int(footprint)
+    def __init__(self, entry: _Entry, factory: Callable[[], object]) -> None:
+        self._entry = entry
+        self.inst_per_mem = float(entry.inst_per_mem)
+        self.mlp = float(entry.mlp)
         self._factory = factory
-        self._align = int(align)
         self._pos = 0
         self._live = None
         self.fallbacks = 0
 
     @property
     def length(self) -> int:
-        return len(self._ctx)
+        return self._entry.length
 
     @property
     def pos(self) -> int:
@@ -149,11 +206,11 @@ class MaterializedTrace:
 
     @property
     def align(self) -> int:
-        """Chunk sizes that keep the zero-copy replay exact (the burst length)."""
-        return self._align
+        """Chunk sizes that keep the stored replay exact (the burst length)."""
+        return self._entry.align
 
     def footprint_lines(self) -> int:
-        return self._footprint
+        return self._entry.footprint
 
     def _go_live(self) -> None:
         global _PROCESS_FALLBACKS
@@ -169,56 +226,38 @@ class MaterializedTrace:
         _PROCESS_FALLBACKS += 1
 
     def fork(self, pos: int = 0) -> "MaterializedTrace":
-        """Cheap clone sharing the materialized arrays, cursor at ``pos``.
+        """Cheap clone sharing the materialized entry, cursor at ``pos``.
 
         The batch kernel's lane forks: each lane replays the same
-        zero-copy arrays through its own cursor.  ``pos`` must be a
-        position a zero-copy replay actually reached (lanes are only
-        cloned while ``_live is None``), so the clone's state is fully
-        described by the cursor.
+        entry through its own cursor.  ``pos`` must be a position a
+        stored replay actually reached (lanes are only cloned while
+        ``_live is None``), so the clone's state is fully described by
+        the cursor.
         """
-        t = MaterializedTrace(
-            self._ctx,
-            self._lines,
-            inst_per_mem=self.inst_per_mem,
-            mlp=self.mlp,
-            footprint=self._footprint,
-            factory=self._factory,
-            align=self._align,
-        )
+        t = MaterializedTrace(self._entry, self._factory)
         t._pos = int(pos)
         return t
 
     def chunk(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self._live is None:
-            if n % self._align == 0 and self._pos + n <= len(self._ctx):
+            if n % self._entry.align == 0 and self._pos + n <= self._entry.length:
                 start, self._pos = self._pos, self._pos + n
-                return self._ctx[start : self._pos], self._lines[start : self._pos]
+                return self._entry.expand(start, self._pos)
             self._go_live()
         out = self._live.chunk(n)
         self._pos += n
         return out
 
 
-# Process-wide count of MaterializedTrace zero-copy go-live fallbacks
-# (every _go_live adds one).  Surfaced via fallback_count() so batch
-# runs can assert the whole sweep stayed on the zero-copy path.
+# Process-wide count of MaterializedTrace go-live fallbacks (every
+# _go_live adds one).  Surfaced via fallback_count() so batch runs can
+# assert the whole sweep stayed on the stored path.
 _PROCESS_FALLBACKS = 0
 
 
 def fallback_count() -> int:
-    """Zero-copy go-live fallbacks in this process (all traces, all stores)."""
+    """Go-live fallbacks in this process (all traces, all stores)."""
     return _PROCESS_FALLBACKS
-
-
-@dataclass
-class _Entry:
-    ctx: np.ndarray
-    lines: np.ndarray
-    inst_per_mem: float
-    mlp: float
-    footprint: int
-    align: int
 
 
 class TraceStore:
@@ -270,19 +309,10 @@ class TraceStore:
     ) -> tuple[str, _Entry]:
         key = trace_key(spec, llc_lines=llc_lines, base_line=base_line, seed=seed)
         entry = self._mem.get(key)
-        if entry is not None and len(entry.ctx) >= length:
+        if entry is not None and entry.length >= length:
             return key, entry
         gen = build_trace(spec, llc_lines=llc_lines, base_line=base_line, seed=seed)
-        ctx, lines = gen.chunk(_round_up(max(length, 1), gen.burst_len))
-        stacked = np.stack([ctx, lines])
-        entry = _Entry(
-            ctx=stacked[0],
-            lines=stacked[1],
-            inst_per_mem=gen.inst_per_mem,
-            mlp=gen.mlp,
-            footprint=gen.footprint_lines(),
-            align=gen.burst_len,
-        )
+        entry = _Entry.build(gen, _round_up(max(length, 1), gen.burst_len))
         self._mem[key] = entry
         # A longer materialization supersedes any published segment of
         # the shorter one only on the parent side; workers keep serving
@@ -331,7 +361,8 @@ class TraceStore:
             spec, llc_lines=llc_lines, base_line=base_line, seed=seed, length=length
         )
         shm = self._shm.get(key)
-        nbytes = 2 * len(entry.ctx) * 8
+        n = entry.length
+        nbytes = _segment_nbytes(n, entry.offset.dtype)
         if shm is None or shm.size < nbytes:
             try:
                 from multiprocessing import shared_memory
@@ -342,13 +373,13 @@ class TraceStore:
                 fresh = shared_memory.SharedMemory(
                     create=True,
                     size=nbytes,
-                    name=f"{SHM_PREFIX}{self._tag}-{key[:16]}-{len(entry.ctx):x}",
+                    name=f"{SHM_PREFIX}{self._tag}-{key[:16]}-{n:x}",
                 )
             except Exception:
                 return None
-            view = np.ndarray((2, len(entry.ctx)), dtype=np.int64, buffer=fresh.buf)
-            view[0] = entry.ctx
-            view[1] = entry.lines
+            offset, code = _segment_arrays(fresh, n, entry.offset.dtype)
+            offset[:] = entry.offset
+            code[:] = entry.code
             if shm is not None:  # superseded shorter segment
                 with contextlib.suppress(Exception):
                     shm.close()
@@ -358,7 +389,10 @@ class TraceStore:
         return {
             "key": key,
             "shm": shm.name,
-            "length": len(entry.ctx),
+            "length": n,
+            "offset_dtype": entry.offset.dtype.name,
+            "ctx_of": entry.ctx_of.tolist(),
+            "base_of": entry.base_of.tolist(),
             "inst_per_mem": entry.inst_per_mem,
             "mlp": entry.mlp,
             "footprint": entry.footprint,
@@ -376,28 +410,36 @@ def _entry_trace(
     def factory():
         return build_trace(spec, llc_lines=llc_lines, base_line=base_line, seed=seed)
 
-    return MaterializedTrace(
-        entry.ctx,
-        entry.lines,
-        inst_per_mem=entry.inst_per_mem,
-        mlp=entry.mlp,
-        footprint=entry.footprint,
-        factory=factory,
-        align=entry.align,
-    )
+    return MaterializedTrace(entry, factory)
+
+
+def _segment_nbytes(length: int, dtype) -> int:
+    """Bytes of a segment holding ``length`` accesses with ``dtype`` offsets."""
+    return length * (np.dtype(dtype).itemsize + 1)
+
+
+def _segment_arrays(shm, length: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A segment's ``(offset, code)`` arrays: the offsets first, so they
+    start aligned, then one code byte per access."""
+    offset = np.ndarray((length,), dtype=dtype, buffer=shm.buf)
+    code = np.ndarray((length,), dtype=np.uint8, buffer=shm.buf, offset=offset.nbytes)
+    return offset, code
 
 
 # ------------------------------------------------- worker-side attach
 
-#: name -> (SharedMemory, ndarray) attachments this process made, kept
+#: name -> (SharedMemory, (offset, code)) attachments this process made, kept
 #: for the life of the process: a persistent pool worker re-serving a
 #: mix it has already mapped pays zero transport cost (the mix-affine
 #: scheduling payoff).  Workers only ever attach — unlinking is the
 #: publishing parent's job.
-_ATTACHED: dict[str, tuple[object, np.ndarray]] = {}
+_ATTACHED: dict[str, tuple[object, tuple[np.ndarray, np.ndarray]]] = {}
 
 
-def _attach(name: str, length: int) -> np.ndarray | None:
+def _attach(name: str, length: int, dtype: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``(offset, code)`` arrays of a published segment, or ``None``
+    when it cannot be attached or is smaller than ``length`` accesses
+    of ``dtype`` offsets and codes."""
     cached = _ATTACHED.get(name)
     if cached is not None:
         return cached[1]
@@ -417,13 +459,13 @@ def _attach(name: str, length: int) -> np.ndarray | None:
             resource_tracker.register = register
     except Exception:
         return None
-    if shm.size < 2 * length * 8:
+    if shm.size < _segment_nbytes(length, dtype):
         with contextlib.suppress(Exception):
             shm.close()
         return None
-    arr = np.ndarray((2, length), dtype=np.int64, buffer=shm.buf)
-    _ATTACHED[name] = (shm, arr)
-    return arr
+    arrays = _segment_arrays(shm, length, dtype)
+    _ATTACHED[name] = (shm, arrays)
+    return arrays
 
 
 class ManifestView:
@@ -454,12 +496,15 @@ class ManifestView:
         item = self._items.get(key)
         if item is None or item["length"] < length:
             return None
-        arr = _attach(item["shm"], item["length"])
-        if arr is None:
+        arrays = _attach(item["shm"], item["length"], item["offset_dtype"])
+        if arrays is None:
             return None
+        offset, code = arrays
         entry = _Entry(
-            ctx=arr[0],
-            lines=arr[1],
+            code=code,
+            offset=offset,
+            ctx_of=np.array(item["ctx_of"], dtype=np.int64),
+            base_of=np.array(item["base_of"], dtype=np.int64),
             inst_per_mem=item["inst_per_mem"],
             mlp=item["mlp"],
             footprint=item["footprint"],

@@ -147,7 +147,7 @@ class TestFingerprints:
 
     def test_no_fallbacks_at_standard_scales(self):
         # Every chunk a mechanism run requests is 32-aligned and within
-        # the materialized bound — the zero-copy path never bails out.
+        # the materialized bound — the stored path never bails out.
         store = TraceStore()
         machine = build_machine(the_mix(), SC, trace_store=store)
         ctl = CMMController(

@@ -1,6 +1,6 @@
 """Differential tests: the ``batch`` engine is bit-identical to ``fast``.
 
-The batch kernel shares one zero-copy materialized trace across N runs
+The batch kernel shares one materialized trace across N runs
 of a mix, runs each core phase once per state-equality class of runs,
 and serves static mask/CAT sweeps and controller-driven groups alike
 through a lockstep grouped LLC.  None of that sharing

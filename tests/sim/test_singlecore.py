@@ -8,12 +8,14 @@ all-off cascade, CAT ways, quanta, ragged warm-ups and windows sharing
 one pass), then every benchmark's profile payload through the engine's
 group, the trace-prefix property alone runs rely on, the session
 storing the alone runs a profile answered, alone-only groups staying
-off scalar machines, and which passes enter the scalar kernel at all.
+off scalar machines, which passes enter the scalar kernel at all, and
+a host-independent bound on the plane's peak memory.
 """
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from repro.experiments.engine import (
 )
 from repro.sim import fastengine
 from repro.sim.machine import Machine
-from repro.sim.singlecore import SingleCoreRow, run_single_core
+from repro.sim.singlecore import ALL_OFF, SingleCoreRow, run_single_core
 from repro.sim.tracestore import TraceStore
 from repro.workloads.classify import DEFAULT_WAY_SWEEP, run_alone
 from repro.workloads.mixes import make_mixes
@@ -207,3 +209,45 @@ def test_only_all_off_passes_skip_the_kernel(monkeypatch):
     _plane([SingleCoreRow("429.mcf", 0x5, None, 512, 1024, 1024)])
     assert sizes == [512] * 4
 
+
+
+#: Compute-bound benchmarks: few LLC requests, so the 0xF cascade's
+#: working set, not the LLC serve, sets the plane's peak.
+QUIET = ("456.hmmer", "453.povray", "444.namd", "416.gamess",
+         "400.perlbench", "445.gobmk", "458.sjeng", "465.tonto")
+#: Peak bytes per trace access: the compact traces (<= 6) plus the
+#: collapsed cascade streams and one pass's expansion.  About 11 today;
+#: an int64 trace store (16 on its own) or a cascade that holds every
+#: 0xF pass's full line array (about 17.5) exceeds it.
+PEAK_BYTES_PER_ACCESS = 14
+
+
+def test_peak_memory_is_bounded_by_the_rows():
+    """NumPy reports its buffers to tracemalloc, so the bound holds on any host."""
+
+    def profile_rows(benches, window):
+        # A profile's shape: on, all off and one way row, each a warm-up
+        # lap of ``window`` accesses then a measured one.
+        return [
+            SingleCoreRow(b, mask, ways, 1024, window, window)
+            for b in benches for mask, ways in ((0x0, None), (ALL_OFF, None), (0x0, 2))
+        ]
+
+    def run(rows):
+        store = TraceStore()
+        lengths = {r.trace: max(q.end for q in rows if q.trace == r.trace) for r in rows}
+        traces = {
+            b: store.trace_for(b, llc_lines=PARAMS.llc.lines, base_line=0, seed=0, length=n)
+            for b, n in lengths.items()
+        }
+        run_single_core(PARAMS, rows, traces)
+        return sum(lengths.values())
+
+    run(profile_rows(QUIET[:1], 1024))  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        accesses = run(profile_rows(QUIET, 16384))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BYTES_PER_ACCESS * accesses, peak / accesses

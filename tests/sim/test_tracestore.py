@@ -7,9 +7,14 @@ correct (still bit-identical) fallback when a request breaks alignment
 or outruns the material.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.sim import tracestore
+from repro.sim.params import MachineParams
+from repro.sim.trace import TraceGenerator
 from repro.sim.tracestore import (
     ManifestView,
     MaterializedTrace,
@@ -17,10 +22,14 @@ from repro.sim.tracestore import (
     shm_residue,
     trace_key,
 )
-from repro.workloads.speclike import benchmark, build_trace
+from repro.workloads.speclike import BENCHMARKS, benchmark, build_trace
 
 LLC_LINES = 2048
 BENCH = "410.bwaves"
+#: The last core's private base line: the largest a machine hands out.
+TOP_BASE = (MachineParams().n_cores - 1) << 34
+#: Bytes a store may hold per materialized access (two int64 columns hold 16).
+MAX_BYTES_PER_ACCESS = 6
 
 
 def live_chunks(bench, chunks, *, base_line=0, seed=0):
@@ -131,14 +140,17 @@ class TestBitIdentity:
         assert np.concatenate([l for _, l in a]).tolist() == \
             np.concatenate([l for _, l in b]).tolist()
 
-    def test_zero_copy_views(self):
+    def test_traces_share_one_entry(self):
+        # One materialization serves every trace and fork of a key; each
+        # chunk is expanded afresh, so a caller may keep or mutate it.
         store = TraceStore()
         trace = store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=1024)
-        ctx, lines = trace.chunk(512)
         again = store.trace_for(BENCH, llc_lines=LLC_LINES, base_line=0, seed=0, length=1024)
-        c2, l2 = again.chunk(512)
-        assert np.shares_memory(lines, l2)
-        assert np.shares_memory(ctx, c2)
+        assert again._entry is trace._entry
+        assert trace.fork(512)._entry is trace._entry
+        ctx, lines = trace.chunk(512)
+        lines[:] = -1
+        assert_same_stream([again.chunk(512)], live_chunks(BENCH, [512]))
 
     def test_unaligned_request_goes_live_bit_identically(self):
         store = TraceStore()
@@ -164,6 +176,60 @@ class TestBitIdentity:
         assert trace.footprint_lines() == gen.footprint_lines()
 
 
+def entry_nbytes(store, bench, **kwargs):
+    """Every array byte the store holds for one trace."""
+    entry = store._mem[trace_key(bench, **kwargs)]
+    return sum(v.nbytes for v in vars(entry).values() if isinstance(v, np.ndarray))
+
+
+class TestCompactLayout:
+    """The compact layout against a live generator, benchmark by benchmark."""
+
+    @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
+    def test_matches_live_generator(self, bench):
+        rng = np.random.default_rng(zlib.crc32(bench.encode()))
+        store = TraceStore()
+        for base_line, seed in [(0, 0), (TOP_BASE, 0), (0, 3), (TOP_BASE, 11)]:
+            kwargs = dict(llc_lines=LLC_LINES, base_line=base_line, seed=seed)
+            length = 32 * int(rng.integers(40, 120))
+            trace = store.trace_for(bench, length=length, **kwargs)
+            assert trace.length == length
+            live = build_trace(bench, **kwargs)
+            whole = live.chunk(length)
+            # A random aligned partition of the material, then a request
+            # that breaks alignment and outruns it.
+            cuts = np.sort(rng.choice(np.arange(1, length // 32), size=5, replace=False)) * 32
+            sizes = np.diff(np.r_[0, cuts, length]).tolist()
+            got, reached = [], [0]
+            for n in sizes:
+                got.append(trace.chunk(n))
+                reached.append(reached[-1] + n)
+            for (c, l), (ec, el) in zip(got, [
+                (whole[0][a:b], whole[1][a:b]) for a, b in zip(reached, reached[1:])
+            ]):
+                assert c.dtype == l.dtype == np.int64
+                np.testing.assert_array_equal(c, ec)
+                np.testing.assert_array_equal(l, el)
+            assert trace.fallbacks == 0
+            # A fork replays from any reached position.
+            for pos in rng.choice(reached[:-1], size=3).tolist():
+                n = 32 * int(rng.integers(1, (length - pos) // 32 + 1))
+                c, l = trace.fork(pos).chunk(n)
+                np.testing.assert_array_equal(c, whole[0][pos : pos + n])
+                np.testing.assert_array_equal(l, whole[1][pos : pos + n])
+            tail = trace.chunk(45)
+            assert_same_stream([tail], [live.chunk(45)])
+            assert trace.fallbacks == 1
+
+    def test_entry_holds_at_most_six_bytes_per_access(self):
+        # At the paper's LLC, so every stream's offsets span its full region.
+        store = TraceStore()
+        kwargs = dict(llc_lines=MachineParams().llc.lines, base_line=TOP_BASE, seed=0)
+        for bench in sorted(BENCHMARKS):
+            trace = store.trace_for(bench, length=1 << 14, **kwargs)
+            assert entry_nbytes(store, bench, **kwargs) <= MAX_BYTES_PER_ACCESS * trace.length
+
+
 class TestPublishAndManifest:
     def test_manifest_round_trip_identical(self):
         store = TraceStore()
@@ -178,6 +244,57 @@ class TestPublishAndManifest:
             got = [trace.chunk(512), trace.chunk(512)]
             assert_same_stream(got, live_chunks(BENCH, [512, 512]))
             assert trace.fallbacks == 0
+        finally:
+            store.close()
+        assert item["shm"] not in shm_residue()
+
+    def test_manifest_chunks_equal_store_chunks(self):
+        store = TraceStore()
+        kwargs = dict(llc_lines=MachineParams().llc.lines, base_line=TOP_BASE, seed=5)
+        try:
+            item = store.publish("429.mcf", length=4096, **kwargs)
+            if item is None:
+                pytest.skip("shared memory unavailable on this platform")
+            trace = ManifestView({item["key"]: item}).trace_for("429.mcf", length=4096, **kwargs)
+            own = store.trace_for("429.mcf", length=4096, **kwargs)
+            pattern = [512, 1024, 2560]
+            assert_same_stream([trace.chunk(n) for n in pattern], [own.chunk(n) for n in pattern])
+            assert trace.fallbacks == 0
+            segment = tracestore._ATTACHED[item["shm"]][0]
+            assert segment.size <= MAX_BYTES_PER_ACCESS * item["length"]
+        finally:
+            store.close()
+        assert item["shm"] not in shm_residue()
+
+    def test_short_segment_refused_and_generated_live(self):
+        from repro.experiments.config import TINY
+        from repro.experiments.runner import build_machine, mechanism_trace_length
+        from repro.workloads.mixes import make_mixes
+
+        mix = make_mixes("pref_agg", 1, seed=2019)[0]
+        params = TINY.params()
+        store = TraceStore()
+        try:
+            item = store.publish(
+                mix.benchmarks[0], llc_lines=params.llc.lines, base_line=0,
+                seed=mix.seed, length=mechanism_trace_length(TINY) // 2,
+            )
+            if item is None:
+                pytest.skip("shared memory unavailable on this platform")
+            # The manifest declares more accesses than the segment holds.
+            view = ManifestView({item["key"]: {**item, "length": 2 * item["length"] + 32}})
+            assert view.trace_for(
+                mix.benchmarks[0], llc_lines=params.llc.lines, base_line=0,
+                seed=mix.seed, length=item["length"] + 32,
+            ) is None
+            assert item["shm"] not in tracestore._ATTACHED
+            machine = build_machine(mix, TINY, trace_store=view)
+            assert isinstance(machine.cores[0].trace, TraceGenerator)
+            # The honest item for the same key attaches.
+            assert ManifestView({item["key"]: item}).trace_for(
+                mix.benchmarks[0], llc_lines=params.llc.lines, base_line=0,
+                seed=mix.seed, length=item["length"],
+            ) is not None
         finally:
             store.close()
         assert item["shm"] not in shm_residue()
