@@ -7,11 +7,8 @@ off-set; it must never be worse than coarse PT (it only adds
 candidates under the same selection rule).
 """
 
-import numpy as np
+from conftest import ablation_means
 
-from repro.core.throttling import PrefetchThrottlingPolicy
-from repro.experiments.engine import default_session, run
-from repro.metrics.speedup import harmonic_speedup
 from repro.workloads.mixes import make_mixes
 
 
@@ -19,19 +16,11 @@ def _sweep(scale):
     mixes = make_mixes("pref_unfri", scale.workloads_per_category, seed=scale.seed) + make_mixes(
         "pref_agg", scale.workloads_per_category, seed=scale.seed
     )
-    means = {}
-    for fine in (False, True):
-        vals = []
-        for mix in mixes:
-            alone = default_session().alone_ipcs(mix, scale)
-            base = run(mix, "baseline", scale)
-            res = run(
-                mix, PrefetchThrottlingPolicy(fine_grained=fine), scale,
-                label="pt-fine" if fine else "pt",
-            )
-            vals.append(harmonic_speedup(res.ipc, alone) / harmonic_speedup(base.ipc, alone))
-        means["fine" if fine else "coarse"] = float(np.mean(vals))
-    return means
+    cells = {
+        "coarse": ("pt", {}, scale),
+        "fine": ("pt", {"fine_grained": True}, scale),
+    }
+    return ablation_means(scale, mixes, cells)
 
 
 def test_fine_grained_ablation(run_once, scale):

@@ -12,11 +12,8 @@ apps still derive some benefit from residual LLC space, which is what
 the paper's 1.5x compromise protects.
 """
 
-import numpy as np
+from conftest import ablation_means
 
-from repro.core.partitioning import PrefCPPolicy
-from repro.experiments.engine import default_session, run
-from repro.metrics.speedup import harmonic_speedup
 from repro.workloads.mixes import make_mixes
 
 FACTORS = (0.5, 1.0, 1.5, 2.5, 4.0)
@@ -26,20 +23,8 @@ def _sweep(scale):
     mixes = make_mixes("pref_agg", scale.workloads_per_category, seed=scale.seed) + make_mixes(
         "pref_unfri", scale.workloads_per_category, seed=scale.seed
     )
-    means = {}
-    for factor in FACTORS:
-        vals = []
-        for mix in mixes:
-            alone = default_session().alone_ipcs(mix, scale)
-            base = run(mix, "baseline", scale)
-            res = run(
-                mix, PrefCPPolicy(partition_factor=factor), scale, label=f"pref-cp@{factor}"
-            )
-            vals.append(
-                harmonic_speedup(res.ipc, alone) / harmonic_speedup(base.ipc, alone)
-            )
-        means[factor] = float(np.mean(vals))
-    return means
+    cells = {f: ("pref-cp", {"partition_factor": f}, scale) for f in FACTORS}
+    return ablation_means(scale, mixes, cells)
 
 
 def test_partition_factor_ablation(run_once, scale):

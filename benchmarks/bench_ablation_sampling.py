@@ -5,30 +5,21 @@ similar results (they settle on a 50:1 ratio).  We run PT with the
 sampling interval halved and doubled and check the outcome is stable.
 """
 
-import numpy as np
+from dataclasses import replace
 
-from repro.core.throttling import PrefetchThrottlingPolicy
-from repro.experiments.engine import default_session, run
-from repro.metrics.speedup import harmonic_speedup
+from conftest import ablation_means
+
 from repro.workloads.mixes import make_mixes
 
 
 def _sweep(scale):
     mixes = make_mixes("pref_unfri", scale.workloads_per_category, seed=scale.seed)
-    means = {}
-    for mult in (0.5, 1.0, 2.0):
-        units = max(128, int(scale.sample_units * mult))
-        vals = []
-        for mix in mixes:
-            alone = default_session().alone_ipcs(mix, scale)
-            base = run(mix, "baseline", scale)
-            res = run(
-                mix, PrefetchThrottlingPolicy(), scale,
-                label=f"pt@{units}", sample_units=units,
-            )
-            vals.append(harmonic_speedup(res.ipc, alone) / harmonic_speedup(base.ipc, alone))
-        means[mult] = float(np.mean(vals))
-    return means
+    # The PT run's scale carries the interval; the baseline keeps the default.
+    cells = {
+        mult: ("pt", {}, replace(scale, sample_units=max(128, int(scale.sample_units * mult))))
+        for mult in (0.5, 1.0, 2.0)
+    }
+    return ablation_means(scale, mixes, cells)
 
 
 def test_sampling_interval_ablation(run_once, scale):

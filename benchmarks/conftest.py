@@ -16,12 +16,15 @@ these are regeneration harnesses, not micro-benchmarks.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis import build_artifacts
 from repro.analysis.tables import TidyTable
 from repro.experiments.config import get_scale
+from repro.experiments.engine import KIND_MECHANISM, PlannedRun, RunSpec, default_session
 from repro.experiments.report import render_table
+from repro.metrics.speedup import harmonic_speedup
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +75,30 @@ def print_category_means(table: TidyTable, metric: str) -> None:
     headers, rows = table.filter(metric=f"{metric}_mean").pivot("category", "mechanism")
     print()
     print(render_table(headers, rows, title=f"{table.distinct('figure')[0]}[{metric}] category means"))
+
+
+def ablation_means(scale, mixes, cells: dict) -> dict:
+    """``{cell: mean over mixes of HS(cell's run) / HS(baseline)}``.
+
+    ``cells`` maps each cell to the ``(mechanism, params, sc)`` of its
+    run; alone and baseline runs are at ``scale``.  One ``execute`` runs
+    the whole plan (alone, baseline, and every cell over every mix) on
+    the default session; each cell is then read back as a cache replay.
+    """
+    session = default_session()
+    plan = RunSpec(mechanisms=(), mixes=tuple(mixes)).expand(scale)
+    plan += [
+        PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism=mechanism, params=params)
+        for mechanism, params, sc in cells.values() for mix in mixes
+    ]
+    session.execute(plan)
+    means = {}
+    for cell, (mechanism, params, sc) in cells.items():
+        vals = []
+        for mix in mixes:
+            alone = session.alone_ipcs(mix, scale)
+            base = session.run(mix, "baseline", scale)
+            res = session.run(mix, mechanism, sc, params=params)
+            vals.append(harmonic_speedup(res.ipc, alone) / harmonic_speedup(base.ipc, alone))
+        means[cell] = float(np.mean(vals))
+    return means

@@ -29,8 +29,8 @@ Public API tour:
 
 Running things:
 
-* :func:`run` — one (workload, mechanism-or-policy) simulation through
-  the default session.
+* :func:`run` — one (workload, mechanism) simulation through the
+  default session; ``params=`` overrides the policy's constructor.
 * :func:`simulate_batch` — many runs at once: specs sharing a workload
   mix are executed on one batch kernel (shared materialized trace, masked
   lockstep over grouped cores and a grouped LLC), bit-identical to
@@ -59,7 +59,7 @@ Quickstart::
 
 from repro._lazy import lazy_exports
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 #: Every public name, by the module that defines it.  Resolved on first
 #: access (PEP 562), so ``import repro`` loads no subpackage: a warm

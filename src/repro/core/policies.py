@@ -14,17 +14,17 @@ if TYPE_CHECKING:
     from repro.core.policy_base import Policy
 
 
-def _factory(path: str, *args) -> Callable[[], Policy]:
-    """A zero-arg factory for the class at ``"module:Class"``."""
+def _factory(path: str, *args) -> Callable[..., Policy]:
+    """A factory for the class at ``"module:Class"``; keywords go to its constructor."""
     module, _, cls = path.partition(":")
 
-    def make() -> Policy:
-        return getattr(importlib.import_module(module), cls)(*args)
+    def make(**params) -> Policy:
+        return getattr(importlib.import_module(module), cls)(*args, **params)
 
     return make
 
 
-POLICIES: dict[str, Callable[[], Policy]] = {
+POLICIES: dict[str, Callable[..., Policy]] = {
     "baseline": _factory("repro.core.policy_base:BaselinePolicy"),
     "pt": _factory("repro.core.throttling:PrefetchThrottlingPolicy"),
     "dunn": _factory("repro.core.dunn:DunnPolicy"),
@@ -42,12 +42,13 @@ POLICIES: dict[str, Callable[[], Policy]] = {
 MECHANISMS = ("pt", "dunn", "pref-cp", "pref-cp2", "cmm-a", "cmm-b", "cmm-c")
 
 
-def make_policy(name: str) -> Policy:
+def make_policy(name: str, **params) -> Policy:
+    """The policy ``name``, its constructor given the overrides ``params``."""
     try:
         factory = POLICIES[name]
     except KeyError:
         raise KeyError(f"unknown policy {name!r}; one of {sorted(POLICIES)}") from None
-    return factory()
+    return factory(**params)
 
 
 def policy_names() -> list[str]:

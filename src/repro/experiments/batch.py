@@ -46,6 +46,9 @@ from dataclasses import dataclass
 
 from repro.core.controller import RunStats
 from repro.experiments.config import ScaleConfig, get_scale
+from repro.experiments.runner import (
+    build_machine, drive_mechanism, mechanism_payload, mechanism_trace_length,
+)
 from repro.sim.batch import (
     BatchKernel,
     LockstepError,
@@ -53,7 +56,7 @@ from repro.sim.batch import (
     note_degradation,
     run_static_sweep,
 )
-from repro.sim.machine import CORE_ADDRESS_STRIDE_LINES, Machine
+from repro.sim.machine import CORE_ADDRESS_STRIDE_LINES
 from repro.workloads.mixes import WorkloadMix
 
 __all__ = ["BatchRunSpec", "simulate_batch", "compute_mechanism_group"]
@@ -92,12 +95,6 @@ def _mix_key(mix: WorkloadMix) -> tuple:
     return (mix.name, mix.seed, tuple(mix.benchmarks))
 
 
-def _mechanism_trace_length(sc: ScaleConfig) -> int:
-    from repro.experiments.runner import mechanism_trace_length
-
-    return mechanism_trace_length(sc)
-
-
 def build_batch_kernel(
     mix: WorkloadMix, sc: ScaleConfig, trace_store, *, length: int | None = None
 ) -> BatchKernel:
@@ -112,7 +109,7 @@ def build_batch_kernel(
     params = sc.params()
     if mix.n_cores > params.n_cores:
         raise ValueError(f"mix {mix.name} needs {mix.n_cores} cores, machine has {params.n_cores}")
-    length = length if length is not None else _mechanism_trace_length(sc)
+    length = length if length is not None else mechanism_trace_length(sc)
     kernel = BatchKernel(params, quantum=sc.quantum)
     for core, bench in enumerate(mix.benchmarks):
         trace = trace_store.trace_for(
@@ -126,15 +123,8 @@ def build_batch_kernel(
     return kernel
 
 
-def _run_mechanism(machine, mechanism: str, sc: ScaleConfig) -> RunStats:
-    """Drive one machine with a named policy — the scalar semantics."""
-    from repro.experiments.runner import drive_mechanism
-
-    return drive_mechanism(machine, mechanism, sc)
-
-
-def _lockstep_mechanisms(kernel: BatchKernel, mechanisms, sc: ScaleConfig) -> list[RunStats]:
-    """Run a group of mechanism runs in masked lockstep; one RunStats each.
+def _lockstep_mechanisms(kernel: BatchKernel, policies, sc: ScaleConfig) -> list[RunStats]:
+    """Run ``(mechanism, params)`` pairs in masked lockstep; one RunStats each.
 
     Every run gets its own unmodified controller loop on a
     :class:`~repro.sim.batch.LockstepMachine`; the group shares one
@@ -143,9 +133,10 @@ def _lockstep_mechanisms(kernel: BatchKernel, mechanisms, sc: ScaleConfig) -> li
     Raises :class:`~repro.sim.batch.LockstepError` when the group cannot
     complete batched; callers fall back per-run (bit-identical results).
     """
-    group = LockstepGroup(kernel, len(mechanisms))
+    group = LockstepGroup(kernel, len(policies))
     drivers = [
-        (lambda m, _mech=mech: _run_mechanism(m, _mech, sc)) for mech in mechanisms
+        (lambda m, _mech=mech, _params=params: drive_mechanism(m, _mech, sc, _params))
+        for mech, params in policies
     ]
     return group.run(drivers)
 
@@ -173,12 +164,6 @@ def _run_static(machine, spec: BatchRunSpec) -> RunStats:
         trace_fallbacks=machine.trace_fallbacks(),
         batch_degradations=machine.batch_degradations(),
     )
-
-
-def _scalar_machine(mix: WorkloadMix, sc: ScaleConfig, trace_store) -> Machine:
-    from repro.experiments.runner import build_machine
-
-    return build_machine(mix, sc, trace_store=trace_store)
 
 
 def simulate_batch(
@@ -210,7 +195,7 @@ def simulate_batch(
         mix = specs[indices[0]].mix
         lens = [specs[i].n_accesses for i in indices if specs[i].n_accesses is not None]
         if any(specs[i].mechanism is not None for i in indices):
-            lens.append(_mechanism_trace_length(sc))
+            lens.append(mechanism_trace_length(sc))
         length = max(lens)
         # A singleton has nothing to share: straight to its own machine.
         kernel = (
@@ -227,7 +212,7 @@ def simulate_batch(
             if len(mech_idx) >= 2:
                 try:
                     mech_stats = _lockstep_mechanisms(
-                        kernel, [specs[i].mechanism for i in mech_idx], sc
+                        kernel, [(specs[i].mechanism, ()) for i in mech_idx], sc
                     )
                 except LockstepError:
                     note_degradation()
@@ -240,11 +225,11 @@ def simulate_batch(
             if i in done:
                 continue
             spec = specs[i]
-            machine = _scalar_machine(mix, sc, trace_store)
+            machine = build_machine(mix, sc, trace_store=trace_store)
             if i in degraded:
                 machine._batch_degradations = 1
             if spec.mechanism is not None:
-                out[i] = _run_mechanism(machine, spec.mechanism, sc)
+                out[i] = drive_mechanism(machine, spec.mechanism, sc)
             else:
                 out[i] = _run_static(machine, spec)
     return out
@@ -289,24 +274,6 @@ def _run_lockstep_sweeps(kernel: BatchKernel, specs, indices):
                 trace_fallbacks=row.trace_fallbacks,
             )
     return results, degraded
-
-
-def _payload(stats: RunStats) -> dict:
-    """The session's mechanism result payload (cache/wire format).
-
-    Byte-identical across the scalar and lockstep paths —
-    the result cache cannot tell which one produced an entry.
-    """
-    from repro.core.trace import traces_to_dicts
-
-    return {
-        "n_cores": stats.n_cores,
-        "cycles_per_second": stats.cycles_per_second,
-        "wall_cycles": stats.wall_cycles,
-        "totals": stats.totals.tolist(),
-        "n_epochs": len(stats.epochs),
-        "traces": traces_to_dicts(stats.traces),
-    }
 
 
 def compute_single_core_group(runs, trace_store) -> list[tuple[dict, float, list]]:
@@ -386,9 +353,9 @@ def compute_mechanism_group(runs, trace_store) -> list[tuple[dict, float]]:
     """Batch-execute a mix-affine group of planned mechanism runs.
 
     ``runs`` are :class:`~repro.experiments.engine.PlannedRun` rows of
-    kind ``mechanism`` sharing one mix and scale.  Returns ``(payload,
-    seconds)`` per run, where the payload dict is byte-identical to the
-    scalar ``_compute_mechanism`` one.
+    kind ``mechanism`` sharing one mix and scale; their mechanisms and
+    params may differ.  Returns ``(payload, seconds)`` per run, where the
+    payload dict is byte-identical to the scalar ``_compute_mechanism`` one.
 
     A group of 2+ runs executes in masked lockstep — one grouped SoA
     pass even though the mechanisms diverge.  A
@@ -402,19 +369,19 @@ def compute_mechanism_group(runs, trace_store) -> list[tuple[dict, float]]:
     if len(runs) >= 2:
         t0 = time.perf_counter()
         try:
-            all_stats = _lockstep_mechanisms(kernel, [r.mechanism for r in runs], sc)
+            all_stats = _lockstep_mechanisms(kernel, [(r.mechanism, r.params) for r in runs], sc)
         except LockstepError:
             note_degradation()
             degraded = True
         else:
             per_run = (time.perf_counter() - t0) / len(runs)
-            return [(_payload(stats), per_run) for stats in all_stats]
+            return [(mechanism_payload(stats), per_run) for stats in all_stats]
     out: list[tuple[dict, float]] = []
     for r in runs:
         t0 = time.perf_counter()
-        machine = _scalar_machine(r.mix, sc, trace_store)
+        machine = build_machine(r.mix, sc, trace_store=trace_store)
         if degraded:
             machine._batch_degradations = 1
-        stats = _run_mechanism(machine, r.mechanism, sc)
-        out.append((_payload(stats), time.perf_counter() - t0))
+        stats = drive_mechanism(machine, r.mechanism, sc, r.params)
+        out.append((mechanism_payload(stats), time.perf_counter() - t0))
     return out

@@ -63,7 +63,7 @@ import tempfile
 import time
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -77,7 +77,6 @@ from repro.core.trace import (
     EpochTrace,
     TraceSchemaError,
     traces_from_dicts,
-    traces_to_dicts,
 )
 from repro.experiments.config import ScaleConfig, get_scale, key_inputs
 from repro.experiments.runner import (
@@ -85,6 +84,7 @@ from repro.experiments.runner import (
     WorkloadEval,
     build_machine,
     drive_mechanism,
+    mechanism_payload,
 )
 from repro.metrics.speedup import harmonic_speedup, weighted_speedup, worst_case_speedup
 from repro.sim import tracestore
@@ -186,16 +186,29 @@ def _hash_payload(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _params_suffix(params: tuple) -> str:
+    """``"[partition_factor=0.5]"`` for a run's params, ``""`` for none."""
+    return f"[{','.join(f'{k}={v}' for k, v in params)}]" if params else ""
+
+
 @dataclass(frozen=True)
 class PlannedRun:
-    """One deduplicatable unit of simulation work."""
+    """One deduplicatable unit of simulation work.
+
+    ``params`` are a mechanism run's policy constructor overrides: a
+    mapping, pairs or ``None``, kept as ``(name, value)`` pairs sorted by name.
+    Runs compare by their JSON text (``params_json``), as they are keyed:
+    ``1 == 1.0 == True`` in Python, but the three key apart.
+    """
 
     kind: str
     sc: ScaleConfig
     mix: WorkloadMix | None = None
     mechanism: str | None = None
+    params: tuple[tuple[str, bool | int | float | str], ...] = field(default=(), compare=False)
     bench: str | None = None
     way_sweep: tuple[int, ...] | None = None
+    params_json: str = field(default="", init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Bad input is not a worker fault: fail eagerly instead of
@@ -207,27 +220,30 @@ class PlannedRun:
         # Ways above the LLC's are legal (``swept_ways`` drops them).
         if self.way_sweep and min(self.way_sweep) < 1:
             raise ValueError(f"way_sweep entries must be >= 1, got {list(self.way_sweep)}")
+        if self.params:
+            self._check_params()
+        else:  # None or an empty mapping: no overrides
+            object.__setattr__(self, "params", ())
+
+    def _check_params(self) -> None:
+        if self.kind != KIND_MECHANISM:
+            raise ValueError(f"params apply to mechanism runs only, not {self.kind!r} runs")
+        params = dict(self.params)
+        if not all(type(k) is str and type(v) in (bool, int, float, str) for k, v in params.items()):
+            raise TypeError(f"params map names to bool/int/float/str values, got {params!r}")
+        # The constructor refuses an unknown keyword, a bad value or
+        # a clash with a positional argument (cmm-*'s variant).
+        make_policy(self.mechanism, **params)
+        object.__setattr__(self, "params", tuple(sorted(params.items())))
+        object.__setattr__(self, "params_json", json.dumps(params, sort_keys=True))
 
     @property
     def label(self) -> str:
         if self.kind == KIND_MECHANISM:
-            return f"{self.mix.name}/{self.mechanism}"
+            return f"{self.mix.name}/{self.mechanism}{_params_suffix(self.params)}"
         if self.kind == KIND_ALONE:
             return f"alone/{self.bench}"
         return f"profile/{self.bench}" + ("+ways" if self.way_sweep else "")
-
-    @property
-    def affinity_group(self) -> str:
-        """Runs sharing this label consume the same materialized traces.
-
-        The scheduler submits misses grouped by it (mix-affine order)
-        so a persistent pool worker that has already attached a mix's
-        shared-memory segments serves that mix's remaining mechanisms
-        from its attachment cache.
-        """
-        if self.kind == KIND_MECHANISM:
-            return f"mix:{self.mix.name}:{self.mix.seed}"
-        return f"{self.kind}:{self.bench}"
 
     def key_payload(self) -> dict:
         """Everything the simulated outcome depends on.
@@ -251,6 +267,8 @@ class PlannedRun:
                 "seed": self.mix.seed,
             }
             payload["mechanism"] = self.mechanism
+            if self.params:
+                payload["params"] = dict(self.params)
         elif self.kind == KIND_ALONE:
             payload["bench"] = self.bench
         else:  # KIND_PROFILE
@@ -281,20 +299,8 @@ def _run_key(run: PlannedRun) -> str:
 
 
 def _compute_mechanism(run: PlannedRun) -> dict:
-    sc = run.sc
-    machine = build_machine(run.mix, sc, trace_store=tracestore.active_view())
-    stats = drive_mechanism(machine, run.mechanism, sc)
-    # "traces" rides along to the session, which persists it *beside*
-    # the result (<key>.traces.json) — never inside the hashed payload,
-    # so cache keys and stored payloads stay byte-identical.
-    return {
-        "n_cores": stats.n_cores,
-        "cycles_per_second": stats.cycles_per_second,
-        "wall_cycles": stats.wall_cycles,
-        "totals": stats.totals.tolist(),
-        "n_epochs": len(stats.epochs),
-        "traces": traces_to_dicts(stats.traces),
-    }
+    machine = build_machine(run.mix, run.sc, trace_store=tracestore.active_view())
+    return mechanism_payload(drive_mechanism(machine, run.mechanism, run.sc, run.params))
 
 
 def _compute_alone(run: PlannedRun) -> dict:
@@ -978,8 +984,9 @@ class ExperimentSession:
 
         Two group shapes, payloads byte-identical to the per-run path:
 
-        * >= 2 mechanism misses sharing an affinity group and scale run
-          through one shared batch kernel
+        * >= 2 mechanism misses sharing a mix and a scale (by value, so
+          runs differing only in params share a group) run through one
+          shared batch kernel
           (:func:`repro.experiments.batch.compute_mechanism_group`);
         * every profile and alone miss of one scale runs on the
           single-core plane
@@ -997,7 +1004,7 @@ class ExperimentSession:
         groups: dict[tuple, list[tuple[str, PlannedRun]]] = {}
         for key, r in misses:
             if r.kind == KIND_MECHANISM:
-                g = ("mix", r.affinity_group, r.sc.name)
+                g = ("mix", r.mix, r.sc)
             else:
                 g = ("single-core", r.sc)
             groups.setdefault(g, []).append((key, r))
@@ -1040,41 +1047,28 @@ class ExperimentSession:
     def run(
         self,
         mix: WorkloadMix,
-        policy_or_name,
+        mechanism: str,
         sc: ScaleConfig | None = None,
         *,
+        params=None,
         label: str | None = None,
-        detector_cfg=None,
-        sample_units: int | None = None,
-    ):
-        """Run one workload under a mechanism name or policy object.
+    ) -> RunResult:
+        """Run one workload under a named mechanism; cached like any plan.
 
-        Named mechanisms with no overrides are cached; custom policy
-        objects and per-call overrides (``detector_cfg``,
-        ``sample_units``) always simulate fresh, since their knobs are
-        not part of the content key.
+        ``params`` are the policy's constructor overrides (a mapping,
+        e.g. ``{"partition_factor": 1.0}``); they are part of the run's
+        content key.  A different sampling interval is a different
+        scale: ``dataclasses.replace(sc, sample_units=...)``.
         """
+        if not isinstance(mechanism, str):
+            raise TypeError(f"run() takes a mechanism name, not a {type(mechanism).__name__}; "
+                            "pass the policy's constructor overrides as params=")
         sc = self._resolve(sc)
-        if isinstance(policy_or_name, str) and detector_cfg is None and sample_units is None:
-            planned = PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism=policy_or_name)
-            payload = self.execute([planned])[planned.key()]
-            traces = self._load_traces(planned.key())
-            return RunResult(mix, label or policy_or_name, _rehydrate_stats(payload, traces))
-
-        from repro.core.controller import CMMController
-        from repro.core.epoch import EpochConfig
-        from repro.platform.simulated import SimulatedPlatform
-
-        policy = make_policy(policy_or_name) if isinstance(policy_or_name, str) else policy_or_name
-        machine = build_machine(mix, sc, trace_store=self.trace_store)
-        platform = SimulatedPlatform(machine)
-        epoch_cfg = EpochConfig(
-            exec_units=sc.exec_units,
-            sample_units=sample_units if sample_units is not None else sc.sample_units,
-        )
-        controller = CMMController(platform, policy, epoch_cfg=epoch_cfg, detector_cfg=detector_cfg)
-        stats = controller.run(sc.n_epochs)
-        return RunResult(mix, label or getattr(policy, "name", "custom"), stats)
+        planned = PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism=mechanism, params=params)
+        key = planned.key()
+        payload = self.execute([planned])[key]
+        label = label or mechanism + _params_suffix(planned.params)
+        return RunResult(mix, label, _rehydrate_stats(payload, self._load_traces(key)))
 
     def _load_traces(self, key: str) -> list[EpochTrace] | None:
         """Parse the stored traces for ``key``; ``None`` when absent/stale."""
@@ -1261,12 +1255,7 @@ def set_default_session(session: ExperimentSession | None) -> None:
     _DEFAULT_SESSION = session
 
 
-def run(mix: WorkloadMix, policy_or_name, sc: ScaleConfig | None = None, **overrides):
-    """Unified entry point replacing ``run_mechanism``/``run_policy_object``.
-
-    ``policy_or_name`` is a mechanism name (cached through the default
-    session) or a policy object (always simulated fresh); ``overrides``
-    are forwarded to :meth:`ExperimentSession.run` (``label``,
-    ``detector_cfg``, ``sample_units``).
-    """
-    return default_session().run(mix, policy_or_name, sc, **overrides)
+def run(mix: WorkloadMix, mechanism: str, sc: ScaleConfig | None = None, *,
+        params=None, label: str | None = None) -> RunResult:
+    """:meth:`ExperimentSession.run` on the default session."""
+    return default_session().run(mix, mechanism, sc, params=params, label=label)

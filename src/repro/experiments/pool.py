@@ -102,9 +102,11 @@ def _affinity_order(misses: list[tuple[str, PlannedRun]]) -> list[tuple[str, Pla
     Groups keep first-seen order (stable, deterministic), so a plan
     that is already grouped — the common case — is returned unchanged.
     """
-    groups: dict[str, list[tuple[str, PlannedRun]]] = {}
+    groups: dict[object, list[tuple[str, PlannedRun]]] = {}
     for key, r in misses:
-        groups.setdefault(r.affinity_group, []).append((key, r))
+        # A mix's runs read its traces, at any scale; alone and profile
+        # runs of one benchmark read the same single-core trace.
+        groups.setdefault(r.mix or r.bench, []).append((key, r))
     return [kr for grp in groups.values() for kr in grp]
 
 

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.runstats import RunStats
+from repro.core.trace import traces_to_dicts
 from repro.experiments.config import ScaleConfig
 from repro.sim.pmu import Event
 from repro.workloads.mixes import WorkloadMix
@@ -50,13 +51,14 @@ def mechanism_trace_length(sc: ScaleConfig) -> int:
     return cfg.warmup_units + sc.n_epochs * per_epoch
 
 
-def drive_mechanism(machine: Machine, mechanism: str, sc: ScaleConfig) -> RunStats:
-    """Drive one machine with a named policy — the scalar semantics.
+def drive_mechanism(machine: Machine, mechanism: str, sc: ScaleConfig, params: tuple = ()) -> RunStats:
+    """Drive one machine with a named policy, its constructor given the
+    ``(name, value)`` pairs ``params`` — the scalar semantics.
 
     The single place controller construction for a mechanism run lives:
-    the session's scalar path, the batch layer's per-run fallback and
-    the lockstep drivers all call this, so every path is the same
-    controller fed the same :class:`~repro.core.epoch.EpochConfig`.
+    the session's scalar and pool paths, the batch layer's per-run
+    fallback and the lockstep drivers all call this, so every path is the
+    same controller fed the same :class:`~repro.core.epoch.EpochConfig`.
     """
     from repro.core.controller import CMMController
     from repro.core.epoch import EpochConfig
@@ -65,10 +67,25 @@ def drive_mechanism(machine: Machine, mechanism: str, sc: ScaleConfig) -> RunSta
 
     controller = CMMController(
         SimulatedPlatform(machine),
-        make_policy(mechanism),
+        make_policy(mechanism, **dict(params)),
         epoch_cfg=EpochConfig(exec_units=sc.exec_units, sample_units=sc.sample_units),
     )
     return controller.run(sc.n_epochs)
+
+
+def mechanism_payload(stats: RunStats) -> dict:
+    """A mechanism run's result payload, the same from every execution path.
+
+    The session stores ``"traces"`` *beside* the result (<key>.traces.json).
+    """
+    return {
+        "n_cores": stats.n_cores,
+        "cycles_per_second": stats.cycles_per_second,
+        "wall_cycles": stats.wall_cycles,
+        "totals": stats.totals.tolist(),
+        "n_epochs": len(stats.epochs),
+        "traces": traces_to_dicts(stats.traces),
+    }
 
 
 def build_machine(

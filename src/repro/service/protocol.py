@@ -34,7 +34,9 @@ way sweep).  :func:`run_from_wire` validates eagerly and raises
 at the front door, not deep inside a worker.  At decode it checks every
 field's JSON type, benchmark and mechanism names against their
 registries, that every scale size is a positive int and builds a
-machine, and that every ``way_sweep`` entry is at least 1.
+machine, that every ``way_sweep`` entry is at least 1, and that a
+mechanism run's optional ``params`` (its policy's constructor overrides)
+are a JSON object of scalars its policy's constructor accepts.
 """
 
 from __future__ import annotations
@@ -118,6 +120,8 @@ def run_to_wire(run: PlannedRun) -> dict:
         }
     if run.mechanism is not None:
         wire["mechanism"] = run.mechanism
+    if run.params:
+        wire["params"] = dict(run.params)
     if run.bench is not None:
         wire["bench"] = run.bench
     if run.way_sweep is not None:
@@ -205,8 +209,10 @@ def run_from_wire(wire: dict) -> PlannedRun:
             sc=sc,
             mix=mix,
             mechanism=mechanism,
+            params=_optional(wire, "params", dict),
             bench=bench,
             way_sweep=way_sweep,
         )
-    except (KeyError, ValueError) as e:  # unknown mechanism or a way below 1
+    # Unknown mechanism, way below 1, or params the run or its policy refuses.
+    except (KeyError, ValueError, TypeError) as e:
         raise ProtocolError(str(e)) from None

@@ -197,7 +197,7 @@ def _cascade(passes: list[_Pass], params: MachineParams) -> None:
     pos: list[np.ndarray] = []
     lines: list[np.ndarray] = []
     for p in passes:
-        ln = p.trace.fork(0).chunk(int(p.bounds[-1]))[1]
+        ln = p.trace.fork(0).chunk_lines(int(p.bounds[-1]))
         keep = np.flatnonzero(np.r_[True, ln[1:] != ln[:-1]]).astype(np.int32)
         pos.append(keep)
         lines.append(ln[keep])

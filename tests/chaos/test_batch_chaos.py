@@ -17,7 +17,7 @@ import pytest
 from repro.experiments import batch as B
 from repro.experiments.batch import BatchRunSpec, simulate_batch
 from repro.experiments.config import ScaleConfig
-from repro.experiments.runner import build_machine
+from repro.experiments.runner import build_machine, drive_mechanism
 from repro.experiments.engine import (
     KIND_ALONE,
     KIND_MECHANISM,
@@ -82,8 +82,10 @@ class TestPerRunRung:
         from repro.sim.machine import Machine
 
         built = []
-        real = B._scalar_machine
-        monkeypatch.setattr(B, "_scalar_machine", lambda *a: built.append(real(*a)) or built[-1])
+        real = B.build_machine
+        monkeypatch.setattr(
+            B, "build_machine", lambda *a, **kw: built.append(real(*a, **kw)) or built[-1]
+        )
         specs = _static_specs(mix)
         healthy = simulate_batch(specs, SC, trace_store=store)
         assert built == []
@@ -153,7 +155,7 @@ def _fast_digest(specs, sc, store):
     for spec in specs:
         m = build_machine(spec.mix, sc, trace_store=store, engine="fast")
         if spec.mechanism is not None:
-            out.append(B._run_mechanism(m, spec.mechanism, sc))
+            out.append(drive_mechanism(m, spec.mechanism, sc))
         else:
             out.append(B._run_static(m, spec))
     return _digest(out)

@@ -126,6 +126,7 @@ class TestKeys:
             PlannedRun(KIND_ALONE, SC, bench="429.mcf"),
             PlannedRun(KIND_PROFILE, SC, bench="453.povray"),
             PlannedRun(KIND_PROFILE, SC, bench="453.povray", way_sweep=(1, 2)),
+            PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="pt", params={"fine_grained": True}),
         ]
         assert len({r.key() for r in runs}) == len(runs)
         assert len(derivations) == len(runs)
@@ -138,8 +139,8 @@ class TestKeys:
             # Equal values built independently share the memo entry.
             derived = len(derivations)
             rebuilt = PlannedRun(run.kind, dataclasses.replace(run.sc), mix=run.mix,
-                                 mechanism=run.mechanism, bench=run.bench,
-                                 way_sweep=run.way_sweep)
+                                 mechanism=run.mechanism, params=dict(run.params),
+                                 bench=run.bench, way_sweep=run.way_sweep)
             assert rebuilt is not run
             assert rebuilt.key() == run_from_wire(run_to_wire(run)).key() == run.key()
             assert len(derivations) == derived
@@ -167,6 +168,81 @@ class TestKeys:
             "profile_ways": PlannedRun(KIND_PROFILE, TINY, bench="453.povray", way_sweep=(1, 2)),
         }
         assert {kind: run.key() for kind, run in runs.items()} == self.PINNED_TINY_KEYS
+
+    def test_tiny_params_key_is_pinned(self, mix):
+        run = PlannedRun(
+            KIND_MECHANISM, TINY, mix=mix, mechanism="pref-cp", params={"partition_factor": 0.5}
+        )
+        assert run.key() == "1788518f37f65a8c9ac388f2957f2a12828aedd2d286ccef49e7f72f88ebee8f"
+
+
+class TestParams:
+    """Policy constructor overrides ride the run's content key."""
+
+    def test_no_params_keys_as_before(self, mix):
+        plain = PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="pref-cp")
+        empty = PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="pref-cp", params={})
+        assert plain == empty and plain.key() == empty.key()
+        assert plain.params == empty.params == ()
+        assert "params" not in plain.key_payload()
+
+    def test_params_are_sorted_keyed_and_labelled(self, mix):
+        a = PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="pt",
+                       params={"selection_margin": 0.05, "fine_grained": True})
+        b = PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="pt",
+                       params=[("fine_grained", True), ("selection_margin", 0.05)])
+        assert a == b and a.key() == b.key()
+        assert a.params == (("fine_grained", True), ("selection_margin", 0.05))
+        assert a.key_payload()["params"] == {"fine_grained": True, "selection_margin": 0.05}
+        assert a.label == f"{mix.name}/pt[fine_grained=True,selection_margin=0.05]"
+        assert a.key() != PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="pt").key()
+
+    def test_equal_values_of_other_types_key_apart(self, mix):
+        """``1 == 1.0 == True`` with equal hashes, but each serialises
+        differently: the runs must stay unequal, or the key memo would
+        answer one with the other's key."""
+        from repro.experiments import engine
+
+        def run(value):
+            return PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="pt",
+                              params={"max_exhaustive": value})
+
+        engine._run_key.cache_clear()
+        runs = [run(1), run(1.0), run(True)]
+        assert runs[0] != runs[1] != runs[2] != runs[0]
+        keys = [r.key() for r in runs]
+        assert keys == [engine._hash_payload(r.key_payload()) for r in runs]
+        assert len(set(keys)) == 3
+        assert run(1.0) == runs[1] and hash(run(1.0)) == hash(runs[1])
+
+    @pytest.mark.parametrize("mechanism,params,error", [
+        ("pref-cp", {"no_such_knob": 1}, TypeError),
+        ("cmm-a", {"variant": "b"}, TypeError),
+        ("pref-cp", {"partition_factor": [0.5]}, TypeError),
+        ("pref-cp", {"partition_factor": None}, TypeError),
+        ("no-such-policy", {"k": 1}, KeyError),
+    ])
+    def test_bad_params_refused_at_construction(self, mix, mechanism, params, error):
+        with pytest.raises(error):
+            PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism=mechanism, params=params)
+
+    def test_params_only_on_mechanism_runs(self):
+        with pytest.raises(ValueError, match="mechanism runs only"):
+            PlannedRun(KIND_ALONE, SC, bench="429.mcf", params={"partition_factor": 0.5})
+
+    def test_params_run_replays_in_a_second_session(self, tmp_path, mix):
+        params = {"partition_factor": 0.5}
+        first = ExperimentSession(cache_dir=tmp_path / "c", max_workers=1)
+        fresh = first.run(mix, "pref-cp", SC, params=params)
+        assert [r.cached for r in first.records] == [False]
+        second = ExperimentSession(cache_dir=tmp_path / "c", max_workers=1)
+        replay = second.run(mix, "pref-cp", SC, params=params)
+        assert [r.cached for r in second.records] == [True]
+        np.testing.assert_array_equal(fresh.stats.totals, replay.stats.totals)
+        assert fresh.mechanism == replay.mechanism == "pref-cp[partition_factor=0.5]"
+        default = second.run(mix, "pref-cp", SC)
+        assert not second.records[-1].cached
+        assert not np.array_equal(default.stats.totals, replay.stats.totals)
 
 
 class TestResultCache:
@@ -313,12 +389,12 @@ class TestSessionCaching:
         assert a == b > 0
         assert [r.cached for r in session.records] == [False, True]
 
-    def test_policy_objects_bypass_cache(self, session, mix):
+    def test_policy_objects_are_refused(self, session, mix):
         from repro.core.dunn import DunnPolicy
 
-        r = session.run(mix, DunnPolicy(), SC)
-        assert r.mechanism == "dunn"
-        assert session.records == []  # never planned, never cached
+        with pytest.raises(TypeError, match="params="):
+            session.run(mix, DunnPolicy(), SC)
+        assert session.records == []  # never planned
 
     def test_progress_callback(self, tmp_path, mix):
         seen = []

@@ -83,26 +83,33 @@ class TestSessionEvaluate:
 
 class TestRunPolicyObject:
     def test_custom_policy_and_sample_units(self, mix):
-        from repro.core.partitioning import PrefCPPolicy
-
-        r = run(
-            mix, PrefCPPolicy(partition_factor=1.0), SC,
-            label="pref-cp@1.0", sample_units=128,
-        )
+        sc = dataclasses.replace(SC, sample_units=128)
+        r = run(mix, "pref-cp", sc, params={"partition_factor": 1.0}, label="pref-cp@1.0")
         assert r.mechanism == "pref-cp@1.0"
         assert (r.ipc > 0).all()
 
     def test_label_defaults_to_policy_name(self, mix):
-        from repro.core.dunn import DunnPolicy
+        assert run(mix, "dunn", SC).mechanism == "dunn"
+        r = run(mix, "pref-cp", SC, params={"partition_factor": 1.0})
+        assert r.mechanism == "pref-cp[partition_factor=1.0]"
 
-        r = run(mix, DunnPolicy(), SC)
-        assert r.mechanism == "dunn"
-
-    def test_detector_cfg_forwarded(self, mix):
+    def test_detector_cfg_reaches_a_direct_controller(self, mix):
+        """A custom DetectorConfig goes to a CMMController built by hand."""
+        from repro.core.controller import CMMController
+        from repro.core.epoch import EpochConfig
         from repro.core.frontend import DetectorConfig
         from repro.core.throttling import PrefetchThrottlingPolicy
+        from repro.platform.simulated import SimulatedPlatform
 
+        def agg_set(detector_cfg):
+            policy = PrefetchThrottlingPolicy()
+            CMMController(
+                SimulatedPlatform(build_machine(mix, SC)), policy,
+                epoch_cfg=EpochConfig(exec_units=SC.exec_units, sample_units=SC.sample_units),
+                detector_cfg=detector_cfg,
+            ).run(SC.n_epochs)
+            return policy.last_agg_set
+
+        assert agg_set(None) != ()
         # An impossible PTR floor: nothing can ever be detected.
-        policy = PrefetchThrottlingPolicy()
-        run(mix, policy, SC, detector_cfg=DetectorConfig(ptr_min=1e18))
-        assert policy.last_agg_set == ()
+        assert agg_set(DetectorConfig(ptr_min=1e18)) == ()

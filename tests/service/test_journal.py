@@ -8,9 +8,10 @@ import pytest
 
 from repro.experiments.chaos import injected_faults
 from repro.experiments.config import TINY
-from repro.experiments.engine import KIND_ALONE, ExperimentSession, PlannedRun
+from repro.experiments.engine import KIND_ALONE, KIND_MECHANISM, ExperimentSession, PlannedRun
 from repro.service.journal import JOURNAL_SCHEMA_VERSION, JournalError, SweepJournal
-from repro.service.protocol import run_to_wire
+from repro.service.protocol import run_from_wire, run_to_wire
+from repro.workloads.mixes import make_mixes
 from repro.service.scheduler import SingleFlightScheduler
 from tests.chaos.workers import boom
 
@@ -149,6 +150,23 @@ class TestResumeIdentity:
         sealed = SweepJournal.load(tmp_path / "wal" / "s1.jsonl")
         assert sealed.sealed
         assert sealed.pending_keys() == []
+
+    def test_params_run_resumes_from_its_journal(self, tmp_path):
+        sc = dataclasses.replace(SC, quantum=256, sample_units=256, exec_units=2048)
+        mix = make_mixes("pref_agg", 1, seed=2019)[0]
+        run = PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism="pref-cp",
+                         params={"partition_factor": 0.5})
+        with ExperimentSession(cache_dir=tmp_path / "c0", max_workers=1) as s0:
+            baseline = s0.execute([run])
+        SweepJournal.create(
+            tmp_path / "wal", {run.key(): run_to_wire(run)}, sweep_id="s1"
+        ).close()
+        loaded = SweepJournal.load(tmp_path / "wal" / "s1.jsonl")
+        assert run_from_wire(loaded.plan[run.key()]) == run
+        with ExperimentSession(cache_dir=tmp_path / "c1", max_workers=1) as s1:
+            replayed = s1.execute([], resume=tmp_path / "wal" / "s1.jsonl")
+        assert json.dumps(replayed, sort_keys=True) == json.dumps(baseline, sort_keys=True)
+        assert SweepJournal.load(tmp_path / "wal" / "s1.jsonl").sealed
 
     def test_owed_only_journal_resumes_bit_identical(self, tmp_path):
         """Journal what can be resumed: a key answered from the cache is

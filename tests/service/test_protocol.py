@@ -33,17 +33,27 @@ def sample_runs() -> list[PlannedRun]:
         PlannedRun(KIND_ALONE, SC, bench="429.mcf"),
         PlannedRun(KIND_PROFILE, SC, bench="429.mcf", way_sweep=(1, 2, 4)),
         PlannedRun(KIND_ALONE, dataclasses.replace(SC, alone_accesses=2048), bench="433.milc"),
+        PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="pref-cp",
+                   params={"partition_factor": 0.5}),
     ]
 
 
 class TestRoundtrip:
-    @pytest.mark.parametrize("idx", range(4))
+    @pytest.mark.parametrize("idx", range(5))
     def test_key_survives_the_wire(self, idx):
         run = sample_runs()[idx]
         restored = run_from_wire(run_to_wire(run))
+        assert restored == run
         assert restored.key() == run.key()
         assert restored.kind == run.kind
         assert restored.label == run.label
+
+    def test_params_travel_only_when_set(self):
+        runs = sample_runs()
+        assert all("params" not in run_to_wire(r) for r in runs[:4])
+        assert run_to_wire(runs[4])["params"] == {"partition_factor": 0.5}
+        line = encode_line(run_to_wire(runs[4]))
+        assert run_from_wire(decode_line(line)) == runs[4]
 
     def test_wire_objects_are_json_and_line_safe(self):
         for run in sample_runs():
@@ -96,6 +106,11 @@ MALFORMED_RUNS = [
     pytest.param(_malformed(2, way_sweep=[1, "2"]), id="way-sweep-str"),
     pytest.param(_malformed(2, way_sweep=4), id="way-sweep-int"),
     pytest.param(_malformed(0, mechanism=["cmm-a"]), id="mechanism-list"),
+    pytest.param(_malformed(4, params={"no_such_knob": 1}), id="params-unknown-name"),
+    pytest.param(_malformed(4, params={"partition_factor": [0.5]}), id="params-non-scalar"),
+    pytest.param(_malformed(4, params=[["partition_factor", 0.5]]), id="params-list"),
+    pytest.param(_malformed(1, params={"partition_factor": 0.5}), id="params-on-alone"),
+    pytest.param(_malformed(0, params={"variant": "b"}), id="params-variant"),
 ]
 
 

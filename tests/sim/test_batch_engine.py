@@ -23,10 +23,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.batch import BatchRunSpec, build_batch_kernel, simulate_batch
-from repro.experiments.batch import _run_mechanism as run_mechanism_on
 from repro.experiments.config import TINY, ScaleConfig
 from repro.experiments.engine import KIND_MECHANISM, ExperimentSession, PlannedRun
-from repro.experiments.runner import build_machine
+from repro.experiments.runner import build_machine, drive_mechanism
 from repro.sim import PF_ALL_OFF, PF_ALL_ON
 from repro.sim import batch as sim_batch
 from repro.sim.batch import degradation_count, run_static_sweep
@@ -286,7 +285,7 @@ class TestMidRunControlFlips:
         ]
         batch = simulate_batch(specs, sc, trace_store=store)
         for rs, spec in zip(batch, specs):
-            ref = run_mechanism_on(build_machine(mix, sc, trace_store=store), spec.mechanism, sc)
+            ref = drive_mechanism(build_machine(mix, sc, trace_store=store), spec.mechanism, sc)
             assert np.array_equal(rs.totals, ref.totals), spec.mechanism
             assert rs.wall_cycles == ref.wall_cycles, spec.mechanism
 
@@ -323,7 +322,7 @@ class TestDynamicLockstepDifferential:
         specs = [BatchRunSpec(mix=mix, mechanism=m) for m in mechs]
         batch = simulate_batch(specs, MECH_SC, trace_store=store)
         scalar = [
-            run_mechanism_on(build_machine(mix, MECH_SC, trace_store=store), m, MECH_SC)
+            drive_mechanism(build_machine(mix, MECH_SC, trace_store=store), m, MECH_SC)
             for m in mechs
         ]
         label = f"{category}/{width}/{axis}"
@@ -351,6 +350,58 @@ class TestSessionDispatch:
             a = json.dumps(batched[key], sort_keys=True)
             b = json.dumps(scalar[key], sort_keys=True)
             assert a == b, f"payload diverged for {key}"
+
+    @staticmethod
+    def _batched_matches_fast(runs, monkeypatch):
+        """Execute ``runs`` on a batch session and on a fast one; assert
+        payload identity and return the batch session's group sizes."""
+        from repro.experiments import batch as exp_batch
+        from repro.sim.tracestore import fallback_count
+
+        groups = []
+        real = exp_batch.compute_mechanism_group
+        monkeypatch.setattr(
+            exp_batch, "compute_mechanism_group",
+            lambda grp, store: groups.append(len(grp)) or real(grp, store),
+        )
+        degraded, fallbacks = degradation_count(), fallback_count()
+        batched = ExperimentSession(cache_dir=None, max_workers=1).execute(runs)
+        assert (degradation_count(), fallback_count()) == (degraded, fallbacks)
+        scalar = ExperimentSession(cache_dir=None, max_workers=1, engine="fast").execute(runs)
+        assert len(batched) == len(runs)
+        assert json.dumps(batched, sort_keys=True) == json.dumps(scalar, sort_keys=True)
+        return groups
+
+    def test_params_runs_share_one_lockstep_group(self, monkeypatch):
+        mix = _mix("pref_unfri")
+        runs = [
+            PlannedRun(KIND_MECHANISM, MECH_SC, mix=mix, mechanism=m, params=p)
+            for m, p in (
+                ("baseline", {}),
+                ("pref-cp", {"partition_factor": 0.5}),
+                ("pref-cp", {"partition_factor": 1.5}),
+                ("pt", {"fine_grained": True}),
+            )
+        ]
+        assert self._batched_matches_fast(runs, monkeypatch) == [4]
+
+    def test_groups_split_by_scale_value(self, monkeypatch):
+        """Scales with one name but different sample_units are two groups."""
+        mix = _mix("pref_unfri")
+        runs = [
+            PlannedRun(KIND_MECHANISM, dataclasses.replace(MECH_SC, sample_units=u),
+                       mix=mix, mechanism="pt")
+            for u in (256, 512)
+        ]
+        assert self._batched_matches_fast(runs, monkeypatch) == []
+
+    def test_groups_split_by_mix_value(self, monkeypatch):
+        """Mixes with one name and seed but another benchmark order are two groups."""
+        mix = _mix("pref_unfri")
+        flipped = dataclasses.replace(mix, benchmarks=mix.benchmarks[::-1])
+        assert flipped.benchmarks != mix.benchmarks
+        runs = [PlannedRun(KIND_MECHANISM, MECH_SC, mix=m, mechanism="pt") for m in (mix, flipped)]
+        assert self._batched_matches_fast(runs, monkeypatch) == []
 
     def test_env_var_is_the_off_switch(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "fast")

@@ -211,6 +211,21 @@ def test_only_all_off_passes_skip_the_kernel(monkeypatch):
 
 
 
+def test_all_off_passes_expand_no_ctx(monkeypatch):
+    """The 0xF cascade reads its pass's lines only, never the int64 ``ctx`` column."""
+    from repro.sim import tracestore
+
+    expanded = []
+    real = tracestore._Entry.expand
+    monkeypatch.setattr(
+        tracestore._Entry, "expand", lambda self, *a: expanded.append(a) or real(self, *a)
+    )
+    _plane([SingleCoreRow("429.mcf", 0xF, None, 512, 1024, 1024)])
+    assert expanded == []
+    _plane([SingleCoreRow("429.mcf", 0x5, None, 512, 1024, 1024)])
+    assert expanded  # the spy sees a kernel pass's chunks
+
+
 #: Compute-bound benchmarks: few LLC requests, so the 0xF cascade's
 #: working set, not the LLC serve, sets the plane's peak.
 QUIET = ("456.hmmer", "453.povray", "444.namd", "416.gamess",
