@@ -31,10 +31,11 @@ Running things:
 
 * :func:`run` — one (workload, mechanism) simulation through the
   default session; ``params=`` overrides the policy's constructor.
-* :func:`simulate_batch` — many runs at once: specs sharing a workload
-  mix are executed on one batch kernel (shared materialized trace, masked
-  lockstep over grouped cores and a grouped LLC), bit-identical to
-  running each on its own machine.
+* :func:`simulate_batch` — many static mask/CAT configurations at
+  once: specs sharing a workload mix run on one batch kernel (shared
+  materialized trace, grouped cores and a grouped LLC), bit-identical
+  to running each on its own machine.  Mechanism runs batch through a
+  session's plans.
 * :meth:`ExperimentSession.evaluate` / :meth:`ExperimentSession.sweep`
   — baseline-normalized metrics for one or many workloads.
 * Sessions **own their caches** (dependency injection) and pick their
@@ -59,7 +60,7 @@ Quickstart::
 
 from repro._lazy import lazy_exports
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 #: Every public name, by the module that defines it.  Resolved on first
 #: access (PEP 562), so ``import repro`` loads no subpackage: a warm

@@ -329,10 +329,4 @@ class CMMController:
                 stats.failures.append(f"warmup: {e}")
         for _ in range(n_epochs):
             self.run_epoch(stats)
-        fallbacks = getattr(self.platform, "trace_fallbacks", None)
-        if callable(fallbacks):
-            stats.trace_fallbacks = int(fallbacks())
-        degradations = getattr(self.platform, "batch_degradations", None)
-        if callable(degradations):
-            stats.batch_degradations = int(degradations())
         return stats

@@ -40,7 +40,7 @@ from repro.core.pipeline import (
     SweepScorer,
     partition_layout,
 )
-from repro.core.policy_base import Policy
+from repro.core.policy_base import Policy, check_param
 
 VARIANTS = ("a", "b", "c")
 
@@ -66,14 +66,18 @@ class CMMPolicy(Policy):
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
         self.variant = variant
         self.name = f"cmm-{variant}"
-        self.friendly_threshold = friendly_threshold
-        self.max_exhaustive = max_exhaustive
-        self.n_groups = n_groups
-        self.dunn_k = dunn_k
+        self.friendly_threshold = check_param("friendly_threshold", friendly_threshold, float, 0)
+        self.max_exhaustive = check_param("max_exhaustive", max_exhaustive, int, 0)
+        self.n_groups = check_param("n_groups", n_groups, int, 1)
+        self.dunn_k = check_param("dunn_k", dunn_k, int, 1)
         # Same hysteresis as PT: a throttled combination must beat the
         # partitioned-but-unthrottled interval by this relative margin.
-        self.selection_margin = selection_margin
-        self.partition_factor = PARTITION_FACTOR if partition_factor is None else partition_factor
+        self.selection_margin = check_param("selection_margin", selection_margin, float, 0)
+        self.partition_factor = check_param(
+            "partition_factor",
+            PARTITION_FACTOR if partition_factor is None else partition_factor,
+            float, 0, strict=True,
+        )
         self.last_agg_set: tuple[int, ...] = ()
         self.last_split: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 

@@ -30,7 +30,7 @@ from repro.core.pipeline import (
     dunn_config,
     dunn_way_assignment,
 )
-from repro.core.policy_base import Policy
+from repro.core.policy_base import Policy, check_param
 
 __all__ = ["DunnPolicy", "dunn_config", "dunn_way_assignment"]
 
@@ -41,7 +41,7 @@ class DunnPolicy(Policy):
     name = "dunn"
 
     def __init__(self, *, k: int = 4) -> None:
-        self.k = k
+        self.k = check_param("k", k, int, 1)
 
     def _pipeline(self) -> DecisionPipeline:
         return DecisionPipeline([SenseStage(), DunnStage(k=self.k)])

@@ -39,7 +39,7 @@ from repro.core.pipeline import (
     partition_layout,
     partition_ways,
 )
-from repro.core.policy_base import Policy
+from repro.core.policy_base import Policy, check_param
 
 __all__ = [
     "CLOS_AGG",
@@ -60,7 +60,7 @@ class PrefCPPolicy(Policy):
     name = "pref-cp"
 
     def __init__(self, *, partition_factor: float = PARTITION_FACTOR) -> None:
-        self.partition_factor = partition_factor
+        self.partition_factor = check_param("partition_factor", partition_factor, float, 0, strict=True)
         self.last_agg_set: tuple[int, ...] = ()
 
     def _pipeline(self) -> DecisionPipeline:
@@ -82,7 +82,7 @@ class PrefCP2Policy(Policy):
     name = "pref-cp2"
 
     def __init__(self, *, friendly_threshold: float = 0.50) -> None:
-        self.friendly_threshold = friendly_threshold
+        self.friendly_threshold = check_param("friendly_threshold", friendly_threshold, float, 0)
         self.last_agg_set: tuple[int, ...] = ()
         self.last_split: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 

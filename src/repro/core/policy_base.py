@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 
 from repro.core.allocation import ResourceConfig
@@ -23,6 +24,28 @@ class Policy(ABC):
 
     @abstractmethod
     def plan(self, ctx: EpochContext) -> ResourceConfig: ...
+
+
+_KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real}
+
+
+def check_param(name: str, value, kind: type, low: float | None = None, *, strict: bool = False):
+    """``value`` unchanged if it is a ``kind`` no less than ``low`` (above
+    it when ``strict``); ``TypeError`` / ``ValueError`` otherwise.
+
+    A policy constructor runs every knob through this, so a planned run
+    with a bad value is refused before it is keyed.  Numbers follow
+    Python's numeric tower: an ``int`` knob takes any integer, a
+    ``float`` knob any finite real; a ``bool`` knob takes only a bool.
+    """
+    if not isinstance(value, _KINDS[kind]):
+        raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__} {value!r}")
+    if kind is not bool:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if low is not None and (value <= low if strict else value < low):
+            raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value!r}")
+    return value
 
 
 class BaselinePolicy(Policy):

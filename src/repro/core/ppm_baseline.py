@@ -34,7 +34,7 @@ from repro.core.pipeline import (
     Stage,
     SweepScorer,
 )
-from repro.core.policy_base import Policy
+from repro.core.policy_base import Policy, check_param
 
 __all__ = ["PPMGroupThrottlingPolicy", "ppm_groups"]
 
@@ -112,7 +112,7 @@ class PPMGroupThrottlingPolicy(Policy):
     name = "ppm-group"
 
     def __init__(self, *, selection_margin: float = 0.03) -> None:
-        self.selection_margin = selection_margin
+        self.selection_margin = check_param("selection_margin", selection_margin, float, 0)
         self.last_groups: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
     def _pipeline(self) -> DecisionPipeline:

@@ -36,16 +36,6 @@ class RunStats:
     #: Structured per-epoch decision records (see repro.core.trace), one
     #: per epoch; empty for cache-rehydrated stats whose traces are gone.
     traces: list[EpochTrace] = field(default_factory=list)
-    #: Zero-copy go-live fallbacks the run's traces took (see
-    #: ``MaterializedTrace.chunk``); 0 for live-generated traces and
-    #: for cache-rehydrated stats.  Batch sweeps assert this stays 0.
-    trace_fallbacks: int = 0
-    #: Batch-engine degradations attributed to this run (lockstep
-    #: fork-to-scalar / unbatchable group; see repro.sim.batch).  0 on
-    #: scalar machines and for cache-rehydrated stats; results are
-    #: bit-identical either way — this only records that the fast path
-    #: was lost.
-    batch_degradations: int = 0
 
     def add(self, sample: PmuSample) -> None:
         if self.totals is None:

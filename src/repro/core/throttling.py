@@ -36,7 +36,7 @@ from repro.core.pipeline import (
     off_combinations,
     throttle_groups,
 )
-from repro.core.policy_base import Policy
+from repro.core.policy_base import Policy, check_param
 
 __all__ = ["PrefetchThrottlingPolicy", "off_combinations", "throttle_groups"]
 
@@ -55,18 +55,18 @@ class PrefetchThrottlingPolicy(Policy):
         selection_margin: float = 0.03,
         fine_grained: bool = False,
     ) -> None:
-        self.max_exhaustive = max_exhaustive
-        self.n_groups = n_groups
-        self.friendly_threshold = friendly_threshold
+        self.max_exhaustive = check_param("max_exhaustive", max_exhaustive, int, 0)
+        self.n_groups = check_param("n_groups", n_groups, int, 1)
+        self.friendly_threshold = check_param("friendly_threshold", friendly_threshold, float, 0)
         # Intel exposes the four prefetchers individually (MSR 0x1A4);
         # the paper treats them as one on/off entity but notes the
         # framework supports finer exploration.  With ``fine_grained``
         # the winning off-set is additionally probed with only the L2
         # prefetchers disabled and only the L1 prefetchers disabled.
-        self.fine_grained = fine_grained
+        self.fine_grained = check_param("fine_grained", fine_grained, bool)
         # A throttled combination must beat the all-on interval's hm-IPC
         # by this relative margin to be adopted: see SweepScorer.
-        self.selection_margin = selection_margin
+        self.selection_margin = check_param("selection_margin", selection_margin, float, 0)
         self.last_agg_set: tuple[int, ...] = ()
 
     def _pipeline(self) -> DecisionPipeline:

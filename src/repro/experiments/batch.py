@@ -8,35 +8,29 @@ PT / Dunn / CMM / partition-size ablations).  All runs share one
 :class:`~repro.sim.batch.BatchKernel` (a single materialized trace per
 core) and advance on one run-axis plane: a
 :class:`~repro.sim.batch.GroupedCore` per core and one grouped LLC.
-Static specs sharing a prefetch-mask vector and access count go
-through :func:`~repro.sim.batch.run_static_sweep`; groups of 2+
-mechanism runs execute in **masked lockstep**
-(:func:`_lockstep_mechanisms`), every run's controller loop advancing
-together with per-run prefetch-mask and CAT-allow tensors applied per
-quantum, so runs stay batched even after their policies diverge.
 
-The fallback ladder has two rungs.  Whatever the plane does not take —
-a singleton, a sweep or lockstep group that failed — runs per run on a
-plain scalar ``fast`` :class:`~repro.sim.machine.Machine`.  The trace
-store always serves forkable materialized traces, so every group of
-two or more starts on the first rung.  Results are bit-identical on
-either rung; a group that *fell* to the second one is counted
-(``batch.degradation_count()``, ``RunStats.batch_degradations``).
-
-Two entry points:
+Three entry points:
 
 * :func:`simulate_batch` — public API (re-exported as
-  ``repro.simulate_batch``): takes :class:`BatchRunSpec` rows (either a
-  named mechanism driven by the CMM controller, or a *static*
-  prefetch-mask / CAT configuration run for a fixed access count) and
-  returns one :class:`~repro.core.controller.RunStats` per spec.
-  Specs are grouped by mix; a singleton group runs on its own
-  scalar-fast machine.
+  ``repro.simulate_batch``): takes *static* :class:`BatchRunSpec` rows
+  (a prefetch-mask / CAT configuration run for a fixed access count)
+  and returns one :class:`~repro.core.controller.RunStats` per spec.
+  Specs sharing a mix, a prefetch-mask vector and an access count go
+  through :func:`~repro.sim.batch.run_static_sweep`; a singleton, or a
+  sweep that failed (counted by ``batch.degradation_count()``), runs on
+  its own scalar ``fast`` :class:`~repro.sim.machine.Machine`.
+  Mechanism runs are session plans (``session.execute`` /
+  ``session.sweep``), which are cached, keyed and batched below.
 * :func:`compute_mechanism_group` — used by
-  ``ExperimentSession._execute_serial`` to batch a mix-affine group of
-  planned mechanism runs; payloads are byte-identical to the scalar
-  ``_compute_mechanism`` path, so the result cache cannot tell (and
-  does not care) which path produced an entry.
+  ``ExperimentSession._execute_batched`` to run a mix-affine group of
+  planned mechanism runs in **masked lockstep**: every run's controller
+  loop advances together with per-run prefetch-mask and CAT-allow
+  tensors applied per quantum, so runs stay batched even after their
+  policies diverge.  Payloads are byte-identical to the scalar
+  ``_compute_mechanism`` path; a group that fails raises and the
+  session re-runs its members there.
+* :func:`compute_single_core_group` — the session's profile and alone
+  runs of one scale on the single-core plane.
 """
 
 from __future__ import annotations
@@ -49,13 +43,7 @@ from repro.experiments.config import ScaleConfig, get_scale
 from repro.experiments.runner import (
     build_machine, drive_mechanism, mechanism_payload, mechanism_trace_length,
 )
-from repro.sim.batch import (
-    BatchKernel,
-    LockstepError,
-    LockstepGroup,
-    note_degradation,
-    run_static_sweep,
-)
+from repro.sim.batch import BatchKernel, LockstepGroup, note_degradation, run_static_sweep
 from repro.sim.machine import CORE_ADDRESS_STRIDE_LINES
 from repro.workloads.mixes import WorkloadMix
 
@@ -64,31 +52,19 @@ __all__ = ["BatchRunSpec", "simulate_batch", "compute_mechanism_group"]
 
 @dataclass(frozen=True)
 class BatchRunSpec:
-    """One run in a batch: a mechanism, or a static control configuration.
+    """One static run in a batch: a control configuration run for
+    ``n_accesses`` accesses per core.
 
-    Exactly one of ``mechanism`` (controller-driven, ``sc.n_epochs``
-    epochs) or ``n_accesses`` (static: apply ``masks`` / CAT and run
-    that many accesses per core) must be set.  ``masks`` are per-core
-    MSR 0x1A4 prefetcher masks; ``clos_cbms`` are ``(clos, cbm)`` CAT
-    writes and ``core_clos`` the per-core CLOS assignment — all applied
-    before the run starts (mechanism runs take control afterwards).
+    ``masks`` are per-core MSR 0x1A4 prefetcher masks; ``clos_cbms`` are
+    ``(clos, cbm)`` CAT writes and ``core_clos`` the per-core CLOS
+    assignment — all applied before the run starts.
     """
 
     mix: WorkloadMix
-    mechanism: str | None = None
-    n_accesses: int | None = None
+    n_accesses: int
     masks: tuple[int, ...] = ()
     clos_cbms: tuple[tuple[int, int], ...] = ()
     core_clos: tuple[int, ...] = ()
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.mechanism is None) == (self.n_accesses is None):
-            raise ValueError("set exactly one of mechanism= or n_accesses=")
-
-    @property
-    def name(self) -> str:
-        return self.label or self.mechanism or f"static:{self.n_accesses}"
 
 
 def _mix_key(mix: WorkloadMix) -> tuple:
@@ -123,35 +99,13 @@ def build_batch_kernel(
     return kernel
 
 
-def _lockstep_mechanisms(kernel: BatchKernel, policies, sc: ScaleConfig) -> list[RunStats]:
-    """Run ``(mechanism, params)`` pairs in masked lockstep; one RunStats each.
-
-    Every run gets its own unmodified controller loop on a
-    :class:`~repro.sim.batch.LockstepMachine`; the group shares one
-    :class:`~repro.sim.batch.GroupedCore` per core and one grouped LLC,
-    so runs stay batched even after their per-quantum decisions diverge.
-    Raises :class:`~repro.sim.batch.LockstepError` when the group cannot
-    complete batched; callers fall back per-run (bit-identical results).
-    """
-    group = LockstepGroup(kernel, len(policies))
-    drivers = [
-        (lambda m, _mech=mech, _params=params: drive_mechanism(m, _mech, sc, _params))
-        for mech, params in policies
-    ]
-    return group.run(drivers)
-
-
-def _apply_static(machine, spec: BatchRunSpec) -> None:
+def _run_static(machine, spec: BatchRunSpec) -> RunStats:
     for cpu, mask in enumerate(spec.masks):
         machine.prefetch_msr.set_mask(cpu, mask)
     for clos, cbm in spec.clos_cbms:
         machine.cat.set_cbm(clos, cbm)
     for cpu, clos in enumerate(spec.core_clos):
         machine.cat.assign_core(cpu, clos)
-
-
-def _run_static(machine, spec: BatchRunSpec) -> RunStats:
-    _apply_static(machine, spec)
     snap = machine.pmu.snapshot()
     machine.run_accesses(spec.n_accesses)
     sample = machine.pmu.delta_since(snap)
@@ -161,8 +115,6 @@ def _run_static(machine, spec: BatchRunSpec) -> RunStats:
         totals=sample.deltas,
         wall_cycles=sample.wall_cycles,
         epochs=[],
-        trace_fallbacks=machine.trace_fallbacks(),
-        batch_degradations=machine.batch_degradations(),
     )
 
 
@@ -192,67 +144,37 @@ def simulate_batch(
 
     out: list[RunStats | None] = [None] * len(specs)
     for indices in groups.values():
-        mix = specs[indices[0]].mix
-        lens = [specs[i].n_accesses for i in indices if specs[i].n_accesses is not None]
-        if any(specs[i].mechanism is not None for i in indices):
-            lens.append(mechanism_trace_length(sc))
-        length = max(lens)
-        # A singleton has nothing to share: straight to its own machine.
-        kernel = (
-            build_batch_kernel(mix, sc, trace_store, length=length) if len(indices) >= 2 else None
-        )
-        done: set[int] = set()
-        degraded: set[int] = set()
-        if kernel is not None:
-            results, degraded = _run_lockstep_sweeps(kernel, specs, indices)
-            for i, stats in results.items():
-                out[i] = stats
-                done.add(i)
-            mech_idx = [i for i in indices if specs[i].mechanism is not None]
-            if len(mech_idx) >= 2:
-                try:
-                    mech_stats = _lockstep_mechanisms(
-                        kernel, [(specs[i].mechanism, ()) for i in mech_idx], sc
-                    )
-                except LockstepError:
-                    note_degradation()
-                    degraded.update(mech_idx)
-                else:
-                    for i, stats in zip(mech_idx, mech_stats):
-                        out[i] = stats
-                        done.add(i)
+        results: dict[int, RunStats] = {}
+        if len(indices) >= 2:  # a singleton has nothing to share
+            mix = specs[indices[0]].mix
+            length = max(specs[i].n_accesses for i in indices)
+            kernel = build_batch_kernel(mix, sc, trace_store, length=length)
+            results = _run_lockstep_sweeps(kernel, specs, indices)
         for i in indices:
-            if i in done:
-                continue
-            spec = specs[i]
-            machine = build_machine(mix, sc, trace_store=trace_store)
-            if i in degraded:
-                machine._batch_degradations = 1
-            if spec.mechanism is not None:
-                out[i] = drive_mechanism(machine, spec.mechanism, sc)
+            if i in results:
+                out[i] = results[i]
             else:
-                out[i] = _run_static(machine, spec)
+                machine = build_machine(specs[i].mix, sc, trace_store=trace_store)
+                out[i] = _run_static(machine, specs[i])
     return out
 
 
 def _run_lockstep_sweeps(kernel: BatchKernel, specs, indices):
-    """Run static sub-groups in lockstep; return ``(results, degraded)``.
+    """Run static sub-groups in lockstep; return ``{index: RunStats}``.
 
     Static specs sharing one (pf-mask vector, access count) pair have
     identical core phases and merged request streams, so they advance
     through :func:`repro.sim.batch.run_static_sweep`'s grouped SoA LLC
     in a single pass — the sweep shape where the batch engine's ~Nx
     throughput comes from.  Sub-groups of one are left to the caller's
-    per-run path, as are the indices of a sweep that fails, which land
-    in the ``degraded`` set (bit-identical, counted).
+    per-run path, as are the indices of a sweep that fails (bit-identical,
+    counted by :func:`~repro.sim.batch.note_degradation`).
     """
     results: dict[int, RunStats] = {}
-    degraded: set[int] = set()
     sweeps: dict[tuple, list[int]] = {}
     for i in indices:
         spec = specs[i]
-        if spec.n_accesses is not None:
-            sweeps.setdefault((spec.masks, spec.n_accesses), []).append(i)
+        sweeps.setdefault((spec.masks, spec.n_accesses), []).append(i)
     params = kernel.params
     for (masks, n_acc), idxs in sweeps.items():
         if len(idxs) < 2:
@@ -262,7 +184,6 @@ def _run_lockstep_sweeps(kernel: BatchKernel, specs, indices):
             rows = run_static_sweep(kernel, configs, masks, n_acc)
         except Exception:
             note_degradation()
-            degraded.update(idxs)
             continue  # per-run fallback handles these indices
         for i, row in zip(idxs, rows):
             results[i] = RunStats(
@@ -271,9 +192,8 @@ def _run_lockstep_sweeps(kernel: BatchKernel, specs, indices):
                 totals=row.pmu_counts,
                 wall_cycles=row.wall_cycles,
                 epochs=[],
-                trace_fallbacks=row.trace_fallbacks,
             )
-    return results, degraded
+    return results
 
 
 def compute_single_core_group(runs, trace_store) -> list[tuple[dict, float, list]]:
@@ -350,38 +270,25 @@ def compute_single_core_group(runs, trace_store) -> list[tuple[dict, float, list
 
 
 def compute_mechanism_group(runs, trace_store) -> list[tuple[dict, float]]:
-    """Batch-execute a mix-affine group of planned mechanism runs.
+    """Run a mix-affine group of planned mechanism runs in masked lockstep.
 
     ``runs`` are :class:`~repro.experiments.engine.PlannedRun` rows of
     kind ``mechanism`` sharing one mix and scale; their mechanisms and
-    params may differ.  Returns ``(payload, seconds)`` per run, where the
-    payload dict is byte-identical to the scalar ``_compute_mechanism`` one.
-
-    A group of 2+ runs executes in masked lockstep — one grouped SoA
-    pass even though the mechanisms diverge.  A
-    :class:`~repro.sim.batch.LockstepError` degrades the group to
-    per-run scalar machines, counted as a degradation per run.
+    params may differ.  Every run gets its own unmodified controller loop
+    on a :class:`~repro.sim.batch.LockstepMachine`; the group shares one
+    :class:`~repro.sim.batch.GroupedCore` per core and one grouped LLC.
+    Returns ``(payload, seconds)`` per run, the payload byte-identical to
+    the scalar ``_compute_mechanism`` one.  A group that cannot complete
+    batched raises :class:`~repro.sim.batch.LockstepError`; the caller
+    re-runs its members per run.
     """
-    r0 = runs[0]
-    sc = r0.sc
-    kernel = build_batch_kernel(r0.mix, sc, trace_store)
-    degraded = False
-    if len(runs) >= 2:
-        t0 = time.perf_counter()
-        try:
-            all_stats = _lockstep_mechanisms(kernel, [(r.mechanism, r.params) for r in runs], sc)
-        except LockstepError:
-            note_degradation()
-            degraded = True
-        else:
-            per_run = (time.perf_counter() - t0) / len(runs)
-            return [(mechanism_payload(stats), per_run) for stats in all_stats]
-    out: list[tuple[dict, float]] = []
-    for r in runs:
-        t0 = time.perf_counter()
-        machine = build_machine(r.mix, sc, trace_store=trace_store)
-        if degraded:
-            machine._batch_degradations = 1
-        stats = drive_mechanism(machine, r.mechanism, sc, r.params)
-        out.append((mechanism_payload(stats), time.perf_counter() - t0))
-    return out
+    sc = runs[0].sc
+    kernel = build_batch_kernel(runs[0].mix, sc, trace_store)
+    t0 = time.perf_counter()
+    group = LockstepGroup(kernel, len(runs))
+    drivers = [
+        (lambda m, _r=r: drive_mechanism(m, _r.mechanism, sc, _r.params)) for r in runs
+    ]
+    all_stats = group.run(drivers)
+    per_run = (time.perf_counter() - t0) / len(runs)
+    return [(mechanism_payload(stats), per_run) for stats in all_stats]

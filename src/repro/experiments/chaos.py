@@ -57,10 +57,6 @@ class ChaosReport:
     degraded: DegradedState | None
     problems: list[str] = field(default_factory=list)
     stats: RunStats | None = None
-    #: Zero-copy trace go-live fallbacks the run took (RunStats passthrough).
-    trace_fallbacks: int = 0
-    #: Batch-engine lockstep degradations the run took (RunStats passthrough).
-    batch_degradations: int = 0
 
     @property
     def ok(self) -> bool:
@@ -73,8 +69,7 @@ class ChaosReport:
         return (
             f"{self.scenario} seed={self.seed}: {self.epochs_completed}/"
             f"{self.epochs_requested} epochs, {faults} faults injected, "
-            f"{self.failures} failures, {self.trace_fallbacks} trace fallbacks, "
-            f"{self.batch_degradations} batch degradations, {state} — {verdict}"
+            f"{self.failures} failures, {state} — {verdict}"
         )
 
 
@@ -140,8 +135,6 @@ def run_chaos_scenario(
         degraded=stats.degraded,
         problems=problems,
         stats=stats,
-        trace_fallbacks=stats.trace_fallbacks,
-        batch_degradations=stats.batch_degradations,
     )
 
 
@@ -170,7 +163,11 @@ def injected_faults(faults: Mapping[str, Callable]) -> Iterator[None]:
     saved = dict(table)
 
     def faulted(compute: Callable) -> Callable:
-        return lambda run: faults.get(run.key(), compute)(run)
+        def run_or_fault(run, engine):
+            fault = faults.get(run.key())
+            return compute(run, engine) if fault is None else fault(run)
+
+        return run_or_fault
 
     table.update({kind: faulted(compute) for kind, compute in saved.items()})
     try:

@@ -298,29 +298,29 @@ def _run_key(run: PlannedRun) -> str:
 # every key never imports them.
 
 
-def _compute_mechanism(run: PlannedRun) -> dict:
-    machine = build_machine(run.mix, run.sc, trace_store=tracestore.active_view())
+def _compute_mechanism(run: PlannedRun, engine: str | None) -> dict:
+    machine = build_machine(run.mix, run.sc, trace_store=tracestore.active_view(), engine=engine)
     return mechanism_payload(drive_mechanism(machine, run.mechanism, run.sc, run.params))
 
 
-def _compute_alone(run: PlannedRun) -> dict:
+def _compute_alone(run: PlannedRun, engine: str | None) -> dict:
     from repro.workloads.classify import run_alone
 
     sc = run.sc
     m, snap = run_alone(
         run.bench, sc.params(), sc.alone_accesses, quantum=sc.quantum,
-        warmup=sc.alone_accesses, trace_store=tracestore.active_view(),
+        warmup=sc.alone_accesses, trace_store=tracestore.active_view(), engine=engine,
     )
     return {"ipc": m.pmu.delta_since(snap).ipc(0)}
 
 
-def _compute_profile(run: PlannedRun) -> dict:
+def _compute_profile(run: PlannedRun, engine: str | None) -> dict:
     from repro.workloads.classify import profile_benchmark
 
     sc = run.sc
     return _profile_payload(profile_benchmark(
         run.bench, sc.params(), sc.profile_accesses, way_sweep=run.way_sweep,
-        trace_store=tracestore.active_view(),
+        trace_store=tracestore.active_view(), engine=engine,
     ))
 
 
@@ -336,14 +336,14 @@ def _profile_payload(prof: AloneProfile) -> dict:
     }
 
 
-_COMPUTE: dict[str, Callable[[PlannedRun], dict]] = {
+_COMPUTE: dict[str, Callable[[PlannedRun, str | None], dict]] = {
     KIND_MECHANISM: _compute_mechanism,
     KIND_ALONE: _compute_alone,
     KIND_PROFILE: _compute_profile,
 }
 
 
-def _execute_planned(run: PlannedRun, traces=None) -> tuple[dict, float]:
+def _execute_planned(run: PlannedRun, traces=None, engine: str | None = None) -> tuple[dict, float]:
     """Worker entry point: compute one payload, report wall seconds.
 
     ``traces`` is the run's trace source: the session's
@@ -351,12 +351,14 @@ def _execute_planned(run: PlannedRun, traces=None) -> tuple[dict, float]:
     shared-memory *manifest* dict (turned into a
     :class:`~repro.sim.tracestore.ManifestView` here, inside the
     worker) on the pool path, or ``None`` for plain live generation.
+    ``engine`` is the simulation engine the run's machines use (the
+    session's resolved engine; ``None`` resolves as a bare ``Machine``).
     """
     if isinstance(traces, dict):
         traces = tracestore.ManifestView(traces)
     t0 = time.perf_counter()
     with tracestore.use_view(traces):
-        payload = _COMPUTE[run.kind](run)
+        payload = _COMPUTE[run.kind](run, engine)
     return payload, time.perf_counter() - t0
 
 
@@ -747,7 +749,8 @@ class ExperimentSession:
         :class:`~repro.sim.batch.BatchKernel`; results are bit-identical
         to per-run execution, and the engine name never enters result
         cache keys.  Naming a non-batched engine (``fast``,
-        ``reference``) disables group dispatch.
+        ``reference``) disables group dispatch; every run the session
+        simulates on its own machine uses the named engine.
     """
 
     _UNSET = object()
@@ -1028,11 +1031,12 @@ class ExperimentSession:
         return remaining
 
     def _execute_serial(self, misses, finish, fail) -> None:
+        engine = self._resolved_engine().name
         for key, r in self._execute_batched(misses, finish):
             err: BaseException | None = None
             for _attempt in range(self.run_retries + 1):
                 try:
-                    payload, secs = _execute_planned(r, self.trace_store)
+                    payload, secs = _execute_planned(r, self.trace_store, engine)
                 except Exception as e:
                     err = e
                 else:
@@ -1096,7 +1100,7 @@ class ExperimentSession:
         self.execute([planned])
         traces = self._load_traces(key)
         if traces is None:
-            payload = _compute_mechanism(planned)
+            payload = _compute_mechanism(planned, self._resolved_engine().name)
             self.cache.put_traces(key, payload["traces"])
             traces = traces_from_dicts(payload["traces"])
         return traces

@@ -127,6 +127,7 @@ def execute_parallel(session: ExperimentSession, misses, finish, fail) -> None:
     the stragglers fall back to a one-run-at-a-time isolation pool that
     pins each crash on the run that caused it.
     """
+    engine = session._resolved_engine().name
     pending: dict[str, PlannedRun] = dict(_affinity_order(misses))
     attempts: dict[str, int] = dict.fromkeys(pending, 0)
     respawns = 0
@@ -140,7 +141,7 @@ def execute_parallel(session: ExperimentSession, misses, finish, fail) -> None:
         broken = False
         try:
             for key, r in pending.items():
-                futures[pool.submit(_execute_planned, r, manifest_for(session, r))] = key
+                futures[pool.submit(_execute_planned, r, manifest_for(session, r), engine)] = key
         except BrokenProcessPool:
             broken = True
         not_done = set(futures)
@@ -191,6 +192,7 @@ def execute_isolated(session: ExperimentSession, pending: dict[str, PlannedRun],
     a fresh worker per retried run.
     """
     pools = session._pools
+    engine = session._resolved_engine().name
 
     def discard_iso(wait_: bool) -> None:
         pool, pools["iso"] = pools["iso"], None
@@ -206,10 +208,10 @@ def execute_isolated(session: ExperimentSession, pending: dict[str, PlannedRun],
         r = pending.pop(key)
         manifest = manifest_for(session, r)
         try:
-            fut = iso_pool().submit(_execute_planned, r, manifest)
+            fut = iso_pool().submit(_execute_planned, r, manifest, engine)
         except BrokenProcessPool:
             discard_iso(wait_=False)
-            fut = iso_pool().submit(_execute_planned, r, manifest)
+            fut = iso_pool().submit(_execute_planned, r, manifest, engine)
         try:
             payload, secs = fut.result(timeout=session.run_timeout)
         except FuturesTimeoutError:

@@ -7,8 +7,8 @@ in a :class:`SimulatedPlatform`, and drives it with a
 
 Execution and caching live in :mod:`repro.experiments.engine`:
 an :class:`~repro.experiments.engine.ExperimentSession` deduplicates,
-parallelises and persists runs, and batch execution lives in
-:func:`repro.simulate_batch`.  This module keeps the result types
+parallelises and persists runs, batching mix-affine ones through
+:mod:`repro.experiments.batch`.  This module keeps the result types
 (:class:`RunResult`, :class:`WorkloadEval`) and the machine factory;
 the simulator, controller and platform load inside the functions that
 run them, so replaying cached results never imports them.
@@ -56,9 +56,9 @@ def drive_mechanism(machine: Machine, mechanism: str, sc: ScaleConfig, params: t
     ``(name, value)`` pairs ``params`` — the scalar semantics.
 
     The single place controller construction for a mechanism run lives:
-    the session's scalar and pool paths, the batch layer's per-run
-    fallback and the lockstep drivers all call this, so every path is the
-    same controller fed the same :class:`~repro.core.epoch.EpochConfig`.
+    the session's scalar and pool paths and the lockstep drivers all
+    call this, so every path is the same controller fed the same
+    :class:`~repro.core.epoch.EpochConfig`.
     """
     from repro.core.controller import CMMController
     from repro.core.epoch import EpochConfig

@@ -52,11 +52,3 @@ class SimulatedPlatform(Platform):
         snap = self.machine.pmu.snapshot()
         self.machine.run_accesses(units)
         return self.machine.pmu.delta_since(snap)
-
-    def trace_fallbacks(self) -> int:
-        """Zero-copy go-live fallbacks across the machine's traces."""
-        return self.machine.trace_fallbacks()
-
-    def batch_degradations(self) -> int:
-        """Batch-engine degradations attributed to this machine's run."""
-        return self.machine.batch_degradations()

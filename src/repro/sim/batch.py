@@ -72,11 +72,11 @@ Two drivers share that plane:
   :class:`LockstepError`.
 
 There is no third path: a caller that cannot batch, or whose group
-fails, runs each member on its own scalar ``Machine`` and counts a
-degradation (:func:`note_degradation`, surfaced as
-``RunStats.batch_degradations``).  A trace that leaves the stored
-path (alignment fallback) keeps replaying faithfully inside its lane —
-bit-identical, counted in ``trace_fallbacks`` — but that lane can no
+fails, runs each member on its own scalar ``Machine`` and counts one
+degradation per failed group (:func:`note_degradation`).  A trace that
+leaves the stored path (alignment fallback) keeps replaying faithfully
+inside its lane — bit-identical, counted by
+:func:`repro.sim.tracestore.fallback_count` — but that lane can no
 longer be cloned, so a group that needs to split it degrades.
 """
 
@@ -113,9 +113,9 @@ __all__ = [
 ]
 
 # Process-wide degradation tally, mirroring the trace plane's
-# fallback counter idiom: every fall to per-run scalar machines is
-# counted here (in addition to per-run attribution on the fallback
-# machines) so a whole sweep can assert it stayed batched.
+# fallback counter idiom: every fall of a group to per-run scalar
+# machines is counted here, once, so a whole sweep can assert it
+# stayed batched.
 _PROCESS_DEGRADATIONS = 0
 
 
@@ -974,14 +974,13 @@ class BatchKernel:
 class StaticSweepRun:
     """One run's outputs from :func:`run_static_sweep`."""
 
-    __slots__ = ("pmu_counts", "wall_cycles", "llc_stats", "llc_occupancy", "trace_fallbacks")
+    __slots__ = ("pmu_counts", "wall_cycles", "llc_stats", "llc_occupancy")
 
-    def __init__(self, pmu_counts, wall_cycles, llc_stats, llc_occupancy, trace_fallbacks) -> None:
+    def __init__(self, pmu_counts, wall_cycles, llc_stats, llc_occupancy) -> None:
         self.pmu_counts = pmu_counts  # (n_cores, N_EVENTS) float64
         self.wall_cycles = wall_cycles
         self.llc_stats = llc_stats  # (accesses, hits, fills, used, evicted)
         self.llc_occupancy = llc_occupancy
-        self.trace_fallbacks = trace_fallbacks  # the sweep's shared traces going live
 
 
 def run_static_sweep(
@@ -1110,10 +1109,8 @@ def run_static_sweep(
             prow[:, Event.MEM_PREF_BYTES] += counts.pref_bytes[:, cpu]
         wall += timing.machine_cycles
 
-    fallbacks = sum(core.trace_fallbacks() for core in cores.values())
     return [
-        StaticSweepRun(pmu[r], float(wall[r]), glc.stats_for(r), glc.occupancy(r), fallbacks)
-        for r in runs
+        StaticSweepRun(pmu[r], float(wall[r]), glc.stats_for(r), glc.occupancy(r)) for r in runs
     ]
 
 
@@ -1171,13 +1168,12 @@ class GroupedCore:
         self.params = params
         self.base_trace = base_trace
         self.n_runs = n_runs
-        self.forks: list = []
         self._scratch = np.zeros((1, N_EVENTS), dtype=np.float64)
         self._serial = 0
         self._step_no = 0
         self._backoff: dict[tuple[int, int], int] = {}
         st = _LaneState(
-            FastCache(params.l1), FastCache(params.l2), _fresh_bank(params), self._fork_trace(0)
+            FastCache(params.l1), FastCache(params.l2), _fresh_bank(params), base_trace.fork(0)
         )
         self.lanes: list[_CoreLane] = [_CoreLane(st, set(range(n_runs)), self._next_serial())]
 
@@ -1185,17 +1181,12 @@ class GroupedCore:
         self._serial += 1
         return self._serial
 
-    def _fork_trace(self, pos: int):
-        t = self.base_trace.fork(pos)
-        self.forks.append(t)
-        return t
-
     def _clone(self, st: _LaneState) -> _LaneState:
         if st.trace._live is not None:
             raise LockstepError(
                 "cannot split a lane whose trace left the stored path"
             )
-        return _clone_image(self.params, st, self._fork_trace(st.trace.pos))
+        return _clone_image(self.params, st, self.base_trace.fork(st.trace.pos))
 
     def step(self, active, q: int, mask_of) -> dict:
         """Advance runs in ``active`` one quantum of ``q`` accesses.
@@ -1317,9 +1308,6 @@ class GroupedCore:
                 out[r] = block
         return out
 
-    def trace_fallbacks(self) -> int:
-        return sum(t.fallbacks for t in self.forks)
-
 
 class LockstepMachine(Machine):
     """A per-run ``Machine`` that parks at every quantum boundary.
@@ -1436,9 +1424,6 @@ class LockstepMachine(Machine):
             s2.pref_evicted_unused += d2[4]
         self._timing_phase(counts, ipm, mlp, active)
 
-    def trace_fallbacks(self) -> int:
-        return self._group.trace_fallbacks()
-
 
 class LockstepGroup:
     """Scheduler advancing R divergent runs of one mix in lockstep.
@@ -1473,9 +1458,6 @@ class LockstepGroup:
         self.members = [LockstepMachine(self, r) for r in range(n_runs)]
         self._stream_cache: dict[tuple, _PreparedStream] = {}
         self._aborting = False
-
-    def trace_fallbacks(self) -> int:
-        return sum(c.trace_fallbacks() for c in self.cores.values())
 
     def run(self, drivers) -> list:
         """Run one driver per member to completion; return their results.

@@ -72,7 +72,7 @@ class Machine:
         # Explicit argument beats $REPRO_SIM_ENGINE beats fast.  The
         # engine's kernel decides which scalar hot path this machine runs
         # (batch degrades to its scalar kernel here — the multi-run path
-        # lives in repro.sim.batch / repro.simulate_batch).
+        # lives in repro.sim.batch).
         spec = resolve_engine(engine)
         self.engine = spec.name
         self._fast = spec.kernel == ENGINE_FAST
@@ -98,10 +98,6 @@ class Machine:
         # Last MSR 0x1A4 mask pushed into each core's prefetcher bank;
         # -1 forces the first _sync_prefetchers to decode and push.
         self._pf_mask_seen = [-1] * n
-        # Batch-engine degradations attributed to this machine's run
-        # (lockstep fork-to-scalar / unbatchable group); set by the
-        # experiment layer when it falls back, surfaced via RunStats.
-        self._batch_degradations = 0
 
     # ---------------------------------------------------------- setup
 
@@ -256,25 +252,6 @@ class Machine:
             pref_b += c.pref_bytes
         self.dram.account(demand_b, pref_b)
         self.pmu.wall_cycles += timing.machine_cycles
-
-    def trace_fallbacks(self) -> int:
-        """Total go-live fallbacks across attached materialized traces.
-
-        Non-zero only when a :class:`~repro.sim.tracestore.MaterializedTrace`
-        had to leave the stored path (see ``MaterializedTrace.chunk``);
-        plain generator traces report 0.
-        """
-        return sum(int(getattr(cs.trace, "fallbacks", 0)) for cs in self.cores)
-
-    def batch_degradations(self) -> int:
-        """Batch-engine degradations attributed to this machine's run.
-
-        Non-zero only when a lockstep group or batched sweep this run
-        belonged to had to fall back to per-run scalar execution (the
-        results are bit-identical either way; the counter exists so the
-        degradation is observable, mirroring ``trace_fallbacks``).
-        """
-        return self._batch_degradations
 
     def _run_core_chunk_reference(
         self,

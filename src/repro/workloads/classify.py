@@ -97,6 +97,7 @@ def run_alone(
     quantum: int = PROFILE_QUANTUM,
     warmup: int = 0,
     trace_store=None,
+    engine: str | None = None,
 ) -> tuple[Machine, tuple]:
     """Run a benchmark alone on core 0.
 
@@ -107,13 +108,15 @@ def run_alone(
     ``trace_store`` serves the trace from the materialized plane
     (:mod:`repro.sim.tracestore`) — a profile way-sweep re-runs the
     *same* trace a dozen times, which the store generates exactly once.
+    ``engine`` names the machine's simulation engine (``None`` resolves
+    as a bare :class:`~repro.sim.machine.Machine` does).
     """
     from repro.sim.cat import low_ways_mask
     from repro.sim.machine import Machine
 
     if isinstance(spec, str):
         spec = benchmark(spec)
-    m = Machine(params, quantum=quantum)
+    m = Machine(params, quantum=quantum, engine=engine)
     trace = None
     if trace_store is not None:
         trace = trace_store.trace_for(
@@ -186,6 +189,7 @@ def profile_benchmark(
     warmup: int | None = None,
     way_sweep: tuple[int, ...] | None = None,
     trace_store=None,
+    engine: str | None = None,
 ) -> AloneProfile:
     """Measure everything Figs. 1-3 need for one benchmark.
 
@@ -199,7 +203,8 @@ def profile_benchmark(
 
     def measure(**kw) -> PmuSample:
         m, snap = run_alone(
-            spec, params, n_accesses, seed=seed, warmup=warmup, trace_store=trace_store, **kw
+            spec, params, n_accesses, seed=seed, warmup=warmup, trace_store=trace_store,
+            engine=engine, **kw
         )
         return m.pmu.delta_since(snap)
 

@@ -17,7 +17,7 @@ import pytest
 from repro.experiments import batch as B
 from repro.experiments.batch import BatchRunSpec, simulate_batch
 from repro.experiments.config import ScaleConfig
-from repro.experiments.runner import build_machine, drive_mechanism
+from repro.experiments.runner import build_machine
 from repro.experiments.engine import (
     KIND_ALONE,
     KIND_MECHANISM,
@@ -93,7 +93,6 @@ class TestPerRunRung:
         before = degradation_count()
         (single,) = simulate_batch(specs[:1], SC, trace_store=store)
         assert [type(m) for m in built] == [Machine]
-        assert single.batch_degradations == 0
         assert degradation_count() == before
         assert np.array_equal(single.totals, healthy[0].totals)
         assert single.wall_cycles == healthy[0].wall_cycles
@@ -109,19 +108,29 @@ class TestPerRunRung:
         for h, d in zip(healthy, degraded):
             assert np.array_equal(h.totals, d.totals)
             assert h.wall_cycles == d.wall_cycles
-            assert d.batch_degradations == 1
+
+
+def _mechanism_runs(mix, mechanisms):
+    return [PlannedRun(KIND_MECHANISM, MECH_SC, mix=mix, mechanism=m) for m in mechanisms]
+
+
+def _session_payloads(runs, engine=None) -> str:
+    """``runs`` executed on a fresh uncached serial session, as JSON text."""
+    with ExperimentSession(cache_dir=None, max_workers=1, engine=engine) as session:
+        payloads = session.execute(runs)
+    return json.dumps([payloads[r.key()] for r in runs], sort_keys=True)
 
 
 class TestGroupedCoreMidQuantumCrash:
-    def test_core_crash_degrades_per_run_bit_identically(self, store, mix, monkeypatch):
+    def test_core_crash_degrades_per_run_bit_identically(self, mix, monkeypatch):
         """A GroupedCore that raises mid-quantum kills the lockstep group;
-        the group must degrade to per-run execution with bit-identical
-        results and one counted degradation per member."""
+        the session re-runs its members per run with the payloads of a
+        ``fast`` session and counts one degradation for the group."""
         from repro.sim import batch as SB
+        from repro.sim.batch import degradation_count
 
-        specs = [BatchRunSpec(mix=mix, mechanism=m) for m in ("pt", "cmm-a", "dunn")]
-        healthy = simulate_batch(specs, MECH_SC, trace_store=store)
-        assert all(rs.batch_degradations == 0 for rs in healthy)
+        runs = _mechanism_runs(mix, ("pt", "cmm-a", "dunn"))
+        expected = _session_payloads(runs, engine="fast")
 
         orig = SB.GroupedCore.step
         calls = {"n": 0}
@@ -133,12 +142,11 @@ class TestGroupedCoreMidQuantumCrash:
             return orig(self, *a, **kw)
 
         monkeypatch.setattr(SB.GroupedCore, "step", flaky)
-        degraded = simulate_batch(specs, MECH_SC, trace_store=store)
+        before = degradation_count()
+        degraded = _session_payloads(runs)
         assert calls["n"] >= 5, "injection never fired"
-        for h, d in zip(healthy, degraded):
-            assert np.array_equal(h.totals, d.totals)
-            assert h.wall_cycles == d.wall_cycles
-            assert d.batch_degradations == 1
+        assert degradation_count() == before + 1
+        assert degraded == expected
 
 
 def _digest(stats_list):
@@ -150,15 +158,10 @@ def _digest(stats_list):
 
 
 def _fast_digest(specs, sc, store):
-    """Every spec on its own scalar ``fast`` machine."""
-    out = []
-    for spec in specs:
-        m = build_machine(spec.mix, sc, trace_store=store, engine="fast")
-        if spec.mechanism is not None:
-            out.append(drive_mechanism(m, spec.mechanism, sc))
-        else:
-            out.append(B._run_static(m, spec))
-    return _digest(out)
+    """Every static spec on its own scalar ``fast`` machine."""
+    return _digest(
+        [B._run_static(build_machine(s.mix, sc, trace_store=store, engine="fast"), s) for s in specs]
+    )
 
 
 def _overlap_sweeps(mix):
@@ -185,10 +188,17 @@ class TestGroupedLLCMidServeCrash:
         from repro.sim.batch import GroupedLLC, degradation_count
 
         if drive == "static_sweep":
-            specs, sc = _overlap_sweeps(mix), SC
+            specs = _overlap_sweeps(mix)
+            expected = _fast_digest(specs, SC, store)
+
+            def execute():
+                return _digest(simulate_batch(specs, SC, trace_store=store))
         else:
-            specs, sc = [BatchRunSpec(mix=mix, mechanism=m) for m in ("pt", "cmm-a")], MECH_SC
-        expected = _fast_digest(specs, sc, store)
+            runs = _mechanism_runs(mix, ("pt", "cmm-a"))
+            expected = _session_payloads(runs, engine="fast")
+
+            def execute():
+                return _session_payloads(runs)
 
         real = GroupedLLC._round_loop
         calls = {"n": 0}
@@ -202,10 +212,10 @@ class TestGroupedLLCMidServeCrash:
 
         monkeypatch.setattr(GroupedLLC, "_round_loop", crash_on_second)
         before = degradation_count()
-        degraded = simulate_batch(specs, sc, trace_store=store)
+        degraded = execute()
         assert calls["n"] >= 2, "injection never fired"
-        assert degradation_count() > before
-        assert _digest(degraded) == expected
+        assert degradation_count() == before + 1
+        assert degraded == expected
 
 
 class TestSessionGroupFailureFallback:

@@ -148,10 +148,10 @@ class TestSweepResilience:
         )
         real_compute = E._compute_mechanism
 
-        def sabotaged(run):
+        def sabotaged(run, engine):
             if run.mix.name.endswith("-01") and run.mechanism == "cmm-a":
                 raise RuntimeError("injected mechanism failure")
-            return real_compute(run)
+            return real_compute(run, engine)
 
         monkeypatch.setitem(E._COMPUTE, E.KIND_MECHANISM, sabotaged)
         with pytest.warns(RuntimeWarning, match="skipping workload"):

@@ -205,7 +205,7 @@ class TestParams:
 
         def run(value):
             return PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="pt",
-                              params={"max_exhaustive": value})
+                              params={"selection_margin": value})
 
         engine._run_key.cache_clear()
         runs = [run(1), run(1.0), run(True)]
@@ -221,6 +221,19 @@ class TestParams:
         ("pref-cp", {"partition_factor": [0.5]}, TypeError),
         ("pref-cp", {"partition_factor": None}, TypeError),
         ("no-such-policy", {"k": 1}, KeyError),
+        # Values of the wrong type or out of range: refused before keying.
+        ("pref-cp", {"partition_factor": "x"}, TypeError),
+        ("pref-cp", {"partition_factor": -3.0}, ValueError),
+        ("pref-cp", {"partition_factor": 0}, ValueError),
+        ("pref-cp2", {"friendly_threshold": -0.5}, ValueError),
+        ("pt", {"selection_margin": "a"}, TypeError),
+        ("pt", {"max_exhaustive": -1}, ValueError),
+        ("pt", {"n_groups": 2.0}, TypeError),
+        ("pt", {"fine_grained": 1}, TypeError),
+        ("dunn", {"k": 0}, ValueError),
+        ("cmm-a", {"dunn_k": "4"}, TypeError),
+        ("cmm-b", {"partition_factor": float("inf")}, ValueError),
+        ("ppm-group", {"selection_margin": -0.01}, ValueError),
     ])
     def test_bad_params_refused_at_construction(self, mix, mechanism, params, error):
         with pytest.raises(error):

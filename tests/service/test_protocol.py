@@ -86,7 +86,7 @@ def _malformed(run_index: int, **patch) -> dict:
     return wire
 
 
-#: Wire runs with a field of the wrong type or an unknown benchmark name.
+#: Wire runs with a field of the wrong type or range, or an unknown benchmark name.
 MALFORMED_RUNS = [
     pytest.param(_malformed(1, scale__llc_scale="16"), id="scale-str"),
     pytest.param(_malformed(1, scale__quantum=[512]), id="scale-list"),
@@ -111,6 +111,11 @@ MALFORMED_RUNS = [
     pytest.param(_malformed(4, params=[["partition_factor", 0.5]]), id="params-list"),
     pytest.param(_malformed(1, params={"partition_factor": 0.5}), id="params-on-alone"),
     pytest.param(_malformed(0, params={"variant": "b"}), id="params-variant"),
+    pytest.param(_malformed(4, params={"partition_factor": "x"}), id="params-factor-str"),
+    pytest.param(_malformed(4, params={"partition_factor": -3.0}), id="params-factor-negative"),
+    pytest.param(_malformed(0, params={"selection_margin": "a"}), id="params-margin-str"),
+    pytest.param(_malformed(0, params={"max_exhaustive": -1}), id="params-exhaustive-negative"),
+    pytest.param(_malformed(0, mechanism="dunn", params={"k": 0}), id="params-dunn-k-zero"),
 ]
 
 

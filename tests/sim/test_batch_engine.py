@@ -22,10 +22,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.batch import BatchRunSpec, build_batch_kernel, simulate_batch
+from repro.experiments.batch import (
+    BatchRunSpec, build_batch_kernel, compute_mechanism_group, simulate_batch,
+)
 from repro.experiments.config import TINY, ScaleConfig
 from repro.experiments.engine import KIND_MECHANISM, ExperimentSession, PlannedRun
-from repro.experiments.runner import build_machine, drive_mechanism
+from repro.experiments.runner import build_machine, drive_mechanism, mechanism_payload
 from repro.sim import PF_ALL_OFF, PF_ALL_ON
 from repro.sim import batch as sim_batch
 from repro.sim.batch import degradation_count, run_static_sweep
@@ -121,6 +123,11 @@ def _digest(stats_list):
         h.update(np.ascontiguousarray(rs.totals).tobytes())
         h.update(repr(rs.wall_cycles).encode())
     return h.hexdigest()
+
+
+def _payload_digest(payloads):
+    """One sha256 over every run's full result payload, in order."""
+    return hashlib.sha256(json.dumps(payloads, sort_keys=True).encode()).hexdigest()
 
 
 class TestBatchBitIdentity:
@@ -273,24 +280,26 @@ class TestStaticSweepTiming:
         assert all(np.shape(c.n_llc_hit_d) == (len(specs), TINY.params().n_cores) for c in calls)
 
 
-class TestMidRunControlFlips:
-    def test_mechanism_specs_match_scalar(self, store):
-        """Controller-driven runs flip masks/CAT every epoch; batched
-        execution must reproduce them exactly."""
-        sc = dataclasses.replace(SC, sample_units=512, exec_units=2048, n_epochs=1)
-        mix = _mix("pref_unfri")
-        specs = [
-            BatchRunSpec(mix=mix, mechanism="pt"),
-            BatchRunSpec(mix=mix, mechanism="cmm-a"),
-        ]
-        batch = simulate_batch(specs, sc, trace_store=store)
-        for rs, spec in zip(batch, specs):
-            ref = drive_mechanism(build_machine(mix, sc, trace_store=store), spec.mechanism, sc)
-            assert np.array_equal(rs.totals, ref.totals), spec.mechanism
-            assert rs.wall_cycles == ref.wall_cycles, spec.mechanism
-
-
 MECH_SC = dataclasses.replace(SC, sample_units=512, exec_units=2048, n_epochs=1)
+
+
+def _session_payloads(runs, engine=None) -> dict:
+    with ExperimentSession(cache_dir=None, max_workers=1, engine=engine) as session:
+        return session.execute(runs)
+
+
+class TestMidRunControlFlips:
+    def test_mechanism_specs_match_scalar(self):
+        """Controller-driven runs flip masks/CAT every epoch; a batch
+        session's lockstep group must reproduce a fast session exactly."""
+        mix = _mix("pref_unfri")
+        runs = [PlannedRun(KIND_MECHANISM, MECH_SC, mix=mix, mechanism=m) for m in ("pt", "cmm-a")]
+        before = degradation_count()
+        batched = _session_payloads(runs)
+        assert degradation_count() == before
+        scalar = _session_payloads(runs, engine="fast")
+        assert json.dumps(batched, sort_keys=True) == json.dumps(scalar, sort_keys=True)
+
 
 # (width, llc axis) -> mechanism list.  The llc axis tags whether the
 # mechanisms drive CAT (cmm-*, pref-cp2 plan partitions), keep the LLC
@@ -309,24 +318,34 @@ DYNAMIC_CASES = {
 class TestDynamicLockstepDifferential:
     """Controller-driven (dynamic) runs batched in masked lockstep must be
     sha256-identical to per-run scalar fast execution across mixes,
-    shared/CAT mechanisms and batch widths 1, 3 and 8."""
+    shared/CAT mechanisms and group widths 1, 3 and 8 — width 1 a real
+    one-member lockstep group."""
 
     @pytest.mark.parametrize("category", CATEGORIES)
     @pytest.mark.parametrize(
         "width,axis", sorted(DYNAMIC_CASES), ids=lambda v: str(v)
     )
-    def test_mechanism_matrix_sha256(self, store, category, width, axis):
+    def test_mechanism_matrix_sha256(self, store, category, width, axis, monkeypatch):
         mechs = DYNAMIC_CASES[(width, axis)]
         assert len(mechs) == width
         mix = _mix(category)
-        specs = [BatchRunSpec(mix=mix, mechanism=m) for m in mechs]
-        batch = simulate_batch(specs, MECH_SC, trace_store=store)
+        runs = [PlannedRun(KIND_MECHANISM, MECH_SC, mix=mix, mechanism=m) for m in mechs]
+        widths = []
+        real_run = sim_batch.LockstepGroup.run
+        monkeypatch.setattr(
+            sim_batch.LockstepGroup, "run",
+            lambda group, drivers: widths.append(len(drivers)) or real_run(group, drivers),
+        )
+        batch = [payload for payload, _secs in compute_mechanism_group(runs, store)]
+        assert widths == [width]
         scalar = [
-            drive_mechanism(build_machine(mix, MECH_SC, trace_store=store), m, MECH_SC)
+            mechanism_payload(drive_mechanism(
+                build_machine(mix, MECH_SC, trace_store=store, engine="fast"), m, MECH_SC
+            ))
             for m in mechs
         ]
         label = f"{category}/{width}/{axis}"
-        assert _digest(batch) == _digest(scalar), f"{label}: digest diverged"
+        assert _payload_digest(batch) == _payload_digest(scalar), f"{label}: digest diverged"
 
 
 class TestSessionDispatch:
@@ -412,6 +431,32 @@ class TestSessionDispatch:
         assert auto._resolved_engine().batched
         named = ExperimentSession(cache_dir=None, max_workers=1, engine="fast")
         assert not named._resolved_engine().batched
+
+    @pytest.mark.parametrize("engine", [ENGINE_REFERENCE, ENGINE_FAST])
+    def test_named_engine_builds_every_machine(self, engine, monkeypatch):
+        """A scalar session's engine is the one its mechanism, alone and
+        profile runs simulate on, and both engines give one payload."""
+        from repro.experiments.engine import KIND_ALONE, KIND_PROFILE
+        from repro.sim.machine import Machine
+
+        built = []
+        real_init = Machine.__init__
+
+        def spy(machine, *a, **kw):
+            real_init(machine, *a, **kw)
+            built.append(machine.engine)
+
+        sc = dataclasses.replace(MECH_SC, alone_accesses=1024, profile_accesses=1024)
+        runs = [
+            PlannedRun(KIND_MECHANISM, sc, mix=_mix("pref_agg"), mechanism="pt"),
+            PlannedRun(KIND_ALONE, sc, bench="429.mcf"),
+            PlannedRun(KIND_PROFILE, sc, bench="410.bwaves"),
+        ]
+        scalar = _session_payloads(runs, engine=ENGINE_FAST)
+        monkeypatch.setattr(Machine, "__init__", spy)
+        named = _session_payloads(runs, engine=engine)
+        assert len(built) == 4 and set(built) == {engine}
+        assert json.dumps(named, sort_keys=True) == json.dumps(scalar, sort_keys=True)
 
     def test_unknown_engine_rejected_at_construction(self):
         with pytest.raises(EngineSelectionError, match="unknown simulation engine"):

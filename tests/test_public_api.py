@@ -35,7 +35,7 @@ def _python(code: str) -> None:
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "10.0.0"
+        assert repro.__version__ == "11.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
