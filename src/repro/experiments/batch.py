@@ -21,16 +21,16 @@ Three entry points:
   its own scalar ``fast`` :class:`~repro.sim.machine.Machine`.
   Mechanism runs are session plans (``session.execute`` /
   ``session.sweep``), which are cached, keyed and batched below.
-* :func:`compute_mechanism_group` — used by
-  ``ExperimentSession._execute_batched`` to run a mix-affine group of
-  planned mechanism runs in **masked lockstep**: every run's controller
-  loop advances together with per-run prefetch-mask and CAT-allow
-  tensors applied per quantum, so runs stay batched even after their
-  policies diverge.  Payloads are byte-identical to the scalar
-  ``_compute_mechanism`` path; a group that fails raises and the
-  session re-runs its members there.
-* :func:`compute_single_core_group` — the session's profile and alone
-  runs of one scale on the single-core plane.
+* :func:`compute_mechanism_group` — the executor's
+  (:mod:`repro.experiments.pool`) mechanism-group task: it runs a
+  mix-affine group of planned mechanism runs in **masked lockstep**:
+  every run's controller loop advances together with per-run
+  prefetch-mask and CAT-allow tensors applied per quantum, so runs
+  stay batched even after their policies diverge.  Payloads are
+  byte-identical to the scalar ``_compute_mechanism`` path; a group
+  that fails raises and the executor re-runs its members there.
+* :func:`compute_single_core_group` — the executor's single-core shard
+  task: profile and alone runs of one scale on the single-core plane.
 """
 
 from __future__ import annotations
@@ -39,12 +39,14 @@ import time
 from dataclasses import dataclass
 
 from repro.core.controller import RunStats
+from repro.core.policy_base import check_param
 from repro.experiments.config import ScaleConfig, get_scale
 from repro.experiments.runner import (
     build_machine, drive_mechanism, mechanism_payload, mechanism_trace_length,
 )
 from repro.sim.batch import BatchKernel, LockstepGroup, note_degradation, run_static_sweep
 from repro.sim.machine import CORE_ADDRESS_STRIDE_LINES
+from repro.sim.tracestore import TraceStore
 from repro.workloads.mixes import WorkloadMix
 
 __all__ = ["BatchRunSpec", "simulate_batch", "compute_mechanism_group"]
@@ -66,9 +68,17 @@ class BatchRunSpec:
     clos_cbms: tuple[tuple[int, int], ...] = ()
     core_clos: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        check_param("n_accesses", self.n_accesses, int, 0, strict=True)
+
 
 def _mix_key(mix: WorkloadMix) -> tuple:
     return (mix.name, mix.seed, tuple(mix.benchmarks))
+
+
+def _forkable_trace(trace_store, spec, **kw):
+    """A forkable trace: ``trace_store``'s, or one made here when a worker's manifest misses it."""
+    return trace_store.trace_for(spec, **kw) or TraceStore().trace_for(spec, **kw)
 
 
 def build_batch_kernel(
@@ -88,7 +98,8 @@ def build_batch_kernel(
     length = length if length is not None else mechanism_trace_length(sc)
     kernel = BatchKernel(params, quantum=sc.quantum)
     for core, bench in enumerate(mix.benchmarks):
-        trace = trace_store.trace_for(
+        trace = _forkable_trace(
+            trace_store,
             bench,
             llc_lines=params.llc.lines,
             base_line=core * CORE_ADDRESS_STRIDE_LINES,
@@ -244,8 +255,8 @@ def compute_single_core_group(runs, trace_store) -> list[tuple[dict, float, list
     traces = {}
     for bench in dict.fromkeys(key.trace for key in rows):
         length = max(key.end for key in rows if key.trace == bench)
-        traces[bench] = trace_store.trace_for(
-            bench, llc_lines=params.llc.lines, base_line=0, seed=0, length=length
+        traces[bench] = _forkable_trace(
+            trace_store, bench, llc_lines=params.llc.lines, base_line=0, seed=0, length=length
         )
     samples = run_single_core(params, list(rows), traces)
 
@@ -279,7 +290,7 @@ def compute_mechanism_group(runs, trace_store) -> list[tuple[dict, float]]:
     :class:`~repro.sim.batch.GroupedCore` per core and one grouped LLC.
     Returns ``(payload, seconds)`` per run, the payload byte-identical to
     the scalar ``_compute_mechanism`` one.  A group that cannot complete
-    batched raises :class:`~repro.sim.batch.LockstepError`; the caller
+    batched raises :class:`~repro.sim.batch.LockstepError`; the executor
     re-runs its members per run.
     """
     sc = runs[0].sc

@@ -150,31 +150,25 @@ def run_chaos_scenario(
 
 @contextlib.contextmanager
 def injected_faults(faults: Mapping[str, Callable]) -> Iterator[None]:
-    """Call ``faults[run.key()](run)`` in place of that run's compute function.
+    """Call ``faults[run.key()](run)`` when that run executes.
 
-    Wraps the engine's dispatch table for the block and restores it
-    exactly on exit.  Only the scalar paths read the table (a lone
-    mechanism miss, a pooled run, any run of an ``engine="fast"``
-    session), and pool workers see the wrap only if forked inside it.
+    Installs the faults at the executor's one task entry point for the
+    block and restores the previous set exactly on exit.  A single run
+    calls its fault instead of computing.  A batch group calls its first
+    faulted member's fault, ignores what it returns and computes every
+    member, so a fault that raises, kills the worker or hangs fails the
+    group, whose members then rerun as single runs.  Pool workers see
+    the faults only if forked inside the block.
     """
-    from repro.experiments import engine
+    from repro.experiments import pool
 
-    table = engine._COMPUTE
-    saved = dict(table)
-
-    def faulted(compute: Callable) -> Callable:
-        def run_or_fault(run, engine):
-            fault = faults.get(run.key())
-            return compute(run, engine) if fault is None else fault(run)
-
-        return run_or_fault
-
-    table.update({kind: faulted(compute) for kind, compute in saved.items()})
+    saved = dict(pool._FAULTS)
+    pool._FAULTS.update(faults)
     try:
         yield
     finally:
-        table.clear()
-        table.update(saved)
+        pool._FAULTS.clear()
+        pool._FAULTS.update(saved)
 
 
 def _failing_run(run) -> dict:

@@ -11,9 +11,9 @@ inputs:
 * each planned run hashes its inputs — mix, mechanism,
   :meth:`ScaleConfig.cache_key`, :class:`MachineParams`, engine schema
   version — into a content-addressed key;
-* :class:`ExperimentSession` executes cache misses either serially or
-  across a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (``max_workers``; the pool half lives in :mod:`repro.experiments.pool`),
+* :class:`ExperimentSession` hands cache misses to the executor
+  (:mod:`repro.experiments.pool`), which forms batch groups once and
+  runs them in process or across a process pool ``max_workers`` wide,
   persists payloads in a :class:`ResultCache`, and emits per-run
   :class:`RunRecord` timing/progress entries.
 
@@ -27,24 +27,24 @@ alone/profile runs) and no state is shared between runs, so parallel
 results are bit-identical to serial ones; cached payloads round-trip
 through JSON without losing a single bit of the float64 counters.
 
-Failures degrade instead of aborting: a worker that raises, hangs past
-``run_timeout``, or kills its process (``BrokenProcessPool``) costs
-only its own run — completed results are already persisted, unfinished
-runs are re-submitted to a respawned pool, and the failure is reported
-per-run (:attr:`RunRecord.error`) rather than thrown away with the
-whole sweep.  See ``docs/robustness.md``.
+Failures degrade instead of aborting: a task that raises, hangs past
+its timeout, or kills its process (``BrokenProcessPool``) costs only
+its own runs — a failed group re-runs its members one by one,
+completed results are already persisted, unfinished runs are
+re-submitted to a respawned pool, and the failure is reported per-run
+(:attr:`RunRecord.error`) rather than thrown away with the whole
+sweep.  See ``docs/robustness.md``.
 
 The **trace plane** (:mod:`repro.sim.tracestore`) rides underneath:
 each session owns a :class:`~repro.sim.tracestore.TraceStore` that
 materializes every deterministic benchmark trace once, in a compact
 layout, and replays it chunk by chunk.  The worker pool is *persistent* across batches;
-misses are submitted in mix-affine order and each run carries a small
-manifest naming the shared-memory segments holding its traces, so
-workers attach by name instead of unpickling arrays (and keep their
-attachments for later runs of the same mix).  The plane lives in
-memory only and is a pure transport optimisation — results are
-bit-identical to live generation, and it is excluded from cache keys
-like the simulation engine choice.
+each task carries a small manifest naming the shared-memory segments
+holding its runs' traces, so workers attach by name instead of
+unpickling arrays (and keep their attachments for later runs of the
+same mix).  The plane lives in memory only and is a pure transport
+optimisation — results are bit-identical to live generation, and it is
+excluded from cache keys like the simulation engine choice.
 
 Environment knobs: ``REPRO_CACHE_DIR`` relocates the on-disk result
 store (default ``~/.cache/repro``), ``REPRO_WORKERS`` sets the default
@@ -60,7 +60,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -292,10 +291,11 @@ def _run_key(run: PlannedRun) -> str:
 
 # ----------------------------------------------------------- computation
 #
-# Top-level functions so planned runs pickle cleanly into pool workers.
-# The simulator, controller and platform load inside them (through
-# ``runner`` and ``classify``), at the first miss: a replay that hits
-# every key never imports them.
+# One run's computation, by kind; the executor (``pool._execute_task``)
+# dispatches a single run through ``_COMPUTE``.  The simulator,
+# controller and platform load inside them (through ``runner`` and
+# ``classify``), at the first miss: a replay that hits every key never
+# imports them.
 
 
 def _compute_mechanism(run: PlannedRun, engine: str | None) -> dict:
@@ -341,25 +341,6 @@ _COMPUTE: dict[str, Callable[[PlannedRun, str | None], dict]] = {
     KIND_ALONE: _compute_alone,
     KIND_PROFILE: _compute_profile,
 }
-
-
-def _execute_planned(run: PlannedRun, traces=None, engine: str | None = None) -> tuple[dict, float]:
-    """Worker entry point: compute one payload, report wall seconds.
-
-    ``traces`` is the run's trace source: the session's
-    :class:`~repro.sim.tracestore.TraceStore` on the serial path, a
-    shared-memory *manifest* dict (turned into a
-    :class:`~repro.sim.tracestore.ManifestView` here, inside the
-    worker) on the pool path, or ``None`` for plain live generation.
-    ``engine`` is the simulation engine the run's machines use (the
-    session's resolved engine; ``None`` resolves as a bare ``Machine``).
-    """
-    if isinstance(traces, dict):
-        traces = tracestore.ManifestView(traces)
-    t0 = time.perf_counter()
-    with tracestore.use_view(traces):
-        payload = _COMPUTE[run.kind](run, engine)
-    return payload, time.perf_counter() - t0
 
 
 def _rehydrate_stats(payload: dict, traces: list[EpochTrace] | None = None) -> RunStats:
@@ -715,17 +696,21 @@ class ExperimentSession:
         Where to persist results when no ``cache`` is given; defaults
         to :func:`default_cache_dir`, ``None`` keeps results in memory.
     max_workers:
-        Process-pool width for cache misses; ``1`` runs serially.
-        Defaults to :func:`default_workers` (``$REPRO_WORKERS``);
-        values above the CPU count are clamped with a warning.
+        Executor width for cache misses: at most this many tasks run at
+        once, and single-core runs split into at most this many shards;
+        ``1``, or a single miss, runs in process.  Defaults to
+        :func:`default_workers` (``$REPRO_WORKERS``); values above the
+        CPU count are clamped with a warning.
     progress:
         Optional callback ``(record, done, total)`` fired once per run
         as a batch executes.
     run_timeout:
-        Per-run wall-clock budget in seconds for pool execution; a run
-        exceeding it is reported failed and its (possibly hung) worker
-        abandoned.  ``None`` (the default, or ``$REPRO_RUN_TIMEOUT``)
-        disables timeouts.  Not enforced on the serial path.
+        Per-run wall-clock budget in seconds for pool execution (a
+        group's budget is this times its width); a single run exceeding
+        it is reported failed, a group re-runs its members one by one,
+        and the (possibly hung) worker is abandoned.  ``None`` (the
+        default, or ``$REPRO_RUN_TIMEOUT``) disables timeouts.  Not
+        enforced in process.
     run_retries:
         Extra attempts for a run whose worker raised (timeouts are not
         retried — a hang is assumed deterministic).
@@ -744,13 +729,13 @@ class ExperimentSession:
         Simulation-engine name for this session's runs, resolved
         through :func:`repro.sim.engines.resolve_engine` (explicit
         argument beats ``$REPRO_SIM_ENGINE`` beats ``batch``).  The
-        default, the batch engine, runs serial mix-affine mechanism
-        groups through one shared
-        :class:`~repro.sim.batch.BatchKernel`; results are bit-identical
-        to per-run execution, and the engine name never enters result
-        cache keys.  Naming a non-batched engine (``fast``,
-        ``reference``) disables group dispatch; every run the session
-        simulates on its own machine uses the named engine.
+        default, the batch engine, runs mix-affine mechanism groups
+        through one shared :class:`~repro.sim.batch.BatchKernel` and
+        profile and alone runs on the single-core plane; results are
+        bit-identical to per-run execution, and the engine name never
+        enters result cache keys.  Naming a non-batched engine
+        (``fast``, ``reference``) disables group dispatch; every run the
+        session simulates on its own machine uses the named engine.
     """
 
     _UNSET = object()
@@ -852,13 +837,16 @@ class ExperimentSession:
         """Run a plan; returns ``{key: payload}`` for every completed run.
 
         Duplicates collapse on their content key, cache hits replay
-        from the store, and misses execute serially or across the
-        process pool — results are identical either way.
+        from the store, and misses run as one task list — batch groups
+        and single runs — in process or across the process pool
+        (:func:`repro.experiments.pool.run_tasks`); results are
+        identical either way.
 
         A run whose worker raises, hangs past ``run_timeout``, or dies
-        with its pool costs only itself: completed results are already
-        persisted, unfinished runs are re-submitted to a respawned
-        pool, and the failure is recorded per-run
+        with its pool costs only itself: a failed group re-runs its
+        members one by one, completed results are already persisted,
+        unfinished runs are re-submitted to a respawned pool, and the
+        failure is recorded per-run
         (:attr:`RunRecord.error`, :attr:`failed`).  With ``strict``
         (the default) an :class:`ExperimentError` listing the failures
         is raised *after* everything runnable has run; ``strict=False``
@@ -955,12 +943,10 @@ class ExperimentSession:
             if journal is not None and key in journal.plan:
                 journal.record_failed(key, msg)
 
-        if len(misses) > 1 and self.max_workers > 1:
+        if misses:
             from repro.experiments import pool
 
-            pool.execute_parallel(self, misses, finish, fail)
-        elif misses:
-            self._execute_serial(misses, finish, fail)
+            pool.run_tasks(self, misses, finish, fail)
         if journal is not None:
             if not journal.pending_keys():
                 journal.seal()
@@ -981,70 +967,6 @@ class ExperimentSession:
         (or ``engine=``) to a scalar engine is the off switch.
         """
         return resolve_engine(self.engine, ENGINE_BATCH)
-
-    def _execute_batched(self, misses, finish):
-        """Dispatch batchable groups; return leftover misses.
-
-        Two group shapes, payloads byte-identical to the per-run path:
-
-        * >= 2 mechanism misses sharing a mix and a scale (by value, so
-          runs differing only in params share a group) run through one
-          shared batch kernel
-          (:func:`repro.experiments.batch.compute_mechanism_group`);
-        * every profile and alone miss of one scale runs on the
-          single-core plane
-          (:func:`repro.experiments.batch.compute_single_core_group`),
-          which also answers each profiled benchmark's alone run.
-
-        Any failure returns the whole group to the scalar loop, which
-        retains the retry semantics, and counts a degradation.
-        """
-        if not self._resolved_engine().batched:
-            return misses
-        from repro.experiments.batch import compute_mechanism_group, compute_single_core_group
-        from repro.sim.batch import note_degradation
-
-        groups: dict[tuple, list[tuple[str, PlannedRun]]] = {}
-        for key, r in misses:
-            if r.kind == KIND_MECHANISM:
-                g = ("mix", r.mix, r.sc)
-            else:
-                g = ("single-core", r.sc)
-            groups.setdefault(g, []).append((key, r))
-        remaining: list[tuple[str, PlannedRun]] = []
-        for (shape, *_), grp in groups.items():
-            runs = [r for _, r in grp]
-            try:
-                if shape == "single-core":
-                    rows = compute_single_core_group(runs, self.trace_store)
-                elif len(grp) >= 2:
-                    rows = [(p, s, ()) for p, s in compute_mechanism_group(runs, self.trace_store)]
-                else:  # a lone mechanism miss has no group to share
-                    remaining.extend(grp)
-                    continue
-            except Exception:
-                note_degradation()
-                remaining.extend(grp)
-                continue
-            for (key, r), (payload, secs, answered) in zip(grp, rows):
-                finish(key, r, payload, secs, answered)
-        return remaining
-
-    def _execute_serial(self, misses, finish, fail) -> None:
-        engine = self._resolved_engine().name
-        for key, r in self._execute_batched(misses, finish):
-            err: BaseException | None = None
-            for _attempt in range(self.run_retries + 1):
-                try:
-                    payload, secs = _execute_planned(r, self.trace_store, engine)
-                except Exception as e:
-                    err = e
-                else:
-                    finish(key, r, payload, secs)
-                    err = None
-                    break
-            if err is not None:
-                fail(key, r, err)
 
     # -- single runs -------------------------------------------------
 

@@ -5,7 +5,7 @@ after a session is simply dropped.
 Uses the ``fork`` start method and real mechanism and alone runs (which
 publish segments), some replaced by the faults in ``tests.chaos.workers``
 through :func:`~repro.experiments.chaos.injected_faults`, so the leak
-paths exercised are the production pool paths.
+paths exercised are the production executor's pool paths.
 """
 
 import dataclasses
@@ -124,23 +124,29 @@ class TestIsolatedPoolReuse:
         assert shm_residue() == []
 
     def test_isolated_crash_respawns_only_then(self, tmp_path):
-        session = make_session(tmp_path)
-        done, failed = [], []
-        finish = lambda key, r, payload, secs: done.append(key)
-        fail = lambda key, r, err: failed.append(key)
-        with injected_faults({FAULTY.key(): crash}):
-            # A healthy isolated run creates the pool...
-            pool.execute_isolated(session, {OK_A.key(): OK_A}, finish, fail)
-            iso = session._pools["iso"]
-            assert iso is not None and done
-            # ...a second healthy run reuses exactly that pool...
-            pool.execute_isolated(session, {OK_B.key(): OK_B}, finish, fail)
-            assert session._pools["iso"] is iso
-            # ...and only a crash discards it; the next run respawns fresh.
-            pool.execute_isolated(session, {FAULTY.key(): FAULTY}, finish, fail)
-            assert session._pools["iso"] is None and failed
-            pool.execute_isolated(session, {OK_C.key(): OK_C}, finish, fail)
-            assert session._pools["iso"] is not None
+        """With pool_respawns=0 the crash sends every run to isolation, in
+        plan order: the shards [SLOW_A, OK_B] and [FAULTY, OK_C] are
+        re-queued whole, and isolation splits them into single runs.  The
+        first shard calls ``SLOW_A``'s ``slow`` fault before computing,
+        so it is still in flight when ``FAULTY`` breaks the batch pool."""
+        seen = []  # (key, error, isolation pool) as each run reports
+        session = make_session(
+            tmp_path, pool_respawns=0,
+            progress=lambda rec, done, total: seen.append((rec.key, rec.error, session._pools["iso"])),
+        )
+        with injected_faults({FAULTY.key(): crash, SLOW_A.key(): slow}):
+            session.execute([SLOW_A, FAULTY, OK_B, OK_C], strict=False)
+        keys = [key for key, _err, _iso in seen]
+        assert keys == [r.key() for r in (SLOW_A, OK_B, FAULTY, OK_C)]
+        (_, _, iso), (_, _, reused), (_, crashed, before_discard), (_, _, fresh) = seen
+        # A healthy isolated run creates the pool...
+        assert iso is not None
+        # ...a second healthy run reuses exactly that pool...
+        assert reused is iso
+        # ...and only a crash discards it; the next run respawns fresh.
+        assert crashed is not None and before_discard is iso
+        assert fresh is not None and fresh is not iso
+        assert session._pools["iso"] is fresh
         session.close()
 
 
@@ -153,7 +159,7 @@ class TestSessionLifecycle:
 
     def test_abandoned_session_finalizes_on_gc(self, tmp_path):
         session = make_session(tmp_path)
-        assert pool.manifest_for(session, mech("baseline"))  # publishes segments
+        assert pool.manifest_for(session, [mech("baseline")])  # publishes segments
         assert shm_residue() != []
         del session
         import gc
@@ -182,7 +188,7 @@ class TestSessionLifecycle:
             session = ExperimentSession(cache_dir=None, max_workers=1)
             mix = make_mixes("pref_agg", 1, seed=2019)[0]
             run = PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="baseline")
-            assert pool.manifest_for(session, run), "expected published segments"
+            assert pool.manifest_for(session, [run]), "expected published segments"
             assert shm_residue(), "expected live segments before interrupt"
             print("SEGMENTS-LIVE", flush=True)
             signal.raise_signal(signal.SIGINT)

@@ -26,8 +26,8 @@ from repro.experiments.engine import (
     KIND_PROFILE,
     ExperimentSession,
     PlannedRun,
-    _execute_planned,
 )
+from repro.experiments.pool import TASK_RUN, _execute_task
 from repro.experiments.runner import build_machine, mechanism_trace_length
 from repro.platform.simulated import SimulatedPlatform
 from repro.sim.tracestore import TraceStore, shm_residue
@@ -84,7 +84,7 @@ def live_reference():
     beside the payload)."""
     out = {}
     for run in the_plan():
-        payload, _secs = _execute_planned(run, None)
+        ((payload, _secs, _answered),) = _execute_task(TASK_RUN, [run], None)
         payload.pop("traces", None)
         out[run.key()] = payload
     return out

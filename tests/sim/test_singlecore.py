@@ -29,8 +29,8 @@ from repro.experiments.engine import (
     KIND_PROFILE,
     ExperimentSession,
     PlannedRun,
-    _execute_planned,
 )
+from repro.experiments.pool import TASK_RUN, _execute_task
 from repro.sim import fastengine
 from repro.sim.machine import Machine
 from repro.sim.singlecore import ALL_OFF, SingleCoreRow, run_single_core
@@ -121,6 +121,12 @@ class TestDifferential:
             _plane([SingleCoreRow("456.hmmer", 0x0, None, 512, 100, 512)])
 
 
+def scalar(run: PlannedRun) -> dict:
+    """``run``'s payload from the executor's single-run path."""
+    ((payload, _secs, _answered),) = _execute_task(TASK_RUN, [run], STORE)
+    return payload
+
+
 class TestEngineGroup:
     def test_every_benchmark_profile_matches_profile_benchmark(self):
         runs = [
@@ -129,10 +135,10 @@ class TestEngineGroup:
         rows = compute_single_core_group(runs, STORE)
         for r, (payload, _secs, answered) in zip(runs, rows):
             # Key order too: the cache cannot tell which path wrote it.
-            assert json.dumps(payload) == json.dumps(_execute_planned(r, STORE)[0])
+            assert json.dumps(payload) == json.dumps(scalar(r))
             ((alone_run, alone_payload),) = answered
             assert alone_run == PlannedRun(KIND_ALONE, SC, bench=r.bench)
-            assert alone_payload == _execute_planned(alone_run, STORE)[0]
+            assert alone_payload == scalar(alone_run)
 
     @pytest.mark.parametrize("scale", sorted(SCALES))
     def test_alone_window_is_a_prefix_of_the_profile_trace(self, scale):
