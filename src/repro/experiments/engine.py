@@ -248,7 +248,8 @@ class PlannedRun:
         """Everything the simulated outcome depends on.
 
         The simulation engine and the trace plane are not inputs: both
-        are differential-tested bit-identical (tests/sim/test_fast_engine.py,
+        are differential-tested bit-identical
+        (tests/property/test_engine_differential.py,
         tests/experiments/test_trace_plane.py), so cached results stay
         valid across engine choices and default changes.  ``scale`` and
         ``machine`` are the shared dicts of :func:`key_inputs`: read-only.
@@ -832,7 +833,6 @@ class ExperimentSession:
         runs: Iterable[PlannedRun],
         *,
         strict: bool = True,
-        resume=None,
     ) -> dict[str, dict]:
         """Run a plan; returns ``{key: payload}`` for every completed run.
 
@@ -851,28 +851,11 @@ class ExperimentSession:
         (the default) an :class:`ExperimentError` listing the failures
         is raised *after* everything runnable has run; ``strict=False``
         just omits the failed keys from the result.
-
-        ``resume`` replays a killed sweep from its crash-consistent
-        journal: pass a :class:`~repro.service.journal.SweepJournal`
-        (or a path to one) and the journal's whole plan joins ``runs``
-        — completed keys replay from the cache, pending keys execute,
-        and every outcome is journaled (started/finished/failed, with
-        batch-boundary fsyncs).  The journal is sealed once nothing is
-        pending.  Replayed sweeps are bit-identical to uninterrupted
-        ones (``tests/service/test_journal.py``).
         """
-        journal = None
-        if resume is not None:
-            from repro.service.journal import SweepJournal
-            from repro.service.protocol import run_from_wire
-
-            journal = resume if isinstance(resume, SweepJournal) else SweepJournal.load(resume)
-            runs = list(runs) + [run_from_wire(spec) for spec in journal.plan.values()]
         ordered: dict[str, PlannedRun] = {}
         for r in runs:
             ordered.setdefault(r.key(), r)
         total = len(ordered)
-        journaled_finished = journal.finished_keys() if journal is not None else set()
         out: dict[str, dict] = {}
         errors: dict[str, str] = {}
         misses: list[tuple[str, PlannedRun]] = []
@@ -892,20 +875,8 @@ class ExperimentSession:
                 out[key] = rec["payload"]
                 done += 1
                 self._note(RunRecord(key, r.kind, r.label, r.sc.name, 0.0, cached=True), done, total)
-                if journal is not None and key in journal.plan \
-                        and key not in journaled_finished:
-                    # The crash may have landed the cache write but not
-                    # the journal event; reconcile on replay.
-                    journal.record_finished(key)
             else:
                 misses.append((key, r))
-
-        if journal is not None:
-            # Write-ahead: the dispatch set is durable before compute.
-            for key, _r in misses:
-                if key in journal.plan:
-                    journal.record_started(key)
-            journal.flush()
 
         def finish(key: str, r: PlannedRun, payload: dict, secs: float, answered=()) -> None:
             """Persist and report one run.  ``answered`` are ``(run,
@@ -927,8 +898,6 @@ class ExperimentSession:
             out[key] = payload
             done += 1
             self._note(RunRecord(key, r.kind, r.label, r.sc.name, secs, cached=False), done, total)
-            if journal is not None and key in journal.plan:
-                journal.record_finished(key)
 
         def fail(key: str, r: PlannedRun, err: BaseException | str) -> None:
             nonlocal done
@@ -940,20 +909,11 @@ class ExperimentSession:
                 RunRecord(key, r.kind, r.label, r.sc.name, 0.0, cached=False, error=msg),
                 done, total,
             )
-            if journal is not None and key in journal.plan:
-                journal.record_failed(key, msg)
 
         if misses:
             from repro.experiments import pool
 
             pool.run_tasks(self, misses, finish, fail)
-        if journal is not None:
-            if not journal.pending_keys():
-                journal.seal()
-            if journal is resume:
-                journal.flush()
-            else:
-                journal.close()  # loaded here from a path
         if errors and strict:
             raise ExperimentError(errors)
         return out

@@ -252,16 +252,19 @@ def verify_safe_state(platform: Platform) -> list[str]:
     return problems
 
 
-def verify_no_segment_leaks() -> list[str]:
-    """Problems with the host's shared-memory state, as a
+def verify_no_segment_leaks(pid: int) -> list[str]:
+    """Problems with process ``pid``'s shared-memory state, as a
     :func:`verify_safe_state`-style list.
 
     The trace plane (:mod:`repro.sim.tracestore`) publishes
     parent-owned ``/dev/shm`` segments; a session that exits — normally
     or through a crash — must leave none behind.  Each leaked segment
-    is one problem string.  Used by the chaos suite after killing pool
-    workers mid-run, and worth running after any experiment crash.
+    that ``pid`` published (segment names start with it, so another
+    process's live session is not a leak) is one problem string.  Used
+    by the chaos suite after killing pool workers mid-run, and worth
+    running after any experiment crash.
     """
-    from repro.sim.tracestore import shm_residue
+    from repro.sim.tracestore import SHM_PREFIX, shm_residue
 
-    return [f"leaked shared-memory segment: {name}" for name in shm_residue()]
+    residue = shm_residue(f"{SHM_PREFIX}{pid:x}-")
+    return [f"leaked shared-memory segment: {name}" for name in residue]

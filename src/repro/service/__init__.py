@@ -10,8 +10,8 @@ concurrent clients share.  Robustness is the organizing principle:
   responses instead of unbounded queues;
 * :mod:`repro.service.journal` — crash-consistent **sweep journal**: an
   append-only JSONL write-ahead log of planned/started/finished runs so
-  ``repro serve --resume`` (and ``ExperimentSession.execute(resume=)``)
-  replays a killed sweep without re-running completed keys;
+  ``repro serve --resume`` replays a killed sweep without re-running
+  completed keys;
 * :mod:`repro.service.server` / :mod:`repro.service.protocol` — the
   localhost TCP / unix-socket JSON-lines front door and the in-process
   :class:`ServiceClient`.

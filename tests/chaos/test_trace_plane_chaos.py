@@ -2,6 +2,10 @@
 session — not after worker crashes, not after KeyboardInterrupt, not
 after a session is simply dropped.
 
+Every check reads the segments this process (or the child it spawned)
+published: segment names carry the publishing pid, so another process's
+live session on the same host is not a leak of this one.
+
 Uses the ``fork`` start method and real mechanism and alone runs (which
 publish segments), some replaced by the faults in ``tests.chaos.workers``
 through :func:`~repro.experiments.chaos.injected_faults`, so the leak
@@ -63,7 +67,7 @@ def make_session(tmp_path, **kw):
 
 
 class TestWorkerCrash:
-    def test_crash_mid_batch_completes_and_leaks_nothing(self, tmp_path):
+    def test_crash_mid_batch_completes_and_leaks_nothing(self, tmp_path, own_residue):
         """A worker dies while segments are published: the respawned
         pool finishes the mechanism runs, and close() leaves /dev/shm
         clean — the dead worker only ever *attached*."""
@@ -72,35 +76,35 @@ class TestWorkerCrash:
             out = session.execute([mech("baseline"), FAULTY, mech("cmm-a")], strict=False)
         assert len(out) == 2  # both mechanism runs completed
         assert list(session.failed) == [FAULTY.key()]
-        assert shm_residue()  # plane was used
+        assert own_residue()  # plane was used
         session.close()
-        assert verify_no_segment_leaks() == []
-        assert shm_residue() == []
+        assert verify_no_segment_leaks(os.getpid()) == []
+        assert own_residue() == []
 
-    def test_segments_survive_respawn_for_retried_runs(self, tmp_path):
+    def test_segments_survive_respawn_for_retried_runs(self, tmp_path, own_residue):
         # The store (and its segments) belongs to the session, not the
         # pool: a pool crash must not invalidate published segments.
         session = make_session(tmp_path)
         with injected_faults({FAULTY.key(): crash}):
             session.execute([mech("baseline"), FAULTY], strict=False)
-        before = shm_residue()
+        before = own_residue()
         out = session.execute([mech("pt")])
         assert len(out) == 1
-        assert shm_residue() == before  # reused
+        assert own_residue() == before  # reused
         session.close()
-        assert shm_residue() == []
+        assert own_residue() == []
 
-    def test_hang_then_timeout_leaks_nothing(self, tmp_path):
+    def test_hang_then_timeout_leaks_nothing(self, tmp_path, own_residue):
         session = make_session(tmp_path, run_timeout=0.6)
         with injected_faults({FAULTY.key(): hang}):
             out = session.execute([FAULTY, OK_A], strict=False)
         assert len(out) == 1
         session.close()
-        assert shm_residue() == []
+        assert own_residue() == []
 
 
 class TestIsolatedPoolReuse:
-    def test_isolation_pool_is_reused_until_it_breaks(self, tmp_path):
+    def test_isolation_pool_is_reused_until_it_breaks(self, tmp_path, own_residue):
         """pool_respawns=0 sends the batch to the isolation pool after
         the first crash; the healthy stragglers then share ONE
         single-worker pool instead of paying one pool per run.
@@ -121,7 +125,7 @@ class TestIsolatedPoolReuse:
         assert session._pools["iso"] is iso
         session.close()
         assert session._pools["iso"] is None
-        assert shm_residue() == []
+        assert own_residue() == []
 
     def test_isolated_crash_respawns_only_then(self, tmp_path):
         """With pool_respawns=0 the crash sends every run to isolation, in
@@ -151,21 +155,21 @@ class TestIsolatedPoolReuse:
 
 
 class TestSessionLifecycle:
-    def test_close_is_idempotent_and_contextmanager_closes(self, tmp_path):
+    def test_close_is_idempotent_and_contextmanager_closes(self, tmp_path, own_residue):
         with make_session(tmp_path, max_workers=1) as session:
             session.execute([mech("baseline")])
         session.close()
-        assert shm_residue() == []
+        assert own_residue() == []
 
-    def test_abandoned_session_finalizes_on_gc(self, tmp_path):
+    def test_abandoned_session_finalizes_on_gc(self, tmp_path, own_residue):
         session = make_session(tmp_path)
         assert pool.manifest_for(session, [mech("baseline")])  # publishes segments
-        assert shm_residue() != []
+        assert own_residue() != []
         del session
         import gc
 
         gc.collect()
-        assert shm_residue() == []
+        assert own_residue() == []
 
     def test_keyboard_interrupt_leaks_nothing(self, tmp_path):
         """SIGINT → KeyboardInterrupt → interpreter exit must unlink
@@ -178,7 +182,7 @@ class TestSessionLifecycle:
             from repro.experiments.engine import (
                 KIND_MECHANISM, ExperimentSession, PlannedRun,
             )
-            from repro.sim.tracestore import shm_residue
+            from repro.platform.faults import verify_no_segment_leaks
             from repro.workloads.mixes import make_mixes
 
             SC = dataclasses.replace(
@@ -189,8 +193,8 @@ class TestSessionLifecycle:
             mix = make_mixes("pref_agg", 1, seed=2019)[0]
             run = PlannedRun(KIND_MECHANISM, SC, mix=mix, mechanism="baseline")
             assert pool.manifest_for(session, [run]), "expected published segments"
-            assert shm_residue(), "expected live segments before interrupt"
-            print("SEGMENTS-LIVE", flush=True)
+            assert verify_no_segment_leaks(os.getpid()), "expected live segments before interrupt"
+            print("SEGMENTS-LIVE", os.getpid(), flush=True)
             signal.raise_signal(signal.SIGINT)
             """
         )
@@ -203,18 +207,39 @@ class TestSessionLifecycle:
         )
         assert "SEGMENTS-LIVE" in proc.stdout
         assert proc.returncode != 0  # died to the interrupt, not cleanly
-        assert shm_residue() == []
+        child = int(proc.stdout.split("SEGMENTS-LIVE")[1].split()[0])
+        assert verify_no_segment_leaks(child) == []
 
 
 class TestLeakVerifier:
     def test_reports_each_leaked_segment(self, tmp_path):
         from multiprocessing import shared_memory
 
-        seg = shared_memory.SharedMemory(create=True, size=64, name="repro-tr-leaktest")
+        name = f"repro-tr-{os.getpid():x}-leaktest"
+        seg = shared_memory.SharedMemory(create=True, size=64, name=name)
         try:
-            problems = verify_no_segment_leaks()
-            assert any("repro-tr-leaktest" in p for p in problems)
+            assert any(name in p for p in verify_no_segment_leaks(os.getpid()))
         finally:
             seg.close()
             seg.unlink()
-        assert verify_no_segment_leaks() == []
+        assert verify_no_segment_leaks(os.getpid()) == []
+
+    def test_another_process_segment_is_not_a_leak(self, tmp_path, own_residue):
+        """A segment another process holds open while this process runs
+        and closes a session shows up host-wide, but not in this
+        process's checks."""
+        from multiprocessing import shared_memory
+
+        name = f"repro-tr-{os.getppid():x}-1-foreign"
+        seg = shared_memory.SharedMemory(create=True, size=64, name=name)
+        try:
+            with make_session(tmp_path, max_workers=1) as session:
+                session.execute([mech("baseline")])
+                assert pool.manifest_for(session, [mech("pt")])  # publishes segments
+                assert own_residue() and name not in own_residue()
+            assert name in shm_residue()
+            assert own_residue() == []
+            assert verify_no_segment_leaks(os.getpid()) == []
+        finally:
+            seg.close()
+            seg.unlink()

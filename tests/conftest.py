@@ -2,12 +2,34 @@
 
 from __future__ import annotations
 
+import functools
+import os
+import random
+
 import numpy as np
 import pytest
 
 from repro.sim.machine import Machine
 from repro.sim.params import CacheGeometry, MachineParams
 from repro.sim.trace import RandomStream, SequentialStream, TraceGenerator
+from repro.sim.tracestore import SHM_PREFIX, shm_residue
+
+
+#: Set to any string to run the collected tests in an order shuffled
+#: with it as the seed; the same value replays the same order.
+SHUFFLE_ENV = "TEST_SHUFFLE_SEED"
+
+
+def pytest_report_header(config):
+    seed = os.environ.get(SHUFFLE_ENV)
+    return f"test order shuffled: {SHUFFLE_ENV}={seed}" if seed else None
+
+
+def pytest_collection_modifyitems(config, items):
+    """Tier-1 must pass in any order: shuffle it when a seed is set."""
+    seed = os.environ.get(SHUFFLE_ENV)
+    if seed:
+        random.Random(seed).shuffle(items)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -51,6 +73,16 @@ def plenty_of_cpus(monkeypatch):
     container the clamp would silently force every session serial.
     """
     monkeypatch.setattr("os.cpu_count", lambda: 8)
+
+
+@pytest.fixture
+def own_residue():
+    """Lists this process's trace-plane segments still in ``/dev/shm``.
+
+    Segment names start with the publishing pid, so a leak check that
+    reads only these is not failed by another process's live session.
+    """
+    return functools.partial(shm_residue, f"{SHM_PREFIX}{os.getpid():x}-")
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from repro.experiments.engine import (
 from repro.experiments.pool import TASK_RUN, _execute_task
 from repro.experiments.runner import build_machine, mechanism_trace_length
 from repro.platform.simulated import SimulatedPlatform
-from repro.sim.tracestore import TraceStore, shm_residue
+from repro.sim.tracestore import TraceStore
 from repro.workloads.mixes import make_mixes
 
 SC = dataclasses.replace(
@@ -114,21 +114,21 @@ class TestPayloadIdentity:
         assert not (tmp_path / "cache" / "tracestore").exists()
         assert canonical(out) == canonical(live_reference())
 
-    def test_pool_manifest_path_matches(self, tmp_path, plenty_of_cpus):
+    def test_pool_manifest_path_matches(self, tmp_path, plenty_of_cpus, own_residue):
         live = live_reference()
-        before = set(shm_residue())
+        before = set(own_residue())
         session = ExperimentSession(
             scale=SC, cache_dir=tmp_path / "pool", run_timeout=120,
             max_workers=3, mp_context=FORK,
         )
         try:
             pooled = session.execute(the_plan())
-            published = set(shm_residue()) - before
+            published = set(own_residue()) - before
         finally:
             session.close()
         assert canonical(pooled) == canonical(live)
         assert published, "the pool path published no segment"
-        assert not published & set(shm_residue())
+        assert not published & set(own_residue())
 
 
 class TestFingerprints:

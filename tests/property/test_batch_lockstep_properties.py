@@ -1,28 +1,16 @@
 """Properties of the masked-lockstep grouped kernels.
 
-Differential checks, innermost layer first:
-
-* :class:`GroupedLLC` served with per-run *divergent* CAT allow
-  matrices — including mid-stream flips, subgroup (ragged) serves and
-  multi-quantum concatenated streams — against an independent
-  CAT-aware dict-LRU oracle (and, for divergent full-group serves, the
-  library's reference :class:`~repro.sim.cache.PartitionedCache` too),
-  on hypothesis-generated request streams;
-  and its cold whole-group serve, where the stack-distance strategy
-  takes every run with independent partitions and defers the image.
-* The stamp-0 victim rule on its own: a stack-solved fill phase
-  confined to the low ways, then a CAT flip that exposes never-filled
-  high ways, way-exact against the reference
-  :class:`~repro.sim.cache.PartitionedCache`; the empty-allow-row
-  error; a static sweep that never builds the image.
-* :func:`run_static_sweep` over 1-way partitions, overlapping CBMs and
-  hypothesis-drawn disjoint CLOS layouts (idle core, ragged access
-  counts) against one scalar fast machine per configuration.
-* The full :class:`LockstepGroup` under seeded-random scripts
-  (divergent prefetch masks, mid-run CAT flips, uneven ``run_accesses``
-  spans including non-quantum-aligned tails) against one scalar fast
-  machine per run, comparing PMU totals, wall cycles, the dense
-  ``cache_tensors``/``stride_tensor`` views and the grouped LLC image.
+* :class:`GroupedLLC` with per-run divergent CAT rows (mid-stream
+  flips, subgroup serves, concatenated quanta, the cold whole-group
+  serve that stack-solves independent partitions and defers the image)
+  against an independent dict-LRU oracle and the reference
+  :class:`~repro.sim.cache.PartitionedCache`, on drawn streams.
+* The stamp-0 victim rule (a stack-solved fill in the low ways, then a
+  CAT flip exposing never-filled high ways), the empty-allow-row error
+  and a static sweep that never builds the image.
+* :func:`run_static_sweep` at the CAT extremes and on drawn disjoint
+  layouts, and seeded scripts through one :class:`LockstepGroup`, held
+  to ``fast`` by ``test_engine_differential.assert_engines_agree``.
 """
 
 from __future__ import annotations
@@ -33,18 +21,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.batch import build_batch_kernel
-from repro.experiments.config import ScaleConfig
-from repro.experiments.runner import build_machine
-from repro.sim.batch import GroupedLLC, LockstepGroup, _PreparedStream, run_static_sweep
+from repro.sim.batch import GroupedLLC, _PreparedStream, run_static_sweep
 from repro.sim.cache import PartitionedCache
 from repro.sim.params import CacheGeometry
-from repro.sim.tracestore import TraceStore
-from repro.workloads.mixes import make_mixes
+from tests.property.test_engine_differential import (
+    FULL,
+    MIXES,
+    PF_ON,
+    SC,
+    STORE,
+    WAYS,
+    Script,
+    assert_engines_agree,
+    cat_writes,
+    lru_ranks,
+    split_ways,
+    static_script,
+)
 
 GEOM = CacheGeometry(8 * 4 * 64, 4)  # 8 sets x 4 ways
 N_CPUS = 2
-
-SC = ScaleConfig(name="lockstep-prop", llc_scale=16, n_cores=4, quantum=512)
 
 
 class CatLruOracle:
@@ -111,28 +107,8 @@ class CatLruOracle:
     def prefs(self) -> np.ndarray:
         return np.array([[w[2] for w in ws] for ws in self.ways], dtype=np.uint8)
 
-    def touch_ranks(self) -> np.ndarray:
-        """Per-way rank of the last touch among the set's valid ways."""
-        out = np.full((self.g.sets, self.g.ways), -1, dtype=np.int64)
-        for si, ws in enumerate(self.ways):
-            stamps = sorted(w[1] for w in ws if w[0] != -1)
-            for wi, w in enumerate(ws):
-                if w[0] != -1:
-                    out[si, wi] = stamps.index(w[1])
-        return out
-
-
-def _stamp_ranks(llc: GroupedLLC, run: int) -> np.ndarray:
-    """GroupedLLC stamps normalized to per-set touch ranks."""
-    tags = llc.tags[run]
-    stamps = llc.stamps[run]
-    out = np.full(tags.shape, -1, dtype=np.int64)
-    for si in range(tags.shape[0]):
-        valid = np.flatnonzero(tags[si] != -1)
-        order = valid[np.argsort(stamps[si][valid], kind="stable")]
-        for rank, wi in enumerate(order):
-            out[si, wi] = rank
-    return out
+    def stamps(self) -> np.ndarray:
+        return np.array([[w[1] for w in ws] for ws in self.ways], dtype=np.int64)
 
 
 def _rand_allow(rng, n_runs: int) -> np.ndarray:
@@ -186,7 +162,8 @@ def _oracle_replay(oracles, stream: _PreparedStream, allowed, runs) -> None:
 def _assert_run_matches(llc: GroupedLLC, oracle: CatLruOracle, run: int, label: str):
     assert np.array_equal(llc.tags[run], oracle.tags()), f"{label}: tags"
     assert np.array_equal(llc.pref[run] != 0, oracle.prefs() != 0), f"{label}: pref bits"
-    assert np.array_equal(_stamp_ranks(llc, run), oracle.touch_ranks()), f"{label}: LRU order"
+    want = lru_ranks(oracle.tags(), oracle.stamps())
+    assert np.array_equal(lru_ranks(llc.tags[run], llc.stamps[run]), want), f"{label}: LRU order"
     assert llc.stats_for(run) == (
         oracle.accesses,
         oracle.hits,
@@ -196,13 +173,25 @@ def _assert_run_matches(llc: GroupedLLC, oracle: CatLruOracle, run: int, label: 
     ), f"{label}: stats"
 
 
-def _reference_replay(caches, stream: _PreparedStream, allowed, runs) -> None:
+def _stats(cache: PartitionedCache) -> tuple:
+    s = cache.stats
+    return (s.accesses, s.hits, s.pref_fills, s.pref_used, s.pref_evicted_unused)
+
+
+def _reference_replay(caches, stream: _PreparedStream, allowed, runs) -> np.ndarray:
+    """Replay ``stream`` on each of ``runs``' reference caches; return the
+    per-cpu demand hits, demand misses and prefetch fills, per run (the
+    grouped serve's accumulators, stacked on axis 1)."""
+    out = np.zeros((len(runs), 3, N_CPUS), dtype=np.int64)
     for i in range(stream.n):
-        line = int(stream.line[i])
-        cpu = int(stream.cpu_col[i])
-        for r in runs:
-            ways = tuple(np.flatnonzero(allowed[r, cpu]).tolist())
-            caches[r].access(line, ways, bool(stream.is_pref[i]))
+        line, cpu, is_pref = int(stream.line[i]), int(stream.cpu_col[i]), bool(stream.is_pref[i])
+        for k, r in enumerate(runs):
+            hit = caches[r].access(line, tuple(np.flatnonzero(allowed[r, cpu]).tolist()), is_pref)
+            if not is_pref:
+                out[k, 0 if hit else 1, cpu] += 1
+            elif not hit:
+                out[k, 2, cpu] += 1
+    return out
 
 
 def _assert_run_matches_reference(llc: GroupedLLC, cache: PartitionedCache, run: int, label: str):
@@ -213,16 +202,9 @@ def _assert_run_matches_reference(llc: GroupedLLC, cache: PartitionedCache, run:
     assert len(resident) == cache.occupancy(), f"{label}: reference occupancy"
     for si, w in resident:
         assert cache.resident_way(int(tags[si, w])) == w, f"{label}: reference placement"
-    s = cache.stats
-    assert llc.stats_for(run) == (
-        s.accesses, s.hits, s.pref_fills, s.pref_used, s.pref_evicted_unused
-    ), f"{label}: reference stats"
-    ref_ranks = np.full(tags.shape, -1, dtype=np.int64)
-    for si in range(tags.shape[0]):
-        valid = [w for w in range(tags.shape[1]) if cache._tags[si][w] != -1]
-        for rank, w in enumerate(sorted(valid, key=lambda w: cache._stamps[si][w])):
-            ref_ranks[si, w] = rank
-    assert np.array_equal(_stamp_ranks(llc, run), ref_ranks), f"{label}: reference LRU order"
+    assert llc.stats_for(run) == _stats(cache), f"{label}: reference stats"
+    want = lru_ranks(np.array(cache._tags), np.array(cache._stamps))
+    assert np.array_equal(lru_ranks(tags, llc.stamps[run]), want), f"{label}: reference LRU order"
 
 
 class TestGroupedLLCOracle:
@@ -238,22 +220,12 @@ class TestGroupedLLCOracle:
         for _ in range(4):
             allowed = _rand_allow(rng, width)
             stream = _stream(rng, int(rng.integers(1, 120)))
-            hits_d = np.zeros((width, N_CPUS), dtype=np.int64)
-            mem_d = np.zeros((width, N_CPUS), dtype=np.int64)
-            pref_m = np.zeros((width, N_CPUS), dtype=np.int64)
+            acc = [np.zeros((width, N_CPUS), dtype=np.int64) for _ in range(3)]
             runs = list(range(width))
-            llc.serve(stream, allowed, hits_d, mem_d, pref_m, runs=runs)
-            before = [(o.hits_d[:], o.mem_d[:], o.pref_m[:]) for o in oracles]
+            llc.serve(stream, allowed, *acc, runs=runs)
             _oracle_replay(oracles, stream, allowed, runs)
-            _reference_replay(caches, stream, allowed, runs)
-            for r in runs:
-                bh, bm, bp = before[r]
-                dh = [a - b for a, b in zip(oracles[r].hits_d, bh)]
-                dm = [a - b for a, b in zip(oracles[r].mem_d, bm)]
-                dp = [a - b for a, b in zip(oracles[r].pref_m, bp)]
-                assert hits_d[r].tolist() == dh, f"run {r}: per-cpu demand hits"
-                assert mem_d[r].tolist() == dm, f"run {r}: per-cpu demand misses"
-                assert pref_m[r].tolist() == dp, f"run {r}: per-cpu pref fills"
+            want = _reference_replay(caches, stream, allowed, runs)
+            assert np.array_equal(np.stack(acc, axis=1), want), "per-cpu outcomes"
         for r in range(width):
             _assert_run_matches(llc, oracles[r], r, f"run {r}")
             _assert_run_matches_reference(llc, caches[r], r, f"run {r}")
@@ -272,13 +244,27 @@ class TestGroupedLLCOracle:
         for _ in range(5):
             sub = sorted(rng.choice(width, size=int(rng.integers(1, width + 1)), replace=False))
             stream = _stream(rng, int(rng.integers(1, 100)))
-            hits_d = np.zeros((len(sub), N_CPUS), dtype=np.int64)
-            mem_d = np.zeros((len(sub), N_CPUS), dtype=np.int64)
-            pref_m = np.zeros((len(sub), N_CPUS), dtype=np.int64)
-            llc.serve(stream, allowed, hits_d, mem_d, pref_m, runs=list(sub))
+            acc = [np.zeros((len(sub), N_CPUS), dtype=np.int64) for _ in range(3)]
+            llc.serve(stream, allowed, *acc, runs=list(sub))
             _oracle_replay(oracles, stream, allowed, list(sub))
         for r in range(width):
             _assert_run_matches(llc, oracles[r], r, f"run {r}")
+
+    def test_equal_tags_in_another_lru_order_are_served_apart(self):
+        """Subgroup dedup must compare LRU order, not just tags: two runs
+        holding one set's lines in the same ways but touched in another
+        order evict different lines on the next miss."""
+        llc = GroupedLLC(GEOM, 2)
+        oracles = [CatLruOracle(GEOM) for _ in range(2)]
+        allowed = np.ones((2, N_CPUS, GEOM.ways), dtype=bool)
+        fill = [GEOM.sets * k for k in range(GEOM.ways)]  # set 0, every way
+        for runs, lines in (([0, 1], fill), ([0], fill[:1]), ([1], fill[-1:]), ([0, 1], [GEOM.sets * GEOM.ways])):
+            stream = _PreparedStream(lines, [0] * len(lines), GEOM.sets - 1)
+            acc = [np.zeros((len(runs), N_CPUS), dtype=np.int64) for _ in range(3)]
+            llc.serve(stream, allowed, *acc, runs=runs)
+            _oracle_replay(oracles, stream, allowed, runs)
+        for r, oracle in enumerate(oracles):
+            _assert_run_matches(llc, oracle, r, f"run {r}")
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -293,28 +279,17 @@ class TestGroupedLLCOracle:
         quanta = [_stream(rng, int(rng.integers(1, 60))) for _ in range(k)]
         runs = list(range(width))
 
-        seq_llc = GroupedLLC(GEOM, width)
-        seq_hits = np.zeros((width, k, N_CPUS), dtype=np.int64)
-        seq_mem = np.zeros((width, k, N_CPUS), dtype=np.int64)
-        seq_pref = np.zeros((width, k, N_CPUS), dtype=np.int64)
+        seq_llc, cat_llc = GroupedLLC(GEOM, width), GroupedLLC(GEOM, width)
+        seq = [np.zeros((width, k, N_CPUS), dtype=np.int64) for _ in range(3)]
+        cat = [np.zeros_like(a) for a in seq]
         for j, s in enumerate(quanta):
-            seq_llc.serve(
-                s, allowed, seq_hits[:, j], seq_mem[:, j], seq_pref[:, j], runs=runs
-            )
+            seq_llc.serve(s, allowed, *(a[:, j] for a in seq), runs=runs)
+        cat_llc.serve(_PreparedStream.concat(quanta, N_CPUS), allowed, *cat, runs=runs)
 
-        cat_llc = GroupedLLC(GEOM, width)
-        cat_hits = np.zeros((width, k, N_CPUS), dtype=np.int64)
-        cat_mem = np.zeros((width, k, N_CPUS), dtype=np.int64)
-        cat_pref = np.zeros((width, k, N_CPUS), dtype=np.int64)
-        span = _PreparedStream.concat(quanta, N_CPUS)
-        cat_llc.serve(span, allowed, cat_hits, cat_mem, cat_pref, runs=runs)
-
-        assert np.array_equal(seq_llc.tags, cat_llc.tags)
-        assert np.array_equal(seq_llc.stamps, cat_llc.stamps)
-        assert np.array_equal(seq_llc.pref, cat_llc.pref)
-        assert np.array_equal(seq_hits, cat_hits)
-        assert np.array_equal(seq_mem, cat_mem)
-        assert np.array_equal(seq_pref, cat_pref)
+        for field in ("tags", "stamps", "pref"):
+            assert np.array_equal(getattr(seq_llc, field), getattr(cat_llc, field)), field
+        for a, b in zip(seq, cat):
+            assert np.array_equal(a, b)
         for r in runs:
             assert seq_llc.stats_for(r) == cat_llc.stats_for(r)
 
@@ -391,18 +366,11 @@ class TestStampZeroVictimRule:
         refs = [PartitionedCache(GEOM) for _ in range(2)]
 
         def replay(stream, allowed):
-            for i in range(stream.n):
-                for r, ref in enumerate(refs):
-                    ways = tuple(np.flatnonzero(allowed[r, stream.cpu_col[i]]).tolist())
-                    ref.access(int(stream.line[i]), ways, bool(stream.is_pref[i]))
+            _reference_replay(refs, stream, allowed, range(2))
 
         def check(label):
             for r, ref in enumerate(refs):
-                assert np.array_equal(llc.tags[r], np.array(ref._tags)), f"{label}: run {r} ways"
-                rs = ref.stats
-                assert llc.stats_for(r) == (
-                    rs.accesses, rs.hits, rs.pref_fills, rs.pref_used, rs.pref_evicted_unused,
-                ), f"{label}: run {r} stats"
+                _assert_run_matches_reference(llc, ref, r, f"{label}: run {r}")
 
         # cpu 0 owns ways [0, split); cpu 1 owns [split, low) in run 0
         # and [split, W) in run 1.
@@ -444,14 +412,8 @@ class TestStampZeroVictimRule:
             raise AssertionError("run_static_sweep materialised the LLC image")
 
         monkeypatch.setattr(GroupedLLC, "_image", _forbidden)
-        store = TraceStore()
-        mix = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
-        W = SC.params().llc.ways
-        configs = [
-            (((0, (1 << k) - 1), (1, ((1 << W) - 1) ^ ((1 << k) - 1))), (0, 1, 0, 1))
-            for k in (1, 9, 19)
-        ]
-        kernel = build_batch_kernel(mix, SC, store, length=1024)
+        configs = [split_ways(k) for k in (1, 9, 19)]
+        kernel = build_batch_kernel(MIXES["pref_agg"], SC, STORE, length=1024)
         rows = run_static_sweep(kernel, configs, (0x0,) * 4, 1024)
         assert all(row.llc_occupancy > 0 and row.llc_stats[0] > 0 for row in rows)
 
@@ -472,117 +434,63 @@ class TestStampZeroVictimRule:
         assert llc.stats_for(0)[0] == stream.n
 
 
-_SWEEP_WAYS = SC.params().llc.ways
-_FULL = (1 << _SWEEP_WAYS) - 1
 #: CLOS 0 and 1 share ways 8-11 under the alternating layout.
-_OVERLAPPING = (((0, (1 << 12) - 1), (1, _FULL ^ 0xFF)), (0, 1, 0, 1))
-
-
-@st.composite
-def _disjoint_config(draw):
-    """One run's CAT: the four cores in 1-3 CLOS whose CBMs are
-    pairwise disjoint, each a contiguous run inside its own slice."""
-    n_clos = draw(st.integers(1, 3))
-    cuts = draw(st.lists(
-        st.integers(1, _SWEEP_WAYS - 1), min_size=n_clos - 1, max_size=n_clos - 1, unique=True
-    ))
-    bounds = [0, *sorted(cuts), _SWEEP_WAYS]
-    cbms = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        start = draw(st.integers(lo, hi - 1))
-        width = draw(st.integers(1, hi - start))
-        cbms.append(((1 << width) - 1) << start)
-    core_clos = tuple(draw(st.lists(st.integers(0, n_clos - 1), min_size=4, max_size=4)))
-    return tuple(enumerate(cbms)), core_clos
-
-
-def _assert_sweep_matches_scalar(mix, configs, masks, n_acc, store) -> None:
-    """Every row of one sweep equals its own scalar fast machine."""
-    kernel = build_batch_kernel(mix, SC, store, length=n_acc)
-    rows = run_static_sweep(kernel, configs, masks, n_acc)
-    for r, (clos_cbms, core_clos) in enumerate(configs):
-        ref = build_machine(mix, SC, trace_store=store)
-        for cpu, mask in enumerate(masks):
-            ref.prefetch_msr.set_mask(cpu, mask)
-        for clos, cbm in clos_cbms:
-            ref.cat.set_cbm(clos, cbm)
-        for cpu, clos in enumerate(core_clos):
-            ref.cat.assign_core(cpu, clos)
-        ref.run_accesses(n_acc)
-        assert np.array_equal(rows[r].pmu_counts, ref.pmu.counts), f"config {r}: pmu"
-        assert rows[r].wall_cycles == ref.pmu.wall_cycles, f"config {r}: wall"
-        rs = ref.llc_stats()
-        assert rows[r].llc_stats == (
-            rs.accesses, rs.hits, rs.pref_fills, rs.pref_used, rs.pref_evicted_unused,
-        ), f"config {r}: llc stats"
-        assert rows[r].llc_occupancy == ref.llc_occupancy(), f"config {r}: occupancy"
-
-
-_MIX = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
-#: Three cores on the four-core machine: core 3 is idle.
-_IDLE_MIX = make_mixes("pref_no_agg", 1, n_cores=3, seed=2019)[0]
-
-
-@pytest.fixture(scope="module")
-def store():
-    return TraceStore()
+_OVERLAPPING = (((0, (1 << 12) - 1), (1, FULL ^ 0xFF)), (0, 1, 0, 1))
 
 
 class TestStaticSweepVsScalar:
-    def test_one_way_and_overlapping_partitions(self, store):
+    def test_one_way_and_overlapping_partitions(self):
         """Every extreme of the static CAT space in one sweep — 1-way
         partitions at either end, nested and partially overlapping CBMs,
-        a CLOS-0-only config that leaves ``core_clos`` to its default —
-        against one scalar fast machine per configuration."""
-        W = _SWEEP_WAYS
-        full = _FULL
+        a CLOS-0-only config that leaves ``core_clos`` to its default."""
         alternating = (0, 1, 0, 1)
         configs = [
-            (((0, 0b1), (1, full ^ 0b1)), alternating),  # 1-way low partition
-            (((0, full >> 1), (1, 1 << (W - 1))), alternating),  # 1-way high partition
-            (((0, 0b1), (1, full)), alternating),  # nested: 1 way inside all
-            (((0, (1 << 12) - 1), (1, full ^ 0xFF)), (0, 0, 1, 1)),  # ways 8-11 shared
+            (((0, 0b1), (1, FULL ^ 0b1)), alternating),  # 1-way low partition
+            (((0, FULL >> 1), (1, 1 << (WAYS - 1))), alternating),  # 1-way high partition
+            (((0, 0b1), (1, FULL)), alternating),  # nested: 1 way inside all
+            (((0, (1 << 12) - 1), (1, FULL ^ 0xFF)), (0, 0, 1, 1)),  # ways 8-11 shared
             (((0, 0b1110),), ()),  # every core left in a narrowed CLOS 0
-            ((), ()),  # no CAT at all
+            None,  # no CAT at all
         ]
-        _assert_sweep_matches_scalar(_MIX, configs, (0x0, 0xF, 0x5, 0x0), 3 * 512 + 256, store)
+        runs = [static_script((0x0, 0xF, 0x5, 0x0), cat, 3 * 512 + 256) for cat in configs]
+        assert_engines_agree(MIXES["pref_agg"], runs, oracle="fast", engines=("sweep",))
 
     @settings(max_examples=15, deadline=None)
     @given(
-        configs=st.lists(_disjoint_config(), min_size=1, max_size=4),
+        configs=st.lists(cat_writes(disjoint=True), min_size=1, max_size=4),
         idle=st.booleans(),
         masks=st.sampled_from([(0x0,) * 4, (0xF,) * 4, (0x0, 0xF, 0x5, 0x0)]),
         n_acc=st.sampled_from([300, 512 + 300, 3 * 512 + 256]),
     )
     @example(  # shared CLOS, 1-way partitions, the idle core 3 alone, < 1 quantum
         configs=[
-            (((0, 0b1), (1, 0b10), (2, 1 << (_SWEEP_WAYS - 1))), (0, 0, 1, 2)),
-            (((0, _FULL),), (0, 0, 0, 0)),
+            (((0, 0b1), (1, 0b10), (2, 1 << (WAYS - 1))), (0, 0, 1, 2)),
+            (((0, FULL),), (0, 0, 0, 0)),
         ],
-        idle=True, masks=(0x0,) * 4, n_acc=300,
+        idle=True, masks=PF_ON, n_acc=300,
     )
-    def test_drawn_disjoint_partitions_match_scalar(self, store, configs, idle, masks, n_acc):
+    def test_drawn_disjoint_partitions_match_scalar(self, configs, idle, masks, n_acc):
         """Drawn disjoint-CBM configs — the stack-solved shape — plus
         one overlapping-CBM run in the same sweep (round loop), ragged
-        access counts included, each against its scalar fast machine."""
-        mix = _IDLE_MIX if idle else _MIX
-        _assert_sweep_matches_scalar(mix, [*configs, _OVERLAPPING], masks, n_acc, store)
+        access counts included.  ``idle`` runs a three-benchmark mix, so
+        core 3 stays idle."""
+        mix = MIXES["idle"] if idle else MIXES["pref_agg"]
+        runs = [static_script(masks, cat, n_acc) for cat in [*configs, _OVERLAPPING]]
+        assert_engines_agree(mix, runs, oracle="fast", engines=("sweep",))
 
     def test_invalid_cbm_rejected(self):
-        store = TraceStore()
-        mix = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
-        kernel = build_batch_kernel(mix, SC, store, length=512)
+        kernel = build_batch_kernel(MIXES["pref_agg"], SC, STORE, length=512)
         with pytest.raises(ValueError, match="not a contiguous run"):
             run_static_sweep(kernel, [(((0, 0b101),), (0, 0, 0, 0))], (0,) * 4, 512)
 
 
-def _make_script(rng, n_cores: int, ways: int, n_segs: int):
+def _make_script(rng, n_cores: int, ways: int, n_segs: int) -> Script:
     """A seeded driver script: per segment, new per-core prefetch
     masks, an optional CAT flip, and an uneven (sometimes unaligned)
     access span."""
-    script = []
+    intervals = []
     for _ in range(n_segs):
-        masks = [int(rng.integers(0, 16)) for _ in range(n_cores)]
+        masks = tuple(int(rng.integers(0, 16)) for _ in range(n_cores))
         cat = None
         if rng.random() < 0.5:
 
@@ -591,27 +499,13 @@ def _make_script(rng, n_cores: int, ways: int, n_segs: int):
                 start = int(rng.integers(0, ways - length + 1))
                 return ((1 << length) - 1) << start
 
-            clos = [int(rng.integers(0, 2)) for _ in range(n_cores)]
-            cat = (contiguous_cbm(), contiguous_cbm(), clos)
+            clos = tuple(int(rng.integers(0, 2)) for _ in range(n_cores))
+            cat = ((0, contiguous_cbm()), (1, contiguous_cbm())), clos
         n = int(rng.integers(1, 5)) * 512
         if rng.random() < 0.25:
             n += 256  # unaligned tail: exercises the k=1 scheduler path
-        script.append((masks, cat, n))
-    return script
-
-
-def _apply_script(machine, script):
-    for masks, cat, n in script:
-        for cpu, mask in enumerate(masks):
-            machine.prefetch_msr.set_mask(cpu, mask)
-        if cat is not None:
-            cbm0, cbm1, clos = cat
-            machine.cat.set_cbm(0, cbm0)
-            machine.cat.set_cbm(1, cbm1)
-            for cpu, c in enumerate(clos):
-                machine.cat.assign_core(cpu, c)
-        machine.run_accesses(n)
-    return None
+        intervals.append((masks, cat, n))
+    return Script(tuple(intervals))
 
 
 class TestLockstepGroupVsScalar:
@@ -619,60 +513,9 @@ class TestLockstepGroupVsScalar:
     @pytest.mark.parametrize("seed", [7, 2019])
     def test_scripts_match_scalar_machines(self, width, seed):
         """Seeded-random divergent scripts (masks, CAT flips, ragged
-        span lengths) through a LockstepGroup match one scalar fast
-        machine per run — PMU, wall, dense core tensors, LLC image."""
+        span lengths), each run with a different number of segments,
+        through one LockstepGroup."""
         rng = np.random.default_rng(seed)
-        store = TraceStore()
-        mix = make_mixes("pref_agg", 1, n_cores=4, seed=2019)[0]
-        ways = SC.params().llc.ways
-        # Ragged: each run gets a different number of segments.
-        scripts = [
-            _make_script(rng, mix.n_cores, ways, 2 + (r % 3)) for r in range(width)
-        ]
-        budget = max(sum(seg[2] for seg in s) for s in scripts) + 512
-        kernel = build_batch_kernel(mix, SC, store, length=budget)
-        group = LockstepGroup(kernel, width)
-
-        def driver(m, s, r):
-            _apply_script(m, s)
-            # Snapshot this run's dense core state before the scheduler
-            # retires it (drivers run one at a time, so this is safe).
-            snap = {}
-            for cpu, core in group.cores.items():
-                snap[cpu] = (
-                    core.cache_tensors("l1")[0][r].copy(),
-                    core.cache_tensors("l2")[0][r].copy(),
-                    core.stride_tensor()[r].copy(),
-                )
-            return snap
-
-        snaps = group.run(
-            [lambda m, s=s, r=r: driver(m, s, r) for r, s in enumerate(scripts)]
-        )
-
-        for r, script in enumerate(scripts):
-            ref = build_machine(mix, SC, trace_store=store)
-            _apply_script(ref, script)
-            m = group.members[r]
-            assert np.array_equal(m.pmu.counts, ref.pmu.counts), f"run {r}: pmu"
-            assert m.pmu.wall_cycles == ref.pmu.wall_cycles, f"run {r}: wall"
-            rs = ref.llc_stats()
-            assert group.llc.stats_for(r) == (
-                rs.accesses, rs.hits, rs.pref_fills, rs.pref_used,
-                rs.pref_evicted_unused,
-            ), f"run {r}: llc stats"
-            assert group.llc.occupancy(r) == ref.llc_occupancy(), f"run {r}: occupancy"
-            for cpu in group.cores:
-                l1_tags, l2_tags, table = snaps[r][cpu]
-                assert np.array_equal(l1_tags, ref.cores[cpu].l1.tags_array()), (
-                    f"run {r} cpu {cpu}: l1 tags"
-                )
-                assert np.array_equal(l2_tags, ref.cores[cpu].l2.tags_array()), (
-                    f"run {r} cpu {cpu}: l2 tags"
-                )
-                ref_rows = [
-                    [int(ctx), *map(int, row)]
-                    for ctx, row in ref.cores[cpu].bank.ip_stride._table.items()
-                ]
-                got = table[table[:, 0] != -1]
-                assert got.tolist() == ref_rows, f"run {r} cpu {cpu}: stride table"
+        mix = MIXES["pref_agg"]
+        scripts = [_make_script(rng, mix.n_cores, WAYS, 2 + (r % 3)) for r in range(width)]
+        assert_engines_agree(mix, scripts, oracle="fast", engines=("batch",))

@@ -1,6 +1,7 @@
 """Sweep journal: WAL discipline, crash-damage tolerance, resume identity."""
 
 import asyncio
+import contextlib
 import dataclasses
 import json
 
@@ -13,6 +14,7 @@ from repro.service.journal import JOURNAL_SCHEMA_VERSION, JournalError, SweepJou
 from repro.service.protocol import run_from_wire, run_to_wire
 from repro.workloads.mixes import make_mixes
 from repro.service.scheduler import SingleFlightScheduler
+from repro.service.server import ExperimentService
 from tests.chaos.workers import boom
 
 SC = dataclasses.replace(TINY, name="unit", alone_accesses=2048)
@@ -118,6 +120,23 @@ class TestIncomplete:
         assert SweepJournal.incomplete(tmp_path / "nowhere") == []
 
 
+@contextlib.contextmanager
+def resumed(cache_dir, wal, **session_kw):
+    """A service over ``cache_dir`` that has replayed the unsealed
+    journals under ``wal``, as ``repro serve --resume`` does."""
+    with ExperimentSession(cache_dir=cache_dir, max_workers=1, **session_kw) as session:
+        service = ExperimentService(session=session, journal_dir=wal)
+        try:
+            service.start_background(resume=True)
+            yield service
+        finally:
+            service.close()
+
+
+def cached_payloads(service, runs) -> dict:
+    return {r.key(): service.session.cache.get(r.key())["payload"] for r in runs}
+
+
 class TestResumeIdentity:
     def test_replay_is_bit_identical_to_uninterrupted_run(self, tmp_path):
         runs = [OK_A, OK_B, OK_C]
@@ -138,14 +157,14 @@ class TestResumeIdentity:
         journal.record_finished(runs[0].key())
         journal.close()
 
-        # Resume in a fresh session: pending keys execute, the finished
-        # key replays from the cache, and payloads match byte-for-byte.
-        with ExperimentSession(cache_dir=cache_dir, max_workers=1) as s2:
-            replayed = s2.execute([], resume=tmp_path / "wal" / "s1.jsonl")
-            cached_flags = {rec.key: rec.cached for rec in s2.records}
+        # Resume in a fresh service: only the pending keys execute, and
+        # with the finished key's cached payload they match byte-for-byte.
+        with resumed(cache_dir, tmp_path / "wal") as service:
+            assert service.resumed_sweeps == 1
+            executed = [rec.key for rec in service.session.records if not rec.cached]
+            replayed = cached_payloads(service, runs)
         assert json.dumps(replayed, sort_keys=True) == json.dumps(baseline, sort_keys=True)
-        assert cached_flags[runs[0].key()] is True
-        assert cached_flags[runs[1].key()] is False
+        assert sorted(executed) == sorted(r.key() for r in runs[1:])
 
         sealed = SweepJournal.load(tmp_path / "wal" / "s1.jsonl")
         assert sealed.sealed
@@ -163,8 +182,8 @@ class TestResumeIdentity:
         ).close()
         loaded = SweepJournal.load(tmp_path / "wal" / "s1.jsonl")
         assert run_from_wire(loaded.plan[run.key()]) == run
-        with ExperimentSession(cache_dir=tmp_path / "c1", max_workers=1) as s1:
-            replayed = s1.execute([], resume=tmp_path / "wal" / "s1.jsonl")
+        with resumed(tmp_path / "c1", tmp_path / "wal") as service:
+            replayed = cached_payloads(service, [run])
         assert json.dumps(replayed, sort_keys=True) == json.dumps(baseline, sort_keys=True)
         assert SweepJournal.load(tmp_path / "wal" / "s1.jsonl").sealed
 
@@ -189,24 +208,28 @@ class TestResumeIdentity:
         (journal,) = SweepJournal.incomplete(wal)
         assert set(journal.plan) == {runs[1].key(), runs[2].key()}
 
-        with ExperimentSession(cache_dir=cache_dir, max_workers=1) as s2:
-            resumed = s2.execute([], resume=journal.path)
-            recovered = s2.execute(runs)
-        assert set(resumed) == set(journal.plan)
+        with resumed(cache_dir, wal) as service:
+            executed = {rec.key for rec in service.session.records if not rec.cached}
+            recovered = service.session.execute(runs)
+        assert executed == set(journal.plan)
         assert json.dumps(recovered, sort_keys=True) == json.dumps(baseline, sort_keys=True)
         assert SweepJournal.load(journal.path).sealed
 
-    def test_failed_pending_key_leaves_journal_unsealed(self, tmp_path):
+    def test_failed_pending_key_is_recorded_and_sealed(self, tmp_path):
+        """A key that fails on replay is recorded as failed and the
+        journal sealed — the rule the live scheduler follows once every
+        owed key has resolved — so the next resume does not retry it."""
         runs = [OK_A, FAULTY]
-        journal = SweepJournal.create(
+        SweepJournal.create(
             tmp_path / "wal", {r.key(): run_to_wire(r) for r in runs}, sweep_id="s1"
-        )
-        journal.close()
-        # The scalar engine: the batch planes never call a faulted compute.
-        with ExperimentSession(cache_dir=tmp_path / "c", max_workers=1, engine="fast") as s, \
-                injected_faults({FAULTY.key(): boom}):
-            out = s.execute([], resume=tmp_path / "wal" / "s1.jsonl", strict=False)
-        assert set(out) == {runs[0].key()}
+        ).close()
+        with injected_faults({FAULTY.key(): boom}), \
+                resumed(tmp_path / "c", tmp_path / "wal", engine="fast") as service:
+            assert service.resumed_sweeps == 1
+            assert service.session.cache.get(OK_A.key()) is not None
+            assert service.session.cache.get(FAULTY.key()) is None
         loaded = SweepJournal.load(tmp_path / "wal" / "s1.jsonl")
-        assert not loaded.sealed  # the failed key is still owed a result
-        assert loaded.failed_keys().keys() == {runs[1].key()}
+        assert loaded.sealed
+        assert loaded.finished_keys() == {OK_A.key()}
+        assert loaded.failed_keys().keys() == {FAULTY.key()}
+        assert SweepJournal.incomplete(tmp_path / "wal") == []

@@ -53,7 +53,7 @@ class FakeSession:
         self.fail_keys = fail_keys
         self.cache = ResultCache(None)
 
-    def execute(self, runs, *, strict=True, resume=None):
+    def execute(self, runs, *, strict=True):
         self.calls.append([r.key() for r in runs])
         out = {}
         for r in runs:
