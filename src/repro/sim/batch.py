@@ -1118,6 +1118,13 @@ def run_static_sweep(
 # Masked lockstep: dynamic batching for runs with divergent policies
 # --------------------------------------------------------------------------
 
+#: Core accesses (over all the group's cores) per lockstep step:
+#: :meth:`LockstepGroup.run` serves at most this many accesses' worth of
+#: whole quanta as one multi-segment stream, so a group holds one
+#: bounded step however long a span is.  Back-to-back serves are exact,
+#: so the cap changes no result.
+_SERVE_ACCESSES = 1 << 18
+
 
 class _CoreLane:
     """One state-equality class of runs inside a :class:`GroupedCore`.
@@ -1327,8 +1334,8 @@ class LockstepMachine(Machine):
         kernel = group.kernel
         super().__init__(kernel.params, quantum=kernel.quantum, engine=ENGINE_BATCH)
         # Weak: the group owns its members.  A strong back-reference
-        # would make every finished group (grouped LLC tensors, stream
-        # cache) cyclic garbage that lives until the next gen-2 GC.
+        # would make every finished group (grouped core lanes, LLC
+        # tensors) cyclic garbage that lives until the next gen-2 GC.
         self._group = weakref.proxy(group)
         self._run_id = run_id
         self._pos = 0
@@ -1456,7 +1463,6 @@ class LockstepGroup:
         self.llc = GroupedLLC(p.llc, n_runs)
         self._allowed = np.zeros((n_runs, p.n_cores, p.llc.ways), dtype=bool)
         self.members = [LockstepMachine(self, r) for r in range(n_runs)]
-        self._stream_cache: dict[tuple, _PreparedStream] = {}
         self._aborting = False
 
     def run(self, drivers) -> list:
@@ -1478,6 +1484,7 @@ class LockstepGroup:
             for m, drv in zip(self.members, drivers)
         ]
         quantum = self.kernel.quantum
+        max_k = _SERVE_ACCESSES // (quantum * max(len(self.cores), 1))
         try:
             for m, t in zip(self.members, threads):
                 t.start()
@@ -1525,7 +1532,7 @@ class LockstepGroup:
                     ]
                     if ahead:
                         k = min(k, (min(ahead) - min_pos) // quantum)
-                    k = max(k, 1)
+                    k = max(min(k, max_k), 1)
                 self._step_subgroup(sub, q, k)
                 for m in sub:
                     m._sched_pos += q * k
@@ -1591,6 +1598,10 @@ class LockstepGroup:
         are identical to ``k`` back-to-back serves, and the segment
         axis on the accumulators recovers each quantum's counters for
         the member-side timing phase.
+
+        Everything the step builds is dropped when it returns: the
+        merged streams, and each edge's request list once served.
+        Members queue the edges' counters only.
         """
         by_run = {m._run_id: m for m in sub}
         runs = sorted(by_run)
@@ -1618,23 +1629,24 @@ class LockstepGroup:
                 groups[key] = []
                 order.append(key)
             groups[key].append(r)
+        # Equal request lists can come from different lanes or from
+        # different quanta of the step; the content key merges and
+        # prepares each distinct stream once, for this step only.
+        streams: dict[tuple, _PreparedStream] = {}
         for key in order:
             grp = groups[key]
             quanta: list[_PreparedStream] = []
             for j in range(k):
                 ed0 = edges_seq[j][grp[0]]
-                # Merged streams repeat across quanta in steady state;
-                # the content key finds equal streams produced by
-                # distinct edges.
                 llc_reqs: list[list] = [
                     ed0[cpu].llc_req if cpu in ed0 else [] for cpu in range(n)
                 ]
                 ckey = tuple(
                     np.asarray(lst, dtype=np.int64).tobytes() for lst in llc_reqs
                 )
-                stream = self._stream_cache.get(ckey)
+                stream = streams.get(ckey)
                 if stream is None:
-                    stream = self._stream_cache[ckey] = self.kernel.grouped_stream(llc_reqs)
+                    stream = streams[ckey] = self.kernel.grouped_stream(llc_reqs)
                 quanta.append(stream)
             hits_d = np.zeros((len(grp), k, n), dtype=np.int64)
             mem_d = np.zeros((len(grp), k, n), dtype=np.int64)
@@ -1659,3 +1671,7 @@ class LockstepGroup:
                 outq = by_run[r]._outq
                 for j in range(k):
                     outq.append((edges_seq[j][r], hits_d[i, j], mem_d[i, j], pref_m[i, j]))
+        for edges in edges_seq:
+            for ed in edges.values():
+                for e in ed.values():
+                    e.llc_req = None  # served; _apply reads the counters only

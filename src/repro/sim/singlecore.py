@@ -113,7 +113,8 @@ class _Pass:
         # Per chunk: n_access, n_l2_hit_d, then the _CORE_EVENTS counts.
         self.core = np.zeros((len(self.sizes), 2 + len(_CORE_EVENTS)), dtype=np.int64)
         self.core[:, 0] = self.sizes
-        # The LLC request stream: line, prefetch flag, chunk.
+        # The LLC request stream: line (int32 when every line fits),
+        # prefetch flag, chunk.
         self.llc_line = self.llc_pref = self.llc_chunk = None
         # (chunks, ways + 1) counts of demand / prefetch requests with
         # LLC stack distance <= column.
@@ -140,8 +141,16 @@ class _Pass:
         enc = np.concatenate(reqs)
         del reqs
         self.llc_pref = enc < 0
-        self.llc_line = np.where(self.llc_pref, ~enc, enc)
+        np.invert(enc, out=enc, where=self.llc_pref)
+        self.llc_line = _narrow(enc)
         self.llc_chunk = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
+
+
+def _narrow(line: np.ndarray) -> np.ndarray:
+    """``line`` as int32 when every line is in ``[0, 2**31)``, else as is."""
+    if len(line) and line.min() >= 0 and line.max() < 2**31:
+        return line.astype(np.int32)
+    return line
 
 
 def _distances(streams: list[np.ndarray], geom: CacheGeometry) -> list[np.ndarray]:
@@ -171,9 +180,7 @@ def _distances(streams: list[np.ndarray], geom: CacheGeometry) -> list[np.ndarra
             stop += 1
         batch = order[start:stop]
         counts = [len(streams[k]) for k in batch]
-        line = np.concatenate([streams[k] for k in batch])
-        if len(line) and line.min() >= 0 and line.max() < 2**31:
-            line = line.astype(np.int32)
+        line = _narrow(np.concatenate([streams[k] for k in batch]))
         vset = (line & (S - 1)).astype(np.int32)
         vset += np.repeat(np.arange(len(batch), dtype=np.int32) * S, counts)
         d, _ = _lru_distances(line, vset, W, len(batch) * S)
@@ -191,8 +198,9 @@ def _cascade(passes: list[_Pass], params: MachineParams) -> None:
     and leaves every stack as it was, so L1 runs over the collapsed
     stream; a level's misses (distance = ways) are the next level's
     stream, and the L2 misses are the LLC's demand stream.  Each pass
-    keeps only its collapsed ``(position, line)`` pairs, and every level
-    filters them, so no full-length line array outlives its collapse.
+    keeps only its collapsed ``(position, line)`` pairs, both int32 when
+    the lines fit, and every level filters them, so no full-length line
+    array outlives its collapse.
     """
     pos: list[np.ndarray] = []
     lines: list[np.ndarray] = []
@@ -200,7 +208,7 @@ def _cascade(passes: list[_Pass], params: MachineParams) -> None:
         ln = p.trace.fork(0).chunk_lines(int(p.bounds[-1]))
         keep = np.flatnonzero(np.r_[True, ln[1:] != ln[:-1]]).astype(np.int32)
         pos.append(keep)
-        lines.append(ln[keep])
+        lines.append(_narrow(ln[keep]))
         del ln
     for geom, col in ((params.l1, 3), (params.l2, 6)):
         for k, (dk, p) in enumerate(zip(_distances(lines, geom), passes)):

@@ -8,6 +8,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.sim.machine import Machine
 from repro.sim.params import CacheGeometry, MachineParams
@@ -20,9 +21,25 @@ from repro.sim.tracestore import SHM_PREFIX, shm_residue
 SHUFFLE_ENV = "TEST_SHUFFLE_SEED"
 
 
+#: Names the Hypothesis profile to run under.  Tests that pin
+#: ``max_examples`` keep it under any profile; the engine harness
+#: (tests/property/test_engine_differential.py) draws what the profile
+#: sets, and 5 examples when none is named.
+PROFILE_ENV = "HYPOTHESIS_PROFILE"
+settings.register_profile("deep", max_examples=40)
+if os.environ.get(PROFILE_ENV):
+    settings.load_profile(os.environ[PROFILE_ENV])
+
+
 def pytest_report_header(config):
+    lines = []
     seed = os.environ.get(SHUFFLE_ENV)
-    return f"test order shuffled: {SHUFFLE_ENV}={seed}" if seed else None
+    if seed:
+        lines.append(f"test order shuffled: {SHUFFLE_ENV}={seed}")
+    profile = os.environ.get(PROFILE_ENV)
+    if profile:
+        lines.append(f"hypothesis profile: {PROFILE_ENV}={profile}")
+    return lines
 
 
 def pytest_collection_modifyitems(config, items):

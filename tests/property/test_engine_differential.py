@@ -22,6 +22,7 @@ on the engines they name.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,8 +139,9 @@ def _machine_state(m, result) -> dict:
             cache = getattr(cs, lvl)
             out[f"{lvl}_stats{cpu}"] = _stats(cache.stats)
             if cs.active:
-                out[f"{lvl}_occ{cpu}"] = cache.occupancy()
-                out[f"{lvl}_tags{cpu}"], out[f"{lvl}_pref{cpu}"] = _private_image(cache)
+                tags, out[f"{lvl}_pref{cpu}"] = _private_image(cache)
+                out[f"{lvl}_tags{cpu}"] = tags
+                out[f"{lvl}_occ{cpu}"] = int((tags != -1).sum())
         if cs.active:
             out[f"stride{cpu}"] = _rows(cs.bank.ip_stride._table)
             out[f"streamer{cpu}"] = _rows(cs.bank.streamer._table)
@@ -355,8 +357,13 @@ def split_ways(k: int, core_clos=(0, 1, 0, 1)) -> tuple:
     return ((0, (1 << k) - 1), (1, FULL ^ ((1 << k) - 1))), core_clos
 
 
+#: Examples drawn per run: 5, or what the Hypothesis profile named by
+#: ``HYPOTHESIS_PROFILE`` sets (tests/conftest.py; CI runs ``deep``).
+DRAWS = settings().max_examples if os.environ.get("HYPOTHESIS_PROFILE") else 5
+
+
 class TestEngineDifferential:
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=DRAWS, deadline=None)
     @given(
         mix=st.sampled_from(sorted(MIXES)),
         runs=st.lists(st.one_of(SCRIPTS, MECHANISMS), min_size=1, max_size=8),

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from repro.experiments.config import TINY
 from repro.experiments.engine import KIND_MECHANISM, ExperimentSession, PlannedRun
 from repro.experiments.runner import build_machine
 from repro.sim import batch as sim_batch
-from repro.sim.batch import degradation_count
+from repro.sim.batch import LockstepGroup, degradation_count
 from repro.sim.core_model import solve_quantum
 from repro.sim.engines import (
     DEFAULT_ENGINE,
@@ -43,7 +44,8 @@ from repro.sim.engines import (
     available_engines,
     resolve_engine,
 )
-from repro.sim.machine import Machine
+from repro.sim.machine import CORE_ADDRESS_STRIDE_LINES, Machine
+from repro.sim.tracestore import TraceStore
 from tests.property.test_engine_differential import (
     MIXES,
     PF_MIXED,
@@ -156,6 +158,69 @@ class TestLockstepSweep:
             for script in _scripts(PF_ON, True, width=3, n_accesses=n_acc, first_split=3)
         ]
         assert_engines_agree(MIXES["pref_unfri"], scripts, oracle="fast", engines=("sweep",))
+
+
+#: The working-set test's lockstep serve: 4 quanta of 256 accesses.  The
+#: module's cap, scaled down so spans that cross it several times stay
+#: quick on a machine whose private caches fill within the shortest one.
+WS_QUANTUM = 256
+WS_CAP_QUANTA = 4
+
+
+class TestLockstepWorkingSet:
+    def test_peak_is_flat_in_the_span(self, tiny_params, monkeypatch):
+        """A lockstep group holds one cohort step, not its whole run: with
+        every member's single span past the serve cap, quadrupling the
+        span leaves the traced peak where it was (request lists and
+        merged streams are dropped once served), and every member still
+        equals its own scalar fast machine."""
+        n_cores = tiny_params.n_cores
+        monkeypatch.setattr(
+            sim_batch, "_SERVE_ACCESSES", WS_CAP_QUANTA * WS_QUANTUM * n_cores
+        )
+        span = 2 * WS_CAP_QUANTA * WS_QUANTUM
+        self._traced_peak(tiny_params, WS_QUANTUM)  # first-call allocations stay out
+        short = self._traced_peak(tiny_params, span)
+        long = self._traced_peak(tiny_params, 4 * span)
+        assert long <= 1.3 * short, (short, long)
+
+    @staticmethod
+    def _traced_peak(params, n) -> int:
+        """Three CAT splits of one mix, each a single ``n``-access span,
+        as one lockstep group: the tracemalloc peak of its run."""
+        full = (1 << params.llc.ways) - 1
+        splits = [((0, (1 << k) - 1), (1, full ^ ((1 << k) - 1))) for k in (1, 3, 6)]
+        scripts = [static_script((0x0, 0x0), (cbms, (0, 1)), n) for cbms in splits]
+        store = TraceStore()
+
+        def traces():
+            return [
+                store.trace_for(
+                    bench, llc_lines=params.llc.lines,
+                    base_line=cpu * CORE_ADDRESS_STRIDE_LINES, seed=cpu, length=n,
+                )
+                for cpu, bench in enumerate(("rand_access", "470.lbm"))
+            ]
+
+        kernel = sim_batch.BatchKernel(params, quantum=WS_QUANTUM)
+        for cpu, trace in enumerate(traces()):  # materialised before tracing starts
+            kernel.add_core(cpu, trace)
+        group = LockstepGroup(kernel, len(scripts))
+        tracemalloc.start()
+        try:
+            group.run([script.drive for script in scripts])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for r, script in enumerate(scripts):
+            m = Machine(params, quantum=WS_QUANTUM, engine=ENGINE_FAST)
+            for cpu, trace in enumerate(traces()):
+                m.attach_trace(cpu, trace)
+            script.drive(m)
+            got = group.members[r].pmu
+            assert np.array_equal(got.counts, m.pmu.counts), f"run {r}: PMU"
+            assert got.wall_cycles == m.pmu.wall_cycles, f"run {r}: wall cycles"
+        return peak
 
 
 class TestStaticSweepTiming:
