@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from repro.sim.params import MachineParams, scaled_params
+from repro.sim.trace import BURST_LEN
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,11 @@ class ScaleConfig:
         d = asdict(self)
         for presentation_only in ("name", "workloads_per_category", "seed"):
             d.pop(presentation_only)
+        # Traces once dropped a partial burst's tail (repro.sim.trace
+        # keeps it now), which changed every result of a scale whose
+        # requests can end mid-burst: key those apart from the old ones.
+        if any(d[f] % BURST_LEN for f in _REQUEST_FIELDS):
+            d["burst_tail"] = "kept"
         return d
 
 
@@ -55,6 +61,10 @@ _POSITIVE_FIELDS = (
     "llc_scale", "n_cores", "quantum", "sample_units", "exec_units", "n_epochs",
     "workloads_per_category", "alone_accesses", "profile_accesses",
 )
+
+#: The sizes a run requests its traces in (each quantum, interval,
+#: warm-up and window is one, or one's remainder over a quantum).
+_REQUEST_FIELDS = ("quantum", "sample_units", "exec_units", "alone_accesses", "profile_accesses")
 
 
 @lru_cache(maxsize=128)

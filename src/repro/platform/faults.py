@@ -152,7 +152,7 @@ class FaultyPlatform(Platform):
     # ------------------------------------------------------ injection
 
     def _roll(self, rate: float) -> bool:
-        # Always draw so the stream stays aligned across rate settings
+        # Always draw so the stream stays in step across rate settings
         # of the *same* plan; zero-rate draws still consume one number.
         return self._rng.random() < rate
 

@@ -73,11 +73,9 @@ Two drivers share that plane:
 
 There is no third path: a caller that cannot batch, or whose group
 fails, runs each member on its own scalar ``Machine`` and counts one
-degradation per failed group (:func:`note_degradation`).  A trace that
-leaves the stored path (alignment fallback) keeps replaying faithfully
-inside its lane — bit-identical, counted by
-:func:`repro.sim.tracestore.fallback_count` — but that lane can no
-longer be cloned, so a group that needs to split it degrades.
+degradation per failed group (:func:`note_degradation`).  A lane's
+trace is a function of its position, so a lane splits at any position
+(:meth:`repro.sim.tracestore.MaterializedTrace.fork`).
 """
 
 from __future__ import annotations
@@ -277,11 +275,8 @@ def _images_equal(a, b) -> bool:
     supplied mask, and :func:`_advance_image` re-applies it (and
     ``set_enables`` writes flags only, no table side effects), so two
     images that differ solely in latched mask behave identically from
-    here on.  Live traces never compare equal: their replay is
-    position-dependent in ways a merged fork cannot reproduce.
+    here on.
     """
-    if a.trace._live is not None or b.trace._live is not None:
-        return False
     if a.trace.pos != b.trace.pos:
         return False
     t1, t2 = a.bank.ip_stride._table, b.bank.ip_stride._table
@@ -719,7 +714,7 @@ class GroupedLLC:
         segments, cpus)`` for a :meth:`_PreparedStream.concat` stream).
         ``runs`` restricts the serve to a subgroup of run indices (the
         lockstep scheduler serves each unique stream shape to exactly
-        the runs that produced it); accumulator rows align with ``runs``
+        the runs that produced it); accumulator rows follow ``runs``
         order.  Defaults to all runs.
 
         A cold image served for all runs takes the stack-distance
@@ -1148,19 +1143,18 @@ class GroupedCore:
     Run-axis batching for the core side: all R runs share one materialized
     trace, and per-run prefetch masks are the only divergence axis.
     State is deduplicated into lanes (equality classes) rather than a
-    dense ``(runs, sets, ways)`` tensor: interval-aligned sweeps spend
-    most quanta with every run under the same mask, so one lane — one
-    scalar-kernel call — usually covers the whole group, and the dense
-    tensors are still available as views (:meth:`cache_tensors`,
-    :meth:`stride_tensor`) for inspection and the property suite.
+    dense ``(runs, sets, ways)`` tensor: sweeps that change masks only
+    between intervals spend most quanta with every run under the same
+    mask, so one lane — one scalar-kernel call — usually covers the
+    whole group, and the dense tensors are still available as views
+    (:meth:`cache_tensors`, :meth:`stride_tensor`) for inspection and
+    the property suite.
 
     Each :meth:`step` partitions stepping runs by mask, clones the lane
     image per partition (before any advance), merges lanes whose images
     re-converged (order-sensitive content equality; failed comparisons
     back off :data:`MERGE_BACKOFF` steps per pair) and advances each
-    surviving lane once with the unmodified scalar kernel.  Raises
-    :class:`LockstepError` when a live-trace lane would need cloning —
-    the caller degrades the whole group to per-run scalar execution.
+    surviving lane once with the unmodified scalar kernel.
     """
 
     #: Steps to skip re-comparing a lane pair after a failed merge.
@@ -1189,10 +1183,6 @@ class GroupedCore:
         return self._serial
 
     def _clone(self, st: _LaneState) -> _LaneState:
-        if st.trace._live is not None:
-            raise LockstepError(
-                "cannot split a lane whose trace left the stored path"
-            )
         return _clone_image(self.params, st, self.base_trace.fork(st.trace.pos))
 
     def step(self, active, q: int, mask_of) -> dict:

@@ -235,7 +235,7 @@ def _solve_cores(params, counts, inst_per_mem, mlp, active, iterations) -> Quant
     """The scalar form: one quantum from per-core Python values."""
     n = len(counts)
     if not (len(inst_per_mem) == len(mlp) == len(active) == n):
-        raise ValueError("counts, inst_per_mem, mlp and active must align")
+        raise ValueError("counts, inst_per_mem, mlp and active need one entry per core")
 
     # Scalar hot path.  The solver runs once per quantum, and for small
     # core counts NumPy's per-call overhead on length-n arrays dwarfs

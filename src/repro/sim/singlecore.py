@@ -42,9 +42,9 @@ bit-identical to the scalar runs:
   (``CYCLES`` and ``INSTRUCTIONS`` are non-integer, so a re-summed
   window would round differently).
 
-Rows must keep every boundary on the trace's burst alignment (all
-scales do), because only aligned chunkings replay one stream
-(:mod:`repro.sim.trace`); a row that does not raises ``ValueError``.
+Rows may end or switch quanta at any access: a trace is a function of
+its position (:mod:`repro.sim.trace`), so every chunking of a pass
+replays one stream.
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ class _Pass:
         self.trace = trace
         self.mask = mask
         bounds = sorted({b for r in rows for b in (*r.quantum_starts(), r.end)} | {0})
-        align = trace.align
-        if any(b % align for b in bounds):
-            raise ValueError(f"single-core rows must chunk on the trace's {align}-access bursts")
         self.bounds = np.asarray(bounds, dtype=np.int64)
         self.sizes = np.diff(self.bounds)
         # Per chunk: n_access, n_l2_hit_d, then the _CORE_EVENTS counts.

@@ -25,19 +25,14 @@ Each trace record is a ``(ctx, line)`` pair: ``ctx`` stands in for the
 program counter of the triggering load (used by the IP-stride
 prefetcher) and ``line`` is a global cache-line number.
 
-**Chunk-alignment invariance.**  ``TraceGenerator.chunk`` draws one
-RNG pick per started burst (``ceil(n / burst_len)`` picks) and every
-stream advances in pure element-space, so the emitted ``(ctx, line)``
-stream depends only on the *cumulative* number of accesses requested —
-not on how that total was partitioned into chunks — **provided every
-chunk size is a multiple of** ``burst_len``.  A non-multiple request
-starts a partial burst whose remainder is discarded, which changes the
-RNG/stream positions relative to any other partition.  All practical
-request sizes (simulator quanta, sampling/exec intervals) are
-multiples of the default ``burst_len`` of 32; the materialized trace
-plane (:mod:`repro.sim.tracestore`) relies on this invariant to replay
-a once-generated trace bit-identically under any aligned chunking, and
-falls back to a live generator on the first unaligned request.
+**Position invariance.**  ``TraceGenerator.chunk`` always generates
+whole bursts (one RNG pick each) and keeps the unused tail of the last
+one for the next call, and every stream advances in pure element-space,
+so the emitted ``(ctx, line)`` stream depends only on the *cumulative*
+number of accesses requested, never on how that total was split into
+chunks.  The materialized trace plane (:mod:`repro.sim.tracestore`)
+relies on this to replay a once-generated trace bit-identically under
+any chunking.
 """
 
 from __future__ import annotations
@@ -148,6 +143,10 @@ class PointerChaseStream(Stream):
         return self.base_line + self._order[steps]
 
 
+#: Accesses per burst of every registered benchmark's generator.
+BURST_LEN = 32
+
+
 class TraceGenerator:
     """Weighted burst-mixture of streams for one core.
 
@@ -165,7 +164,7 @@ class TraceGenerator:
         *,
         inst_per_mem: float = 3.0,
         mlp: float = 4.0,
-        burst_len: int = 32,
+        burst_len: int = BURST_LEN,
         seed: int = 0,
     ) -> None:
         if len(streams) != len(weights) or not streams:
@@ -181,22 +180,29 @@ class TraceGenerator:
         self.mlp = float(mlp)
         self.burst_len = int(burst_len)
         self._rng = np.random.default_rng(seed)
+        # Generated but not yet served: the rest of the last burst.
+        self._tail_ctx = self._tail_lines = np.empty(0, dtype=np.int64)
 
     def footprint_lines(self) -> int:
         return sum(s.footprint_lines() for s in self.streams)
 
     def chunk(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Next ``n`` accesses: ``(ctx, lines)`` int64 arrays."""
-        ctx = np.empty(n, dtype=np.int64)
-        lines = np.empty(n, dtype=np.int64)
-        filled = 0
+        bl = self.burst_len
+        # The tail the last call's partial burst left comes first, then
+        # as many whole bursts as the rest needs.
+        head = len(self._tail_lines)
+        n_bursts = max(0, -(-(n - head) // bl))
+        ctx = np.empty(head + n_bursts * bl, dtype=np.int64)
+        lines = np.empty_like(ctx)
+        ctx[:head] = self._tail_ctx
+        lines[:head] = self._tail_lines
+        filled = head
         # Draw all stream picks for the chunk up front.
-        n_bursts = -(-n // self.burst_len)
         picks = np.minimum(
             np.searchsorted(self._cum, self._rng.random(n_bursts), side="right"),
             len(self.streams) - 1,
         ).tolist()
-        bl = self.burst_len
         b = 0
         while b < n_bursts:
             si = picks[b]
@@ -207,12 +213,13 @@ class TraceGenerator:
             if s.deterministic_burst:
                 while b2 < n_bursts and picks[b2] == si:
                     b2 += 1
-            take = min((b2 - b) * bl, n - filled)
+            take = (b2 - b) * bl
             lines[filled : filled + take] = s.burst(take)
             ctx[filled : filled + take] = s.ctx
             filled += take
             b = b2
-        return ctx, lines
+        self._tail_ctx, self._tail_lines = ctx[n:].copy(), lines[n:].copy()
+        return ctx[:n], lines[:n]
 
 
 class PhasedTrace:

@@ -24,14 +24,12 @@ most 5 bytes per access instead of the 16 of two int64 columns.  ``chunk(n)`` ex
 only the requested slice back to the int64 ``(ctx, lines)`` pair: two
 ``take``\\ s and an add.
 
-Bit-identity rests on the generator's *chunk-alignment invariance*
-(documented in :mod:`repro.sim.trace`): as long as every ``chunk(n)``
-request is a multiple of the generator's ``burst_len`` (all practical
-quantum/interval sizes are), the emitted stream depends only on the
-cumulative position, not on how it was partitioned into chunks.  A
-request that breaks alignment (or outruns the materialized length)
-drops the trace back to a live generator, fast-forwarded to the exact
-position — still bit-identical, just no longer served from the store.
+Bit-identity rests on the generator's *position invariance*
+(documented in :mod:`repro.sim.trace`): the emitted stream depends only
+on the cumulative position, not on how it was split into chunks.  A
+request that outruns the materialized length drops the trace back to a
+live generator, fast-forwarded to the exact position — still
+bit-identical, just no longer served from the store.
 
 Storage is one in-memory tier plus shared memory:
 
@@ -110,10 +108,6 @@ def trace_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _round_up(n: int, align: int) -> int:
-    return -(-int(n) // align) * align
-
-
 #: Candidate offset types, narrowest first.
 _OFFSET_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
@@ -132,7 +126,6 @@ class _Entry:
     inst_per_mem: float
     mlp: float
     footprint: int
-    align: int
 
     @property
     def length(self) -> int:
@@ -163,7 +156,6 @@ class _Entry:
             inst_per_mem=gen.inst_per_mem,
             mlp=gen.mlp,
             footprint=gen.footprint_lines(),
-            align=gen.burst_len,
         )
 
     def lines(self, start: int, stop: int) -> np.ndarray:
@@ -180,14 +172,12 @@ class _Entry:
 class MaterializedTrace:
     """Replays a materialized trace via ``chunk(n)``.
 
-    Serves from the store's compact entry while every request keeps
-    the cumulative position a multiple of ``align`` (the source
-    generator's ``burst_len``) and inside the materialized length.  The
-    first request that breaks either condition switches to a **live**
-    generator built by ``factory`` and fast-forwarded to the current
-    position — bit-identical output either way, so callers never need
-    to care which side served them.  ``fallbacks`` counts the switch
-    (0 or 1); tests pin it at 0 for the standard scales.
+    Serves from the store's compact entry while every request stays
+    inside the materialized length.  The first request past it switches
+    to a **live** generator built by ``factory`` and fast-forwarded to
+    the current position — bit-identical output either way, so callers
+    never need to care which side served them.  ``fallbacks`` counts
+    the switch (0 or 1); tests pin it at 0 for the standard scales.
     """
 
     def __init__(self, entry: _Entry, factory: Callable[[], object]) -> None:
@@ -207,21 +197,14 @@ class MaterializedTrace:
     def pos(self) -> int:
         return self._pos
 
-    @property
-    def align(self) -> int:
-        """Chunk sizes that keep the stored replay exact (the burst length)."""
-        return self._entry.align
-
     def footprint_lines(self) -> int:
         return self._entry.footprint
 
     def _go_live(self) -> None:
         global _PROCESS_FALLBACKS
         gen = self._factory()
-        # All requests so far were align-multiples, so the position is
-        # too — one aligned fast-forward call reproduces the internal
-        # state any aligned chunk partition would have reached (see the
-        # alignment invariance note in repro.sim.trace).
+        # The stream is a function of position (repro.sim.trace), so
+        # one fast-forward call reaches the state any chunking would.
         if self._pos:
             gen.chunk(self._pos)
         self._live = gen
@@ -232,10 +215,10 @@ class MaterializedTrace:
         """Cheap clone sharing the materialized entry, cursor at ``pos``.
 
         The batch kernel's lane forks: each lane replays the same
-        entry through its own cursor.  ``pos`` must be a position a
-        stored replay actually reached (lanes are only cloned while
-        ``_live is None``), so the clone's state is fully described by
-        the cursor.
+        entry through its own cursor.  The stream is a function of
+        position, so the cursor describes the clone's state fully at
+        any ``pos``; past the materialized length it goes live by
+        itself.
         """
         t = MaterializedTrace(self._entry, self._factory)
         t._pos = int(pos)
@@ -243,7 +226,7 @@ class MaterializedTrace:
 
     def _stored(self, n: int) -> bool:
         """Whether the next ``n`` accesses replay from the stored entry."""
-        return self._live is None and n % self._entry.align == 0 and self._pos + n <= self._entry.length
+        return self._live is None and self._pos + n <= self._entry.length
 
     def chunk(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self._stored(n):
@@ -326,7 +309,7 @@ class TraceStore:
         if entry is not None and entry.length >= length:
             return key, entry
         gen = build_trace(spec, llc_lines=llc_lines, base_line=base_line, seed=seed)
-        entry = _Entry.build(gen, _round_up(max(length, 1), gen.burst_len))
+        entry = _Entry.build(gen, max(length, 1))
         self._mem[key] = entry
         # A longer materialization supersedes any published segment of
         # the shorter one only on the parent side; workers keep serving
@@ -410,7 +393,6 @@ class TraceStore:
             "inst_per_mem": entry.inst_per_mem,
             "mlp": entry.mlp,
             "footprint": entry.footprint,
-            "align": entry.align,
             "bench": spec.name,
             "llc_lines": int(llc_lines),
             "base_line": int(base_line),
@@ -433,8 +415,9 @@ def _segment_nbytes(length: int, dtype) -> int:
 
 
 def _segment_arrays(shm, length: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """A segment's ``(offset, code)`` arrays: the offsets first, so they
-    start aligned, then one code byte per access."""
+    """A segment's ``(offset, code)`` arrays: the offsets first, at the
+    segment's start (a multiple of their item size), then one code byte
+    per access."""
     offset = np.ndarray((length,), dtype=dtype, buffer=shm.buf)
     code = np.ndarray((length,), dtype=np.uint8, buffer=shm.buf, offset=offset.nbytes)
     return offset, code
@@ -522,7 +505,6 @@ class ManifestView:
             inst_per_mem=item["inst_per_mem"],
             mlp=item["mlp"],
             footprint=item["footprint"],
-            align=item["align"],
         )
         return _entry_trace(entry, spec, llc_lines, base_line, seed)
 

@@ -39,7 +39,7 @@ DEFAULT_WAY_SWEEP = (1, 2, 4, 6, 8, 12, 16, 20)
 
 #: The quantum every profile run uses, whatever the scale's own quantum
 #: (alone runs use the scale's: 512 at tiny).  The two never need to be
-#: realigned for one simulation to serve both: the single-core plane
+#: reconciled for one simulation to serve both: the single-core plane
 #: (:mod:`repro.sim.singlecore`) chunks a shared pass at the union of
 #: every row's quantum boundaries and warm-up split, and per-quantum
 #: counters are exact sums of their chunks', so every row keeps its own

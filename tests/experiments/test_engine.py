@@ -175,6 +175,20 @@ class TestKeys:
         )
         assert run.key() == "1788518f37f65a8c9ac388f2957f2a12828aedd2d286ccef49e7f72f88ebee8f"
 
+    def test_unaligned_scale_is_keyed_apart(self, mix):
+        """A scale with a size off the traces' 32-access burst: traces once
+        dropped a partial burst's tail and now keep it, so its results
+        changed and must not reuse the key they were cached under."""
+        run = PlannedRun(
+            KIND_MECHANISM, dataclasses.replace(TINY, sample_units=300), mix=mix,
+            mechanism="baseline",
+        )
+        dropped_tail_key = "c9cb11b003e08d83f37279bd7c38bc1efe8a252763e0de32e9a6c0996a39f833"
+        assert run.key() != dropped_tail_key
+        # Every size a whole number of bursts keeps its key.
+        aligned = dataclasses.replace(TINY, sample_units=320)
+        assert aligned.cache_key() == dict(TINY.cache_key(), sample_units=320)
+
 
 class TestParams:
     """Policy constructor overrides ride the run's content key."""

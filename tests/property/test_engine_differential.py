@@ -310,11 +310,9 @@ MASKS = st.one_of(
     st.sampled_from([PF_ON, PF_OFF, PF_MIXED, (0x0, 0xF, 0x5, 0x0)]),
     st.tuples(*[st.integers(0, 0xF)] * N_CORES),
 )
-#: Spans shorter than, equal to and not aligned with a quantum.  All
-#: are multiples of the traces' 32-access burst, the grain a stored
-#: trace serves; off that grain a lockstep lane goes live and its group
-#: degrades to scalar runs by design.
-SPANS = (288, Q, Q + 256, 2 * Q, 3 * Q + 256)
+#: Spans shorter than, equal to and not aligned with a quantum, on and
+#: off the traces' 32-access burst.
+SPANS = (288, 300, Q, Q + 17, Q + 256, 2 * Q, 3 * Q + 256)
 
 
 @st.composite
@@ -397,6 +395,13 @@ class TestEngineDifferential:
             static_script(PF_MIXED, None, Q + 256),
             Mechanism("pref-cp", (("partition_factor", 0.5),)),
             Mechanism("ppm-group"),
+        ],
+    )
+    @example(  # spans off the burst: both runs' lanes split mid-burst, at 300
+        mix="idle",
+        runs=[
+            Script(((PF_ON, None, 300), (PF_OFF, None, 300))),
+            Script(((PF_ON, None, 300), (PF_MIXED, None, 512))),
         ],
     )
     def test_every_engine_matches_reference(self, mix, runs):

@@ -76,3 +76,32 @@ class TestGeneratorProperties:
         _, a = make().chunk(256)
         _, b = make().chunk(256)
         np.testing.assert_array_equal(a, b)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=12),
+        seeds,
+        st.sampled_from([8, 32]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_chunking_equals_one_request(self, sizes, seed, burst_len):
+        """The stream is a function of position: however the requests
+        split it, mid-burst included, they equal one request."""
+
+        def make():
+            rng = np.random.default_rng(seed)
+            return TraceGenerator(
+                [
+                    SequentialStream(1, 0, 64, repeats=3),
+                    RandomStream(2, 1 << 20, 97, rng),
+                    PointerChaseStream(3, 1 << 21, 50, rng),
+                ],
+                [0.5, 0.3, 0.2],
+                burst_len=burst_len,
+                seed=seed,
+            )
+
+        gen = make()
+        got = [gen.chunk(n) for n in sizes]
+        ctx, lines = make().chunk(sum(sizes))
+        np.testing.assert_array_equal(np.concatenate([c for c, _ in got]), ctx)
+        np.testing.assert_array_equal(np.concatenate([l for _, l in got]), lines)

@@ -46,6 +46,7 @@ from repro.sim.engines import (
 )
 from repro.sim.machine import CORE_ADDRESS_STRIDE_LINES, Machine
 from repro.sim.tracestore import TraceStore
+from repro.workloads.mixes import make_mixes
 from tests.property.test_engine_differential import (
     MIXES,
     PF_MIXED,
@@ -342,9 +343,9 @@ class TestSessionDispatch:
         assert self._batched_matches_fast(runs, monkeypatch) == [2]
 
     @staticmethod
-    def _batched_matches_fast(runs, monkeypatch):
-        """Execute ``runs`` on a batch session and on a fast one; assert
-        payload identity and return the batch session's group sizes."""
+    def _batched_matches_fast(runs, monkeypatch, oracle="fast"):
+        """Execute ``runs`` on a batch session and on an ``oracle`` one;
+        assert payload identity and return the batch session's group sizes."""
         from repro.experiments import batch as exp_batch
         from repro.sim.tracestore import fallback_count
 
@@ -357,7 +358,7 @@ class TestSessionDispatch:
         degraded, fallbacks = degradation_count(), fallback_count()
         batched = ExperimentSession(cache_dir=None, max_workers=1).execute(runs)
         assert (degradation_count(), fallback_count()) == (degraded, fallbacks)
-        scalar = ExperimentSession(cache_dir=None, max_workers=1, engine="fast").execute(runs)
+        scalar = ExperimentSession(cache_dir=None, max_workers=1, engine=oracle).execute(runs)
         assert len(batched) == len(runs)
         assert json.dumps(batched, sort_keys=True) == json.dumps(scalar, sort_keys=True)
         return groups
@@ -374,6 +375,18 @@ class TestSessionDispatch:
             )
         ]
         assert self._batched_matches_fast(runs, monkeypatch) == [4]
+
+    def test_unaligned_scale_is_one_group_matching_reference(self, monkeypatch):
+        """Interval lengths off the traces' 32-access burst split lanes
+        mid-burst: still one lockstep group, no degradation, no live
+        trace, and the reference engine's payloads."""
+        sc = dataclasses.replace(TINY, sample_units=300, exec_units=3000)
+        mix = make_mixes("pref_agg", 1, seed=2019)[0]
+        runs = [
+            PlannedRun(KIND_MECHANISM, sc, mix=mix, mechanism=m)
+            for m in ("baseline", "pt", "cmm-a", "pref-cp")
+        ]
+        assert self._batched_matches_fast(runs, monkeypatch, oracle="reference") == [4]
 
     def test_groups_split_by_scale_value(self, monkeypatch):
         """Scales with one name but different sample_units are two groups."""

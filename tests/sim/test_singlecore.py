@@ -117,8 +117,12 @@ class TestDifferential:
 
     def test_empty_window_and_unaligned_rows(self):
         _assert_rows_match([SingleCoreRow("456.hmmer", 0x0, None, 512, 1024, 0)])
-        with pytest.raises(ValueError, match="burst"):
-            _plane([SingleCoreRow("456.hmmer", 0x0, None, 512, 100, 512)])
+        # Boundaries off the 32-access burst, in the kernel and the cascade.
+        _assert_rows_match([
+            SingleCoreRow("456.hmmer", 0x0, None, 512, 100, 512),
+            SingleCoreRow("456.hmmer", 0x0, 5, 300, 17, 1000),
+            SingleCoreRow("456.hmmer", ALL_OFF, 3, 300, 100, 701),
+        ])
 
 
 def scalar(run: PlannedRun) -> dict:

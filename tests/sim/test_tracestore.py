@@ -1,10 +1,10 @@
 """Unit tests for the materialized trace plane (:mod:`repro.sim.tracestore`).
 
 The load-bearing property is *bit-identity*: a materialized trace must
-reproduce the live generator's output exactly, under every aligned
-chunk partition and through the shared-memory manifest path — plus a
-correct (still bit-identical) fallback when a request breaks alignment
-or outruns the material.
+reproduce the live generator's output exactly, under every chunk
+partition and through the shared-memory manifest path — plus a
+correct (still bit-identical) fallback when a request outruns the
+material.
 """
 
 import zlib
@@ -152,12 +152,13 @@ class TestBitIdentity:
         lines[:] = -1
         assert_same_stream([again.chunk(512)], live_chunks(BENCH, [512]))
 
-    def test_unaligned_request_goes_live_bit_identically(self):
+    def test_unaligned_requests_replay_from_store(self):
         store = TraceStore()
-        pattern = [512, 17, 512]  # 17 breaks the 32-access alignment
+        pattern = [512, 17, 512]  # 17 ends mid-burst; the next request starts in its tail
         trace, got = store_chunks(store, BENCH, pattern)
-        assert_same_stream(got, live_chunks(BENCH, pattern))
-        assert trace.fallbacks == 1
+        (ctx, lines), = live_chunks(BENCH, [sum(pattern)])
+        assert_same_stream(got, [(ctx[a:b], lines[a:b]) for a, b in ((0, 512), (512, 529), (529, 1041))])
+        assert trace.fallbacks == 0
 
     def test_overrun_goes_live_bit_identically(self):
         store = TraceStore()
