@@ -222,7 +222,8 @@ def compute_single_core_group(runs, trace_store) -> list[tuple[dict, float, list
     benchmark with no alone run in ``runs``, for the session to store.
     """
     from repro.experiments.engine import KIND_ALONE, KIND_PROFILE, PlannedRun, _profile_payload
-    from repro.sim.singlecore import ALL_OFF, SingleCoreRow, run_single_core
+    from repro.sim.msr import PF_ALL_OFF
+    from repro.sim.singlecore import SingleCoreRow, run_single_core
     from repro.workloads.classify import PROFILE_QUANTUM, profile_from_samples, swept_ways
 
     t0 = time.perf_counter()
@@ -249,7 +250,7 @@ def compute_single_core_group(runs, trace_store) -> list[tuple[dict, float, list
         if r.kind == KIND_PROFILE:
             profile_rows[r] = (
                 row(r.bench, PROFILE_QUANTUM, n),
-                row(r.bench, PROFILE_QUANTUM, n, ALL_OFF),
+                row(r.bench, PROFILE_QUANTUM, n, PF_ALL_OFF),
                 {w: row(r.bench, PROFILE_QUANTUM, n, ways=w) for w in swept_ways(r.way_sweep, params)},
             )
     traces = {}

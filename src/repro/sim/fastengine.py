@@ -7,14 +7,17 @@
   NumPy into runs of identical ``(ctx, line)`` records (spatial-locality
   repeats are the common case: sequential streams emit every line 8x).
   The first access of a run executes the full L1/prefetcher/L2 pipeline
-  inline; once the line is resident and the IP-stride entry has fully
-  decayed, the remaining repeats are *provably* pure L1 hits with no
-  prefetcher side effects, so they collapse into O(1) counter updates
-  plus one LRU refresh.
+  inline.  Once the line is resident and the IP-stride entry is below
+  its confidence threshold, the remaining repeats are pure L1 hits with
+  no prefetcher side effects (a repeat's delta of 0 only decays the
+  entry), so they collapse into one closed form: a confidence decay
+  plus one LRU refresh.  A repeat under a confident entry, which may
+  still emit, takes the per-access path.
 * **Fused loops** — the per-access work of ``Cache.access``,
   ``PrefetcherBank.l1_candidates``/``l2_candidates`` and the four
   prefetcher models is inlined into one interpreter loop over local
-  variables; cache stats accumulate in locals and flush once per chunk.
+  variables; the chunk's PMU counts accumulate in locals, and the L1/L2
+  ``CacheStats`` are derived from them when they flush once per chunk.
 
 Everything here mutates the same state objects the reference engine
 would (:class:`~repro.sim.fastcache.FastCache` sets, prefetcher tables,
@@ -99,8 +102,8 @@ def run_core_chunk(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
         runs = zip(ctxs.tolist(), lines.tolist(), _repeat(1))
 
     # --- local stat accumulators ------------------------------------
-    l1_acc = l1_hits = l1_fills = l1_used = l1_evic = 0
-    l2_acc = l2_hits = l2_fills = l2_used = l2_evic = 0
+    l1_fills = l1_used = l1_evic = 0
+    l2_used = l2_evic = 0
     n_l1_miss = 0
     n_l1_pref = 0
     n_l2_hit_d = 0
@@ -114,10 +117,8 @@ def run_core_chunk(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
         while True:
             # ---------------- L1 demand lookup ----------------------
             v = s1.pop(line, None)
-            l1_acc += 1
             if v is not None:
                 hit1 = True
-                l1_hits += 1
                 if v:
                     l1_used += 1
             else:
@@ -162,7 +163,6 @@ def run_core_chunk(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
                                         if v2:
                                             l2_used += 1
                                         sl2[p] = 0  # touch: -> MRU, bit consumed
-                                        l1_acc += 1
                                         if len(sp1) >= l1_ways:
                                             vb = sp1.pop(next(iter(sp1)))
                                             if vb:
@@ -180,7 +180,6 @@ def run_core_chunk(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
                             if v2:
                                 l2_used += 1
                             sl2[p] = 0  # touch: -> MRU, bit consumed
-                            l1_acc += 1
                             if len(sp1) >= l1_ways:
                                 vb = sp1.pop(next(iter(sp1)))
                                 if vb:
@@ -192,10 +191,8 @@ def run_core_chunk(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
                 n_l1_miss += 1
                 s2 = l2_sets[line & l2_mask]
                 v2 = s2.pop(line, None)
-                l2_acc += 1
                 if v2 is not None:
                     hit2 = True
-                    l2_hits += 1
                     if v2:
                         l2_used += 1
                     n_l2_hit_d += 1
@@ -242,13 +239,11 @@ def run_core_chunk(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
                                         n_l2_pref += 1
                                         sl2 = l2_sets[p & l2_mask]
                                         if p not in sl2:
-                                            l2_acc += 1
                                             if len(sl2) >= l2_ways:
                                                 vb = sl2.pop(next(iter(sl2)))
                                                 if vb:
                                                     l2_evic += 1
                                             sl2[p] = 1
-                                            l2_fills += 1
                                             n_l2_pref_miss += 1
                                             append(~p)
                                 else:
@@ -263,13 +258,11 @@ def run_core_chunk(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
                                         n_l2_pref += 1
                                         sl2 = l2_sets[p & l2_mask]
                                         if p not in sl2:
-                                            l2_acc += 1
                                             if len(sl2) >= l2_ways:
                                                 vb = sl2.pop(next(iter(sl2)))
                                                 if vb:
                                                     l2_evic += 1
                                             sl2[p] = 1
-                                            l2_fills += 1
                                             n_l2_pref_miss += 1
                                             append(~p)
                     if en_adj and not hit2:
@@ -277,133 +270,48 @@ def run_core_chunk(cpu, cs, q, qc, llc_req, pmu_counts) -> None:
                         n_l2_pref += 1
                         sl2 = l2_sets[p & l2_mask]
                         if p not in sl2:
-                            l2_acc += 1
                             if len(sl2) >= l2_ways:
                                 vb = sl2.pop(next(iter(sl2)))
                                 if vb:
                                     l2_evic += 1
                             sl2[p] = 1
-                            l2_fills += 1
                             n_l2_pref_miss += 1
                             append(~p)
             # ---------------- repeat collapse -----------------------
             j += 1
             if j >= k:
                 break
-            if not en_stride or e[2] == 0:
-                v = s1.pop(line, None)
-                if v is None:
-                    continue  # evicted by a same-set prefetch fill: re-miss
-                # The remaining k-j repeats are pure L1 hits: the stride
-                # entry (if any) sits at [line, 0, 0] and stays there,
-                # the next-line prefetcher needs a miss, and L2 is never
-                # consulted.  Each repeat is stats + an MRU refresh.
-                r = k - j
-                l1_acc += r
-                l1_hits += r
-                if v:
-                    l1_used += 1
-                s1[line] = 0
-                if en_stride:
-                    e[1] = 0
-                break
-            # Stride entry still confident: repeats decay it (delta is
-            # 0) and may re-emit the same candidates while confidence
-            # stays >= threshold.  Emulate per repeat; the moment an
-            # emitting repeat changes no cache state, every further
-            # emission repeats the exact same inert probes and the rest
-            # of the run collapses to closed-form counter updates.
-            rerun = False
-            while True:
-                v = s1.pop(line, None)
-                if v is None:
-                    rerun = True  # evicted by an emission fill: re-miss
-                    break
-                l1_acc += 1
-                l1_hits += 1
-                if v:
-                    l1_used += 1
-                s1[line] = 0
-                if e[2] > 0:
-                    e[2] -= 1
-                if e[2] == 0:
-                    e[1] = 0
-                if e[2] >= stride_conf and e[1]:
-                    d = e[1]
-                    filled = False
-                    for m in range(1, stride_degree + 1):
-                        p = line + d * m
-                        n_l1_pref += 1
-                        sp1 = l1_sets[p & l1_mask]
-                        if p not in sp1:
-                            sl2 = l2_sets[p & l2_mask]
-                            v2 = sl2.pop(p, None)
-                            if v2 is not None:
-                                if v2:
-                                    l2_used += 1
-                                sl2[p] = 0  # touch: -> MRU, bit consumed
-                                l1_acc += 1
-                                if len(sp1) >= l1_ways:
-                                    vb = sp1.pop(next(iter(sp1)))
-                                    if vb:
-                                        l1_evic += 1
-                                sp1[p] = 1
-                                l1_fills += 1
-                                filled = True
-                    j += 1
-                    if j >= k:
-                        break
-                    if filled:
-                        continue
-                    # Inert emission: conf decays by 1 per repeat, d is
-                    # stable until conf hits 0, so exactly
-                    # min(T, conf - max(thr, 1)) further repeats emit —
-                    # each a no-op plus `degree` request counters.
-                    T = k - j
-                    E = e[2] - (stride_conf if stride_conf >= 1 else 1)
-                    if E > T:
-                        E = T
-                    if E < 0:
-                        E = 0
-                    n_l1_pref += stride_degree * E
-                    l1_acc += T
-                    l1_hits += T
-                    e[2] -= T
-                    if e[2] < 0:
-                        e[2] = 0
-                    if e[2] == 0:
-                        e[1] = 0
-                    j = k
-                    break
-                else:
-                    # Emissions are over for good (conf only decays from
-                    # here): the rest are pure L1 hits plus decay.
-                    j += 1
-                    T = k - j
-                    l1_acc += T
-                    l1_hits += T
-                    e[2] -= T
-                    if e[2] < 0:
-                        e[2] = 0
-                    if e[2] == 0:
-                        e[1] = 0
-                    j = k
-                    break
-            if rerun:
-                continue
+            if en_stride and e[2] >= stride_conf:
+                continue  # a confident entry may emit: replay the repeat
+            v = s1.pop(line, None)
+            if v is None:
+                continue  # evicted by a same-set prefetch fill: re-miss
+            # The remaining k-j repeats are pure L1 hits: their delta is
+            # 0, so the stride entry only decays (below the threshold,
+            # it emits nothing), the next-line prefetcher needs a miss
+            # and L2 is never consulted: the run is one MRU refresh.
+            if v:
+                l1_used += 1
+            s1[line] = 0
+            if en_stride:
+                e[2] -= k - j
+                if e[2] <= 0:
+                    e[2] = e[1] = 0
             break
 
     # --- flush accumulators -----------------------------------------
+    # Every access and L1 prefetch fill is an L1 access; every L1 demand
+    # miss and L2 prefetch fill an L2 access.
     st1 = l1.stats
-    st1.accesses += l1_acc
-    st1.hits += l1_hits
+    st1.accesses += n + l1_fills
+    st1.hits += n - n_l1_miss
     st1.pref_fills += l1_fills
     st1.pref_used += l1_used
     st1.pref_evicted_unused += l1_evic
     st2 = l2.stats
-    st2.accesses += l2_acc
-    st2.hits += l2_hits
-    st2.pref_fills += l2_fills
+    st2.accesses += n_l1_miss + n_l2_pref_miss
+    st2.hits += n_l2_hit_d
+    st2.pref_fills += n_l2_pref_miss
     st2.pref_used += l2_used
     st2.pref_evicted_unused += l2_evic
 

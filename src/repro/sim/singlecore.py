@@ -18,16 +18,12 @@ bit-identical to the scalar runs:
   integer sum, and each row's quanta are whole runs of chunks.  A
   shorter row over the same trace (an alone run inside a profile's
   on-pass) is a prefix of the pass.
-* **Masks with a prefetcher on** advance one
-  :func:`repro.sim.batch._advance_image` call per chunk through the
-  unmodified scalar kernel.
-* **Mask 0xF** (every prefetcher off) makes no kernel call.  Without
-  prefetchers each private level is a plain allocate-on-miss LRU cache
-  over the stream below it — L1 over the line-collapsed demand stream,
-  L2 over the L1-miss stream — so LRU's stack property (Mattson et al.,
-  1970) gives every miss from one capped stack-distance pass per level.
-  All 0xF passes of a call share each level's pass as virtual sets.
-* **The LLC of every pass** is one more batched stack pass.  One core
+* **Every mask** advances one :func:`repro.sim.batch._advance_image`
+  call per chunk through the unmodified scalar kernel
+  (:func:`repro.sim.fastengine.run_core_chunk`), the all-off mask 0xF
+  included: one private-cache model serves the fast engine and this
+  plane alike.
+* **The LLC of every pass** is one batched stack pass.  One core
   requests, so an ``a``-way CAT allocation is an ``a``-way LRU cache of
   the core's lines: a request hits iff its distance is ``< a``, and
   every row's demand hits, demand fills and prefetch fills per chunk
@@ -60,10 +56,7 @@ from repro.sim.fastcache import FastCache
 from repro.sim.params import CacheGeometry, MachineParams
 from repro.sim.pmu import N_EVENTS, Event, PmuSample
 
-__all__ = ["ALL_OFF", "SingleCoreRow", "run_single_core"]
-
-#: The prefetch mask with all four prefetchers disabled.
-ALL_OFF = 0xF
+__all__ = ["SingleCoreRow", "run_single_core"]
 
 #: The core-phase PMU events, in the order a pass's chunk table keeps them.
 _CORE_EVENTS = [
@@ -116,9 +109,6 @@ class _Pass:
         # (chunks, ways + 1) counts of demand / prefetch requests with
         # LLC stack distance <= column.
         self.dem_le = self.pref_le = None
-
-    def chunk_of(self, pos: np.ndarray) -> np.ndarray:
-        return (np.searchsorted(self.bounds, pos, side="right") - 1).astype(np.int32)
 
     def run_kernel(self, params: MachineParams) -> None:
         """Advance the scalar kernel chunk by chunk on a fresh core image."""
@@ -186,40 +176,6 @@ def _distances(streams: list[np.ndarray], geom: CacheGeometry) -> list[np.ndarra
             out[k] = dk
         start = stop
     return out
-
-
-def _cascade(passes: list[_Pass], params: MachineParams) -> None:
-    """Every 0xF pass's core side as an L1 -> L2 stack-distance cascade.
-
-    A repeat of the previous access's line is an L1 hit at distance 0
-    and leaves every stack as it was, so L1 runs over the collapsed
-    stream; a level's misses (distance = ways) are the next level's
-    stream, and the L2 misses are the LLC's demand stream.  Each pass
-    keeps only its collapsed ``(position, line)`` pairs, both int32 when
-    the lines fit, and every level filters them, so no full-length line
-    array outlives its collapse.
-    """
-    pos: list[np.ndarray] = []
-    lines: list[np.ndarray] = []
-    for p in passes:
-        ln = p.trace.fork(0).chunk_lines(int(p.bounds[-1]))
-        keep = np.flatnonzero(np.r_[True, ln[1:] != ln[:-1]]).astype(np.int32)
-        pos.append(keep)
-        lines.append(_narrow(ln[keep]))
-        del ln
-    for geom, col in ((params.l1, 3), (params.l2, 6)):
-        for k, (dk, p) in enumerate(zip(_distances(lines, geom), passes)):
-            miss = dk == geom.ways
-            pos[k], lines[k] = pos[k][miss], lines[k][miss]
-            p.core[:, col] = np.bincount(p.chunk_of(pos[k]), minlength=len(p.sizes))
-    for p, k, ln in zip(passes, pos, lines):
-        l1_miss, l2_miss = p.core[:, 3], p.core[:, 6]
-        p.core[:, 1] = l1_miss - l2_miss   # n_l2_hit_d
-        p.core[:, 2] = p.sizes             # L1_DM_REQ
-        p.core[:, 5] = l1_miss             # L2_DM_REQ
-        p.llc_line = ln
-        p.llc_pref = np.zeros(len(k), dtype=bool)
-        p.llc_chunk = p.chunk_of(k)
 
 
 def _serve_llc(passes: list[_Pass], geom: CacheGeometry) -> None:
@@ -309,11 +265,7 @@ def run_single_core(
         for key, idx in members.items()
     }
     for p in passes.values():
-        if p.mask != ALL_OFF:
-            p.run_kernel(params)
-    off = [p for p in passes.values() if p.mask == ALL_OFF]
-    if off:
-        _cascade(off, params)
+        p.run_kernel(params)
     _serve_llc(list(passes.values()), params.llc)
     out: list[PmuSample] = [None] * len(rows)  # type: ignore[list-item]
     for key, idx in members.items():

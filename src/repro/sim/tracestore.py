@@ -158,15 +158,12 @@ class _Entry:
             footprint=gen.footprint_lines(),
         )
 
-    def lines(self, start: int, stop: int) -> np.ndarray:
-        """The int64 lines of accesses ``start:stop``."""
-        lines = self.base_of.take(self.code[start:stop])
-        lines += self.offset[start:stop]
-        return lines
-
     def expand(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Accesses ``start:stop`` as the generator's int64 ``(ctx, lines)``."""
-        return self.ctx_of.take(self.code[start:stop]), self.lines(start, stop)
+        code = self.code[start:stop]
+        lines = self.base_of.take(code)
+        lines += self.offset[start:stop]
+        return self.ctx_of.take(code), lines
 
 
 class MaterializedTrace:
@@ -224,12 +221,8 @@ class MaterializedTrace:
         t._pos = int(pos)
         return t
 
-    def _stored(self, n: int) -> bool:
-        """Whether the next ``n`` accesses replay from the stored entry."""
-        return self._live is None and self._pos + n <= self._entry.length
-
     def chunk(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._stored(n):
+        if self._live is None and self._pos + n <= self._entry.length:
             start, self._pos = self._pos, self._pos + n
             return self._entry.expand(start, self._pos)
         if self._live is None:
@@ -237,13 +230,6 @@ class MaterializedTrace:
         out = self._live.chunk(n)
         self._pos += n
         return out
-
-    def chunk_lines(self, n: int) -> np.ndarray:
-        """``chunk(n)``'s lines, without expanding its ``ctx`` column."""
-        if not self._stored(n):
-            return self.chunk(n)[1]
-        self._pos += n
-        return self._entry.lines(self._pos - n, self._pos)
 
 
 # Process-wide count of MaterializedTrace go-live fallbacks (every

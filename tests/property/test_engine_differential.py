@@ -14,9 +14,11 @@ held to ``reference`` on PMU counters, wall cycles, L1/L2/LLC stats,
 occupancy and way-exact images, the prefetcher tables and the payload
 (a sweep row on what it returns).  Every sweep serve is served again
 with an explicit ``runs=`` list, which takes the round loop where the
-cold serve took the stack strategy, and the two must agree.  The
-hand-picked engine cases elsewhere call :func:`assert_engines_agree`
-on the engines they name.
+cold serve took the stack strategy, and the two must agree.  A second
+test draws, in place of a registered mix, a :class:`RevisitingWalk` per
+core: the only traces whose IP-stride entries turn confident and then
+meet a repeat of their line.  The hand-picked engine cases elsewhere
+call :func:`assert_engines_agree` on the engines they name.
 """
 
 from __future__ import annotations
@@ -33,10 +35,17 @@ from hypothesis import strategies as st
 from repro.core.policies import POLICIES
 from repro.experiments.batch import build_batch_kernel
 from repro.experiments.config import ScaleConfig
-from repro.experiments.runner import build_machine, drive_mechanism, mechanism_payload
-from repro.sim.batch import GroupedLLC, LockstepGroup, run_static_sweep
+from repro.experiments.runner import (
+    build_machine,
+    drive_mechanism,
+    mechanism_payload,
+    mechanism_trace_length,
+)
+from repro.sim.batch import BatchKernel, GroupedLLC, LockstepGroup, run_static_sweep
 from repro.sim.fastcache import FastCache
-from repro.sim.tracestore import TraceStore
+from repro.sim.machine import CORE_ADDRESS_STRIDE_LINES, Machine
+from repro.sim.trace import Stream, TraceGenerator
+from repro.sim.tracestore import MaterializedTrace, TraceStore, _Entry
 from repro.workloads.mixes import CATEGORIES, WorkloadMix, make_mixes
 
 SC = ScaleConfig(
@@ -54,6 +63,60 @@ MIXES = {c: make_mixes(c, 1, n_cores=N_CORES, seed=2019)[0] for c in CATEGORIES}
 #: core 1 is idled too, so idle cores sit between and after busy ones.
 MIXES["idle"] = make_mixes("pref_no_agg", 1, n_cores=N_CORES - 1, seed=2019)[0]
 IDLED = {"idle": (1,)}
+
+
+class RevisitingWalk(Stream):
+    """A walk of ``stride`` lines that revisits every fifth line.
+
+    Its line deltas run ``s, s, s, s, 0``: the IP-stride entry turns
+    confident, then meets a repeat of its line, which no registered
+    benchmark reaches (their streams repeat a line before a stride
+    trains).  From step ``drift_at`` on, the walk goes on at ``drift``
+    lines a step, so a confident entry sees its stride change.
+    """
+
+    def __init__(self, ctx, base_line, region_lines, stride, drift=None, drift_at=0) -> None:
+        super().__init__(ctx, base_line, region_lines)
+        self.stride, self.drift, self.drift_at = stride, drift, drift_at
+        self._pos = 0
+
+    def burst(self, n: int) -> np.ndarray:
+        i = np.arange(self._pos, self._pos + n, dtype=np.int64)
+        self._pos += n
+        step = i - i // 5  # every fifth access stays on its line
+        walk = step * self.stride
+        if self.drift is not None:
+            d = self.drift_at
+            walk = np.where(step > d, d * self.stride + (step - d) * self.drift, walk)
+        return self.base_line + walk % self.region_lines
+
+
+#: The step from which a drifting walk changes its stride: mid-trace.
+DRIFT_AT = Q + 3
+
+
+@dataclass(frozen=True)
+class WalkMix:
+    """A mix of :class:`RevisitingWalk` traces, one ``(stride, drift,
+    region)`` per core, standing in for a :class:`WorkloadMix`."""
+
+    walks: tuple
+
+    def generator(self, core: int) -> TraceGenerator:
+        stride, drift, region = self.walks[core]
+        walk = RevisitingWalk(
+            1, core * CORE_ADDRESS_STRIDE_LINES, region, stride, drift, DRIFT_AT
+        )
+        return TraceGenerator([walk], [1.0], seed=core)
+
+    def trace(self, core: int) -> MaterializedTrace:
+        """Core ``core``'s trace, forkable and materialized as a store serves it."""
+        return MaterializedTrace(_walk_entry(self, core), functools.partial(self.generator, core))
+
+
+@functools.lru_cache(maxsize=64)
+def _walk_entry(mix: WalkMix, core: int) -> _Entry:
+    return _Entry.build(mix.generator(core), mechanism_trace_length(SC))
 
 
 @dataclass(frozen=True)
@@ -178,16 +241,27 @@ def _assert_same(want: dict, got: dict, label: str) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _scalar(engine: str, mix: WorkloadMix, idle: tuple, run) -> dict:
+def _scalar(engine: str, mix: WorkloadMix | WalkMix, idle: tuple, run) -> dict:
     """``run`` on its own scalar machine (a pure function of its
     arguments, so examples that repeat a run reuse it)."""
-    m = build_machine(mix, SC, trace_store=STORE if engine == "fast" else None, engine=engine)
+    if isinstance(mix, WalkMix):
+        m = Machine(SC.params(), quantum=SC.quantum, engine=engine)
+        for core in range(N_CORES):
+            live = engine == "reference"
+            m.attach_trace(core, mix.generator(core) if live else mix.trace(core))
+    else:
+        m = build_machine(mix, SC, trace_store=STORE if engine == "fast" else None, engine=engine)
     for cpu in idle:
         m.set_idle(cpu)
     return _machine_state(m, run.drive(m))
 
 
-def _kernel(mix: WorkloadMix, idle: tuple):
+def _kernel(mix: WorkloadMix | WalkMix, idle: tuple):
+    if isinstance(mix, WalkMix):
+        kernel = BatchKernel(SC.params(), quantum=SC.quantum)
+        for core in range(N_CORES):
+            kernel.add_core(core, mix.trace(core))
+        return kernel
     kernel = build_batch_kernel(mix, SC, STORE)
     for cpu in idle:
         del kernel.base_traces[cpu]
@@ -278,7 +352,7 @@ ENGINES = ("fast", "batch", "sweep")
 
 
 def assert_engines_agree(
-    mix: WorkloadMix, runs, idle: tuple = (), oracle: str = "reference", engines=ENGINES
+    mix: WorkloadMix | WalkMix, runs, idle: tuple = (), oracle: str = "reference", engines=ENGINES
 ) -> list[dict]:
     """Run ``runs`` of ``mix`` (cores ``idle`` idled) on ``oracle``'s
     scalar machines, hold each of ``engines`` to them and return the
@@ -355,6 +429,14 @@ def split_ways(k: int, core_clos=(0, 1, 0, 1)) -> tuple:
     return ((0, (1 << k) - 1), (1, FULL ^ ((1 << k) - 1))), core_clos
 
 
+#: Per core ``(stride, drift, region)``: a walk up or down, drifting
+#: mid-trace or not, over a region that fits L1, fits L2 or overflows L2.
+STRIDES = st.sampled_from((1, 2, 3, 7, 16, -1, -5))
+WALK_MIXES = st.tuples(
+    *[st.tuples(STRIDES, st.none() | STRIDES, st.sampled_from((64, 512, 8192)))] * N_CORES
+).map(WalkMix)
+
+
 #: Examples drawn per run: 5, or what the Hypothesis profile named by
 #: ``HYPOTHESIS_PROFILE`` sets (tests/conftest.py; CI runs ``deep``).
 DRAWS = settings().max_examples if os.environ.get("HYPOTHESIS_PROFILE") else 5
@@ -406,3 +488,16 @@ class TestEngineDifferential:
     )
     def test_every_engine_matches_reference(self, mix, runs):
         assert_engines_agree(MIXES[mix], runs, IDLED.get(mix, ()))
+
+    @settings(max_examples=DRAWS, deadline=None)
+    @given(mix=WALK_MIXES, runs=st.lists(st.one_of(SCRIPTS, MECHANISMS), min_size=1, max_size=8))
+    @example(  # confident entries meet repeats under every engine; two strides drift
+        mix=WalkMix(((1, None, 512), (3, -2, 8192), (16, None, 64), (-5, 7, 512))),
+        runs=[
+            static_script(PF_ON, None, Q + 256),
+            Script(((PF_MIXED, split_ways(5), 300), (PF_ON, None, 2 * Q))),
+            Mechanism("pt", (("fine_grained", True),)),
+        ],
+    )
+    def test_strided_traces_match_reference(self, mix, runs):
+        assert_engines_agree(mix, runs)

@@ -2,7 +2,10 @@
 
 Conservation laws that must hold for any workload/configuration:
 the miss hierarchy is monotone, memory demand bytes equal L3 load
-misses times the line size, and counters never go negative.
+misses times the line size, counters never go negative and a disabled
+prefetcher level requests nothing.  The drawn traces include a
+``strided`` walk, the one kind whose IP-stride entries turn confident,
+so the laws also see L1 stride emissions.
 """
 
 import numpy as np
@@ -12,7 +15,13 @@ from hypothesis import strategies as st
 from repro.sim.machine import Machine
 from repro.sim.params import CacheGeometry, MachineParams
 from repro.sim.pmu import Event
-from repro.sim.trace import PointerChaseStream, RandomStream, SequentialStream, TraceGenerator
+from repro.sim.trace import (
+    PointerChaseStream,
+    RandomStream,
+    SequentialStream,
+    StridedStream,
+    TraceGenerator,
+)
 
 PARAMS = MachineParams(
     n_cores=2,
@@ -29,7 +38,7 @@ def machine_runs(draw):
     n_active = draw(st.integers(1, 2))
     masks = [draw(st.integers(0, 0xF)) for _ in range(2)]
     n = draw(st.integers(200, 1500))
-    kinds = [draw(st.sampled_from(["seq", "rand", "chase"])) for _ in range(n_active)]
+    kinds = [draw(st.sampled_from(["seq", "rand", "chase", "strided"])) for _ in range(n_active)]
     return rng_seed, masks, n, kinds
 
 
@@ -40,6 +49,10 @@ def build(rng_seed, masks, kinds):
         base = m.core_base_line(core)
         if kind == "seq":
             s = SequentialStream(1, base, int(rng.integers(64, 4096)))
+        elif kind == "strided":
+            s = StridedStream(
+                1, base, int(rng.integers(64, 4096)), stride=int(rng.choice([2, 3, 16, -7]))
+            )
         elif kind == "rand":
             s = RandomStream(1, base, int(rng.integers(256, 20000)), rng)
         else:
@@ -95,3 +108,5 @@ class TestMachineInvariants:
         for cpu in range(len(kinds)):
             if masks[cpu] & 0b11 == 0b11:  # both L2 prefetchers disabled
                 assert m.pmu.read(cpu, Event.L2_PREF_REQ) == 0
+            if masks[cpu] & 0b1100 == 0b1100:  # both L1 prefetchers disabled
+                assert m.pmu.read(cpu, Event.L1_PREF_REQ) == 0

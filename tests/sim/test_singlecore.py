@@ -3,13 +3,13 @@
 :func:`repro.sim.singlecore.run_single_core` answers many single-core
 runs from shared passes; every row must equal ``Pmu.delta_since`` of
 its own scalar fast machine (``classify.run_alone``), bit for bit.
-Innermost first: hypothesis-drawn rows (masks with and without the
-all-off cascade, CAT ways, quanta, ragged warm-ups and windows sharing
-one pass), then every benchmark's profile payload through the engine's
+Innermost first: hypothesis-drawn rows (masks with prefetchers on and
+all off, CAT ways, quanta, ragged warm-ups and windows sharing one
+pass), then every benchmark's profile payload through the engine's
 group, the trace-prefix property alone runs rely on, the session
 storing the alone runs a profile answered, alone-only groups staying
-off scalar machines, which passes enter the scalar kernel at all, and
-a host-independent bound on the plane's peak memory.
+off scalar machines, and a host-independent bound on the plane's peak
+memory.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from repro.experiments.engine import (
     PlannedRun,
 )
 from repro.experiments.pool import TASK_RUN, _execute_task
-from repro.sim import fastengine
 from repro.sim.machine import Machine
-from repro.sim.singlecore import ALL_OFF, SingleCoreRow, run_single_core
+from repro.sim.msr import PF_ALL_OFF
+from repro.sim.singlecore import SingleCoreRow, run_single_core
 from repro.sim.tracestore import TraceStore
 from repro.workloads.classify import DEFAULT_WAY_SWEEP, run_alone
 from repro.workloads.mixes import make_mixes
@@ -97,7 +97,7 @@ def _row_sets(draw):
 class TestDifferential:
     @settings(max_examples=30, deadline=None)
     @given(rows=_row_sets())
-    @example(rows=[  # every quantum, both cascaded and kernel passes, shared
+    @example(rows=[  # every quantum, all-off and all-on passes, shared
         SingleCoreRow("rand_access", 0xF, None, 256, 800, 1000 - 8),
         SingleCoreRow("rand_access", 0xF, 3, 1024, 0, 1312),
         SingleCoreRow("rand_access", 0x0, 20, 512, 96, 544),
@@ -117,11 +117,11 @@ class TestDifferential:
 
     def test_empty_window_and_unaligned_rows(self):
         _assert_rows_match([SingleCoreRow("456.hmmer", 0x0, None, 512, 1024, 0)])
-        # Boundaries off the 32-access burst, in the kernel and the cascade.
+        # Boundaries off the 32-access burst, with prefetchers on and all off.
         _assert_rows_match([
             SingleCoreRow("456.hmmer", 0x0, None, 512, 100, 512),
             SingleCoreRow("456.hmmer", 0x0, 5, 300, 17, 1000),
-            SingleCoreRow("456.hmmer", ALL_OFF, 3, 300, 100, 701),
+            SingleCoreRow("456.hmmer", PF_ALL_OFF, 3, 300, 100, 701),
         ])
 
 
@@ -202,48 +202,15 @@ class TestEngineGroup:
         assert len(built) == len(BENCHES)
 
 
-def test_only_all_off_passes_skip_the_kernel(monkeypatch):
-    sizes: list[int] = []
-    real = fastengine.run_core_chunk
-
-    def spy(cpu, cs, q, *rest):
-        sizes.append(q)
-        return real(cpu, cs, q, *rest)
-
-    monkeypatch.setattr(fastengine, "run_core_chunk", spy)
-    _plane([
-        SingleCoreRow("429.mcf", 0xF, None, 512, 1024, 1024),
-        SingleCoreRow("429.mcf", 0xF, 4, 1024, 1024, 1024),
-    ])
-    assert sizes == []
-    _plane([SingleCoreRow("429.mcf", 0x5, None, 512, 1024, 1024)])
-    assert sizes == [512] * 4
-
-
-
-def test_all_off_passes_expand_no_ctx(monkeypatch):
-    """The 0xF cascade reads its pass's lines only, never the int64 ``ctx`` column."""
-    from repro.sim import tracestore
-
-    expanded = []
-    real = tracestore._Entry.expand
-    monkeypatch.setattr(
-        tracestore._Entry, "expand", lambda self, *a: expanded.append(a) or real(self, *a)
-    )
-    _plane([SingleCoreRow("429.mcf", 0xF, None, 512, 1024, 1024)])
-    assert expanded == []
-    _plane([SingleCoreRow("429.mcf", 0x5, None, 512, 1024, 1024)])
-    assert expanded  # the spy sees a kernel pass's chunks
-
-
-#: Compute-bound benchmarks: few LLC requests, so the 0xF cascade's
-#: working set, not the LLC serve, sets the plane's peak.
+#: Compute-bound benchmarks: few LLC requests, so the traces and the
+#: passes, not the LLC request streams, make up the plane's working set.
 QUIET = ("456.hmmer", "453.povray", "444.namd", "416.gamess",
          "400.perlbench", "445.gobmk", "458.sjeng", "465.tonto")
-#: Peak bytes per trace access: the compact traces (<= 6) plus the
-#: collapsed cascade streams and one pass's expansion.  About 11 today;
-#: an int64 trace store (16 on its own) or a cascade that holds every
-#: 0xF pass's full line array (about 17.5) exceeds it.
+#: Peak bytes per trace access: the compact traces (about 2.7, 6 while
+#: one is built) plus, at the peak, the LLC serve's per-set stacks.
+#: About 11 today; the kernel passes, one chunk expanded at a time,
+#: stay near 3.4.  An int64 trace store (16 on its own) or a plane that
+#: expands every pass's whole trace at once (16 more) exceeds it.
 PEAK_BYTES_PER_ACCESS = 14
 
 
@@ -255,7 +222,7 @@ def test_peak_memory_is_bounded_by_the_rows():
         # lap of ``window`` accesses then a measured one.
         return [
             SingleCoreRow(b, mask, ways, 1024, window, window)
-            for b in benches for mask, ways in ((0x0, None), (ALL_OFF, None), (0x0, 2))
+            for b in benches for mask, ways in ((0x0, None), (PF_ALL_OFF, None), (0x0, 2))
         ]
 
     def run(rows):
